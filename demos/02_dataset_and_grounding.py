@@ -1,16 +1,14 @@
 # Offline grounding: learn the labelling function and the primitive
 # value functions from a random-walk dataset, no reward signal needed.
 
-from dataclasses import replace
-
 from rmgcr.geogrid import (
     GridConfig,
     ObjectSpec,
+    cell_states,
     encode_obs,
     full_coverage_dataset,
     generate_dataset,
     label_frequencies,
-    reset,
 )
 from rmgcr.ground import predict_labels, train_label_model, train_pvfs_fqi
 
@@ -29,8 +27,7 @@ for atom, freq in label_frequencies(dataset).items():
 label_model = train_label_model(dataset)
 print("held-out accuracy:", {a: round(v, 4) for a, v in label_model.holdout_accuracy.items()})
 
-state = reset(cfg)
-obs = encode_obs(replace(state, agent=(0, 0)))
+obs = encode_obs(cell_states(cfg)[(0, 0)])
 print("predicted labels on the red triangle:", sorted(predict_labels(label_model, obs)))
 
 # --- primitive value functions ----------------------------------------
@@ -45,12 +42,12 @@ pvfs = train_pvfs_fqi(full_coverage_dataset(corridor), GAMMA)
 
 print()
 print("corridor values for reaching `red` (expect 0.97^k):")
-base = reset(corridor)
+corridor_states = cell_states(corridor)
 for col in range(4):
-    obs = encode_obs(replace(base, agent=(0, col)))
+    obs = encode_obs(corridor_states[(0, col)])
     v = pvfs.value(("red", True), obs)
     print(f"  column {col}: {v:.6f}   (0.97^{3 - col if col < 3 else 1} = {GAMMA ** (3 - col if col < 3 else 1):.6f})")
 
 # negations are a one-step affair almost everywhere
-obs = encode_obs(replace(base, agent=(0, 3)))
+obs = encode_obs(corridor_states[(0, 3)])
 print("value of reaching `!red` from the red cell:", round(pvfs.value(("red", False), obs), 6))

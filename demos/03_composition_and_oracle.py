@@ -5,7 +5,6 @@
 # literals, then score each RM edge as an option using a state-independent
 # value iteration over the RM graph for the tail.
 
-from dataclasses import replace
 from pathlib import Path
 
 from rmgcr.compose import (
@@ -14,7 +13,7 @@ from rmgcr.compose import (
     make_composed_value_fn,
     rm_value_iteration,
 )
-from rmgcr.geogrid import GridConfig, encode_obs, full_coverage_dataset, reset
+from rmgcr.geogrid import GridConfig, cell_states, encode_obs, full_coverage_dataset
 from rmgcr.ground import train_pvfs_fqi
 from rmgcr.rm import load_rm
 
@@ -35,9 +34,9 @@ oracle = exact_product_values(cfg, rm, GAMMA)
 
 print()
 print("composed vs exact value at a few product states:")
-base = reset(cfg)
+cell_obs = {cell: encode_obs(state) for cell, state in cell_states(cfg).items()}
 for cell, u in [((3, 0), 1), ((0, 0), 2), ((4, 2), 3), ((2, 3), 3)]:
-    got = composed_value(cvf, encode_obs(replace(base, agent=cell)), u)
+    got = composed_value(cvf, cell_obs[cell], u)
     want = oracle.value_at(cell, u)
     print(f"  cell {cell} RM state {u}: composed {got:.4f}  exact {want:.4f}")
 
@@ -46,12 +45,8 @@ for cell, u in [((3, 0), 1), ((0, 0), 2), ((4, 2), 3), ((2, 3), 3)]:
 # and the nearest triangle are the same object. Next to the red circle
 # they are not, and the composed value overshoots.
 worst = max(
-    abs(
-        composed_value(cvf, encode_obs(replace(base, agent=(r, c))), u)
-        - oracle.value_at((r, c), u)
-    )
-    for r in range(6)
-    for c in range(6)
+    abs(composed_value(cvf, obs, u) - oracle.value_at(cell, u))
+    for cell, obs in cell_obs.items()
     for u in (1, 2, 3)
 )
 print()
@@ -65,11 +60,7 @@ reach = reachability_rm(pvfs.vocab, Var("green"))
 reach_cvf = make_composed_value_fn(reach, pvfs, GAMMA_RM)
 reach_oracle = exact_product_values(cfg, reach, GAMMA)
 dev = max(
-    abs(
-        composed_value(reach_cvf, encode_obs(replace(base, agent=(r, c))), 1)
-        - reach_oracle.value_at((r, c), 1)
-    )
-    for r in range(6)
-    for c in range(6)
+    abs(composed_value(reach_cvf, obs, 1) - reach_oracle.value_at(cell, 1))
+    for cell, obs in cell_obs.items()
 )
 print(f"single-literal task deviation: {dev:.2e} (exact up to arithmetic)")

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import geogrid
-from .compose import ComposedValueFn, RmStateValues, composed_value, high_level_potential
+from .compose import ComposedValueFn, RmStateValues, check_shaping, composed_value, shaping_term
 from .geogrid import GridConfig, encode_obs, obs_key, true_label
 from .ground import LabelModel, predict_labels
 from .rm import RewardMachine, rm_step
@@ -46,10 +46,7 @@ class AgentConfig:
     def __post_init__(self):
         if self.shaping not in SHAPING_MODES:
             raise ValueError(f"unknown shaping {self.shaping!r}")
-        if self.shaping_mode not in ("undiscounted", "discounted"):
-            raise ValueError(f"unknown shaping mode {self.shaping_mode!r}")
-        if self.lam < 0:
-            raise ValueError("lam must be non-negative")
+        check_shaping(self.lam, self.shaping_mode)
 
 
 @dataclass
@@ -117,17 +114,15 @@ def train(
     potential_cache: dict = {}
 
     def potential(key, obs, u) -> float:
-        if agent_cfg.shaping == "composed":
-            if rm.is_terminal(u):
-                return 0.0
-            cached = potential_cache.get((key, u))
-            if cached is None:
-                cached = composed_value(cvf, obs, u)
-                potential_cache[(key, u)] = cached
-            return cached
+        if rm.is_terminal(u):
+            return 0.0
         if agent_cfg.shaping == "high-level":
-            return 0.0 if rm.is_terminal(u) else high_level_potential(rm_values, u)
-        return 0.0
+            return rm_values[u]
+        cached = potential_cache.get((key, u))
+        if cached is None:
+            cached = composed_value(cvf, obs, u)
+            potential_cache[(key, u)] = cached
+        return cached
 
     report = TrainReport(
         meta={
@@ -170,12 +165,13 @@ def train(
 
             shaping = 0.0
             if agent_cfg.shaping != "none":
-                v = potential(key, obs, u)
-                v2 = potential(next_key, next_obs, stp.next_state)
-                if agent_cfg.shaping_mode == "discounted":
-                    shaping = agent_cfg.lam * (agent_cfg.gamma * v2 - v)
-                else:
-                    shaping = agent_cfg.lam * (v2 - v)
+                shaping = shaping_term(
+                    potential(key, obs, u),
+                    potential(next_key, next_obs, stp.next_state),
+                    agent_cfg.lam,
+                    agent_cfg.shaping_mode,
+                    agent_cfg.gamma,
+                )
 
             if stp.terminated:
                 bootstrap = 0.0

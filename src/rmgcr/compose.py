@@ -9,29 +9,27 @@ bootstrap for the next RM state.
 
 The DNF of a formula is not unique and logically equivalent DNFs can
 yield different composed values; this module values whatever DNF the
-normalizer produces (see compare_dnf_values for a diagnostic).
+normalizer produces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import geogrid
-from .geogrid import GridConfig, GridState
+from .geogrid import GridConfig
 from .ground import PvfSet
-from .logic import (
-    Clause,
-    DnfFormula,
-    FalseConst,
-    Formula,
-    Literal,
-    TrueConst,
-    to_dnf,
-)
-from .rm import RewardMachine, RmTransition, rm_step
+from .logic import Clause, DnfFormula, FalseConst, TrueConst, dnf_to_formula, evaluate, to_dnf
+from .rm import RewardMachine, RmTransition, reachability_rm, rm_step
+
+# sweep cap of the exact oracle: reaching its tol takes about 23 / (1 - gamma)
+# sweeps, so the cap allows gamma up to about 0.9997
+MAX_ORACLE_SWEEPS = 100_000
+# slack on both composition bounds, for floating-point noise in the oracle
+BOUND_TOL = 1e-9
 
 
 class NoOutgoingEdgeError(ValueError):
@@ -122,53 +120,29 @@ def rm_value_iteration(
     return RmStateValues(v, gamma_rm, gamma, residual)
 
 
-def high_level_potential(rmvals: RmStateValues, u: int) -> float:
-    """State-independent shaping potential: the RM-graph value of u."""
-    return rmvals.values[u]
-
-
 # ---------------------------------------------------------------------------
 # Fuzzy DNF valuation from PVFs
 
 
-def literal_value(pvfs: PvfSet, lit: Literal, obs: np.ndarray) -> float:
-    return float(np.clip(pvfs.value(lit, obs), 0.0, 1.0))
-
-
 def clause_value(pvfs: PvfSet, clause: Clause, obs: np.ndarray) -> float:
     """Conjunction valued as the min over its literals."""
-    return min(literal_value(pvfs, lit, obs) for lit in clause)
+    return min(pvfs.value(lit, obs) for lit in clause)
 
 
-def formula_value(
-    pvfs: PvfSet,
-    f,
-    obs: np.ndarray,
-    true_guard_value: float = 1.0,
-) -> float:
+def formula_value(pvfs: PvfSet, f, obs: np.ndarray) -> float:
     """Disjunction-of-clauses valued as max over clause values.
 
     Accepts a Formula (normalized here) or a pre-normalized DnfFormula.
-    A `true` guard fires on the next step with certainty; its value is
-    configurable (1 by default, gamma under the strict next-step
-    convention). A `false` guard is an error.
+    A `true` guard fires on the next step with certainty and is valued 1.
+    A `false` guard is an error.
     """
     if isinstance(f, TrueConst):
-        return true_guard_value
+        return 1.0
     if isinstance(f, FalseConst):
         raise UnsatisfiableGuardError("guard is unsatisfiable")
     if not isinstance(f, DnfFormula):
-        f = to_dnf(f)
-        return formula_value(pvfs, f, obs, true_guard_value)
+        return formula_value(pvfs, to_dnf(f), obs)
     return max(clause_value(pvfs, c, obs) for c in f.clauses)
-
-
-def compare_dnf_values(pvfs: PvfSet, f1, f2, observations: Iterable[np.ndarray]) -> float:
-    """Max absolute composed-value gap between two (presumed equivalent) formulas."""
-    gap = 0.0
-    for obs in observations:
-        gap = max(gap, abs(formula_value(pvfs, f1, obs) - formula_value(pvfs, f2, obs)))
-    return gap
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +155,6 @@ class ComposedValueFn:
     pvfs: PvfSet
     rm_values: RmStateValues
     gamma: float
-    true_guard_value: float = 1.0
     _edge_dnfs: dict = field(default_factory=dict, repr=False)
     _r_self: dict = field(default_factory=dict, repr=False)
 
@@ -199,11 +172,10 @@ def make_composed_value_fn(
     pvfs: PvfSet,
     gamma_rm: float,
     gamma: Optional[float] = None,
-    true_guard_value: float = 1.0,
 ) -> ComposedValueFn:
     gamma = pvfs.gamma if gamma is None else gamma
     rmvals = rm_value_iteration(rm, gamma_rm, gamma)
-    return ComposedValueFn(rm, pvfs, rmvals, gamma, true_guard_value)
+    return ComposedValueFn(rm, pvfs, rmvals, gamma)
 
 
 def composed_value(cvf: ComposedValueFn, obs: np.ndarray, u: int) -> float:
@@ -223,7 +195,7 @@ def composed_value(cvf: ComposedValueFn, obs: np.ndarray, u: int) -> float:
         return r_self / (1.0 - cvf.gamma)
     best = None
     for t in edges:
-        fv = formula_value(cvf.pvfs, cvf._edge_dnfs[t], obs, cvf.true_guard_value)
+        fv = formula_value(cvf.pvfs, cvf._edge_dnfs[t], obs)
         val = r_self * (1.0 - fv) / (1.0 - cvf.gamma) + fv * (
             t.reward + cvf.gamma * cvf.rm_values.values[t.dst]
         )
@@ -242,16 +214,27 @@ def shaping_reward(
 ) -> float:
     """Potential-based shaping term between consecutive product states.
 
-    discounted: lam*(gamma*v' - v); undiscounted: lam*(v' - v). Terminal
-    next states have potential 0.
+    Terminal next states have potential 0; see shaping_term for the formula.
     """
+    check_shaping(lam, mode)
+    gamma = cvf.gamma if gamma is None else gamma
+    return shaping_term(composed_value(cvf, *prev), composed_value(cvf, *nxt), lam, mode, gamma)
+
+
+def check_shaping(lam: float, mode: str) -> None:
+    """Reject a negative shaping weight or an unknown shaping mode."""
     if lam < 0:
         raise ValueError("lam must be non-negative")
     if mode not in ("discounted", "undiscounted"):
-        raise ValueError(f"unknown mode {mode!r}")
-    gamma = cvf.gamma if gamma is None else gamma
-    v = composed_value(cvf, *prev)
-    v2 = composed_value(cvf, *nxt)
+        raise ValueError(f"unknown shaping mode {mode!r}")
+
+
+def shaping_term(v: float, v2: float, lam: float, mode: str, gamma: float) -> float:
+    """Potential-based shaping from potential v to v2 (Ng, Harada & Russell, 1999).
+
+    discounted: lam*(gamma*v2 - v); undiscounted: lam*(v2 - v). Arguments
+    are assumed to have passed check_shaping.
+    """
     if mode == "discounted":
         return lam * (gamma * v2 - v)
     return lam * (v2 - v)
@@ -270,9 +253,6 @@ class ProductValueTable:
     def value_at(self, cell, u: int) -> float:
         return self.values[(tuple(cell), u)]
 
-    def value(self, state: GridState, u: int) -> float:
-        return self.values[(state.agent, u)]
-
 
 def exact_product_values(
     cfg: GridConfig,
@@ -284,26 +264,26 @@ def exact_product_values(
     """Exact optimal values of the product MDP under the ground-truth labelling.
 
     Fixed layouts only (the reachable state space must be enumerable as
-    agent cell x RM state). Terminal RM states are worth 0.
+    agent cell x RM state). Terminal RM states are worth 0. Raises if the
+    sweeps have not converged after MAX_ORACLE_SWEEPS.
     """
+    if not (0.0 < gamma < 1.0):
+        raise ValueError("gamma must lie in (0, 1)")
     if cfg.layout_mode != "fixed":
         raise StateSpaceTooLargeError("randomized layouts are not enumerable")
     n = cfg.width * cfg.height * rm.num_states
     if n > max_states:
         raise StateSpaceTooLargeError(f"{n} product states exceeds cap {max_states}")
-    base = geogrid.reset(cfg)
-    cells = [(r, c) for r in range(cfg.height) for c in range(cfg.width)]
+    states = geogrid.cell_states(cfg)
+    cells = list(states)
     n_cells = len(cells)
     cell_idx = {cell: i for i, cell in enumerate(cells)}
     n_actions = len(geogrid.ACTIONS)
 
-    from dataclasses import replace
-
     # Guards are evaluated once up front; the sweeps below are pure array ops.
     next_cell = np.zeros((n_cells, n_actions), dtype=np.int64)
     next_label = {}
-    for i, cell in enumerate(cells):
-        s = replace(base, agent=cell)
+    for i, s in enumerate(states.values()):
         for a in range(n_actions):
             s2 = geogrid.step(s, a)
             next_cell[i, a] = cell_idx[s2.agent]
@@ -329,15 +309,79 @@ def exact_product_values(
 
     v = np.zeros(n_total)
     residual = np.inf
-    while residual > tol:
+    for _ in range(MAX_ORACLE_SWEEPS):
         q = gamma * (rew + cont * v[nxt])
         v_new = q.max(axis=1)
         v_new[terminal_mask] = 0.0
         residual = float(np.abs(v_new - v).max())
         v = v_new
+        if residual <= tol:
+            break
+    else:
+        raise RuntimeError(
+            f"exact values did not converge in {MAX_ORACLE_SWEEPS} sweeps (residual {residual:.3g})"
+        )
     values = {
         (cell, u): float(v[u * n_cells + i])
         for u in range(rm.num_states)
         for i, cell in enumerate(cells)
     }
     return ProductValueTable(values, gamma, residual)
+
+
+# ---------------------------------------------------------------------------
+# Composition bounds, checked against the oracle
+
+
+@dataclass(frozen=True)
+class BoundCheck:
+    """One composition bound on a guard, checked against exact values at every cell.
+
+    "disjunction underestimation": max over the clauses never exceeds the
+    guard. "conjunction overestimation": min over the literals of the
+    one-clause guard never falls below it.
+    """
+
+    kind: str
+    guard: DnfFormula
+    ok: bool
+
+
+def composition_bounds(
+    cfg: GridConfig, vocab: Sequence[str], guards: Iterable, gamma: float
+) -> list[BoundCheck]:
+    """Check the composition bounds on each guard, in order, up to BOUND_TOL.
+
+    A guard (Formula or DnfFormula) of two or more clauses gets a
+    disjunction check, then each clause of two or more literals a
+    conjunction check; constant guards are skipped. The exact reachability
+    values of a clause set depend only on the cells where it holds, so
+    they are computed once per distinct set of such cells.
+    """
+    states = geogrid.cell_states(cfg)
+    labels = [geogrid.true_label(s) for s in states.values()]
+    tables: dict = {}  # truth at each cell -> exact value at each cell
+
+    def exact(clauses: tuple) -> np.ndarray:
+        dnf = DnfFormula(clauses)
+        holds = tuple(evaluate(dnf, label) for label in labels)
+        if holds not in tables:
+            table = exact_product_values(cfg, reachability_rm(vocab, dnf_to_formula(dnf)), gamma)
+            tables[holds] = np.array([table.value_at(cell, 1) for cell in states])
+        return tables[holds]
+
+    checks = []
+    for guard in guards:
+        dnf = guard if isinstance(guard, DnfFormula) else to_dnf(guard)
+        if isinstance(dnf, (TrueConst, FalseConst)):
+            continue
+        if len(dnf.clauses) >= 2:
+            lower = np.maximum.reduce([exact((c,)) for c in dnf.clauses])
+            ok = bool((lower <= exact(dnf.clauses) + BOUND_TOL).all())
+            checks.append(BoundCheck("disjunction underestimation", dnf, ok))
+        for clause in dnf.clauses:
+            if len(clause) >= 2:
+                upper = np.minimum.reduce([exact(((lit,),)) for lit in clause])
+                ok = bool((exact((clause,)) <= upper + BOUND_TOL).all())
+                checks.append(BoundCheck("conjunction overestimation", DnfFormula((clause,)), ok))
+    return checks

@@ -179,6 +179,18 @@ def decode_obs(obs: np.ndarray) -> GridState:
     return GridState(width, height, agent, tuple(placements))
 
 
+def cell_states(cfg: GridConfig) -> dict[Cell, GridState]:
+    """reset(cfg) with the agent moved to each cell in turn, keyed by cell in row-major order.
+
+    On a fixed layout these are all the states the grid can be in (up to
+    step_count); encode_obs of each is the observation with the agent there.
+    """
+    base = reset(cfg)
+    return {
+        (r, c): replace(base, agent=(r, c)) for r in range(cfg.height) for c in range(cfg.width)
+    }
+
+
 def obs_key(obs: np.ndarray) -> bytes:
     """Hashable exact key for tabular backends."""
     return obs.tobytes()
@@ -214,7 +226,6 @@ def generate_dataset(
     cfg: GridConfig,
     n_trajectories: int,
     seed: Optional[int] = None,
-    policy: str = "random",
 ) -> GroundingDataset:
     """Random-walk trajectories of length cfg.episode_len with ground-truth labels.
 
@@ -222,8 +233,6 @@ def generate_dataset(
     """
     if n_trajectories < 1:
         raise ValueError("need at least one trajectory")
-    if policy != "random":
-        raise ValueError(f"unknown policy {policy!r}")
     root = cfg.seed if seed is None else seed
     trajectories = []
     for i in range(n_trajectories):
@@ -239,7 +248,7 @@ def generate_dataset(
             observations.append(encode_obs(state))
             labels.append(true_label(state))
         trajectories.append(Trajectory(observations, actions, labels))
-    meta = {"seed": root, "policy": policy, "config": config_to_dict(cfg)}
+    meta = {"seed": root, "policy": "random", "config": config_to_dict(cfg)}
     return GroundingDataset(VOCAB, trajectories, meta)
 
 
@@ -251,20 +260,13 @@ def full_coverage_dataset(cfg: GridConfig) -> GroundingDataset:
     """
     if cfg.layout_mode != "fixed":
         raise ValueError("full coverage requires a fixed layout")
-    base = reset(cfg)
     trajectories = []
-    for r in range(cfg.height):
-        for c in range(cfg.width):
-            for a in range(len(ACTIONS)):
-                s0 = replace(base, agent=(r, c))
-                s1 = step(s0, a)
-                trajectories.append(
-                    Trajectory(
-                        [encode_obs(s0), encode_obs(s1)],
-                        [a],
-                        [true_label(s0), true_label(s1)],
-                    )
-                )
+    for s0 in cell_states(cfg).values():
+        for a in range(len(ACTIONS)):
+            s1 = step(s0, a)
+            trajectories.append(
+                Trajectory([encode_obs(s0), encode_obs(s1)], [a], [true_label(s0), true_label(s1)])
+            )
     meta = {"seed": cfg.seed, "policy": "exhaustive", "config": config_to_dict(cfg)}
     return GroundingDataset(VOCAB, trajectories, meta)
 

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geogrid import GroundingDataset, obs_key
+from .geogrid import GroundingDataset, label_frequencies, obs_key
 from .logic import Literal
 
 N_ACTIONS = 4
@@ -32,6 +32,10 @@ class DegenerateAtomError(ValueError):
 
 class NonConvergenceWarning(UserWarning):
     pass
+
+
+class ModelFormatError(ValueError):
+    """A saved model file this version cannot read: unknown estimator kind or feature map."""
 
 
 def observation_features(obs: np.ndarray) -> np.ndarray:
@@ -64,7 +68,6 @@ class LabelModel:
     bias: Optional[np.ndarray] = None
     table: Optional[dict] = None  # obs key -> score vector, tabular backend
     holdout_accuracy: dict = field(default_factory=dict)
-    feature_version: int = FEATURE_MAP_VERSION
 
     def __post_init__(self):
         if not (0.0 < self.threshold < 1.0):
@@ -86,15 +89,12 @@ def predict_labels(model: LabelModel, obs: np.ndarray) -> frozenset[str]:
 
 
 def _check_degenerate(ds: GroundingDataset) -> None:
-    positives = {a: 0 for a in ds.vocab}
-    total = 0
-    for tr in ds.trajectories:
-        for lab in tr.labels:
-            total += 1
-            for a in lab:
-                positives[a] += 1
-    for a in ds.vocab:
-        if positives[a] == 0 or positives[a] == total:
+    if not any(tr.labels for tr in ds.trajectories):
+        freqs = dict.fromkeys(ds.vocab, 0.0)  # no steps: no atom ever holds
+    else:
+        freqs = label_frequencies(ds)
+    for a, freq in freqs.items():
+        if freq in (0.0, 1.0):
             raise DegenerateAtomError(a)
 
 
@@ -169,44 +169,31 @@ def literal_satisfied(lit: Literal, label: frozenset[str]) -> bool:
 
 @dataclass
 class TabularPvf:
-    """Q-table over exact observation keys; value reads as max over actions."""
+    """State-value table over exact observation keys; unseen observations read 0.
 
-    gamma: float
-    q: dict  # obs key -> np.ndarray(N_ACTIONS)
-    vnext: dict = field(default_factory=dict)  # obs key -> bootstrapped next-state value
-
-    def value(self, obs: np.ndarray) -> float:
-        entry = self.q.get(obs_key(obs))
-        if entry is None:
-            return 0.0
-        return float(np.clip(entry.max(), 0.0, 1.0))
-
-    def value_bootstrap(self, obs: np.ndarray) -> float:
-        """The separately-tracked next-state value head; equals value() at convergence."""
-        return float(np.clip(self.vnext.get(obs_key(obs), 0.0), 0.0, 1.0))
-
-
-@dataclass
-class TabularValuePvf:
-    """State-value table (no Q factorization); used by Monte-Carlo regression."""
+    FQI stores the max over actions of its Q-table, Monte-Carlo the mean
+    return per observation.
+    """
 
     gamma: float
     v: dict  # obs key -> float
 
     def value(self, obs: np.ndarray) -> float:
-        return float(np.clip(self.v.get(obs_key(obs), 0.0), 0.0, 1.0))
+        return self.v.get(obs_key(obs), 0.0)
 
 
 @dataclass
 class LinearPvf:
-    """Per-action linear Q over the shared observation feature map."""
+    """Per-action linear Q over the shared observation feature map.
+
+    Unlike the tabular estimator it values observations the dataset never saw.
+    """
 
     gamma: float
     weights: np.ndarray  # (N_ACTIONS, n_features)
 
     def value(self, obs: np.ndarray) -> float:
-        f = observation_features(obs)
-        return float(np.clip((self.weights @ f).max(), 0.0, 1.0))
+        return float((self.weights @ observation_features(obs)).max())
 
 
 @dataclass
@@ -224,7 +211,8 @@ class PvfSet:
             raise ValueError("need exactly one estimator per literal")
 
     def value(self, lit: Literal, obs: np.ndarray) -> float:
-        return self.estimators[lit].value(obs)
+        """The literal's estimated value at obs, clipped to [0, 1]."""
+        return min(max(self.estimators[lit].value(obs), 0.0), 1.0)
 
     @property
     def literals(self):
@@ -300,8 +288,7 @@ def train_pvfs_fqi(
                     q = q_new
                     if residual < tol:
                         break
-                est = TabularPvf(gamma, {key_list[i]: q[i].copy() for i in range(n_states)})
-                est.vnext = {key_list[i]: float(q[i].max()) for i in set(dst.tolist())}
+                est = TabularPvf(gamma, dict(zip(key_list, q.max(axis=1).tolist())))
             else:
                 w = np.zeros((N_ACTIONS, feats.shape[1]))
                 for it in range(iters):
@@ -354,7 +341,7 @@ def train_pvfs_mc(ds: GroundingDataset, gamma: float) -> PvfSet:
                     sums[k] = sums.get(k, 0.0) + tgt
                     counts[k] = counts.get(k, 0) + 1
             v = {k: sums[k] / counts[k] for k in sums}
-            estimators[lit] = TabularValuePvf(gamma, v)
+            estimators[lit] = TabularPvf(gamma, v)
     return PvfSet(ds.vocab, gamma, "mc", estimators)
 
 
@@ -367,7 +354,7 @@ def save_label_model(model: LabelModel, path) -> None:
         "vocab": list(model.vocab),
         "backend": model.backend,
         "threshold": model.threshold,
-        "feature_version": model.feature_version,
+        "feature_version": FEATURE_MAP_VERSION,
         "holdout_accuracy": model.holdout_accuracy,
     }
     if model.backend == "linear":
@@ -379,14 +366,22 @@ def save_label_model(model: LabelModel, path) -> None:
         json.dump(data, fh, sort_keys=True)
 
 
+def _check_feature_version(data: dict, path) -> None:
+    if data.get("feature_version") != FEATURE_MAP_VERSION:
+        raise ModelFormatError(
+            f"{path}: feature_version {data.get('feature_version')!r} is not "
+            f"{FEATURE_MAP_VERSION}; ground the models again"
+        )
+
+
 def load_label_model(path) -> LabelModel:
     with open(path) as fh:
         data = json.load(fh)
+    _check_feature_version(data, path)
     kwargs = dict(
         vocab=tuple(data["vocab"]),
         backend=data["backend"],
         threshold=data["threshold"],
-        feature_version=data["feature_version"],
     )
     if data["backend"] == "linear":
         model = LabelModel(
@@ -412,15 +407,7 @@ def save_pvfs(pvfs: PvfSet, path) -> None:
     ests = {}
     for lit, est in pvfs.estimators.items():
         if isinstance(est, TabularPvf):
-            ests[_lit_key(lit)] = {
-                "kind": "tabular_q",
-                "q": {k.hex(): v.tolist() for k, v in est.q.items()},
-            }
-        elif isinstance(est, TabularValuePvf):
-            ests[_lit_key(lit)] = {
-                "kind": "tabular_v",
-                "v": {k.hex(): v for k, v in est.v.items()},
-            }
+            ests[_lit_key(lit)] = {"kind": "tabular", "v": {k.hex(): v for k, v in est.v.items()}}
         elif isinstance(est, LinearPvf):
             ests[_lit_key(lit)] = {"kind": "linear", "weights": est.weights.tolist()}
         else:
@@ -439,18 +426,18 @@ def save_pvfs(pvfs: PvfSet, path) -> None:
 def load_pvfs(path) -> PvfSet:
     with open(path) as fh:
         data = json.load(fh)
+    _check_feature_version(data, path)
     gamma = data["gamma"]
     estimators = {}
     for key, entry in data["estimators"].items():
         lit = _lit_from_key(key)
-        if entry["kind"] == "tabular_q":
+        kind = entry.get("kind")
+        if kind == "tabular":
             estimators[lit] = TabularPvf(
-                gamma, {bytes.fromhex(k): np.asarray(v) for k, v in entry["q"].items()}
-            )
-        elif entry["kind"] == "tabular_v":
-            estimators[lit] = TabularValuePvf(
                 gamma, {bytes.fromhex(k): float(v) for k, v in entry["v"].items()}
             )
-        else:
+        elif kind == "linear":
             estimators[lit] = LinearPvf(gamma, np.asarray(entry["weights"]))
+        else:
+            raise ModelFormatError(f"{path}: unknown estimator kind {kind!r} for {key}")
     return PvfSet(tuple(data["vocab"]), gamma, data["method"], estimators)

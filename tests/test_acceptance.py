@@ -11,28 +11,20 @@ import pytest
 
 from rmgcr.agent import AgentConfig, RandomPolicy, evaluate, train
 from rmgcr.compose import (
+    BOUND_TOL,
     composed_value,
+    composition_bounds,
     exact_product_values,
     make_composed_value_fn,
     rm_value_iteration,
 )
-from rmgcr.geogrid import encode_obs, reset
-from rmgcr.logic import And, Not, Or, Var, evaluate as eval_formula, to_dnf
+from rmgcr.geogrid import cell_states, encode_obs
+from rmgcr.logic import DnfFormula, Not, Var, evaluate as eval_formula, to_dnf
 from rmgcr.rm import reachability_rm, run_rm
 from conftest import GAMMA, GAMMA_RM
 from test_logic import all_assignments, random_formula
 
 GEO = ("red", "green", "blue", "triangle", "circle")
-
-
-def _cells(cfg):
-    return [(r, c) for r in range(cfg.height) for c in range(cfg.width)]
-
-
-def _obs_at(cfg, cell):
-    from dataclasses import replace
-
-    return encode_obs(replace(reset(cfg), agent=cell))
 
 
 def test_criterion_01_rm_semantics_golden_traces(
@@ -92,8 +84,8 @@ def test_criterion_03_pvf_exactness(desk_cfg, desk_pvfs):
         for positive in (True, False):
             guard = Var(atom) if positive else Not(Var(atom))
             oracle = exact_product_values(desk_cfg, reachability_rm(GEO, guard), GAMMA)
-            for cell in _cells(desk_cfg):
-                got = desk_pvfs.value((atom, positive), _obs_at(desk_cfg, cell))
+            for cell, state in cell_states(desk_cfg).items():
+                got = desk_pvfs.value((atom, positive), encode_obs(state))
                 worst = max(worst, abs(got - oracle.value_at(cell, 1)))
     assert worst < 1e-6
     print(f"CRITERION 3 (FQI matches exact values, max err {worst:.2e} < 1e-6): PASS")
@@ -114,13 +106,8 @@ def test_criterion_04_rm_value_iteration_fixed_points(sequence_rm, lava_rm):
 def test_criterion_05_composition_bounds_exhaustive(desk_cfg):
     # every single-clause and two-clause guard over {red, blue, triangle}:
     # disjunction never overestimates, conjunction never underestimates
+    assert BOUND_TOL == 1e-9
     atoms = ("red", "blue", "triangle")
-    cells = _cells(desk_cfg)
-
-    def exact(guard):
-        table = exact_product_values(desk_cfg, reachability_rm(GEO, guard), GAMMA)
-        return np.array([table.value_at(cell, 1) for cell in cells])
-
     clauses = []
     for k in (1, 2, 3):
         for subset in itertools.combinations(atoms, k):
@@ -128,35 +115,18 @@ def test_criterion_05_composition_bounds_exhaustive(desk_cfg):
                 clauses.append(tuple(zip(subset, polarity)))
     assert len(clauses) == 26
 
-    def clause_formula(clause):
-        lits = tuple(Var(a) if pol else Not(Var(a)) for a, pol in clause)
-        return lits[0] if len(lits) == 1 else And(lits)
-
-    literal_exact = {
-        (a, pol): exact(Var(a) if pol else Not(Var(a)))
-        for a in atoms
-        for pol in (True, False)
-    }
-    clause_exact = {clause: exact(clause_formula(clause)) for clause in clauses}
-
-    conj_violations = 0
-    for clause in clauses:
-        if len(clause) < 2:
-            continue
-        lower = np.minimum.reduce([literal_exact[lit] for lit in clause])
-        conj_violations += int((clause_exact[clause] > lower + 1e-9).any())
-
-    disj_violations = 0
-    for c1, c2 in itertools.combinations(clauses, 2):
-        phi = Or((clause_formula(c1), clause_formula(c2)))
-        upper = exact(phi)
-        lower = np.maximum(clause_exact[c1], clause_exact[c2])
-        disj_violations += int((lower > upper + 1e-9).any())
-
-    assert conj_violations == 0 and disj_violations == 0
+    guards = [DnfFormula((c,)) for c in clauses]
+    guards += [DnfFormula(pair) for pair in itertools.combinations(clauses, 2)]
+    checks = composition_bounds(desk_cfg, GEO, guards, GAMMA)
+    conjunctions = {c.guard for c in checks if c.kind == "conjunction overestimation"}
+    disjunctions = [c.guard for c in checks if c.kind == "disjunction underestimation"]
+    assert conjunctions == {DnfFormula((c,)) for c in clauses if len(c) >= 2}
+    assert len(conjunctions) == 20 and len(disjunctions) == 325
+    violations = [c for c in checks if not c.ok]
+    assert not violations, violations
     print(
         "CRITERION 5 (composition bounds, 26 clauses and "
-        f"{len(clauses) * (len(clauses) - 1) // 2} disjunctions, zero violations): PASS"
+        f"{len(disjunctions)} disjunctions, zero violations): PASS"
     )
 
 
@@ -169,8 +139,8 @@ def test_criterion_06_degenerate_exactness(desk_cfg, desk_pvfs):
             rm = reachability_rm(GEO, guard)
             cvf = make_composed_value_fn(rm, desk_pvfs, GAMMA_RM)
             oracle = exact_product_values(desk_cfg, rm, GAMMA)
-            for cell in _cells(desk_cfg):
-                got = composed_value(cvf, _obs_at(desk_cfg, cell), 1)
+            for cell, state in cell_states(desk_cfg).items():
+                got = composed_value(cvf, encode_obs(state), 1)
                 worst = max(worst, abs(got - oracle.value_at(cell, 1)))
     assert worst < 1e-6
     print(f"CRITERION 6 (single-literal composed exactness, max dev {worst:.2e}): PASS")

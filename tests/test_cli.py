@@ -1,11 +1,17 @@
 import csv
 import json
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
 
 import pytest
 
 from rmgcr.cli import main
 
 SEQUENCE = "tasks/sequence.rm"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +65,13 @@ class TestGround:
     def test_missing_dataset_is_runtime_error(self, tmp_path):
         code = main(["ground", "--dataset", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path)])
         assert code == 4
+
+    def test_header_only_dataset_is_validation_error(self, pipeline, tmp_path):
+        header = pipeline["dataset"].read_text().split("\n", 1)[0]
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text(header + "\n")
+        code = main(["ground", "--dataset", str(empty), "--out", str(tmp_path / "models")])
+        assert code == 3
 
     def test_out_dir_env_override(self, pipeline, tmp_path, monkeypatch):
         target = tmp_path / "redirected"
@@ -117,6 +130,36 @@ class TestOracle:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"layout_mode": "randomized", "objects": []}))
         assert main(["oracle", "--rm", SEQUENCE, "--env", str(cfg)]) == 3
+
+    def test_gamma_one_fails_fast(self):
+        # before gamma was checked, value iteration at gamma = 1 never ended
+        path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+        done = subprocess.run(
+            [sys.executable, "-m", "rmgcr.cli", "oracle", "--rm", "tasks/loop.rm", "--gamma", "1"],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            timeout=30,
+        )
+        assert done.returncode != 0
+
+
+@pytest.mark.parametrize(
+    "command, model_file, tamper",
+    [
+        ("oracle", "pvfs.json", lambda d: d["estimators"]["+red"].update(kind="tabular_q")),
+        ("train", "label_model.json", lambda d: d.update(feature_version=0)),
+    ],
+)
+def test_tampered_model_file_is_validation_error(pipeline, tmp_path, command, model_file, tamper):
+    models = tmp_path / "models"
+    shutil.copytree(pipeline["models"], models)
+    data = json.loads((models / model_file).read_text())
+    tamper(data)
+    (models / model_file).write_text(json.dumps(data))
+    argv = [command, "--rm", SEQUENCE, "--models", str(models)]
+    if command == "train":
+        argv += ["--out", str(tmp_path / "runs"), "--episodes", "1", "--eval-episodes", "1"]
+    assert main(argv) == 3
 
 
 class TestTrainEval:

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -9,19 +7,17 @@ from rmgcr.compose import (
     StateSpaceTooLargeError,
     UnsatisfiableGuardError,
     clause_value,
-    compare_dnf_values,
     composed_value,
     exact_product_values,
     formula_value,
-    high_level_potential,
-    literal_value,
     make_composed_value_fn,
     max_self_loop_rewards,
     rm_value_iteration,
     shaping_reward,
 )
-from rmgcr.geogrid import GridConfig, encode_obs, obs_key, reset, step, true_label
-from rmgcr.ground import PvfSet, TabularValuePvf
+from rmgcr import compose
+from rmgcr.geogrid import GridConfig, cell_states, encode_obs, obs_key, reset, step, true_label
+from rmgcr.ground import PvfSet, TabularPvf
 from rmgcr.logic import FALSE, TRUE, And, Not, Or, Var
 from rmgcr.rm import RmTransition, make_rm, reachability_rm, rm_step
 
@@ -111,8 +107,8 @@ class TestRmValueIteration:
 
     def test_high_level_potential(self, sequence_rm):
         vals = rm_value_iteration(sequence_rm, gamma_rm=0.5, gamma=0.97)
-        assert high_level_potential(vals, 1) == pytest.approx(0.125, abs=1e-9)
-        assert high_level_potential(vals, 0) == 0.0
+        assert vals[1] == pytest.approx(0.125, abs=1e-9)
+        assert vals[0] == 0.0
 
 
 class TestFuzzyValuation:
@@ -148,7 +144,6 @@ class TestFuzzyValuation:
         pvfs = const_pvfs(GEO, {})
         obs = np.zeros((6, 6, 6))
         assert formula_value(pvfs, TRUE, obs) == 1.0
-        assert formula_value(pvfs, TRUE, obs, true_guard_value=GAMMA) == GAMMA
 
     def test_false_guard_rejected(self):
         pvfs = const_pvfs(GEO, {})
@@ -156,16 +151,12 @@ class TestFuzzyValuation:
             formula_value(pvfs, FALSE, np.zeros((6, 6, 6)))
 
     def test_literal_value_clamped(self):
+        # PvfSet.value is the one place literal values are clipped to [0, 1]
         pvfs = const_pvfs(GEO, {("red", True): 1.5, ("blue", True): -0.2})
         obs = np.zeros((6, 6, 6))
-        assert literal_value(pvfs, ("red", True), obs) == 1.0
-        assert literal_value(pvfs, ("blue", True), obs) == 0.0
-
-    def test_compare_dnf_values_diagnostic(self, desk_cfg, desk_pvfs):
-        f1 = Or((Var("red"), Var("blue")))
-        f2 = Or((Var("blue"), Var("red")))
-        observations = [encode_obs(reset(desk_cfg))]
-        assert compare_dnf_values(desk_pvfs, f1, f2, observations) == 0.0
+        assert pvfs.value(("red", True), obs) == 1.0
+        assert pvfs.value(("blue", True), obs) == 0.0
+        assert clause_value(pvfs, (("red", True),), obs) == 1.0
 
 
 class TestComposedValue:
@@ -202,19 +193,19 @@ class TestComposedValue:
         # next to it the min over literals dips (nearest red and nearest
         # triangle are different objects), which is the documented
         # conjunction overestimation, not a bug
-        state = replace(reset(desk_cfg), agent=(3, 0))
+        state = cell_states(desk_cfg)[(3, 0)]
         u = sequence_rm.initial
         oracle_path, composed_path = [], []
         for _ in range(60):
             if sequence_rm.is_terminal(u):
                 break
-            oracle_path.append(oracle.value(state, u))
+            oracle_path.append(oracle.value_at(state.agent, u))
             composed_path.append(composed_value(cvf, encode_obs(state), u))
             best = None
             for a in range(4):
                 s2 = step(state, a)
                 stp = rm_step(sequence_rm, u, true_label(s2))
-                cont = 0.0 if stp.terminated else oracle.value(s2, stp.next_state)
+                cont = 0.0 if stp.terminated else oracle.value_at(s2.agent, stp.next_state)
                 val = GAMMA * (stp.reward + cont)
                 if best is None or val > best[0]:
                     best = (val, s2, stp)
@@ -232,7 +223,7 @@ class TestShaping:
         table = {obs_key(o1): 0.5, obs_key(o2): 0.6}
         estimators = {
             (a, pol): (
-                TabularValuePvf(GAMMA, dict(table))
+                TabularPvf(GAMMA, dict(table))
                 if (a, pol) == ("red", True)
                 else ConstPvf(0.0)
             )
@@ -304,21 +295,30 @@ class TestExactProductValues:
         with pytest.raises(StateSpaceTooLargeError):
             exact_product_values(desk_cfg, sequence_rm, GAMMA, max_states=10)
 
+    def test_gamma_one_raises_instead_of_hanging(self, loop_rm):
+        with pytest.raises(ValueError):
+            exact_product_values(GridConfig(), loop_rm, 1.0)
+
+    def test_sweep_cap_raises(self, sequence_rm, desk_cfg, monkeypatch):
+        monkeypatch.setattr(compose, "MAX_ORACLE_SWEEPS", 3)
+        with pytest.raises(RuntimeError):
+            exact_product_values(desk_cfg, sequence_rm, GAMMA)
+
     def test_residual_converged(self, sequence_rm, desk_cfg):
         oracle = exact_product_values(desk_cfg, sequence_rm, GAMMA)
         assert oracle.residual < 1e-10
 
     def test_values_satisfy_bellman(self, sequence_rm, desk_cfg):
         oracle = exact_product_values(desk_cfg, sequence_rm, GAMMA)
-        base = reset(desk_cfg)
+        states = cell_states(desk_cfg)
         for cell in [(0, 1), (3, 3), (5, 5)]:
             for u in (1, 2, 3):
-                s = replace(base, agent=cell)
+                s = states[cell]
                 best = -np.inf
                 for a in range(4):
                     s2 = step(s, a)
                     stp = rm_step(sequence_rm, u, true_label(s2))
-                    cont = 0.0 if stp.terminated else oracle.value(s2, stp.next_state)
+                    cont = 0.0 if stp.terminated else oracle.value_at(s2.agent, stp.next_state)
                     best = max(best, GAMMA * (stp.reward + cont))
                 assert oracle.value_at(cell, u) == pytest.approx(best, abs=1e-8)
 

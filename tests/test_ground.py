@@ -1,17 +1,25 @@
+import json
+import tempfile
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rmgcr.geogrid import (
+    COLORS,
+    SHAPES,
+    VOCAB,
     GridConfig,
     GroundingDataset,
+    ObjectSpec,
     Trajectory,
+    cell_states,
     encode_obs,
     full_coverage_dataset,
     generate_dataset,
-    obs_key,
     reset,
     step,
     true_label,
@@ -19,6 +27,7 @@ from rmgcr.geogrid import (
 from rmgcr.ground import (
     DegenerateAtomError,
     LabelModel,
+    ModelFormatError,
     NonConvergenceWarning,
     load_label_model,
     load_pvfs,
@@ -38,13 +47,9 @@ from rmgcr.compose import exact_product_values
 GAMMA = 0.97
 
 
-def agent_at(cfg, cell):
-    return replace(reset(cfg), agent=cell)
-
-
 class TestFeatures:
     def test_product_features_flag_agent_cell_properties(self, desk_cfg):
-        obs = encode_obs(agent_at(desk_cfg, (0, 0)))  # red triangle
+        obs = encode_obs(cell_states(desk_cfg)[(0, 0)])  # red triangle
         f = observation_features(obs)
         # first five entries: is the agent on a red/green/blue/triangle/circle cell
         assert f[:5].tolist() == [1.0, 0.0, 0.0, 1.0, 0.0]
@@ -60,9 +65,9 @@ class TestLabelModel:
             assert acc >= 0.99, f"{atom}: {acc}"
 
     def test_predictions_match_ground_truth(self, desk_cfg, desk_label_model):
-        s = agent_at(desk_cfg, (0, 0))
+        s = cell_states(desk_cfg)[(0, 0)]
         assert predict_labels(desk_label_model, encode_obs(s)) == frozenset({"red", "triangle"})
-        s = agent_at(desk_cfg, (3, 1))
+        s = cell_states(desk_cfg)[(3, 1)]
         assert predict_labels(desk_label_model, encode_obs(s)) == frozenset()
 
     def test_degenerate_atom(self, desk_cfg):
@@ -99,7 +104,7 @@ class TestLabelModel:
         path = tmp_path / "labels.json"
         save_label_model(desk_label_model, path)
         back = load_label_model(path)
-        obs = encode_obs(agent_at(desk_cfg, (4, 4)))
+        obs = encode_obs(cell_states(desk_cfg)[(4, 4)])
         assert predict_labels(back, obs) == predict_labels(desk_label_model, obs)
         assert back.holdout_accuracy == desk_label_model.holdout_accuracy
 
@@ -108,18 +113,18 @@ class TestFqiCorridor:
     def test_distance_discounting(self, corridor_cfg, corridor_pvfs):
         # red triangle sits at the right end; value decays gamma^distance
         for col, k in [(2, 1), (1, 2), (0, 3)]:
-            obs = encode_obs(agent_at(corridor_cfg, (0, col)))
+            obs = encode_obs(cell_states(corridor_cfg)[(0, col)])
             assert corridor_pvfs.value(("red", True), obs) == pytest.approx(GAMMA**k, abs=1e-9)
 
     def test_on_target_cell_takes_one_step(self, corridor_cfg, corridor_pvfs):
         # staying put (off-grid no-op) re-satisfies the literal next step
-        obs = encode_obs(agent_at(corridor_cfg, (0, 3)))
+        obs = encode_obs(cell_states(corridor_cfg)[(0, 3)])
         assert corridor_pvfs.value(("red", True), obs) == pytest.approx(GAMMA, abs=1e-9)
 
     def test_negation_one_step(self, corridor_cfg, corridor_pvfs):
         # from every cell some move (or stay) lands on a non-red cell next step
         for col in range(4):
-            obs = encode_obs(agent_at(corridor_cfg, (0, col)))
+            obs = encode_obs(cell_states(corridor_cfg)[(0, col)])
             assert corridor_pvfs.value(("red", False), obs) == pytest.approx(GAMMA, abs=1e-9)
 
     def test_unreachable_literal_is_zero_without_warning(self, corridor_cfg):
@@ -128,19 +133,18 @@ class TestFqiCorridor:
             warnings.simplefilter("error", NonConvergenceWarning)
             pvfs = train_pvfs_fqi(ds, GAMMA)
         for col in range(4):
-            obs = encode_obs(agent_at(corridor_cfg, (0, col)))
+            obs = encode_obs(cell_states(corridor_cfg)[(0, col)])
             assert pvfs.value(("green", True), obs) == 0.0
 
 
 class TestFqiExactness:
     def test_matches_exact_value_iteration(self, desk_cfg, desk_pvfs):
-        cells = [(r, c) for r in range(6) for c in range(6)]
         for atom in desk_pvfs.vocab:
             for positive in (True, False):
                 guard = Var(atom) if positive else Not(Var(atom))
                 oracle = exact_product_values(desk_cfg, reachability_rm(desk_pvfs.vocab, guard), GAMMA)
-                for cell in cells:
-                    got = desk_pvfs.value((atom, positive), encode_obs(agent_at(desk_cfg, cell)))
+                for cell, state in cell_states(desk_cfg).items():
+                    got = desk_pvfs.value((atom, positive), encode_obs(state))
                     assert got == pytest.approx(oracle.value_at(cell, 1), abs=1e-6)
 
     def test_values_clamped(self, desk_pvfs, desk_cfg):
@@ -150,13 +154,6 @@ class TestFqiExactness:
 
     def test_unseen_observation_reads_zero(self, desk_pvfs):
         assert desk_pvfs.value(("red", True), np.ones((6, 6, 6), dtype=np.uint8)) == 0.0
-
-    def test_bootstrap_head_agrees_at_convergence(self, desk_cfg, desk_pvfs):
-        est = desk_pvfs.estimators[("red", True)]
-        for cell in [(0, 1), (2, 2), (5, 5)]:
-            obs = encode_obs(agent_at(desk_cfg, cell))
-            if obs_key(obs) in est.vnext:
-                assert est.value_bootstrap(obs) == pytest.approx(est.value(obs), abs=1e-9)
 
     def test_gamma_validation(self, desk_cfg):
         ds = full_coverage_dataset(desk_cfg)
@@ -168,7 +165,7 @@ class TestFqiExactness:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonConvergenceWarning)
             pvfs = train_pvfs_fqi(ds, GAMMA, backend="linear", iters=60)
-        obs = encode_obs(agent_at(corridor_cfg, (0, 2)))
+        obs = encode_obs(cell_states(corridor_cfg)[(0, 2)])
         assert pvfs.value(("red", True), obs) == pytest.approx(GAMMA, abs=0.05)
 
 
@@ -192,7 +189,7 @@ def rightward_corridor_dataset(cfg):
     """Demonstration trajectories walking right from each start cell."""
     trajectories = []
     for col in range(cfg.width):
-        s = agent_at(cfg, (0, col))
+        s = cell_states(cfg)[(0, col)]
         observations, labels, actions = [encode_obs(s)], [true_label(s)], []
         for _ in range(cfg.width):
             s = step(s, 3)
@@ -210,7 +207,7 @@ class TestMonteCarloRegression:
         ds = rightward_corridor_dataset(corridor_cfg)
         mc = train_pvfs_mc(ds, GAMMA)
         for col in range(4):
-            obs = encode_obs(agent_at(corridor_cfg, (0, col)))
+            obs = encode_obs(cell_states(corridor_cfg)[(0, col)])
             assert mc.value(("red", True), obs) == pytest.approx(
                 corridor_pvfs.value(("red", True), obs), abs=1e-9
             )
@@ -218,7 +215,7 @@ class TestMonteCarloRegression:
     def test_random_walk_mc_underestimates_optimum(self, corridor_cfg, corridor_pvfs):
         ds = generate_dataset(replace(corridor_cfg, episode_len=8), 200, seed=4)
         mc = train_pvfs_mc(ds, GAMMA)
-        obs = encode_obs(agent_at(corridor_cfg, (0, 0)))
+        obs = encode_obs(cell_states(corridor_cfg)[(0, 0)])
         assert mc.value(("red", True), obs) <= corridor_pvfs.value(("red", True), obs) + 1e-9
 
 
@@ -229,7 +226,7 @@ class TestSerialization:
         back = load_pvfs(path)
         assert back.vocab == desk_pvfs.vocab
         assert back.gamma == desk_pvfs.gamma
-        obs = encode_obs(agent_at(desk_cfg, (1, 1)))
+        obs = encode_obs(cell_states(desk_cfg)[(1, 1)])
         for lit in desk_pvfs.literals:
             assert back.value(lit, obs) == pytest.approx(desk_pvfs.value(lit, obs), abs=1e-12)
 
@@ -239,5 +236,76 @@ class TestSerialization:
         path = tmp_path / "mc.json"
         save_pvfs(mc, path)
         back = load_pvfs(path)
-        obs = encode_obs(agent_at(corridor_cfg, (0, 1)))
+        obs = encode_obs(cell_states(corridor_cfg)[(0, 1)])
         assert back.value(("red", True), obs) == pytest.approx(mc.value(("red", True), obs))
+
+    def test_unknown_estimator_kind_rejected(self, corridor_pvfs, tmp_path):
+        path = tmp_path / "pvfs.json"
+        save_pvfs(corridor_pvfs, path)
+        data = json.loads(path.read_text())
+        data["estimators"]["+red"]["kind"] = "tabular_q"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ModelFormatError):
+            load_pvfs(path)
+
+    @pytest.mark.parametrize("which", ["pvfs", "label_model"])
+    def test_feature_version_mismatch_rejected(
+        self, which, corridor_pvfs, desk_label_model, tmp_path
+    ):
+        save, load, model = {
+            "pvfs": (save_pvfs, load_pvfs, corridor_pvfs),
+            "label_model": (save_label_model, load_label_model, desk_label_model),
+        }[which]
+        path = tmp_path / f"{which}.json"
+        save(model, path)
+        data = json.loads(path.read_text())
+        data["feature_version"] += 1
+        path.write_text(json.dumps(data))
+        with pytest.raises(ModelFormatError):
+            load(path)
+
+
+@st.composite
+def small_layouts(draw):
+    """Fixed layouts of 1-4 x 1-4 cells holding 1-3 objects at distinct cells."""
+    width = draw(st.integers(1, 4))
+    height = draw(st.integers(1, 4))
+    n = draw(st.integers(1, min(3, width * height)))
+    cell = st.tuples(st.integers(0, height - 1), st.integers(0, width - 1))
+    cells = draw(st.lists(cell, min_size=n, max_size=n, unique=True))
+    kind = st.tuples(st.sampled_from(COLORS), st.sampled_from(SHAPES))
+    kinds = draw(st.lists(kind, min_size=n, max_size=n))
+    objects = tuple(ObjectSpec(color, shape, c) for (color, shape), c in zip(kinds, cells))
+    return GridConfig(width=width, height=height, objects=objects, episode_len=6)
+
+
+class TestPvfProperties:
+    @settings(deadline=None)
+    @given(small_layouts())
+    def test_full_coverage_fqi_equals_exact_values(self, cfg):
+        pvfs = train_pvfs_fqi(full_coverage_dataset(cfg), GAMMA)
+        for atom in VOCAB:
+            for positive in (True, False):
+                guard = Var(atom) if positive else Not(Var(atom))
+                oracle = exact_product_values(cfg, reachability_rm(VOCAB, guard), GAMMA)
+                for cell, state in cell_states(cfg).items():
+                    got = pvfs.value((atom, positive), encode_obs(state))
+                    assert abs(got - oracle.value_at(cell, 1)) < 1e-6
+
+    @settings(max_examples=50, deadline=None)
+    @given(small_layouts(), st.integers(0, 2**31 - 1))
+    def test_save_load_preserves_every_value(self, cfg, seed):
+        ds = generate_dataset(cfg, 3, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonConvergenceWarning)
+            linear = train_pvfs_fqi(full_coverage_dataset(cfg), GAMMA, backend="linear", iters=20)
+        for pvfs in (train_pvfs_fqi(ds, GAMMA), train_pvfs_mc(ds, GAMMA), linear):
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "pvfs.json"
+                save_pvfs(pvfs, path)
+                back = load_pvfs(path)
+            assert (back.vocab, back.gamma, back.method) == (pvfs.vocab, pvfs.gamma, pvfs.method)
+            for lit in pvfs.literals:
+                for state in cell_states(cfg).values():
+                    obs = encode_obs(state)
+                    assert back.estimators[lit].value(obs) == pvfs.estimators[lit].value(obs)
