@@ -16,9 +16,9 @@ import numpy as np
 
 from . import geogrid
 from .compose import ComposedValueFn, RmStateValues, check_shaping, composed_value, shaping_term
-from .geogrid import GridConfig, encode_obs, obs_key, true_label
+from .geogrid import GridConfig, GridState, encode_obs, obs_key, true_label
 from .ground import LabelModel, predict_labels
-from .rm import RewardMachine, rm_step
+from .rm import RewardMachine, StepTable, label_mask
 
 N_ACTIONS = len(geogrid.ACTIONS)
 
@@ -86,6 +86,63 @@ class RandomPolicy:
         return int(rng.integers(N_ACTIONS))
 
 
+class ObsIndex:
+    """Dense integer ids for the observations met on a grid, with what the
+    hot path reads per id.
+
+    States with the same observation share an id. Per id it stores the
+    observation and its key, the true-label mask and, given a label
+    model, the predicted-label mask (`predict_labels` is a pure function
+    of the observation), plus the successor id per action. So
+    `encode_obs` runs once per new (placements, agent) pair, labels once
+    per new observation and `geogrid.step` once per new (id, action).
+    Masks are over `vocab` (see `rm.label_mask`).
+    """
+
+    def __init__(self, vocab, label_model: Optional[LabelModel] = None):
+        self.vocab = tuple(vocab)
+        self.label_model = label_model
+        self.keys: list[bytes] = []
+        self.obs: list[np.ndarray] = []
+        self.true_masks: list[int] = []
+        self.predicted_masks: list[int] = []
+        self.unseen_label_obs = 0  # ids the tabular label model has no entry for
+        self._states: list[GridState] = []
+        self._successors: list[list[int]] = []  # -1 until (id, action) is first taken
+        self._by_state: dict = {}  # (placements, agent) -> id
+        self._by_key: dict = {}  # observation bytes -> id
+
+    def intern(self, state: GridState) -> int:
+        """The id of state's observation, added on first sight."""
+        where = (state.placements, state.agent)
+        i = self._by_state.get(where)
+        if i is None:
+            obs = encode_obs(state)
+            key = obs_key(obs)
+            i = self._by_key.get(key)
+            if i is None:
+                i = self._by_key[key] = len(self.keys)
+                self.keys.append(key)
+                self.obs.append(obs)
+                self._states.append(state)
+                self.true_masks.append(label_mask(self.vocab, true_label(state)))
+                self._successors.append([-1] * N_ACTIONS)
+                if self.label_model is not None:
+                    self.predicted_masks.append(
+                        label_mask(self.vocab, predict_labels(self.label_model, obs))
+                    )
+                    self.unseen_label_obs += self.label_model.unseen(obs)
+            self._by_state[where] = i
+        return i
+
+    def successor(self, i: int, a: int) -> int:
+        """The id reached from id i by action a."""
+        j = self._successors[i][a]
+        if j < 0:
+            j = self._successors[i][a] = self.intern(geogrid.step(self._states[i], a))
+        return j
+
+
 def train(
     cfg: GridConfig,
     rm: RewardMachine,
@@ -110,18 +167,23 @@ def train(
     if agent_cfg.shaping == "high-level" and rm_values is None:
         raise ConfigMismatchError("high-level shaping requires RM state values")
 
-    q: dict = {}
-    potential_cache: dict = {}
+    index = ObsIndex(rm.vocab, label_model)
+    table = StepTable(rm)
+    n_u = rm.num_states
+    terminal = [rm.is_terminal(u) for u in range(n_u)]
+    # Q rows and potentials are keyed by the product index id * n_u + u
+    q: dict[int, list[float]] = {}
+    potential_cache: dict[int, float] = {}
 
-    def potential(key, obs, u) -> float:
-        if rm.is_terminal(u):
+    def potential(i, u) -> float:
+        if terminal[u]:
             return 0.0
         if agent_cfg.shaping == "high-level":
             return rm_values[u]
-        cached = potential_cache.get((key, u))
+        p = i * n_u + u
+        cached = potential_cache.get(p)
         if cached is None:
-            cached = composed_value(cvf, obs, u)
-            potential_cache[(key, u)] = cached
+            cached = potential_cache[p] = composed_value(cvf, index.obs[i], u)
         return cached
 
     report = TrainReport(
@@ -136,61 +198,59 @@ def train(
     )
     decay_span = max(1, int(agent_cfg.episodes * agent_cfg.epsilon_decay_fraction))
     rng = np.random.default_rng((agent_cfg.seed, 0xA6E47))
+    alpha, gamma = agent_cfg.alpha, agent_cfg.gamma
+    shaped = agent_cfg.shaping != "none"
+    predicted = index.predicted_masks
+    true_masks = index.true_masks
 
     for episode in range(agent_cfg.episodes):
         frac = min(1.0, episode / decay_span)
         epsilon = agent_cfg.epsilon_start + frac * (agent_cfg.epsilon_end - agent_cfg.epsilon_start)
-        state = geogrid.reset(cfg, seed=int(rng.integers(2**63)))
-        obs = encode_obs(state)
-        key = obs_key(obs)
+        i = index.intern(geogrid.reset(cfg, seed=int(rng.integers(2**63))))
         u = rm.initial
         u_true = rm.initial
-        true_done = rm.is_terminal(u_true)
+        true_done = terminal[u_true]
         perceived = 0.0
         actual = 0.0
         steps = 0
-        while not rm.is_terminal(u) and steps < agent_cfg.max_steps:
-            entry = q.setdefault((key, u), np.zeros(N_ACTIONS))
+        while not terminal[u] and steps < agent_cfg.max_steps:
+            p = i * n_u + u
+            row = q.get(p)
+            if row is None:
+                row = q[p] = [0.0] * N_ACTIONS
             if rng.random() < epsilon:
                 a = int(rng.integers(N_ACTIONS))
             else:
-                a = int(np.argmax(entry))
-            next_state = geogrid.step(state, a)
-            next_obs = encode_obs(next_state)
-            next_key = obs_key(next_obs)
-            w_hat = predict_labels(label_model, next_obs)
-            stp = rm_step(rm, u, w_hat)
-            r = stp.reward
+                a = row.index(max(row))  # first maximum, as np.argmax
+            j = index.successor(i, a)
+            u2, r, terminated = table.step(u, predicted[j])
             perceived += r
 
             shaping = 0.0
-            if agent_cfg.shaping != "none":
+            if shaped:
                 shaping = shaping_term(
-                    potential(key, obs, u),
-                    potential(next_key, next_obs, stp.next_state),
-                    agent_cfg.lam,
-                    agent_cfg.shaping_mode,
-                    agent_cfg.gamma,
+                    potential(i, u), potential(j, u2), agent_cfg.lam, agent_cfg.shaping_mode, gamma
                 )
 
-            if stp.terminated:
+            if terminated:
                 bootstrap = 0.0
             else:
-                nxt = q.get((next_key, stp.next_state))
-                bootstrap = float(nxt.max()) if nxt is not None else 0.0
-            target = r + shaping + agent_cfg.gamma * bootstrap
-            entry[a] += agent_cfg.alpha * (target - entry[a])
+                nxt = q.get(j * n_u + u2)
+                bootstrap = max(nxt) if nxt is not None else 0.0
+            target = r + shaping + gamma * bootstrap
+            row[a] += alpha * (target - row[a])
 
             if not true_done:
-                true_stp = rm_step(rm, u_true, true_label(next_state))
-                actual += true_stp.reward
-                u_true = true_stp.next_state
-                true_done = true_stp.terminated
+                u_true, true_r, true_done = table.step(u_true, true_masks[j])
+                actual += true_r
 
-            state, obs, key, u = next_state, next_obs, next_key, stp.next_state
+            i, u = j, u2
             steps += 1
         report.episodes.append(EpisodeRecord(perceived, actual, steps))
-    return GreedyPolicy(q), report
+    report.meta["unseen_label_obs"] = index.unseen_label_obs
+    keys = index.keys
+    policy_q = {(keys[p // n_u], p % n_u): np.array(row) for p, row in q.items()}
+    return GreedyPolicy(policy_q), report
 
 
 def evaluate(
@@ -207,20 +267,21 @@ def evaluate(
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be positive")
+    index = ObsIndex(rm.vocab)
+    table = StepTable(rm)
     rng = np.random.default_rng((seed, 0xE7A1))
     returns = []
     for _ in range(n_episodes):
-        state = geogrid.reset(cfg, seed=int(rng.integers(2**63)))
+        i = index.intern(geogrid.reset(cfg, seed=int(rng.integers(2**63))))
         u = rm.initial
         total = 0.0
         for _ in range(max_steps):
             if rm.is_terminal(u):
                 break
-            a = policy.action(obs_key(encode_obs(state)), u, rng)
-            state = geogrid.step(state, a)
-            stp = rm_step(rm, u, true_label(state))
-            total += stp.reward
-            u = stp.next_state
+            a = policy.action(index.keys[i], u, rng)
+            i = index.successor(i, a)
+            u, r, _ = table.step(u, index.true_masks[i])
+            total += r
         returns.append(total)
     returns_arr = np.asarray(returns)
     stderr = float(returns_arr.std(ddof=1) / np.sqrt(n_episodes)) if n_episodes > 1 else 0.0

@@ -120,6 +120,7 @@ def cmd_ground(args) -> int:
     ground.save_pvfs(pvfs, models / "pvfs.json")
     metrics = {
         "holdout_accuracy": label_model.holdout_accuracy,
+        "accuracy_split": label_model.accuracy_split,
         "method": args.method,
         "gamma": args.gamma,
         "n_trajectories": len(ds.trajectories),
@@ -127,8 +128,9 @@ def cmd_ground(args) -> int:
     with open(models / "metrics.json", "w") as fh:
         json.dump(metrics, fh, sort_keys=True, indent=2)
     print(f"wrote label model and {args.method} value functions to {models}")
+    split = "held-out" if label_model.accuracy_split == "holdout" else "training"
     for atom, acc in label_model.holdout_accuracy.items():
-        print(f"held-out accuracy {atom:<10} {acc:.4f}")
+        print(f"{split} accuracy {atom:<10} {acc:.4f}")
     return 0
 
 
@@ -237,6 +239,13 @@ def cmd_train(args) -> int:
             policy, report = agent.train(
                 cfg, rm, label_model, agent_cfg, cvf=cvf, rm_values=rm_values
             )
+            unseen = report.meta["unseen_label_obs"]
+            if unseen:
+                print(
+                    f"warning: {shaping} seed {seed}: the tabular label model has no entry for "
+                    f"{unseen} observations met in training and predicted no atoms there",
+                    file=sys.stderr,
+                )
             csv_path = out / f"train_{shaping}_seed{seed}.csv"
             with open(csv_path, "w", newline="") as fh:
                 writer = csv.writer(fh)

@@ -23,7 +23,7 @@ from . import geogrid
 from .geogrid import GridConfig
 from .ground import PvfSet
 from .logic import Clause, DnfFormula, FalseConst, TrueConst, dnf_to_formula, evaluate, to_dnf
-from .rm import RewardMachine, RmTransition, reachability_rm, rm_step
+from .rm import RewardMachine, RmTransition, StepTable, label_mask, reachability_rm
 
 # sweep cap of the exact oracle: reaching its tol takes about 23 / (1 - gamma)
 # sweeps, so the cap allows gamma up to about 0.9997
@@ -282,18 +282,19 @@ def exact_product_values(
 
     # Guards are evaluated once up front; the sweeps below are pure array ops.
     next_cell = np.zeros((n_cells, n_actions), dtype=np.int64)
-    next_label = {}
+    next_mask = {}
     for i, s in enumerate(states.values()):
         for a in range(n_actions):
             s2 = geogrid.step(s, a)
             next_cell[i, a] = cell_idx[s2.agent]
-            next_label[(i, a)] = geogrid.true_label(s2)
+            next_mask[(i, a)] = label_mask(rm.vocab, geogrid.true_label(s2))
 
     n_total = rm.num_states * n_cells  # flat index: u * n_cells + cell
     nxt = np.zeros((n_total, n_actions), dtype=np.int64)
     rew = np.zeros((n_total, n_actions))
     cont = np.ones((n_total, n_actions))  # 0 where the RM terminates
     terminal_mask = np.zeros(n_total, dtype=bool)
+    table = StepTable(rm)
     for u in range(rm.num_states):
         if rm.is_terminal(u):
             terminal_mask[u * n_cells : (u + 1) * n_cells] = True
@@ -301,10 +302,10 @@ def exact_product_values(
         for i in range(n_cells):
             flat = u * n_cells + i
             for a in range(n_actions):
-                stp = rm_step(rm, u, next_label[(i, a)])
-                nxt[flat, a] = stp.next_state * n_cells + next_cell[i, a]
-                rew[flat, a] = stp.reward
-                if stp.terminated:
+                u2, reward, terminated = table.step(u, next_mask[(i, a)])
+                nxt[flat, a] = u2 * n_cells + next_cell[i, a]
+                rew[flat, a] = reward
+                if terminated:
                     cont[flat, a] = 0.0
 
     v = np.zeros(n_total)

@@ -68,6 +68,9 @@ class LabelModel:
     bias: Optional[np.ndarray] = None
     table: Optional[dict] = None  # obs key -> score vector, tabular backend
     holdout_accuracy: dict = field(default_factory=dict)
+    # "holdout" when holdout_accuracy was measured on held-out trajectories,
+    # "train" when none were held out and it is training accuracy
+    accuracy_split: str = "holdout"
 
     def __post_init__(self):
         if not (0.0 < self.threshold < 1.0):
@@ -77,10 +80,13 @@ class LabelModel:
         if self.backend == "linear":
             f = observation_features(obs)
             return _sigmoid(self.weights @ f + self.bias)
-        key = obs_key(obs)
-        if self.table is not None and key in self.table:
-            return np.asarray(self.table[key], dtype=np.float64)
-        return np.zeros(len(self.vocab))
+        if self.unseen(obs):
+            return np.zeros(len(self.vocab))
+        return np.asarray(self.table[obs_key(obs)], dtype=np.float64)
+
+    def unseen(self, obs: np.ndarray) -> bool:
+        """True if the tabular backend has no entry for obs, and so predicts no atoms there."""
+        return self.backend == "tabular" and (self.table is None or obs_key(obs) not in self.table)
 
 
 def predict_labels(model: LabelModel, obs: np.ndarray) -> frozenset[str]:
@@ -111,7 +117,9 @@ def train_label_model(
 
     Linear backend: full-batch gradient descent on binary cross-entropy.
     Tabular backend: memorize observation -> label. Held-out accuracy is
-    measured on a trailing trajectory split and stored on the model.
+    measured on a trailing trajectory split and stored on the model; when
+    the split holds out no trajectory (holdout_fraction 0, or too few
+    trajectories), it is training accuracy and accuracy_split says "train".
     """
     _check_degenerate(ds)
     n_holdout = int(len(ds.trajectories) * holdout_fraction)
@@ -155,6 +163,7 @@ def train_label_model(
             for a in ds.vocab:
                 correct[a] += (a in pred) == (a in lab)
     model.holdout_accuracy = {a: correct[a] / total for a in ds.vocab}
+    model.accuracy_split = "holdout" if n_holdout else "train"
     return model
 
 
@@ -356,6 +365,7 @@ def save_label_model(model: LabelModel, path) -> None:
         "threshold": model.threshold,
         "feature_version": FEATURE_MAP_VERSION,
         "holdout_accuracy": model.holdout_accuracy,
+        "accuracy_split": model.accuracy_split,
     }
     if model.backend == "linear":
         data["weights"] = model.weights.tolist()
@@ -392,6 +402,7 @@ def load_label_model(path) -> LabelModel:
             table={bytes.fromhex(k): np.asarray(v) for k, v in data["table"].items()}, **kwargs
         )
     model.holdout_accuracy = data.get("holdout_accuracy", {})
+    model.accuracy_split = data.get("accuracy_split", "holdout")
     return model
 
 

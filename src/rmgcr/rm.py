@@ -234,6 +234,37 @@ def rm_step(rm: RewardMachine, u: int, w: Iterable[str]) -> RmStep:
     return RmStep(u, 0.0, False)
 
 
+def label_mask(vocab: Sequence[str], w: Iterable[str]) -> int:
+    """Assignment bitmask: bit i is set iff vocab[i] holds in w.
+
+    Atoms outside the vocabulary are ignored, as `evaluate` ignores them.
+    """
+    w = frozenset(w)
+    return sum(1 << i for i, atom in enumerate(vocab) if atom in w)
+
+
+class StepTable:
+    """`rm_step` tabulated over assignment bitmasks (see `label_mask`).
+
+    Maps (u, mask) to (next_state, reward, terminated), filled from
+    `rm_step` on the first use of each pair, so it works for any
+    vocabulary size and steps exactly as `rm_step` does.
+    """
+
+    def __init__(self, rm: RewardMachine):
+        self.rm = rm
+        self._rows: list[dict] = [{} for _ in range(rm.num_states)]
+
+    def step(self, u: int, mask: int) -> tuple[int, float, bool]:
+        row = self._rows[u]
+        entry = row.get(mask)
+        if entry is None:
+            w = [atom for i, atom in enumerate(self.rm.vocab) if mask >> i & 1]
+            stp = rm_step(self.rm, u, w)
+            entry = row[mask] = (stp.next_state, stp.reward, stp.terminated)
+        return entry
+
+
 def run_rm(rm: RewardMachine, ws: Iterable[Iterable[str]]):
     """Simulate over a sequence of assignments until termination.
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rmgcr import agent, geogrid, rm as rm_module
 from rmgcr.agent import (
     AgentConfig,
     ConfigMismatchError,
@@ -13,9 +14,9 @@ from rmgcr.agent import (
     train,
 )
 from rmgcr.compose import make_composed_value_fn, rm_value_iteration
-from rmgcr.geogrid import encode_obs, obs_key, step, reset, true_label
-from rmgcr.ground import predict_labels
-from rmgcr.rm import run_rm
+from rmgcr.geogrid import cell_states, encode_obs, obs_key, step, reset, true_label
+from rmgcr.ground import LabelModel, predict_labels
+from rmgcr.rm import MAX_EXHAUSTIVE_VOCAB, make_rm, run_rm
 
 GAMMA = 0.97
 GAMMA_RM = 0.97 ** 10
@@ -136,6 +137,80 @@ class TestTraining:
         )
         stats = evaluate(policy, desk_cfg, sequence_rm, n_episodes=30, seed=17)
         assert stats["mean"] == pytest.approx(1.0)
+
+
+class TestHotPath:
+    def _counting(self, monkeypatch, module, name, counts):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def test_per_observation_work_runs_once(self, monkeypatch, desk_cfg, logic_rm, desk_label_model):
+        counts: dict = {}
+        for module, name in (
+            (agent, "encode_obs"),
+            (agent, "predict_labels"),
+            (agent, "true_label"),
+            (geogrid, "step"),
+            (rm_module, "rm_step"),
+        ):
+            self._counting(monkeypatch, module, name, counts)
+        _, report = train(desk_cfg, logic_rm, desk_label_model, AgentConfig(episodes=200, seed=3))
+        steps = sum(e.steps for e in report.episodes)
+        n_cells = desk_cfg.width * desk_cfg.height
+        assert steps > 5000
+        # once per observation, per (observation, action) and per (RM state, assignment)
+        assert counts["encode_obs"] <= n_cells
+        assert counts["predict_labels"] <= n_cells
+        assert counts["true_label"] <= n_cells
+        assert counts["step"] <= n_cells * 4
+        assert counts["rm_step"] <= logic_rm.num_states * 2 ** len(logic_rm.vocab)
+
+    def test_machine_beyond_the_exhaustive_vocab_trains_and_evaluates(self, desk_cfg, sequence_rm):
+        # sequence.rm plus atoms the grid never labels: the same episodes,
+        # Q values and returns as over the five grid atoms
+        extra = tuple(f"x{i}" for i in range(MAX_EXHAUSTIVE_VOCAB + 1 - len(sequence_rm.vocab)))
+        vocab = sequence_rm.vocab + extra
+        wide_rm = make_rm(vocab, sequence_rm.num_states, sequence_rm.transitions)
+        assert len(vocab) > MAX_EXHAUSTIVE_VOCAB
+
+        def exact_labels(vocab):
+            table = {}
+            for state in cell_states(desk_cfg).values():
+                label = true_label(state)
+                table[obs_key(encode_obs(state))] = np.array([float(a in label) for a in vocab])
+            return LabelModel(vocab, "tabular", table=table)
+
+        runs = []
+        for machine in (sequence_rm, wide_rm):
+            policy, report = train(
+                desk_cfg, machine, exact_labels(machine.vocab), AgentConfig(episodes=80, seed=2)
+            )
+            stats = evaluate(policy, desk_cfg, machine, n_episodes=10, seed=1)
+            q = {k: v.tolist() for k, v in policy.q.items()}
+            runs.append((report.episodes, q, stats["returns"]))
+        assert runs[0] == runs[1]
+
+
+class TestUnseenLabelObservations:
+    def test_zero_for_linear_and_full_tables(
+        self, desk_cfg, sequence_rm, desk_label_model, exact_label_model
+    ):
+        for label_model in (desk_label_model, exact_label_model):
+            _, report = train(desk_cfg, sequence_rm, label_model, AgentConfig(episodes=20, seed=0))
+            assert report.meta["unseen_label_obs"] == 0
+
+    def test_counts_each_unseen_observation_once(self, desk_cfg, sequence_rm, exact_label_model):
+        dropped = {obs_key(encode_obs(s)) for cell, s in cell_states(desk_cfg).items() if cell[0] == 5}
+        table = {k: v for k, v in exact_label_model.table.items() if k not in dropped}
+        partial = LabelModel(exact_label_model.vocab, "tabular", table=table)
+        # 100 episodes of mostly random moves visit every cell, each many times
+        _, report = train(desk_cfg, sequence_rm, partial, AgentConfig(episodes=100, seed=0))
+        assert report.meta["unseen_label_obs"] == len(dropped) == desk_cfg.width
 
 
 class TestEvaluate:

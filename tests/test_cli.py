@@ -61,6 +61,17 @@ class TestGround:
         assert (models / "pvfs.json").exists()
         metrics = json.loads((models / "metrics.json").read_text())
         assert all(acc >= 0.99 for acc in metrics["holdout_accuracy"].values())
+        assert metrics["accuracy_split"] == "holdout"  # 6 of the 60 trajectories
+
+    def test_too_few_trajectories_to_hold_out_report_training_accuracy(self, tmp_path, capsys):
+        dataset, models = tmp_path / "data.jsonl", tmp_path / "models"
+        assert main(["gen-dataset", "--out", str(dataset), "--n", "5", "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert main(["ground", "--dataset", str(dataset), "--out", str(models)]) == 0
+        printed = capsys.readouterr().out
+        assert "training accuracy red" in printed and "held-out" not in printed
+        assert json.loads((models / "metrics.json").read_text())["accuracy_split"] == "train"
+        assert json.loads((models / "label_model.json").read_text())["accuracy_split"] == "train"
 
     def test_missing_dataset_is_runtime_error(self, tmp_path):
         code = main(["ground", "--dataset", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path)])
@@ -209,6 +220,22 @@ class TestTrainEval:
         assert code == 0
         stats = json.loads(capsys.readouterr().out)
         assert set(stats) == {"mean", "stderr"}
+
+    def test_unseen_label_observations_warn(self, pipeline, tmp_path, capsys):
+        models = tmp_path / "models"
+        argv = ["ground", "--dataset", str(pipeline["dataset"]), "--out", str(models)]
+        assert main(argv + ["--label-backend", "tabular"]) == 0
+        env = tmp_path / "env.json"
+        env.write_text(json.dumps({"layout_mode": "randomized", "objects": []}))
+        train = ["train", "--rm", SEQUENCE, "--env", str(env), "--shaping", "none"]
+        train += ["--episodes", "5", "--eval-episodes", "1", "--out", str(tmp_path / "runs")]
+        capsys.readouterr()
+        assert main(train + ["--models", str(models)]) == 0
+        warnings = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning:")]
+        assert len(warnings) == 1 and "no entry for" in warnings[0]
+        # the linear label model scores every observation: no warning
+        assert main(train + ["--models", str(pipeline["models"])]) == 0
+        assert "warning" not in capsys.readouterr().err
 
     def test_random_eval(self, capsys):
         code = main(["eval", "--rm", SEQUENCE, "--random", "--episodes", "10"])

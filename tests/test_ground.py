@@ -61,8 +61,19 @@ class TestFeatures:
 
 class TestLabelModel:
     def test_holdout_accuracy_high(self, desk_label_model):
+        assert desk_label_model.accuracy_split == "holdout"
         for atom, acc in desk_label_model.holdout_accuracy.items():
             assert acc >= 0.99, f"{atom}: {acc}"
+
+    def test_no_holdout_means_training_accuracy(self, exact_label_model):
+        assert exact_label_model.accuracy_split == "train"
+
+    def test_unseen_only_for_tabular_misses(self, desk_cfg, desk_label_model, exact_label_model):
+        seen = encode_obs(reset(desk_cfg))
+        blank = np.zeros_like(seen)
+        assert not exact_label_model.unseen(seen) and exact_label_model.unseen(blank)
+        assert predict_labels(exact_label_model, blank) == frozenset()
+        assert not desk_label_model.unseen(blank)
 
     def test_predictions_match_ground_truth(self, desk_cfg, desk_label_model):
         s = cell_states(desk_cfg)[(0, 0)]
@@ -107,6 +118,7 @@ class TestLabelModel:
         obs = encode_obs(cell_states(desk_cfg)[(4, 4)])
         assert predict_labels(back, obs) == predict_labels(desk_label_model, obs)
         assert back.holdout_accuracy == desk_label_model.holdout_accuracy
+        assert back.accuracy_split == desk_label_model.accuracy_split
 
 
 class TestFqiCorridor:

@@ -1,21 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rmgcr.logic import Var
+from rmgcr.logic import FALSE, TRUE, And, Not, Or, Var
 from rmgcr.rm import (
+    MAX_EXHAUSTIVE_VOCAB,
     DanglingStateError,
     NondeterministicGuardError,
     RmSyntaxError,
     RmTransition,
     StepFromTerminalError,
+    StepTable,
     TransitionFromTerminalError,
     all_assignments,
+    label_mask,
+    load_rm,
     make_rm,
     parse_rm,
     reachability_rm,
     rm_step,
     run_rm,
 )
+
+from conftest import TASKS_DIR
 
 GEO = ("red", "green", "blue", "triangle", "circle")
 
@@ -165,3 +172,67 @@ class TestConstruction:
         )
         assert rm.outgoing(1)[0].dst == 2
         assert rm.outgoing(2)[0].dst == 0
+
+
+def _assert_table_matches_rm_step(rm):
+    table = StepTable(rm)
+    for u in range(rm.num_states):
+        if rm.is_terminal(u):
+            with pytest.raises(StepFromTerminalError):
+                table.step(u, 0)
+            continue
+        for mask, w in enumerate(all_assignments(rm.vocab)):
+            stp = rm_step(rm, u, w)
+            assert table.step(u, mask) == (stp.next_state, stp.reward, stp.terminated)
+
+
+@st.composite
+def random_machines(draw):
+    """Machines over 1-5 atoms with random guards; determinism is not required,
+    since rm_step (and so the table) takes the first edge that fires."""
+    vocab = tuple(f"a{i}" for i in range(draw(st.integers(1, 5))))
+    leaves = st.sampled_from([Var(a) for a in vocab] + [TRUE, FALSE])
+    formulas = st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            sub.map(Not),
+            st.lists(sub, min_size=2, max_size=3).map(lambda c: And(tuple(c))),
+            st.lists(sub, min_size=2, max_size=3).map(lambda c: Or(tuple(c))),
+        ),
+        max_leaves=6,
+    )
+    n = draw(st.integers(2, 5))
+    terminals = draw(st.sets(st.integers(0, n - 1), max_size=n - 1).filter(lambda t: 1 not in t))
+    sources = [u for u in range(n) if u not in terminals]
+    edge = st.builds(
+        RmTransition,
+        st.sampled_from(sources),
+        st.integers(0, n - 1),
+        formulas,
+        st.sampled_from([0.0, 1.0, -1.0, 0.5]),
+    )
+    edges = draw(st.lists(edge, max_size=8))
+    return make_rm(vocab, n, edges, terminals=terminals, check=False)
+
+
+class TestStepTable:
+    def test_label_mask_bits_and_foreign_atoms(self):
+        assert label_mask(GEO, ()) == 0
+        assert label_mask(GEO, {"red", "circle"}) == 0b10001
+        assert label_mask(GEO, {"green", "lava"}) == 0b10  # lava is not in the vocab
+
+    @pytest.mark.parametrize("path", sorted(TASKS_DIR.glob("*.rm")), ids=lambda p: p.name)
+    def test_matches_rm_step_on_task_files(self, path):
+        _assert_table_matches_rm_step(load_rm(path))
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_machines())
+    def test_matches_rm_step_on_random_machines(self, rm):
+        _assert_table_matches_rm_step(rm)
+
+    def test_steps_beyond_the_exhaustive_vocab(self):
+        vocab = tuple(f"a{i}" for i in range(MAX_EXHAUSTIVE_VOCAB + 1))
+        rm = make_rm(vocab, 2, [RmTransition(1, 0, And((Var("a0"), Var(vocab[-1]))), 1.0)])
+        table = StepTable(rm)
+        assert table.step(1, label_mask(vocab, {"a0"})) == (1, 0.0, False)
+        assert table.step(1, label_mask(vocab, {"a0", vocab[-1]})) == (0, 1.0, True)
