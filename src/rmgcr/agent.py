@@ -24,6 +24,14 @@ N_ACTIONS = len(geogrid.ACTIONS)
 
 SHAPING_MODES = ("none", "composed", "high-level")
 
+# Q-learning step size; epsilon falls linearly from EPSILON_START to
+# EPSILON_END over the first EPSILON_DECAY_FRACTION of the episodes
+ALPHA = 0.1
+EPSILON_START = 1.0
+EPSILON_END = 0.05
+EPSILON_DECAY_FRACTION = 0.5
+THRESHOLD_WINDOW = 20  # trailing episodes averaged by episodes_to_threshold
+
 
 class ConfigMismatchError(ValueError):
     pass
@@ -31,11 +39,7 @@ class ConfigMismatchError(ValueError):
 
 @dataclass
 class AgentConfig:
-    alpha: float = 0.1
     gamma: float = 0.97
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
-    epsilon_decay_fraction: float = 0.5  # fraction of episodes spent decaying
     shaping: str = "none"  # "none" | "composed" | "high-level"
     lam: float = 1.0
     shaping_mode: str = "undiscounted"  # "undiscounted" | "discounted"
@@ -196,16 +200,16 @@ def train(
             "evaluation_policy": "greedy",
         }
     )
-    decay_span = max(1, int(agent_cfg.episodes * agent_cfg.epsilon_decay_fraction))
+    decay_span = max(1, int(agent_cfg.episodes * EPSILON_DECAY_FRACTION))
     rng = np.random.default_rng((agent_cfg.seed, 0xA6E47))
-    alpha, gamma = agent_cfg.alpha, agent_cfg.gamma
+    gamma = agent_cfg.gamma
     shaped = agent_cfg.shaping != "none"
     predicted = index.predicted_masks
     true_masks = index.true_masks
 
     for episode in range(agent_cfg.episodes):
         frac = min(1.0, episode / decay_span)
-        epsilon = agent_cfg.epsilon_start + frac * (agent_cfg.epsilon_end - agent_cfg.epsilon_start)
+        epsilon = EPSILON_START + frac * (EPSILON_END - EPSILON_START)
         i = index.intern(geogrid.reset(cfg, seed=int(rng.integers(2**63))))
         u = rm.initial
         u_true = rm.initial
@@ -238,7 +242,7 @@ def train(
                 nxt = q.get(j * n_u + u2)
                 bootstrap = max(nxt) if nxt is not None else 0.0
             target = r + shaping + gamma * bootstrap
-            row[a] += alpha * (target - row[a])
+            row[a] += ALPHA * (target - row[a])
 
             if not true_done:
                 u_true, true_r, true_done = table.step(u_true, true_masks[j])
@@ -283,17 +287,23 @@ def evaluate(
             u, r, _ = table.step(u, index.true_masks[i])
             total += r
         returns.append(total)
-    returns_arr = np.asarray(returns)
-    stderr = float(returns_arr.std(ddof=1) / np.sqrt(n_episodes)) if n_episodes > 1 else 0.0
-    return {"mean": float(returns_arr.mean()), "stderr": stderr, "returns": returns}
+    mean, stderr = mean_stderr(returns)
+    return {"mean": mean, "stderr": stderr, "returns": returns}
 
 
-def episodes_to_threshold(report: TrainReport, threshold: float, window: int = 20):
-    """First episode index (1-based) where the trailing-window mean of the
-    actual return reaches the threshold; None if never."""
+def mean_stderr(values) -> tuple[float, float]:
+    """Mean and standard error of the mean (sample std / sqrt n; 0 for one value)."""
+    arr = np.asarray(values)
+    stderr = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
+    return float(arr.mean()), stderr
+
+
+def episodes_to_threshold(report: TrainReport, threshold: float):
+    """First episode index (1-based) where the mean actual return over the
+    trailing THRESHOLD_WINDOW episodes reaches the threshold; None if never."""
     actual = report.actual()
     for i in range(len(actual)):
-        lo = max(0, i - window + 1)
+        lo = max(0, i - THRESHOLD_WINDOW + 1)
         if np.mean(actual[lo : i + 1]) >= threshold:
             return i + 1
     return None

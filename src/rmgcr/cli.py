@@ -1,8 +1,8 @@
 """Command-line front end for the grounding/composition/training pipeline.
 
-Subcommands: gen-dataset, ground, compose-eval, train, eval, oracle.
-Exit codes: 0 success, 2 usage, 3 validation (bad task files, mismatched
-models), 4 runtime failures. The RMGCR_OUT_DIR environment variable
+Subcommands: gen-dataset, ground, train, eval, oracle.
+Exit codes: 0 success, 2 usage, 3 validation (bad task files or datasets,
+mismatched models), 4 runtime failures. The RMGCR_OUT_DIR environment variable
 overrides directory-valued --out arguments.
 """
 
@@ -41,6 +41,7 @@ VALIDATION_ERRORS = (
     UnknownAtomError,
     ClauseLimitExceeded,
     geogrid.InfeasibleConfigError,
+    geogrid.InconsistentLabelError,
     ground.DegenerateAtomError,
     ground.ModelFormatError,
     agent.ConfigMismatchError,
@@ -72,20 +73,6 @@ def load_grid_config(path, overrides: dict) -> GridConfig:
     return cfg
 
 
-def load_models(models_dir):
-    models_dir = pathlib.Path(models_dir)
-    label_model = ground.load_label_model(models_dir / "label_model.json")
-    pvfs = ground.load_pvfs(models_dir / "pvfs.json")
-    return label_model, pvfs
-
-
-def print_label_frequencies(ds) -> None:
-    freqs = geogrid.label_frequencies(ds)
-    print(f"{'atom':<10} {'frequency':>9}")
-    for atom in ds.vocab:
-        print(f"{atom:<10} {freqs[atom]:>9.4f}")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -102,7 +89,10 @@ def cmd_gen_dataset(args) -> int:
     ds = geogrid.generate_dataset(cfg, args.n, seed=cfg.seed)
     geogrid.save_dataset(ds, args.out)
     print(f"wrote {len(ds.trajectories)} trajectories to {args.out}")
-    print_label_frequencies(ds)
+    freqs = geogrid.label_frequencies(ds)
+    print(f"{'atom':<10} {'frequency':>9}")
+    for atom in ds.vocab:
+        print(f"{atom:<10} {freqs[atom]:>9.4f}")
     return 0
 
 
@@ -134,12 +124,6 @@ def cmd_ground(args) -> int:
     return 0
 
 
-def _load_cvf(args, rm):
-    """Composed value function of rm from the PVFs in args.models (no label model)."""
-    pvfs = ground.load_pvfs(pathlib.Path(args.models) / "pvfs.json")
-    return compose.make_composed_value_fn(rm, pvfs, args.gamma_rm, gamma=args.gamma)
-
-
 def _product_values(cfg, rm, oracle, cvf):
     """Yield (cell, u, exact, composed) over every cell and RM state, row-major.
 
@@ -154,31 +138,15 @@ def _product_values(cfg, rm, oracle, cvf):
             yield cell, u, oracle.value_at(cell, u), got
 
 
-def cmd_compose_eval(args) -> int:
-    rm = load_rm(args.rm)
-    cvf = _load_cvf(args, rm)
-    cfg = load_grid_config(args.env, {})
-    oracle = compose.exact_product_values(cfg, rm, args.gamma)
-    max_dev = 0.0
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "rm_state", "composed", "exact", "abs_deviation"])
-        for (r, c), u, want, got in _product_values(cfg, rm, oracle, cvf):
-            if got is None:
-                continue
-            dev = abs(got - want)
-            max_dev = max(max_dev, dev)
-            writer.writerow([r, c, u, f"{got:.10f}", f"{want:.10f}", f"{dev:.10f}"])
-    print(f"wrote composed values for {args.rm} to {args.out}")
-    print(f"max absolute deviation from the exact oracle: {max_dev:.6f}")
-    return 0
-
-
 def cmd_oracle(args) -> int:
     rm = load_rm(args.rm)
     cfg = load_grid_config(args.env, {})
     oracle = compose.exact_product_values(cfg, rm, args.gamma, max_states=args.max_states)
-    cvf = _load_cvf(args, rm) if args.models else None
+    cvf = None
+    if args.models:  # composed values need only the PVFs, not the label model
+        pvfs = ground.load_pvfs(pathlib.Path(args.models) / "pvfs.json")
+        cvf = compose.make_composed_value_fn(rm, pvfs, args.gamma_rm, gamma=args.gamma)
+    rows = list(_product_values(cfg, rm, oracle, cvf))
     if args.out:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -186,12 +154,15 @@ def cmd_oracle(args) -> int:
             if cvf is not None:
                 header += ["composed", "abs_deviation"]
             writer.writerow(header)
-            for (r, c), u, want, got in _product_values(cfg, rm, oracle, cvf):
+            for (r, c), u, want, got in rows:
                 row = [r, c, u, f"{want:.10f}"]
                 if got is not None:
                     row += [f"{got:.10f}", f"{abs(got - want):.10f}"]
                 writer.writerow(row)
         print(f"wrote oracle table to {args.out}")
+    if cvf is not None:
+        devs = [abs(got - want) for _, _, want, got in rows if got is not None]
+        print(f"max absolute deviation from the exact oracle: {max(devs, default=0.0):.6f}")
     guards = [t.guard for t in rm.transitions if t.src != t.dst]
     checks = compose.composition_bounds(cfg, rm.vocab, guards, args.gamma)
     for check in checks:
@@ -203,7 +174,9 @@ def cmd_oracle(args) -> int:
 
 def cmd_train(args) -> int:
     rm = load_rm(args.rm)
-    label_model, pvfs = load_models(args.models)
+    models = pathlib.Path(args.models)
+    label_model = ground.load_label_model(models / "label_model.json")
+    pvfs = ground.load_pvfs(models / "pvfs.json")
     cfg = load_grid_config(args.env, {})
     out = out_dir(args.out)
 
@@ -264,14 +237,9 @@ def cmd_train(args) -> int:
                     "episodes_to_threshold": agent.episodes_to_threshold(report, args.threshold),
                 }
             )
-        means = [r["eval_mean"] for r in per_seed]
-        stderr = float(np.std(means, ddof=1) / np.sqrt(len(means))) if len(means) > 1 else 0.0
-        summary["results"][shaping] = {
-            "per_seed": per_seed,
-            "mean": float(np.mean(means)),
-            "stderr": stderr,
-        }
-        print(f"{shaping:<11} eval mean {np.mean(means):.3f} +/- {stderr:.3f} over {len(means)} seeds")
+        mean, stderr = agent.mean_stderr([r["eval_mean"] for r in per_seed])
+        summary["results"][shaping] = {"per_seed": per_seed, "mean": mean, "stderr": stderr}
+        print(f"{shaping:<11} eval mean {mean:.3f} +/- {stderr:.3f} over {len(per_seed)} seeds")
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
     print(f"wrote reports to {out}")
@@ -336,15 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_ground)
-
-    p = sub.add_parser("compose-eval", help="dump composed values and oracle deviations as CSV")
-    p.add_argument("--rm", required=True)
-    p.add_argument("--models", required=True)
-    p.add_argument("--env", help="grid config JSON file")
-    p.add_argument("--out", required=True, help="output CSV file")
-    p.add_argument("--gamma", type=float, default=0.97)
-    p.add_argument("--gamma-rm", type=float, default=0.97**10)
-    p.set_defaults(func=cmd_compose_eval)
 
     p = sub.add_parser("train", help="Q-learning with self-generated, optionally shaped rewards")
     p.add_argument("--rm", required=True)

@@ -25,9 +25,13 @@ from .ground import PvfSet
 from .logic import Clause, DnfFormula, FalseConst, TrueConst, dnf_to_formula, evaluate, to_dnf
 from .rm import RewardMachine, RmTransition, StepTable, label_mask, reachability_rm
 
-# sweep cap of the exact oracle: reaching its tol takes about 23 / (1 - gamma)
-# sweeps, so the cap allows gamma up to about 0.9997
+# exact oracle: reaching ORACLE_TOL takes about 23 / (1 - gamma) sweeps,
+# so the sweep cap allows gamma up to about 0.9997
+ORACLE_TOL = 1e-10
 MAX_ORACLE_SWEEPS = 100_000
+# RM-graph value iteration: stops below RM_TOL, raises after MAX_RM_SWEEPS
+RM_TOL = 1e-12
+MAX_RM_SWEEPS = 1_000_000
 # slack on both composition bounds, for floating-point noise in the oracle
 BOUND_TOL = 1e-9
 
@@ -78,15 +82,14 @@ def rm_value_iteration(
     rm: RewardMachine,
     gamma_rm: float,
     gamma: float,
-    tol: float = 1e-12,
-    max_iters: int = 1_000_000,
 ) -> RmStateValues:
     """Fixed point of v(u) = max over non-self edges of
     r_self(u)*(1-gamma_rm)/gamma + gamma_rm*(r + v(u')).
 
     Terminals are pinned at 0. A non-terminal state whose only explicit
     edges are self-loops is a dead end valued r_self(u)/(1-gamma); a
-    non-terminal state with no explicit edges at all is an error.
+    non-terminal state with no explicit edges at all is an error. Raises
+    if the sweeps have not converged after MAX_RM_SWEEPS.
     """
     if not (0.0 < gamma_rm < 1.0):
         raise ValueError("gamma_rm must lie in (0, 1)")
@@ -104,7 +107,7 @@ def rm_value_iteration(
             dead_ends.append(u)
             v[u] = r_self[u] / (1.0 - gamma)
     residual = np.inf
-    for _ in range(max_iters):
+    for _ in range(MAX_RM_SWEEPS):
         residual = 0.0
         for u in range(rm.num_states):
             if rm.is_terminal(u) or u in dead_ends:
@@ -115,8 +118,12 @@ def rm_value_iteration(
             )
             residual = max(residual, abs(best - v[u]))
             v[u] = best
-        if residual < tol:
+        if residual < RM_TOL:
             break
+    else:
+        raise RuntimeError(
+            f"RM state values did not converge in {MAX_RM_SWEEPS} sweeps (residual {residual:.3g})"
+        )
     return RmStateValues(v, gamma_rm, gamma, residual)
 
 
@@ -258,7 +265,6 @@ def exact_product_values(
     cfg: GridConfig,
     rm: RewardMachine,
     gamma: float,
-    tol: float = 1e-10,
     max_states: int = 2_000_000,
 ) -> ProductValueTable:
     """Exact optimal values of the product MDP under the ground-truth labelling.
@@ -316,7 +322,7 @@ def exact_product_values(
         v_new[terminal_mask] = 0.0
         residual = float(np.abs(v_new - v).max())
         v = v_new
-        if residual <= tol:
+        if residual <= ORACLE_TOL:
             break
     else:
         raise RuntimeError(

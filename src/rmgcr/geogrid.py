@@ -9,7 +9,7 @@ generator produces labelled trajectories for offline grounding.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,6 +29,10 @@ Cell = tuple[int, int]
 
 class InfeasibleConfigError(ValueError):
     pass
+
+
+class InconsistentLabelError(ValueError):
+    """A dataset gives one observation two different labels."""
 
 
 # one of each colour x shape, laid out so the subgoal cycle is walkable
@@ -99,7 +103,6 @@ class GridState:
     height: int
     agent: Cell
     placements: tuple[tuple[str, str, Cell], ...]  # (color, shape, cell)
-    step_count: int = 0
 
 
 def reset(cfg: GridConfig, seed: Optional[int] = None) -> GridState:
@@ -139,7 +142,7 @@ def step(s: GridState, action: int) -> GridState:
     r, c = s.agent[0] + dr, s.agent[1] + dc
     if not (0 <= r < s.height and 0 <= c < s.width):
         r, c = s.agent
-    return replace(s, agent=(r, c), step_count=s.step_count + 1)
+    return GridState(s.width, s.height, (r, c), s.placements)
 
 
 def true_label(s: GridState) -> frozenset[str]:
@@ -161,7 +164,7 @@ def encode_obs(s: GridState) -> np.ndarray:
 
 
 def decode_obs(obs: np.ndarray) -> GridState:
-    """Inverse of encode_obs (step_count is not encoded and reads 0)."""
+    """Inverse of encode_obs."""
     height, width, _ = obs.shape
     agent_cells = np.argwhere(obs[:, :, CHANNELS.index("agent")] == 1)
     if len(agent_cells) != 1:
@@ -182,12 +185,14 @@ def decode_obs(obs: np.ndarray) -> GridState:
 def cell_states(cfg: GridConfig) -> dict[Cell, GridState]:
     """reset(cfg) with the agent moved to each cell in turn, keyed by cell in row-major order.
 
-    On a fixed layout these are all the states the grid can be in (up to
-    step_count); encode_obs of each is the observation with the agent there.
+    On a fixed layout these are all the states the grid can be in;
+    encode_obs of each is the observation with the agent there.
     """
     base = reset(cfg)
     return {
-        (r, c): replace(base, agent=(r, c)) for r in range(cfg.height) for c in range(cfg.width)
+        (r, c): GridState(base.width, base.height, (r, c), base.placements)
+        for r in range(cfg.height)
+        for c in range(cfg.width)
     }
 
 
@@ -215,11 +220,42 @@ class GroundingDataset:
     trajectories: list[Trajectory]
     meta: dict = field(default_factory=dict)
 
-    def transitions(self):
-        """Yield (obs, label, action, next_obs, next_label) across all trajectories."""
+    def interned(self) -> "InternedDataset":
+        """The dataset with each distinct observation numbered once; see InternedDataset."""
+        view = InternedDataset([], [], [], [])
+        by_key: dict = {}
         for tr in self.trajectories:
-            for t, a in enumerate(tr.actions):
-                yield tr.observations[t], tr.labels[t], a, tr.observations[t + 1], tr.labels[t + 1]
+            ids = []
+            for obs, label in zip(tr.observations, tr.labels):
+                key = obs_key(obs)
+                i = by_key.get(key)
+                if i is None:
+                    i = by_key[key] = len(view.keys)
+                    view.keys.append(key)
+                    view.observations.append(obs)
+                    view.labels.append(label)
+                elif view.labels[i] != label:
+                    raise InconsistentLabelError(
+                        f"an observation is labelled both {sorted(view.labels[i])} and {sorted(label)}"
+                    )
+                ids.append(i)
+            view.trajectory_ids.append(ids)
+        return view
+
+
+@dataclass
+class InternedDataset:
+    """A dataset's distinct observations, numbered by dense id in order of first appearance.
+
+    Per id: its key, observation and label. Per trajectory: the id of
+    every step, so trajectory_ids[t][k] is the id of observation k of
+    trajectory t.
+    """
+
+    keys: list[bytes]
+    observations: list[np.ndarray]
+    labels: list[frozenset[str]]
+    trajectory_ids: list[list[int]]
 
 
 def generate_dataset(

@@ -11,17 +11,24 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .geogrid import GroundingDataset, label_frequencies, obs_key
+from .geogrid import GroundingDataset, obs_key
 from .logic import Literal
 
 N_ACTIONS = 4
 
 FEATURE_MAP_VERSION = 1
+
+# full-batch gradient descent of the linear label fit
+LABEL_LR = 1.0
+LABEL_EPOCHS = 300
+# FQI stops once no Q-value (or weight) moves by this much in a sweep
+FQI_TOL = 1e-9
 
 
 class DegenerateAtomError(ValueError):
@@ -94,21 +101,16 @@ def predict_labels(model: LabelModel, obs: np.ndarray) -> frozenset[str]:
     return frozenset(a for a, s in zip(model.vocab, scores) if s >= model.threshold)
 
 
-def _check_degenerate(ds: GroundingDataset) -> None:
-    if not any(tr.labels for tr in ds.trajectories):
-        freqs = dict.fromkeys(ds.vocab, 0.0)  # no steps: no atom ever holds
-    else:
-        freqs = label_frequencies(ds)
-    for a, freq in freqs.items():
-        if freq in (0.0, 1.0):
+def _check_degenerate(vocab, labels) -> None:
+    """Raise for the first atom that takes one truth value (or none) over labels."""
+    for a in vocab:
+        if len({a in label for label in labels}) < 2:
             raise DegenerateAtomError(a)
 
 
 def train_label_model(
     ds: GroundingDataset,
     backend: str = "linear",
-    lr: float = 1.0,
-    epochs: int = 300,
     holdout_fraction: float = 0.1,
     threshold: float = 0.5,
     seed: int = 0,
@@ -120,49 +122,45 @@ def train_label_model(
     measured on a trailing trajectory split and stored on the model; when
     the split holds out no trajectory (holdout_fraction 0, or too few
     trajectories), it is training accuracy and accuracy_split says "train".
+    Features and predictions are computed once per distinct observation;
+    the fit and the accuracy count every row.
     """
-    _check_degenerate(ds)
+    if not (0.0 <= holdout_fraction < 1.0):
+        raise ValueError("holdout_fraction must lie in [0, 1)")
+    view = ds.interned()
+    _check_degenerate(ds.vocab, view.labels)
     n_holdout = int(len(ds.trajectories) * holdout_fraction)
-    train_trs = ds.trajectories[: len(ds.trajectories) - n_holdout] if n_holdout else ds.trajectories
-    eval_trs = ds.trajectories[len(ds.trajectories) - n_holdout:] if n_holdout else ds.trajectories
+    n_train = len(ds.trajectories) - n_holdout
+    train_ids = [i for ids in view.trajectory_ids[:n_train] for i in ids]
+    eval_ids = [i for ids in view.trajectory_ids[n_train:] for i in ids] if n_holdout else train_ids
+    y = np.array([[1.0 if a in lab else 0.0 for a in ds.vocab] for lab in view.labels])
 
     if backend == "tabular":
-        table: dict = {}
-        for tr in train_trs:
-            for obs, lab in zip(tr.observations, tr.labels):
-                table[obs_key(obs)] = np.array([1.0 if a in lab else 0.0 for a in ds.vocab])
+        table = {view.keys[i]: y[i] for i in dict.fromkeys(train_ids)}
         model = LabelModel(ds.vocab, "tabular", threshold=threshold, table=table)
     elif backend == "linear":
-        xs = []
-        ys = []
-        for tr in train_trs:
-            for obs, lab in zip(tr.observations, tr.labels):
-                xs.append(observation_features(obs))
-                ys.append([1.0 if a in lab else 0.0 for a in ds.vocab])
-        x = np.asarray(xs)
-        y = np.asarray(ys)
+        features = np.array([observation_features(obs) for obs in view.observations])
+        x = features[train_ids]  # one row per step, as the fit weighs steps
+        y_rows = y[train_ids]
         n, d = x.shape
         rng = np.random.default_rng(seed)
         w = rng.normal(scale=0.01, size=(len(ds.vocab), d))
         b = np.zeros(len(ds.vocab))
-        for _ in range(epochs):
+        for _ in range(LABEL_EPOCHS):
             p = _sigmoid(x @ w.T + b)  # (n, atoms)
-            grad = (p - y) / n
-            w -= lr * grad.T @ x
-            b -= lr * grad.sum(axis=0)
+            grad = (p - y_rows) / n
+            w -= LABEL_LR * grad.T @ x
+            b -= LABEL_LR * grad.sum(axis=0)
         model = LabelModel(ds.vocab, "linear", threshold=threshold, weights=w, bias=b)
     else:
         raise ValueError(f"unknown backend {backend!r}")
 
     correct = {a: 0 for a in ds.vocab}
-    total = 0
-    for tr in eval_trs:
-        for obs, lab in zip(tr.observations, tr.labels):
-            pred = predict_labels(model, obs)
-            total += 1
-            for a in ds.vocab:
-                correct[a] += (a in pred) == (a in lab)
-    model.holdout_accuracy = {a: correct[a] / total for a in ds.vocab}
+    for i, rows in Counter(eval_ids).items():
+        pred = predict_labels(model, view.observations[i])
+        for a in ds.vocab:
+            correct[a] += rows * ((a in pred) == (a in view.labels[i]))
+    model.holdout_accuracy = {a: correct[a] / len(eval_ids) for a in ds.vocab}
     model.accuracy_split = "holdout" if n_holdout else "train"
     return model
 
@@ -228,31 +226,10 @@ class PvfSet:
         return tuple(self.estimators)
 
 
-def _indexed_transitions(ds: GroundingDataset):
-    """Deduplicate observations; return key index arrays for vectorized sweeps."""
-    keys: dict = {}
-    labels_by_idx: list = []
-
-    def index_of(obs, label):
-        k = obs_key(obs)
-        if k not in keys:
-            keys[k] = len(keys)
-            labels_by_idx.append(label)
-        return keys[k]
-
-    src, act, dst = [], [], []
-    for obs, lab, a, obs2, lab2 in ds.transitions():
-        src.append(index_of(obs, lab))
-        act.append(a)
-        dst.append(index_of(obs2, lab2))
-    return keys, labels_by_idx, np.array(src), np.array(act), np.array(dst)
-
-
 def train_pvfs_fqi(
     ds: GroundingDataset,
     gamma: float,
     iters: int = 200,
-    tol: float = 1e-9,
     backend: str = "tabular",
 ) -> PvfSet:
     """Fitted Q-iteration per literal on the dataset's transitions.
@@ -260,28 +237,30 @@ def train_pvfs_fqi(
     The one-step target for a transition whose next label satisfies the
     literal is gamma (reward and termination both fire on the next
     label); otherwise gamma times the bootstrapped next value. Missing
-    entries read as 0.
+    entries read as 0; observations met in no transition get no tabular
+    entry.
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")
-    keys, labels_by_idx, src, act, dst = _indexed_transitions(ds)
-    n_states = len(keys)
-    key_list = list(keys)
+    view = ds.interned()
+    n_states = len(view.keys)
+    src, act, dst = [], [], []
+    for tr, ids in zip(ds.trajectories, view.trajectory_ids):
+        src += ids[:-1]
+        act += tr.actions
+        dst += ids[1:]
+    src, act, dst = (np.array(c, dtype=np.int64) for c in (src, act, dst))
+    in_transition = dict.fromkeys(i for pair in zip(src.tolist(), dst.tolist()) for i in pair)
 
     if backend == "linear":
-        all_feats = [None] * n_states
-        for obs, lab, a, obs2, lab2 in ds.transitions():
-            for o in (obs, obs2):
-                idx = keys[obs_key(o)]
-                if all_feats[idx] is None:
-                    all_feats[idx] = observation_features(o)
-        feats = np.asarray(all_feats)
+        feats = np.array([observation_features(obs) for obs in view.observations])
 
     estimators = {}
     for atom in ds.vocab:
         for positive in (True, False):
             lit = (atom, positive)
-            sat_next = np.array([literal_satisfied(lit, labels_by_idx[i]) for i in dst], dtype=bool)
+            sat = np.array([literal_satisfied(lit, label) for label in view.labels], dtype=bool)
+            sat_next = sat[dst]
             residual = np.inf
             if backend == "tabular":
                 q = np.zeros((n_states, N_ACTIONS))
@@ -295,9 +274,10 @@ def train_pvfs_fqi(
                     q_new = np.divide(q_new, counts, out=np.zeros_like(q_new), where=counts > 0)
                     residual = float(np.abs(q_new - q).max())
                     q = q_new
-                    if residual < tol:
+                    if residual < FQI_TOL:
                         break
-                est = TabularPvf(gamma, dict(zip(key_list, q.max(axis=1).tolist())))
+                v = q.max(axis=1).tolist()
+                est = TabularPvf(gamma, {view.keys[i]: v[i] for i in in_transition})
             else:
                 w = np.zeros((N_ACTIONS, feats.shape[1]))
                 for it in range(iters):
@@ -310,10 +290,10 @@ def train_pvfs_fqi(
                             w_new[a], *_ = np.linalg.lstsq(feats[src[mask]], target[mask], rcond=None)
                     residual = float(np.abs(w_new - w).max())
                     w = w_new
-                    if residual < tol:
+                    if residual < FQI_TOL:
                         break
                 est = LinearPvf(gamma, w)
-            if residual >= tol:
+            if residual >= FQI_TOL:
                 warnings.warn(
                     f"PVF for literal {lit} did not converge (residual {residual:.3g})",
                     NonConvergenceWarning,
@@ -337,19 +317,19 @@ def train_pvfs_mc(ds: GroundingDataset, gamma: float) -> PvfSet:
     """Monte-Carlo regression of discounted first-satisfaction returns (tabular)."""
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")
+    view = ds.interned()
     estimators = {}
     for atom in ds.vocab:
         for positive in (True, False):
             lit = (atom, positive)
-            sums: dict = {}
+            sums: dict = {}  # id -> sum of targets
             counts: dict = {}
-            for tr in ds.trajectories:
+            for tr, ids in zip(ds.trajectories, view.trajectory_ids):
                 targets = mc_targets(tr.labels, lit, gamma)
-                for obs, tgt in zip(tr.observations[:-1], targets[:-1]):
-                    k = obs_key(obs)
-                    sums[k] = sums.get(k, 0.0) + tgt
-                    counts[k] = counts.get(k, 0) + 1
-            v = {k: sums[k] / counts[k] for k in sums}
+                for i, tgt in zip(ids[:-1], targets[:-1]):
+                    sums[i] = sums.get(i, 0.0) + tgt
+                    counts[i] = counts.get(i, 0) + 1
+            v = {view.keys[i]: sums[i] / counts[i] for i in sums}
             estimators[lit] = TabularPvf(gamma, v)
     return PvfSet(ds.vocab, gamma, "mc", estimators)
 

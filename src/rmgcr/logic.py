@@ -14,6 +14,9 @@ ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
 _KEYWORDS = {"true", "false"}
 
+# to_dnf refuses formulas whose distribution yields more clauses than this
+MAX_DNF_CLAUSES = 4096
+
 
 def check_vocab(vocab: Iterable[str]) -> tuple[str, ...]:
     """Validate a vocabulary of atom names; returns it as a tuple."""
@@ -304,13 +307,13 @@ def _merge_clauses(a: Clause, b: Clause) -> Clause | None:
     return tuple(sorted(merged.items()))
 
 
-def to_dnf(f: Formula, max_clauses: int = 4096):
+def to_dnf(f: Formula):
     """Normalize to DNF via negation-pushing and distribution.
 
     Returns a DnfFormula, or TRUE/FALSE for formulas equivalent to a
     constant at the structural level (contradictory clauses are deleted;
     no further minimization is performed). Raises ClauseLimitExceeded if
-    distribution produces more than max_clauses clauses.
+    distribution produces more than MAX_DNF_CLAUSES clauses.
     """
     nnf = _to_nnf(f, negate=False)
     if isinstance(nnf, TrueConst):
@@ -327,8 +330,8 @@ def to_dnf(f: Formula, max_clauses: int = 4096):
             out = []
             for c in node.children:
                 out.extend(clauses_of(c))
-                if len(out) > max_clauses:
-                    raise ClauseLimitExceeded(f"more than {max_clauses} clauses")
+                if len(out) > MAX_DNF_CLAUSES:
+                    raise ClauseLimitExceeded(f"more than {MAX_DNF_CLAUSES} clauses")
             return out
         if isinstance(node, And):
             acc: list[Clause] = [()]
@@ -339,8 +342,8 @@ def to_dnf(f: Formula, max_clauses: int = 4096):
                         merged = _merge_clauses(left, right)
                         if merged is not None:
                             nxt.append(merged)
-                if len(nxt) > max_clauses:
-                    raise ClauseLimitExceeded(f"more than {max_clauses} clauses")
+                if len(nxt) > MAX_DNF_CLAUSES:
+                    raise ClauseLimitExceeded(f"more than {MAX_DNF_CLAUSES} clauses")
                 acc = nxt
             return acc
         raise TypeError(f"unexpected NNF node: {node!r}")

@@ -20,9 +20,9 @@ from rmgcr.compose import (
 )
 from rmgcr.geogrid import cell_states, encode_obs
 from rmgcr.logic import DnfFormula, Not, Var, evaluate as eval_formula, to_dnf
-from rmgcr.rm import reachability_rm, run_rm
+from rmgcr.rm import all_assignments, reachability_rm, run_rm
 from conftest import GAMMA, GAMMA_RM
-from test_logic import all_assignments, random_formula
+from test_logic import random_formula
 
 GEO = ("red", "green", "blue", "triangle", "circle")
 

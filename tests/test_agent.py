@@ -245,7 +245,7 @@ class TestEpisodesToThreshold:
 
     def test_window_mean(self):
         values = [0.0] * 30 + [1.0] * 30
-        got = episodes_to_threshold(self._report(values), 0.95, window=20)
+        got = episodes_to_threshold(self._report(values), 0.95)
         # 1-based index of the first episode whose trailing 20 contain 19 ones
         assert got == 49
 

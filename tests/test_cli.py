@@ -84,6 +84,15 @@ class TestGround:
         code = main(["ground", "--dataset", str(empty), "--out", str(tmp_path / "models")])
         assert code == 3
 
+    def test_observation_labelled_two_ways_is_validation_error(self, pipeline, tmp_path):
+        header, first, *rest = pipeline["dataset"].read_text().splitlines()
+        record = json.loads(first)
+        record["labels"][0] = [] if record["labels"][0] else ["red"]
+        bad = tmp_path / "relabelled.jsonl"
+        bad.write_text("\n".join([header, first, *rest, json.dumps(record)]) + "\n")
+        code = main(["ground", "--dataset", str(bad), "--out", str(tmp_path / "models")])
+        assert code == 3
+
     def test_out_dir_env_override(self, pipeline, tmp_path, monkeypatch):
         target = tmp_path / "redirected"
         monkeypatch.setenv("RMGCR_OUT_DIR", str(target))
@@ -103,23 +112,38 @@ class TestGround:
         assert json.loads((out / "pvfs.json").read_text())["method"] == "mc"
 
 
-class TestComposeEval:
-    def test_csv_contents(self, pipeline, tmp_path):
-        out = tmp_path / "composed.csv"
+class TestOracle:
+    def test_models_csv_contents(self, pipeline, tmp_path):
+        out = tmp_path / "oracle.csv"
         code = main(
-            ["compose-eval", "--rm", SEQUENCE, "--models", str(pipeline["models"]), "--out", str(out)]
+            ["oracle", "--rm", SEQUENCE, "--models", str(pipeline["models"]), "--out", str(out)]
         )
         assert code == 0
         with open(out) as fh:
-            rows = list(csv.DictReader(fh))
+            rows = [row for row in csv.DictReader(fh) if row["composed"]]
         assert len(rows) == 6 * 6 * 3  # cells x non-terminal RM states
         for row in rows:
             assert abs(float(row["composed"]) - float(row["exact"])) == pytest.approx(
                 float(row["abs_deviation"])
             )
 
+    def test_models_print_max_deviation(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "oracle.csv"
+        argv = ["oracle", "--rm", SEQUENCE, "--models", str(pipeline["models"])]
+        assert main(argv + ["--out", str(out)]) == 0
+        with open(out) as fh:
+            worst = max(float(row["abs_deviation"]) for row in csv.DictReader(fh) if row["composed"])
+        capsys.readouterr()
+        assert main(argv) == 0  # no --out: the deviation is still reported
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"max absolute deviation from the exact oracle: {worst:.6f}"
+        assert lines[-1] == "bounds PASS"
 
-class TestOracle:
+    def test_no_models_no_deviation(self, capsys):
+        assert main(["oracle", "--rm", SEQUENCE]) == 0
+        assert "deviation" not in capsys.readouterr().out
+
+
     def test_bounds_pass(self, pipeline, tmp_path, capsys):
         out = tmp_path / "oracle.csv"
         code = main(

@@ -105,6 +105,12 @@ class TestRmValueIteration:
         with pytest.raises(ValueError):
             rm_value_iteration(sequence_rm, 0.5, 1.0)
 
+    def test_sweep_cap_raises(self, loop_rm, monkeypatch):
+        # at gamma_rm 0.999 the residual shrinks by about 0.1 % a sweep
+        monkeypatch.setattr(compose, "MAX_RM_SWEEPS", 50)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            rm_value_iteration(loop_rm, 0.999, 0.97)
+
     def test_high_level_potential(self, sequence_rm):
         vals = rm_value_iteration(sequence_rm, gamma_rm=0.5, gamma=0.97)
         assert vals[1] == pytest.approx(0.125, abs=1e-9)

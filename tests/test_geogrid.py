@@ -6,6 +6,8 @@ from rmgcr.geogrid import (
     CHANNELS,
     VOCAB,
     GridConfig,
+    GroundingDataset,
+    InconsistentLabelError,
     InfeasibleConfigError,
     ObjectSpec,
     Trajectory,
@@ -84,22 +86,21 @@ class TestReset:
 class TestStep:
     def test_boundary_no_op(self, desk_cfg):
         s = reset(desk_cfg, seed=0)
-        s = s.__class__(s.width, s.height, (0, 0), s.placements, s.step_count)
+        s = s.__class__(s.width, s.height, (0, 0), s.placements)
         assert step(s, 0).agent == (0, 0)  # up off-grid
         assert step(s, 2).agent == (0, 0)  # left off-grid
 
     def test_moves(self, desk_cfg):
         s = reset(desk_cfg, seed=0)
-        s = s.__class__(s.width, s.height, (3, 3), s.placements, 0)
+        s = s.__class__(s.width, s.height, (3, 3), s.placements)
         assert step(s, 3).agent == (3, 4)
         assert step(s, 1).agent == (4, 3)
 
     def test_inverse_moves_return_home(self, desk_cfg):
         s = reset(desk_cfg, seed=0)
-        s = s.__class__(s.width, s.height, (3, 3), s.placements, 0)
+        s = s.__class__(s.width, s.height, (3, 3), s.placements)
         out = step(step(step(step(s, 0), 1), 2), 3)
         assert out.agent == s.agent
-        assert out.step_count == 4
 
     def test_objects_static(self, desk_cfg):
         s = reset(desk_cfg, seed=0)
@@ -109,17 +110,17 @@ class TestStep:
 class TestLabels:
     def test_on_red_triangle(self, desk_cfg):
         s = reset(desk_cfg)
-        s = s.__class__(s.width, s.height, (0, 0), s.placements, 0)
+        s = s.__class__(s.width, s.height, (0, 0), s.placements)
         assert true_label(s) == frozenset({"red", "triangle"})
 
     def test_empty_cell(self, desk_cfg):
         s = reset(desk_cfg)
-        s = s.__class__(s.width, s.height, (3, 0), s.placements, 0)
+        s = s.__class__(s.width, s.height, (3, 0), s.placements)
         assert true_label(s) == frozenset()
 
     def test_blue_circle(self, desk_cfg):
         s = reset(desk_cfg)
-        s = s.__class__(s.width, s.height, (2, 4), s.placements, 0)
+        s = s.__class__(s.width, s.height, (2, 4), s.placements)
         assert true_label(s) == frozenset({"blue", "circle"})
 
 
@@ -218,3 +219,26 @@ class TestDataset:
             Trajectory(obs, [], [frozenset(), frozenset()])
         with pytest.raises(ValueError):
             Trajectory(obs, [0], [frozenset()])
+
+
+class TestInterned:
+    def test_ids_follow_first_appearance(self, desk_cfg):
+        ds = generate_dataset(desk_cfg, 4, seed=6)
+        view = ds.interned()
+        first_seen = list(dict.fromkeys(obs_key(o) for tr in ds.trajectories for o in tr.observations))
+        assert view.keys == first_seen
+        assert len(view.observations) == len(view.labels) == len(first_seen)
+        for tr, ids in zip(ds.trajectories, view.trajectory_ids):
+            assert len(ids) == len(tr.observations)
+            for obs, label, i in zip(tr.observations, tr.labels, ids):
+                assert np.array_equal(view.observations[i], obs)
+                assert view.keys[i] == obs_key(obs) and view.labels[i] == label
+
+    def test_observation_labelled_two_ways_is_rejected(self, desk_cfg):
+        obs = encode_obs(reset(desk_cfg))
+        ds = GroundingDataset(VOCAB, [
+            Trajectory([obs], [], [frozenset()]),
+            Trajectory([obs], [], [frozenset({"red"})]),
+        ])
+        with pytest.raises(InconsistentLabelError):
+            ds.interned()

@@ -8,18 +8,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rmgcr import ground
 from rmgcr.geogrid import (
     COLORS,
     SHAPES,
     VOCAB,
     GridConfig,
     GroundingDataset,
+    InconsistentLabelError,
     ObjectSpec,
     Trajectory,
     cell_states,
     encode_obs,
     full_coverage_dataset,
     generate_dataset,
+    obs_key,
     reset,
     step,
     true_label,
@@ -106,6 +109,55 @@ class TestLabelModel:
         pred = predict_labels(desk_label_model, obs)
         assert pred <= set(desk_label_model.vocab)
 
+    def test_holdout_fraction_validation(self, desk_cfg):
+        ds = generate_dataset(desk_cfg, 5, seed=3)
+        for bad in (-0.1, 1.0):
+            with pytest.raises(ValueError):
+                train_label_model(ds, holdout_fraction=bad)
+
+    def test_features_and_predictions_once_per_distinct_observation(self, desk_cfg, monkeypatch):
+        ds = generate_dataset(desk_cfg, 40, seed=2)  # 2440 rows, 36 observations
+        held_out = ds.trajectories[36:]  # the trailing 10 %
+        rows = sum(len(tr.observations) for tr in held_out)
+        distinct = len({obs_key(o) for tr in ds.trajectories for o in tr.observations})
+        distinct_held_out = len({obs_key(o) for tr in held_out for o in tr.observations})
+        counts = {"observation_features": 0, "predict_labels": 0}
+        for name in counts:
+            original = getattr(ground, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(ground, name, counted)
+        model = train_label_model(ds)
+        # the fit featurizes each observation once; scoring the held-out
+        # trajectories featurizes and predicts each of their observations once
+        assert counts == {
+            "observation_features": distinct + distinct_held_out,
+            "predict_labels": distinct_held_out,
+        }
+        assert distinct_held_out < rows
+        assert model.accuracy_split == "holdout"
+
+    def test_accuracy_counts_rows_not_observations(self, desk_cfg):
+        states = cell_states(desk_cfg)
+        empty, on_red = encode_obs(states[(3, 1)]), encode_obs(states[(0, 0)])
+        train_cells = [(3, 1), (4, 2), (0, 4)]  # empty, green circle, blue triangle
+        train = Trajectory(
+            [encode_obs(states[c]) for c in train_cells],
+            [0, 0],
+            [true_label(states[c]) for c in train_cells],
+        )
+        red = frozenset({"red", "triangle"})
+        held_out = Trajectory([on_red] * 3 + [empty], [0, 0, 0], [red] * 3 + [frozenset()])
+        ds = GroundingDataset(VOCAB, [train, held_out])
+        # the table never saw on_red, so it predicts no atoms on 3 of the 4 held-out rows
+        model = train_label_model(ds, backend="tabular", holdout_fraction=0.5)
+        assert model.holdout_accuracy == {
+            "red": 0.25, "green": 1.0, "blue": 1.0, "triangle": 0.25, "circle": 1.0
+        }
+
     def test_unknown_backend(self, desk_cfg):
         ds = generate_dataset(desk_cfg, 5, seed=3)
         with pytest.raises(ValueError):
@@ -119,6 +171,30 @@ class TestLabelModel:
         assert predict_labels(back, obs) == predict_labels(desk_label_model, obs)
         assert back.holdout_accuracy == desk_label_model.holdout_accuracy
         assert back.accuracy_split == desk_label_model.accuracy_split
+
+
+def relabelled_dataset(cfg):
+    """A random-walk dataset in which the first observation recurs with a different label."""
+    ds = generate_dataset(cfg, 20, seed=7)
+    first = ds.trajectories[0]
+    wrong = frozenset() if first.labels[0] else frozenset({"red"})
+    copy = Trajectory(first.observations, first.actions, [wrong] + first.labels[1:])
+    return GroundingDataset(ds.vocab, ds.trajectories + [copy])
+
+
+@pytest.mark.parametrize(
+    "fit",
+    [
+        lambda ds: train_label_model(ds),
+        lambda ds: train_label_model(ds, backend="tabular"),
+        lambda ds: train_pvfs_fqi(ds, GAMMA),
+        lambda ds: train_pvfs_mc(ds, GAMMA),
+    ],
+    ids=["linear-labels", "tabular-labels", "fqi", "mc"],
+)
+def test_observation_labelled_two_ways_is_rejected(desk_cfg, fit):
+    with pytest.raises(InconsistentLabelError):
+        fit(relabelled_dataset(desk_cfg))
 
 
 class TestFqiCorridor:
@@ -171,6 +247,14 @@ class TestFqiExactness:
         ds = full_coverage_dataset(desk_cfg)
         with pytest.raises(ValueError):
             train_pvfs_fqi(ds, 1.0)
+
+    def test_observations_outside_transitions_get_no_entry(self, corridor_cfg):
+        ds = full_coverage_dataset(corridor_cfg)
+        alone = encode_obs(cell_states(corridor_cfg)[(0, 0)])
+        alone[0, 0, -1] = 0  # no agent: an observation no transition reaches
+        ds.trajectories.append(Trajectory([alone], [], [frozenset()]))
+        for pvfs in (train_pvfs_fqi(ds, GAMMA), train_pvfs_mc(ds, GAMMA)):
+            assert all(obs_key(alone) not in est.v for est in pvfs.estimators.values())
 
     def test_linear_backend_runs(self, corridor_cfg):
         ds = full_coverage_dataset(corridor_cfg)

@@ -21,14 +21,9 @@ from rmgcr.logic import (
     parse_formula,
     to_dnf,
 )
+from rmgcr.rm import all_assignments
 
 GEO = ("red", "green", "blue", "triangle", "circle")
-
-
-def all_assignments(atoms):
-    atoms = tuple(atoms)
-    for mask in range(1 << len(atoms)):
-        yield frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
 
 
 class TestVocab:
