@@ -73,20 +73,25 @@ class TrainReport:
 
 
 class GreedyPolicy:
-    """Greedy readout of a Q-table; unseen states fall back to action 0."""
+    """Greedy readout of a Q-table; unseen states fall back to action 0.
+
+    Given a set `unseen`, `action` adds to it each (key, u) it falls back on.
+    """
 
     def __init__(self, q: dict):
         self.q = q
 
-    def action(self, key, u: int, rng=None) -> int:
+    def action(self, key, u: int, rng=None, unseen: Optional[set] = None) -> int:
         entry = self.q.get((key, u))
         if entry is None:
+            if unseen is not None:
+                unseen.add((key, u))
             return 0
         return int(np.argmax(entry))
 
 
 class RandomPolicy:
-    def action(self, key, u: int, rng) -> int:
+    def action(self, key, u: int, rng, unseen: Optional[set] = None) -> int:
         return int(rng.integers(N_ACTIONS))
 
 
@@ -267,7 +272,9 @@ def evaluate(
 ) -> dict:
     """Ground-truth evaluation: rewards and termination from the true labelling.
 
-    Returns mean, standard error, and the per-episode undiscounted returns.
+    Returns mean, standard error, the per-episode undiscounted returns and
+    `unseen_policy_states`, the number of distinct (observation, RM state)
+    pairs where the policy had no entry and fell back to a default action.
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be positive")
@@ -275,6 +282,7 @@ def evaluate(
     table = StepTable(rm)
     rng = np.random.default_rng((seed, 0xE7A1))
     returns = []
+    unseen: set = set()
     for _ in range(n_episodes):
         i = index.intern(geogrid.reset(cfg, seed=int(rng.integers(2**63))))
         u = rm.initial
@@ -282,13 +290,18 @@ def evaluate(
         for _ in range(max_steps):
             if rm.is_terminal(u):
                 break
-            a = policy.action(index.keys[i], u, rng)
+            a = policy.action(index.keys[i], u, rng, unseen)
             i = index.successor(i, a)
             u, r, _ = table.step(u, index.true_masks[i])
             total += r
         returns.append(total)
     mean, stderr = mean_stderr(returns)
-    return {"mean": mean, "stderr": stderr, "returns": returns}
+    return {
+        "mean": mean,
+        "stderr": stderr,
+        "returns": returns,
+        "unseen_policy_states": len(unseen),
+    }
 
 
 def mean_stderr(values) -> tuple[float, float]:

@@ -229,6 +229,7 @@ def cmd_train(args) -> int:
             stats = agent.evaluate(
                 policy, cfg, rm, args.eval_episodes, seed=args.eval_seed, max_steps=args.max_steps
             )
+            _warn_unseen_policy_states(stats, f"{shaping} seed {seed}: ")
             per_seed.append(
                 {
                     "seed": seed,
@@ -244,6 +245,17 @@ def cmd_train(args) -> int:
         json.dump(summary, fh, sort_keys=True, indent=2)
     print(f"wrote reports to {out}")
     return 0
+
+
+def _warn_unseen_policy_states(stats: dict, prefix: str = "") -> None:
+    """One stderr warning when the evaluated policy fell back on states it has no entry for."""
+    unseen = stats["unseen_policy_states"]
+    if unseen:
+        print(
+            f"warning: {prefix}the policy has no entry for {unseen} (observation, RM state) "
+            f"pairs met in evaluation and took action 0 there",
+            file=sys.stderr,
+        )
 
 
 def save_policy(policy: agent.GreedyPolicy, path) -> None:
@@ -267,6 +279,7 @@ def cmd_eval(args) -> int:
     cfg = load_grid_config(args.env, {})
     policy = agent.RandomPolicy() if args.random else load_policy(args.policy)
     stats = agent.evaluate(policy, cfg, rm, args.episodes, seed=args.seed, max_steps=args.max_steps)
+    _warn_unseen_policy_states(stats)
     print(json.dumps({"mean": stats["mean"], "stderr": stats["stderr"]}, sort_keys=True))
     return 0
 

@@ -62,6 +62,11 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -60, 60)))
 
 
+def _linear_scores(weights: np.ndarray, bias: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Per-atom scores of the linear label model at one feature vector."""
+    return _sigmoid(weights @ f + bias)
+
+
 # ---------------------------------------------------------------------------
 # Labelling function
 
@@ -85,8 +90,7 @@ class LabelModel:
 
     def scores(self, obs: np.ndarray) -> np.ndarray:
         if self.backend == "linear":
-            f = observation_features(obs)
-            return _sigmoid(self.weights @ f + self.bias)
+            return _linear_scores(self.weights, self.bias, observation_features(obs))
         if self.unseen(obs):
             return np.zeros(len(self.vocab))
         return np.asarray(self.table[obs_key(obs)], dtype=np.float64)
@@ -117,13 +121,15 @@ def train_label_model(
 ) -> LabelModel:
     """Fit per-atom binary classifiers on the dataset's labelled observations.
 
-    Linear backend: full-batch gradient descent on binary cross-entropy.
-    Tabular backend: memorize observation -> label. Held-out accuracy is
-    measured on a trailing trajectory split and stored on the model; when
-    the split holds out no trajectory (holdout_fraction 0, or too few
-    trajectories), it is training accuracy and accuracy_split says "train".
-    Features and predictions are computed once per distinct observation;
-    the fit and the accuracy count every row.
+    Linear backend: full-batch gradient descent on binary cross-entropy,
+    run on one row per distinct training observation whose gradient is
+    weighted by its row count (the same objective and gradient as one row
+    per step). Tabular backend: memorize observation -> label. Held-out
+    accuracy is measured on a trailing trajectory split and stored on the
+    model; when the split holds out no trajectory (holdout_fraction 0, or
+    too few trajectories), it is training accuracy and accuracy_split says
+    "train". Features and scores are computed once per distinct
+    observation; the accuracy counts every row.
     """
     if not (0.0 <= holdout_fraction < 1.0):
         raise ValueError("holdout_fraction must lie in [0, 1)")
@@ -140,15 +146,17 @@ def train_label_model(
         model = LabelModel(ds.vocab, "tabular", threshold=threshold, table=table)
     elif backend == "linear":
         features = np.array([observation_features(obs) for obs in view.observations])
-        x = features[train_ids]  # one row per step, as the fit weighs steps
-        y_rows = y[train_ids]
-        n, d = x.shape
+        rows = Counter(train_ids)  # distinct ids in order of first appearance
+        ids = list(rows)
+        x, y_ids = features[ids], y[ids]
+        m = np.array(list(rows.values()), dtype=np.float64)[:, None]
+        n = len(train_ids)
         rng = np.random.default_rng(seed)
-        w = rng.normal(scale=0.01, size=(len(ds.vocab), d))
+        w = rng.normal(scale=0.01, size=(len(ds.vocab), x.shape[1]))
         b = np.zeros(len(ds.vocab))
         for _ in range(LABEL_EPOCHS):
-            p = _sigmoid(x @ w.T + b)  # (n, atoms)
-            grad = (p - y_rows) / n
+            p = _sigmoid(x @ w.T + b)  # (distinct ids, atoms)
+            grad = m * (p - y_ids) / n
             w -= LABEL_LR * grad.T @ x
             b -= LABEL_LR * grad.sum(axis=0)
         model = LabelModel(ds.vocab, "linear", threshold=threshold, weights=w, bias=b)
@@ -156,10 +164,13 @@ def train_label_model(
         raise ValueError(f"unknown backend {backend!r}")
 
     correct = {a: 0 for a in ds.vocab}
-    for i, rows in Counter(eval_ids).items():
-        pred = predict_labels(model, view.observations[i])
-        for a in ds.vocab:
-            correct[a] += rows * ((a in pred) == (a in view.labels[i]))
+    for i, count in Counter(eval_ids).items():
+        if backend == "linear":
+            scores = _linear_scores(w, b, features[i])
+        else:
+            scores = model.scores(view.observations[i])
+        for a, s in zip(ds.vocab, scores.tolist()):
+            correct[a] += count * ((s >= threshold) == (a in view.labels[i]))
     model.holdout_accuracy = {a: correct[a] / len(eval_ids) for a in ds.vocab}
     model.accuracy_split = "holdout" if n_holdout else "train"
     return model
@@ -252,8 +263,15 @@ def train_pvfs_fqi(
     src, act, dst = (np.array(c, dtype=np.int64) for c in (src, act, dst))
     in_transition = dict.fromkeys(i for pair in zip(src.tolist(), dst.tolist()) for i in pair)
 
-    if backend == "linear":
+    if backend == "tabular":
+        cells = src * N_ACTIONS + act  # flat (state, action) index of each transition
+        size = n_states * N_ACTIONS
+        counts = np.bincount(cells, minlength=size).reshape(n_states, N_ACTIONS)
+        visited = counts > 0
+    elif backend == "linear":
         feats = np.array([observation_features(obs) for obs in view.observations])
+    else:
+        raise ValueError(f"unknown backend {backend!r}")
 
     estimators = {}
     for atom in ds.vocab:
@@ -267,11 +285,9 @@ def train_pvfs_fqi(
                 for it in range(iters):
                     next_v = q[dst].max(axis=1)
                     target = gamma * np.where(sat_next, 1.0, next_v)
-                    q_new = np.zeros_like(q)
-                    counts = np.zeros_like(q)
-                    np.add.at(q_new, (src, act), target)
-                    np.add.at(counts, (src, act), 1.0)
-                    q_new = np.divide(q_new, counts, out=np.zeros_like(q_new), where=counts > 0)
+                    sums = np.bincount(cells, weights=target, minlength=size)
+                    sums = sums.reshape(n_states, N_ACTIONS)
+                    q_new = np.divide(sums, counts, out=np.zeros_like(q), where=visited)
                     residual = float(np.abs(q_new - q).max())
                     q = q_new
                     if residual < FQI_TOL:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -229,8 +231,45 @@ class TestEvaluate:
 
     def test_stats_shape(self, desk_cfg, sequence_rm):
         stats = evaluate(RandomPolicy(), desk_cfg, sequence_rm, n_episodes=5, seed=0)
-        assert set(stats) == {"mean", "stderr", "returns"}
+        assert set(stats) == {"mean", "stderr", "returns", "unseen_policy_states"}
         assert len(stats["returns"]) == 5
+        assert stats["unseen_policy_states"] == 0
+
+
+class TestUnseenPolicyStates:
+    class Recording:
+        """Forwards to a policy and records every (key, u) it is asked about."""
+
+        def __init__(self, policy):
+            self.policy = policy
+            self.met = set()
+
+        def action(self, key, u, rng, unseen=None):
+            self.met.add((key, u))
+            return self.policy.action(key, u, rng, unseen)
+
+    def test_counts_distinct_pairs_without_a_q_entry(self, desk_cfg, sequence_rm, desk_label_model):
+        agent_cfg = AgentConfig(episodes=150, seed=0)
+        policy, _ = train(desk_cfg, sequence_rm, desk_label_model, agent_cfg)
+        # the same objects, each one column to the right
+        shifted = replace(
+            desk_cfg,
+            objects=tuple(
+                replace(o, cell=(o.cell[0], (o.cell[1] + 1) % desk_cfg.width))
+                for o in desk_cfg.objects
+            ),
+        )
+        recording = self.Recording(policy)
+        stats = evaluate(recording, shifted, sequence_rm, n_episodes=20, seed=4)
+        missing = {pair for pair in recording.met if pair not in policy.q}
+        assert stats["unseen_policy_states"] == len(missing) > 0
+        # counting changes no action
+        assert stats["returns"] == evaluate(policy, shifted, sequence_rm, 20, seed=4)["returns"]
+
+    def test_empty_policy_falls_back_everywhere_once_per_pair(self, desk_cfg, sequence_rm):
+        recording = self.Recording(GreedyPolicy({}))
+        stats = evaluate(recording, desk_cfg, sequence_rm, n_episodes=5, seed=0)
+        assert stats["unseen_policy_states"] == len(recording.met) < 5 * 100
 
 
 class TestEpisodesToThreshold:

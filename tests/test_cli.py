@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from rmgcr.cli import main
+from rmgcr.geogrid import GridConfig, config_to_dict
 
 SEQUENCE = "tasks/sequence.rm"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -255,11 +256,34 @@ class TestTrainEval:
         train += ["--episodes", "5", "--eval-episodes", "1", "--out", str(tmp_path / "runs")]
         capsys.readouterr()
         assert main(train + ["--models", str(models)]) == 0
-        warnings = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning:")]
+        err = capsys.readouterr().err.splitlines()
+        warnings = [l for l in err if l.startswith("warning:") and "label model" in l]
         assert len(warnings) == 1 and "no entry for" in warnings[0]
-        # the linear label model scores every observation: no warning
+        # the linear label model scores every observation: no label warning
         assert main(train + ["--models", str(pipeline["models"])]) == 0
-        assert "warning" not in capsys.readouterr().err
+        assert "label model" not in capsys.readouterr().err
+
+    def test_policy_fallbacks_warn_on_stderr_only(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "runs"
+        train = ["train", "--rm", SEQUENCE, "--models", str(pipeline["models"]), "--out", str(out)]
+        train += ["--shaping", "none", "--episodes", "150", "--eval-episodes", "10"]
+        assert main(train) == 0
+        capsys.readouterr()
+        cfg = config_to_dict(GridConfig())
+        for obj in cfg["objects"]:  # every object one column to the right
+            obj[2] = [obj[2][0], (obj[2][1] + 1) % cfg["width"]]
+        shifted = tmp_path / "shifted.json"
+        shifted.write_text(json.dumps(cfg))
+        evaluate = ["eval", "--rm", SEQUENCE, "--env", str(shifted)]
+        # the random policy never falls back; the greedy one meets cells it never saw
+        greedy = ["--policy", str(out / "policy_none_seed0.json")]
+        for policy, warnings in (["--random"], 0), (greedy, 1):
+            assert main(evaluate + policy) == 0
+            captured = capsys.readouterr()
+            assert set(json.loads(captured.out)) == {"mean", "stderr"}
+            err = captured.err.splitlines()
+            assert len(err) == warnings
+            assert all(l.startswith("warning: the policy has no entry for") for l in err)
 
     def test_random_eval(self, capsys):
         code = main(["eval", "--rm", SEQUENCE, "--random", "--episodes", "10"])

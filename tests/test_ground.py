@@ -121,7 +121,7 @@ class TestLabelModel:
         rows = sum(len(tr.observations) for tr in held_out)
         distinct = len({obs_key(o) for tr in ds.trajectories for o in tr.observations})
         distinct_held_out = len({obs_key(o) for tr in held_out for o in tr.observations})
-        counts = {"observation_features": 0, "predict_labels": 0}
+        counts = {"observation_features": 0, "predict_labels": 0, "_linear_scores": 0}
         for name in counts:
             original = getattr(ground, name)
 
@@ -131,11 +131,12 @@ class TestLabelModel:
 
             monkeypatch.setattr(ground, name, counted)
         model = train_label_model(ds)
-        # the fit featurizes each observation once; scoring the held-out
-        # trajectories featurizes and predicts each of their observations once
+        # the fit featurizes each observation once, and the accuracy pass
+        # scores each held-out observation once from those features
         assert counts == {
-            "observation_features": distinct + distinct_held_out,
-            "predict_labels": distinct_held_out,
+            "observation_features": distinct,
+            "predict_labels": 0,
+            "_linear_scores": distinct_held_out,
         }
         assert distinct_held_out < rows
         assert model.accuracy_split == "holdout"
@@ -247,6 +248,10 @@ class TestFqiExactness:
         ds = full_coverage_dataset(desk_cfg)
         with pytest.raises(ValueError):
             train_pvfs_fqi(ds, 1.0)
+
+    def test_unknown_backend(self, corridor_cfg):
+        with pytest.raises(ValueError):
+            train_pvfs_fqi(full_coverage_dataset(corridor_cfg), GAMMA, backend="quadratic")
 
     def test_observations_outside_transitions_get_no_entry(self, corridor_cfg):
         ds = full_coverage_dataset(corridor_cfg)
@@ -373,6 +378,96 @@ def small_layouts(draw):
     kinds = draw(st.lists(kind, min_size=n, max_size=n))
     objects = tuple(ObjectSpec(color, shape, c) for (color, shape), c in zip(kinds, cells))
     return GridConfig(width=width, height=height, objects=objects, episode_len=6)
+
+
+def per_row_fit(ds, holdout_fraction, seed):
+    """The linear label fit by its definition: full-batch descent on one design row per step."""
+    n_train = len(ds.trajectories) - int(len(ds.trajectories) * holdout_fraction)
+    steps = [
+        (obs, label)
+        for tr in ds.trajectories[:n_train]
+        for obs, label in zip(tr.observations, tr.labels)
+    ]
+    x = np.array([observation_features(obs) for obs, _ in steps])
+    y = np.array([[float(a in label) for a in ds.vocab] for _, label in steps])
+    rng = np.random.default_rng(seed)
+    w = rng.normal(scale=0.01, size=(len(ds.vocab), x.shape[1]))
+    b = np.zeros(len(ds.vocab))
+    for _ in range(ground.LABEL_EPOCHS):
+        grad = (ground._sigmoid(x @ w.T + b) - y) / len(x)
+        w -= ground.LABEL_LR * grad.T @ x
+        b -= ground.LABEL_LR * grad.sum(axis=0)
+    return LabelModel(ds.vocab, "linear", weights=w, bias=b)
+
+
+def row_accuracy(model, trajectories):
+    """Per-atom share of the trajectories' rows that model labels right."""
+    rows = [(o, label) for tr in trajectories for o, label in zip(tr.observations, tr.labels)]
+    preds = [predict_labels(model, o) for o, _ in rows]
+    return {
+        a: sum((a in p) == (a in label) for p, (_, label) in zip(preds, rows)) / len(rows)
+        for a in model.vocab
+    }
+
+
+@st.composite
+def labelled_layouts(draw):
+    """Fixed 2-4 x 2-4 layouts of 3-4 objects showing every color and shape, with an empty cell.
+
+    So every atom holds on some cell and fails on another.
+    """
+    width = draw(st.integers(2, 4))
+    height = draw(st.integers(2, 4))
+    n = draw(st.integers(3, min(4, width * height - 1)))
+    cell = st.tuples(st.integers(0, height - 1), st.integers(0, width - 1))
+    cells = draw(st.lists(cell, min_size=n, max_size=n, unique=True))
+
+    def covering(pool):  # n values, each of pool at least once, in a drawn order
+        k = n - len(pool)
+        extra = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+        return draw(st.permutations(pool + tuple(extra)))
+
+    kinds = zip(covering(COLORS), covering(SHAPES), cells)
+    objects = tuple(ObjectSpec(color, shape, at) for color, shape, at in kinds)
+    return GridConfig(width=width, height=height, objects=objects, episode_len=6)
+
+
+class TestWeightedLabelFit:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        labelled_layouts(),
+        st.integers(0, 2**31 - 1),
+        st.lists(st.integers(0, 3), max_size=6),
+        st.sampled_from([0.25, 0.5]),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_per_row_descent(self, cfg, seed, repeats, holdout_fraction, order):
+        walks = generate_dataset(cfg, 4, seed=seed).trajectories
+        trajectories = full_coverage_dataset(cfg).trajectories + walks + [walks[i] for i in repeats]
+        order.shuffle(trajectories)
+        ds = GroundingDataset(VOCAB, trajectories)
+        model = train_label_model(ds, holdout_fraction=holdout_fraction, seed=seed)
+        reference = per_row_fit(ds, holdout_fraction, seed)
+        assert np.abs(model.weights - reference.weights).max() <= 1e-12
+        assert np.abs(model.bias - reference.bias).max() <= 1e-12
+        for state in cell_states(cfg).values():
+            obs = encode_obs(state)
+            assert predict_labels(model, obs) == predict_labels(reference, obs)
+        n_train = len(trajectories) - int(len(trajectories) * holdout_fraction)
+        assert model.accuracy_split == "holdout"
+        assert model.holdout_accuracy == row_accuracy(reference, trajectories[n_train:])
+        assert all(type(v) is float for v in model.holdout_accuracy.values())
+
+    def test_row_counts_weigh_the_fit(self, desk_cfg):
+        walks = generate_dataset(desk_cfg, 6, seed=5).trajectories
+        # the first walk five more times: the same distinct observations, other row counts
+        ds = GroundingDataset(VOCAB, walks + walks[:1] * 5)
+        model = train_label_model(ds, holdout_fraction=0.0)
+        reference = per_row_fit(ds, 0.0, 0)
+        assert np.abs(model.weights - reference.weights).max() <= 1e-12
+        assert np.abs(model.bias - reference.bias).max() <= 1e-12
+        once = train_label_model(GroundingDataset(VOCAB, walks), holdout_fraction=0.0)
+        assert np.abs(model.weights - once.weights).max() > 1e-6
 
 
 class TestPvfProperties:
