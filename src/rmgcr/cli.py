@@ -48,6 +48,7 @@ VALIDATION_ERRORS = (
     compose.NoOutgoingEdgeError,
     compose.UnsatisfiableGuardError,
     compose.StateSpaceTooLargeError,
+    compose.GammaRmTooLargeError,
 )
 
 
@@ -124,34 +125,28 @@ def cmd_ground(args) -> int:
     return 0
 
 
-def _product_values(cfg, rm, oracle, cvf):
-    """Yield (cell, u, exact, composed) over every cell and RM state, row-major.
-
-    composed is None at terminal RM states and when cvf is None.
-    """
-    for cell, state in geogrid.cell_states(cfg).items():
-        obs = geogrid.encode_obs(state)
-        for u in range(rm.num_states):
-            got = None
-            if cvf is not None and not rm.is_terminal(u):
-                got = compose.composed_value(cvf, obs, u)
-            yield cell, u, oracle.value_at(cell, u), got
-
-
 def cmd_oracle(args) -> int:
     rm = load_rm(args.rm)
     cfg = load_grid_config(args.env, {})
     oracle = compose.exact_product_values(cfg, rm, args.gamma, max_states=args.max_states)
-    cvf = None
+    graph = oracle.graph  # the layout, compiled once for every check below
+    exact = oracle.values.tolist()
+    composed = None
     if args.models:  # composed values need only the PVFs, not the label model
         pvfs = ground.load_pvfs(pathlib.Path(args.models) / "pvfs.json")
         cvf = compose.make_composed_value_fn(rm, pvfs, args.gamma_rm, gamma=args.gamma)
-    rows = list(_product_values(cfg, rm, oracle, cvf))
+        composed = compose.composed_table(cvf, graph).tolist()
+    # (cell, u, exact, composed) row-major; composed is None at terminal RM states
+    rows = [
+        (cell, u, exact[u][i], None if composed is None or rm.is_terminal(u) else composed[u][i])
+        for i, cell in enumerate(graph.cells)
+        for u in range(rm.num_states)
+    ]
     if args.out:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             header = ["row", "col", "rm_state", "exact"]
-            if cvf is not None:
+            if composed is not None:
                 header += ["composed", "abs_deviation"]
             writer.writerow(header)
             for (r, c), u, want, got in rows:
@@ -160,11 +155,11 @@ def cmd_oracle(args) -> int:
                     row += [f"{got:.10f}", f"{abs(got - want):.10f}"]
                 writer.writerow(row)
         print(f"wrote oracle table to {args.out}")
-    if cvf is not None:
+    if composed is not None:
         devs = [abs(got - want) for _, _, want, got in rows if got is not None]
         print(f"max absolute deviation from the exact oracle: {max(devs, default=0.0):.6f}")
     guards = [t.guard for t in rm.transitions if t.src != t.dst]
-    checks = compose.composition_bounds(cfg, rm.vocab, guards, args.gamma)
+    checks = compose.composition_bounds(graph, rm.vocab, guards, args.gamma)
     for check in checks:
         print(f"{check.kind} {check.guard!r}: {'PASS' if check.ok else 'FAIL'}")
     ok = all(check.ok for check in checks)

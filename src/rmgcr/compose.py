@@ -10,6 +10,11 @@ bootstrap for the next RM state.
 The DNF of a formula is not unique and logically equivalent DNFs can
 yield different composed values; this module values whatever DNF the
 normalizer produces.
+
+The brute-force checks (the exact product-MDP oracle, the composition
+bounds and the composed table that `oracle --models` compares with it)
+read a fixed layout through a `geogrid.CellGraph`: its cells, their
+successors and their true labels, computed once and then only read.
 """
 
 from __future__ import annotations
@@ -20,18 +25,20 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import geogrid
-from .geogrid import GridConfig
+from .geogrid import CellGraph, GridConfig, StateSpaceTooLargeError
 from .ground import PvfSet
-from .logic import Clause, DnfFormula, FalseConst, TrueConst, dnf_to_formula, evaluate, to_dnf
+from .logic import Clause, DnfFormula, FalseConst, TrueConst, clauses_hold, dnf_to_formula, to_dnf
 from .rm import RewardMachine, RmTransition, StepTable, label_mask, reachability_rm
 
 # exact oracle: reaching ORACLE_TOL takes about 23 / (1 - gamma) sweeps,
 # so the sweep cap allows gamma up to about 0.9997
 ORACLE_TOL = 1e-10
 MAX_ORACLE_SWEEPS = 100_000
-# RM-graph value iteration: stops below RM_TOL, raises after MAX_RM_SWEEPS
+# RM-graph value iteration: stops below RM_TOL, raises after MAX_RM_SWEEPS;
+# after RM_PROBE_SWEEPS it raises at once if the cap is out of reach
 RM_TOL = 1e-12
 MAX_RM_SWEEPS = 1_000_000
+RM_PROBE_SWEEPS = 10_000
 # slack on both composition bounds, for floating-point noise in the oracle
 BOUND_TOL = 1e-9
 
@@ -46,8 +53,8 @@ class UnsatisfiableGuardError(ValueError):
     pass
 
 
-class StateSpaceTooLargeError(ValueError):
-    pass
+class GammaRmTooLargeError(ValueError):
+    """gamma_rm is so close to 1 that the RM-graph sweeps cannot reach RM_TOL in MAX_RM_SWEEPS."""
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +97,13 @@ def rm_value_iteration(
     edges are self-loops is a dead end valued r_self(u)/(1-gamma); a
     non-terminal state with no explicit edges at all is an error. Raises
     if the sweeps have not converged after MAX_RM_SWEEPS.
+
+    A sweep updates each of its n states once, so it carries a change at
+    most n edges along the RM graph and shrinks the residual by at least a
+    factor gamma_rm**n. After RM_PROBE_SWEEPS unconverged sweeps, a residual
+    that even that rate would keep at or above RM_TOL until MAX_RM_SWEEPS
+    raises GammaRmTooLargeError at once. An acyclic RM converges within n
+    sweeps, long before the probe.
     """
     if not (0.0 < gamma_rm < 1.0):
         raise ValueError("gamma_rm must lie in (0, 1)")
@@ -106,12 +120,11 @@ def rm_value_iteration(
         if not _non_self_edges(rm, u):
             dead_ends.append(u)
             v[u] = r_self[u] / (1.0 - gamma)
+    swept = [u for u in range(rm.num_states) if not rm.is_terminal(u) and u not in dead_ends]
     residual = np.inf
-    for _ in range(MAX_RM_SWEEPS):
+    for sweep in range(1, MAX_RM_SWEEPS + 1):
         residual = 0.0
-        for u in range(rm.num_states):
-            if rm.is_terminal(u) or u in dead_ends:
-                continue
+        for u in swept:
             best = max(
                 r_self[u] * (1.0 - gamma_rm) / gamma + gamma_rm * (t.reward + v[t.dst])
                 for t in _non_self_edges(rm, u)
@@ -120,6 +133,14 @@ def rm_value_iteration(
             v[u] = best
         if residual < RM_TOL:
             break
+        if sweep == RM_PROBE_SWEEPS:
+            fastest = gamma_rm ** (len(swept) * (MAX_RM_SWEEPS - sweep))
+            if residual * fastest >= RM_TOL:
+                raise GammaRmTooLargeError(
+                    f"gamma_rm {gamma_rm!r} is too close to 1: the RM state values still change "
+                    f"by {residual:.3g} after {sweep} sweeps and cannot settle below {RM_TOL:g} "
+                    f"within {MAX_RM_SWEEPS} sweeps"
+                )
     else:
         raise RuntimeError(
             f"RM state values did not converge in {MAX_RM_SWEEPS} sweeps (residual {residual:.3g})"
@@ -202,13 +223,70 @@ def composed_value(cvf: ComposedValueFn, obs: np.ndarray, u: int) -> float:
         return r_self / (1.0 - cvf.gamma)
     best = None
     for t in edges:
-        fv = formula_value(cvf.pvfs, cvf._edge_dnfs[t], obs)
-        val = r_self * (1.0 - fv) / (1.0 - cvf.gamma) + fv * (
-            t.reward + cvf.gamma * cvf.rm_values.values[t.dst]
-        )
+        val = _option_value(cvf, r_self, formula_value(cvf.pvfs, cvf._edge_dnfs[t], obs), t)
         if best is None or val > best:
             best = val
     return float(best)
+
+
+def _option_value(cvf: ComposedValueFn, r_self: float, fv, t: RmTransition):
+    """Edge t taken as an option whose guard is valued fv (a float, or an array of them)."""
+    return r_self * (1.0 - fv) / (1.0 - cvf.gamma) + fv * (
+        t.reward + cvf.gamma * cvf.rm_values.values[t.dst]
+    )
+
+
+def _first_best(better, rows: list):
+    """Elementwise best of rows, keeping the earliest of equal values as Python's min and max do.
+
+    better is np.less for a min, np.greater for a max. Equal values
+    include 0.0 and -0.0, so the sign of a zero matches the scalar path.
+    """
+    out = rows[0]
+    for row in rows[1:]:
+        out = np.where(better(row, out), row, out)
+    return out
+
+
+def composed_table(cvf: ComposedValueFn, graph: CellGraph) -> np.ndarray:
+    """composed_value at every (RM state, cell) of a fixed layout, as an array indexed [u, cell].
+
+    Bit for bit equal to composed_value, signed zeros included: each
+    literal is valued once per cell with PvfSet.value, then the min over
+    each clause, the max over clauses and the best edge make the same
+    comparisons, in the same order, on whole rows of cells.
+    """
+    rm = cvf.rm
+    dnfs = [dnf for dnf in cvf._edge_dnfs.values() if isinstance(dnf, DnfFormula)]
+    lits = sorted({lit for dnf in dnfs for clause in dnf.clauses for lit in clause})
+    lit_rows = {lit: np.empty(len(graph.states)) for lit in lits}
+    for i, state in enumerate(graph.states):
+        obs = geogrid.encode_obs(state)
+        for lit in lits:
+            lit_rows[lit][i] = cvf.pvfs.value(lit, obs)
+
+    def guard_value(dnf):
+        if isinstance(dnf, TrueConst):
+            return 1.0
+        if isinstance(dnf, FalseConst):
+            raise UnsatisfiableGuardError("guard is unsatisfiable")
+        clauses = [_first_best(np.less, [lit_rows[lit] for lit in c]) for c in dnf.clauses]
+        return _first_best(np.greater, clauses)
+
+    table = np.zeros((rm.num_states, len(graph.states)))
+    for u in range(rm.num_states):
+        if rm.is_terminal(u):
+            continue
+        edges = _non_self_edges(rm, u)
+        r_self = cvf._r_self[u]
+        if not edges:
+            if not rm.outgoing(u):
+                raise NoOutgoingEdgeError(u)
+            table[u] = r_self / (1.0 - cvf.gamma)
+            continue
+        options = [_option_value(cvf, r_self, guard_value(cvf._edge_dnfs[t]), t) for t in edges]
+        table[u] = _first_best(np.greater, options)
+    return table
 
 
 def shaping_reward(
@@ -249,20 +327,30 @@ def shaping_term(v: float, v2: float, lam: float, mode: str, gamma: float) -> fl
 
 # ---------------------------------------------------------------------------
 # Brute-force oracle: exact value iteration on the product MDP
+#
+# The transition arrays are gathered from the layout's CellGraph: the RM
+# step into a cell depends only on the RM state and that cell's label, so
+# StepTable is consulted once per (RM state, distinct label mask) and
+# next_cell maps those steps onto every (cell, action).
 
 
 @dataclass
 class ProductValueTable:
-    values: dict  # ((row, col), u) -> value
+    values: np.ndarray  # [u, cell] -> value, cells in graph order
+    graph: CellGraph
     gamma: float
     residual: float
 
     def value_at(self, cell, u: int) -> float:
-        return self.values[(tuple(cell), u)]
+        return float(self.values[u, self.graph.index[tuple(cell)]])
+
+
+def _cell_graph(layout: GridConfig | CellGraph) -> CellGraph:
+    return layout if isinstance(layout, CellGraph) else CellGraph(layout)
 
 
 def exact_product_values(
-    cfg: GridConfig,
+    layout: GridConfig | CellGraph,
     rm: RewardMachine,
     gamma: float,
     max_states: int = 2_000_000,
@@ -270,30 +358,22 @@ def exact_product_values(
     """Exact optimal values of the product MDP under the ground-truth labelling.
 
     Fixed layouts only (the reachable state space must be enumerable as
-    agent cell x RM state). Terminal RM states are worth 0. Raises if the
-    sweeps have not converged after MAX_ORACLE_SWEEPS.
+    agent cell x RM state), given as a GridConfig or as its CellGraph; the
+    table keeps the graph for later checks on the same layout. Terminal RM
+    states are worth 0. Raises if the sweeps have not converged after
+    MAX_ORACLE_SWEEPS.
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")
-    if cfg.layout_mode != "fixed":
-        raise StateSpaceTooLargeError("randomized layouts are not enumerable")
+    cfg = layout.cfg if isinstance(layout, CellGraph) else layout
     n = cfg.width * cfg.height * rm.num_states
     if n > max_states:
         raise StateSpaceTooLargeError(f"{n} product states exceeds cap {max_states}")
-    states = geogrid.cell_states(cfg)
-    cells = list(states)
-    n_cells = len(cells)
-    cell_idx = {cell: i for i, cell in enumerate(cells)}
+    graph = _cell_graph(layout)
+    n_cells = len(graph.cells)
     n_actions = len(geogrid.ACTIONS)
-
-    # Guards are evaluated once up front; the sweeps below are pure array ops.
-    next_cell = np.zeros((n_cells, n_actions), dtype=np.int64)
-    next_mask = {}
-    for i, s in enumerate(states.values()):
-        for a in range(n_actions):
-            s2 = geogrid.step(s, a)
-            next_cell[i, a] = cell_idx[s2.agent]
-            next_mask[(i, a)] = label_mask(rm.vocab, geogrid.true_label(s2))
+    masks = [label_mask(rm.vocab, label) for label in graph.distinct_labels]
+    arrive = np.arange(n_cells)
 
     n_total = rm.num_states * n_cells  # flat index: u * n_cells + cell
     nxt = np.zeros((n_total, n_actions), dtype=np.int64)
@@ -302,17 +382,17 @@ def exact_product_values(
     terminal_mask = np.zeros(n_total, dtype=bool)
     table = StepTable(rm)
     for u in range(rm.num_states):
+        block = slice(u * n_cells, (u + 1) * n_cells)
         if rm.is_terminal(u):
-            terminal_mask[u * n_cells : (u + 1) * n_cells] = True
+            terminal_mask[block] = True
             continue
-        for i in range(n_cells):
-            flat = u * n_cells + i
-            for a in range(n_actions):
-                u2, reward, terminated = table.step(u, next_mask[(i, a)])
-                nxt[flat, a] = u2 * n_cells + next_cell[i, a]
-                rew[flat, a] = reward
-                if terminated:
-                    cont[flat, a] = 0.0
+        # the RM step on arriving in each cell, then gathered per (cell, action)
+        u2, reward, terminated = (
+            np.array(column)[graph.label_ids] for column in zip(*(table.step(u, m) for m in masks))
+        )
+        nxt[block] = (u2 * n_cells + arrive)[graph.next_cell]
+        rew[block] = reward[graph.next_cell]
+        cont[block] = np.where(terminated, 0.0, 1.0)[graph.next_cell]
 
     v = np.zeros(n_total)
     residual = np.inf
@@ -328,12 +408,7 @@ def exact_product_values(
         raise RuntimeError(
             f"exact values did not converge in {MAX_ORACLE_SWEEPS} sweeps (residual {residual:.3g})"
         )
-    values = {
-        (cell, u): float(v[u * n_cells + i])
-        for u in range(rm.num_states)
-        for i, cell in enumerate(cells)
-    }
-    return ProductValueTable(values, gamma, residual)
+    return ProductValueTable(v.reshape(rm.num_states, n_cells), graph, gamma, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -355,26 +430,25 @@ class BoundCheck:
 
 
 def composition_bounds(
-    cfg: GridConfig, vocab: Sequence[str], guards: Iterable, gamma: float
+    layout: GridConfig | CellGraph, vocab: Sequence[str], guards: Iterable, gamma: float
 ) -> list[BoundCheck]:
     """Check the composition bounds on each guard, in order, up to BOUND_TOL.
 
     A guard (Formula or DnfFormula) of two or more clauses gets a
     disjunction check, then each clause of two or more literals a
     conjunction check; constant guards are skipped. The exact reachability
-    values of a clause set depend only on the cells where it holds, so
-    they are computed once per distinct set of such cells.
+    values of a clause set depend only on the cells where it holds, and so
+    on the cell labels it holds on: they are computed once per distinct set
+    of such labels.
     """
-    states = geogrid.cell_states(cfg)
-    labels = [geogrid.true_label(s) for s in states.values()]
-    tables: dict = {}  # truth at each cell -> exact value at each cell
+    graph = _cell_graph(layout)
+    tables: dict = {}  # labels the clause set holds on -> exact value at each cell
 
     def exact(clauses: tuple) -> np.ndarray:
-        dnf = DnfFormula(clauses)
-        holds = tuple(evaluate(dnf, label) for label in labels)
+        holds = tuple(clauses_hold(clauses, label) for label in graph.distinct_labels)
         if holds not in tables:
-            table = exact_product_values(cfg, reachability_rm(vocab, dnf_to_formula(dnf)), gamma)
-            tables[holds] = np.array([table.value_at(cell, 1) for cell in states])
+            rm = reachability_rm(vocab, dnf_to_formula(DnfFormula(clauses)))
+            tables[holds] = exact_product_values(graph, rm, gamma).values[1]
         return tables[holds]
 
     checks = []
@@ -392,3 +466,4 @@ def composition_bounds(
                 ok = bool((exact((clause,)) <= upper + BOUND_TOL).all())
                 checks.append(BoundCheck("conjunction overestimation", DnfFormula((clause,)), ok))
     return checks
+

@@ -35,6 +35,10 @@ class InconsistentLabelError(ValueError):
     """A dataset gives one observation two different labels."""
 
 
+class StateSpaceTooLargeError(ValueError):
+    """The states of a layout cannot be enumerated: it is randomized, or over a size cap."""
+
+
 # one of each colour x shape, laid out so the subgoal cycle is walkable
 DEFAULT_FIXED_CELLS: dict[tuple[str, str], Cell] = {
     ("red", "triangle"): (0, 0),
@@ -196,6 +200,37 @@ def cell_states(cfg: GridConfig) -> dict[Cell, GridState]:
     }
 
 
+class CellGraph:
+    """A fixed layout compiled once: its cells, their moves and their true labels.
+
+    Cell i is the i-th cell in row-major order, as in cell_states: cells[i]
+    is its (row, col), states[i] its state and labels[i] its true label with
+    the agent there, and next_cell[i, a] is the cell that action a leads to.
+    The few distinct labels are distinct_labels, and labels[i] is
+    distinct_labels[label_ids[i]]. Observations are left to
+    encode_obs(states[i]): together they would take cells^2 * 6 bytes.
+    Built once per layout and then only read.
+    """
+
+    def __init__(self, cfg: GridConfig):
+        if cfg.layout_mode != "fixed":
+            raise StateSpaceTooLargeError("randomized layouts are not enumerable")
+        self.cfg = cfg
+        by_cell = cell_states(cfg)
+        self.cells: list[Cell] = list(by_cell)
+        self.states: list[GridState] = list(by_cell.values())
+        self.labels = [true_label(s) for s in self.states]
+        self.distinct_labels = sorted(set(self.labels), key=sorted)
+        self.label_ids = np.array([self.distinct_labels.index(l) for l in self.labels])
+        self.index = {cell: i for i, cell in enumerate(self.cells)}
+        self.next_cell = np.array(
+            [[self.index[step(s, a).agent] for a in range(len(ACTIONS))] for s in self.states],
+            dtype=np.int64,
+        )
+        for array in (self.label_ids, self.next_cell):
+            array.flags.writeable = False
+
+
 def obs_key(obs: np.ndarray) -> bytes:
     """Hashable exact key for tabular backends."""
     return obs.tobytes()
@@ -294,15 +329,15 @@ def full_coverage_dataset(cfg: GridConfig) -> GroundingDataset:
     Gives tabular offline training an exact view of the deterministic
     dynamics, so fitted values can match exact value iteration.
     """
-    if cfg.layout_mode != "fixed":
-        raise ValueError("full coverage requires a fixed layout")
-    trajectories = []
-    for s0 in cell_states(cfg).values():
-        for a in range(len(ACTIONS)):
-            s1 = step(s0, a)
-            trajectories.append(
-                Trajectory([encode_obs(s0), encode_obs(s1)], [a], [true_label(s0), true_label(s1)])
-            )
+    graph = CellGraph(cfg)
+    obs, labels = [encode_obs(s) for s in graph.states], graph.labels
+    for o in obs:  # each is shared by the trajectories into and out of its cell
+        o.flags.writeable = False
+    trajectories = [
+        Trajectory([obs[i], obs[j]], [a], [labels[i], labels[j]])
+        for i, row in enumerate(graph.next_cell.tolist())
+        for a, j in enumerate(row)
+    ]
     meta = {"seed": cfg.seed, "policy": "exhaustive", "config": config_to_dict(cfg)}
     return GroundingDataset(VOCAB, trajectories, meta)
 

@@ -259,11 +259,15 @@ def evaluate(f, assignment: Iterable[str]) -> bool:
     if isinstance(f, Or):
         return any(evaluate(c, w) for c in f.children)
     if isinstance(f, DnfFormula):
-        return any(
-            all((atom in w) == positive for atom, positive in clause)
-            for clause in f.clauses
-        )
+        return clauses_hold(f.clauses, w)
     raise TypeError(f"not a formula: {f!r}")
+
+
+def clauses_hold(clauses: Sequence[Clause], assignment: frozenset[str]) -> bool:
+    """Truth of a disjunction of clauses under a closed-world assignment, such as a
+    true label: some clause has each of its positive atoms in the assignment and
+    none of its negative ones."""
+    return any(all((atom in assignment) == positive for atom, positive in c) for c in clauses)
 
 
 # ---------------------------------------------------------------------------

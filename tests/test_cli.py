@@ -5,6 +5,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -290,6 +291,14 @@ class TestTrainEval:
         assert code == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["mean"] <= 0.5
+
+    def test_unreachable_gamma_rm_is_validation_error(self, pipeline, tmp_path, capsys):
+        argv = ["train", "--rm", "tasks/loop.rm", "--models", str(pipeline["models"])]
+        argv += ["--out", str(tmp_path), "--shaping", "high-level", "--gamma-rm", "0.99999999"]
+        start = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "too close to 1" in capsys.readouterr().err
 
     def test_unknown_shaping_is_usage_error(self, pipeline, tmp_path):
         with pytest.raises(SystemExit) as e:

@@ -1,13 +1,20 @@
+import hashlib
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rmgcr.compose import (
     ComposedValueFn,
+    GammaRmTooLargeError,
     NoOutgoingEdgeError,
     StateSpaceTooLargeError,
     UnsatisfiableGuardError,
     clause_value,
+    composed_table,
     composed_value,
+    composition_bounds,
     exact_product_values,
     formula_value,
     make_composed_value_fn,
@@ -16,10 +23,33 @@ from rmgcr.compose import (
     shaping_reward,
 )
 from rmgcr import compose
-from rmgcr.geogrid import GridConfig, cell_states, encode_obs, obs_key, reset, step, true_label
-from rmgcr.ground import PvfSet, TabularPvf
-from rmgcr.logic import FALSE, TRUE, And, Not, Or, Var
-from rmgcr.rm import RmTransition, make_rm, reachability_rm, rm_step
+from rmgcr.geogrid import (
+    VOCAB,
+    CellGraph,
+    GridConfig,
+    cell_states,
+    encode_obs,
+    obs_key,
+    reset,
+    step,
+    true_label,
+)
+from rmgcr.ground import LinearPvf, PvfSet, TabularPvf, observation_features
+from rmgcr.logic import (
+    FALSE,
+    TRUE,
+    And,
+    DnfFormula,
+    Not,
+    Or,
+    Var,
+    clauses_hold,
+    dnf_to_formula,
+    evaluate,
+)
+from rmgcr.rm import RmTransition, all_assignments, load_rm, make_rm, reachability_rm, rm_step
+
+from conftest import TASKS_DIR
 
 GEO = ("red", "green", "blue", "triangle", "circle")
 GAMMA = 0.97
@@ -110,6 +140,25 @@ class TestRmValueIteration:
         monkeypatch.setattr(compose, "MAX_RM_SWEEPS", 50)
         with pytest.raises(RuntimeError, match="did not converge"):
             rm_value_iteration(loop_rm, 0.999, 0.97)
+
+    def test_unreachable_gamma_rm_fails_fast(self, loop_rm):
+        # before the probe, this ran all MAX_RM_SWEEPS sweeps (about 10 s) to raise
+        start = time.perf_counter()
+        with pytest.raises(GammaRmTooLargeError, match="too close to 1"):
+            rm_value_iteration(loop_rm, 0.99999999, 0.97)
+        assert time.perf_counter() - start < 1.0
+
+    def test_probe_rejects_no_gamma_rm_that_converges(self):
+        # the digest of every task file's values at these gamma_rm, recorded
+        # before the probe existed: the probe may only reject, never change
+        values = {}
+        for path in sorted(TASKS_DIR.glob("*.rm")):
+            rm = load_rm(path)
+            for gamma_rm in (0.97**10, 0.9, 0.99, 0.999, 0.9999):
+                values[(path.name, gamma_rm)] = rm_value_iteration(rm, gamma_rm, 0.97)
+        assert all(v.residual < compose.RM_TOL for v in values.values())
+        flat = sorted((k, sorted(v.values.items()), v.residual) for k, v in values.items())
+        assert hashlib.sha256(repr(flat).encode()).hexdigest()[:16] == "34d88160200fcf52"
 
     def test_high_level_potential(self, sequence_rm):
         vals = rm_value_iteration(sequence_rm, gamma_rm=0.5, gamma=0.97)
@@ -354,3 +403,101 @@ class TestCompositionBounds:
                 assert min(vr.value_at((r, c), 1), vt.value_at((r, c), 1)) >= vc.value_at(
                     (r, c), 1
                 ) - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The cell-graph paths against the per-cell references they replace
+
+
+@st.composite
+def dnf_guards(draw):
+    """DNF guards over the grid's vocabulary: 1-3 clauses of 1-3 literals each."""
+    clause = st.sets(st.sampled_from(VOCAB), min_size=1, max_size=3).flatmap(
+        lambda atoms: st.tuples(*(st.tuples(st.just(a), st.booleans()) for a in sorted(atoms)))
+    )
+    return DnfFormula(tuple(draw(st.lists(clause, min_size=1, max_size=3, unique=True))))
+
+
+@st.composite
+def small_machines(draw):
+    """RMs of 2-4 states over the grid's vocabulary, with random DNF or `true` guards,
+    rewarded self-loops and at least one edge out of every non-terminal state."""
+    n = draw(st.integers(2, 4))
+    terminals = draw(st.sets(st.integers(0, n - 1), max_size=n - 1).filter(lambda t: 1 not in t))
+    guard = st.one_of(dnf_guards().map(dnf_to_formula), st.just(TRUE))
+    reward = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])
+    edges = []
+    for u in range(n):
+        if u not in terminals:
+            for dst in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
+                edges.append(RmTransition(u, dst, draw(guard), draw(reward)))
+    return make_rm(VOCAB, n, edges, terminals=terminals, check=False)
+
+
+@st.composite
+def tabular_pvfs(draw):
+    """Tabular PVFs with values chosen to hit the clip and both signed zeros."""
+    values = st.sampled_from([-0.5, -0.0, 0.0, 0.25, 0.5, 0.97, 1.0, 1.5])
+    keys = [obs_key(encode_obs(s)) for s in cell_states(GridConfig()).values()]
+    estimators = {
+        (a, pol): TabularPvf(GAMMA, {k: draw(values) for k in keys if draw(st.booleans())})
+        for a in VOCAB
+        for pol in (True, False)
+    }
+    return PvfSet(VOCAB, GAMMA, "fqi", estimators)
+
+
+@st.composite
+def linear_pvfs(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_features = len(observation_features(encode_obs(reset(GridConfig()))))
+    estimators = {
+        (a, pol): LinearPvf(GAMMA, rng.normal(0.3, 0.5, size=(4, n_features)))
+        for a in VOCAB
+        for pol in (True, False)
+    }
+    return PvfSet(VOCAB, GAMMA, "fqi", estimators)
+
+
+class TestCellGraphPaths:
+    @settings(max_examples=100, deadline=None)
+    @given(dnf_guards())
+    def test_label_truth_equals_evaluate(self, guard):
+        # evaluate on the formula tree, not on the DNF that delegates to clauses_hold
+        tree = dnf_to_formula(guard)
+        for w in all_assignments(VOCAB):
+            assert clauses_hold(guard.clauses, w) == evaluate(tree, w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_machines(), st.one_of(tabular_pvfs(), linear_pvfs()))
+    def test_composed_table_equals_composed_value_bit_for_bit(self, rm, pvfs):
+        cvf = make_composed_value_fn(rm, pvfs, GAMMA_RM)
+        graph = CellGraph(GridConfig())
+        table = composed_table(cvf, graph)
+        for i, state in enumerate(graph.states):
+            obs = encode_obs(state)
+            for u in range(rm.num_states):
+                assert table[u, i].hex() == composed_value(cvf, obs, u).hex()
+
+    @pytest.mark.parametrize(
+        "guard, values, want",
+        [
+            # min(0.0, -0.0) is 0.0 and max(-0.0, 0.0) is -0.0: the first of equal values
+            (And((Var("red"), Var("triangle"))), {("red", True): 0.0, ("triangle", True): -0.0}, "0x0.0p+0"),
+            (Or((Var("red"), Var("triangle"))), {("red", True): -0.0, ("triangle", True): 0.0}, "-0x0.0p+0"),
+        ],
+    )
+    def test_composed_table_keeps_the_first_of_equal_zeros(self, guard, values, want):
+        # a -0 self-loop reward makes the sign of a zero guard value reach the output
+        edges = [RmTransition(1, 1, Var("blue"), -0.0), RmTransition(1, 0, guard, 1.0)]
+        rm = make_rm(GEO, 2, edges, check=False)
+        cvf = make_composed_value_fn(rm, const_pvfs(GEO, values), GAMMA_RM)
+        graph = CellGraph(GridConfig())
+        assert composed_value(cvf, encode_obs(graph.states[0]), 1).hex() == want
+        assert {x.hex() for x in composed_table(cvf, graph)[1]} == {want}
+
+    @settings(max_examples=40, deadline=None)
+    @given(dnf_guards())
+    def test_composition_bounds_hold_on_random_guards(self, desk_cfg, guard):
+        checks = composition_bounds(desk_cfg, VOCAB, [guard], GAMMA)
+        assert all(check.ok for check in checks), checks

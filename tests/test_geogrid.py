@@ -5,12 +5,15 @@ from rmgcr.geogrid import (
     ACTIONS,
     CHANNELS,
     VOCAB,
+    CellGraph,
     GridConfig,
     GroundingDataset,
     InconsistentLabelError,
     InfeasibleConfigError,
     ObjectSpec,
+    StateSpaceTooLargeError,
     Trajectory,
+    cell_states,
     decode_obs,
     encode_obs,
     full_coverage_dataset,
@@ -208,6 +211,20 @@ class TestDataset:
         assert len(ds.trajectories) == 6 * 6 * len(ACTIONS)
         seen = {(decode_obs(tr.observations[0]).agent, tr.actions[0]) for tr in ds.trajectories}
         assert len(seen) == 6 * 6 * len(ACTIONS)
+
+    def test_cell_graph_matches_step_and_true_label(self, desk_cfg, corridor_cfg):
+        for cfg in (desk_cfg, corridor_cfg):
+            graph = CellGraph(cfg)
+            assert graph.cells == list(cell_states(cfg))
+            for i, s in enumerate(graph.states):
+                assert graph.labels[i] == true_label(s)
+                assert graph.distinct_labels[graph.label_ids[i]] == graph.labels[i]
+                for a in range(len(ACTIONS)):
+                    assert graph.cells[graph.next_cell[i, a]] == step(s, a).agent
+
+    def test_cell_graph_needs_fixed_layout(self):
+        with pytest.raises(StateSpaceTooLargeError):
+            CellGraph(GridConfig(layout_mode="randomized"))
 
     def test_full_coverage_needs_fixed_layout(self):
         with pytest.raises(ValueError):

@@ -1,20 +1,24 @@
-"""Fixed-seed regression pins for `train`, `evaluate` and saved policies.
+"""Fixed-seed regression pins for `train`, `evaluate`, saved policies and `oracle`.
 
-The digests below were recorded before the Q-learning hot path moved to
-dense observation ids and a tabulated RM step. A change to the RNG draw
-order, to a tie-break or to the update arithmetic shows up here as a
-changed digest, even when every behavioural test still passes.
+The training digests were recorded before the Q-learning hot path moved
+to dense observation ids and a tabulated RM step; the oracle digests
+before the oracle, the bound checks and `oracle --models` moved onto a
+cell graph built once per command. A change to the RNG draw order, to a
+tie-break, to the update arithmetic or to a signed zero shows up here as
+a changed digest, even when every behavioural test still passes.
 """
 
 import hashlib
 import json
+import warnings
 
 import pytest
 
 from rmgcr.agent import AgentConfig, evaluate, train
-from rmgcr.cli import save_policy
+from rmgcr.cli import main, save_policy
 from rmgcr.compose import make_composed_value_fn, rm_value_iteration
-from rmgcr.geogrid import GridConfig
+from rmgcr.geogrid import VOCAB, GridConfig, full_coverage_dataset
+from rmgcr.ground import NonConvergenceWarning, save_pvfs, train_pvfs_fqi
 from rmgcr.rm import load_rm
 
 from conftest import GAMMA, GAMMA_RM, TASKS_DIR
@@ -121,3 +125,75 @@ def test_fixed_seed_run_matches_recorded_digests(case, request, desk_pvfs, tmp_p
         _digest((tmp_path / "policy.json").read_bytes()),
     )
     assert got == GOLDEN[case]
+
+
+# `rmgcr oracle` on every task file the grid can label and on two fixed
+# multi-clause guards, with no models and with tabular and linear PVFs:
+# (task, PVF backend) -> digests of (CSV bytes, stdout)
+ORACLE_GUARDS = {
+    "guard_a.rm": "(red & !triangle) | (blue & circle) | green",
+    "guard_b.rm": "(!red & triangle) | (blue & !circle & !green) | (red & circle)",
+}
+ORACLE_GOLDEN = {
+    ("logic.rm", "none"): ("11410dc2b3d6e3f3", "e8746f55d71911bc"),
+    ("logic.rm", "tabular"): ("2ba99b089c483e9e", "a59286d94f757345"),
+    ("logic.rm", "linear"): ("9907c92a93d8f1db", "3d5f63707beed360"),
+    ("loop.rm", "none"): ("34919d43c7175636", "4222c1927ce8919c"),
+    ("loop.rm", "tabular"): ("f8cac42c2f79604a", "0c97cab38b64dbb2"),
+    ("loop.rm", "linear"): ("4c0498ae61c07e92", "337a14c9652631f5"),
+    ("safety.rm", "none"): ("1b447edad01f3716", "d2a0dea76247b873"),
+    ("safety.rm", "tabular"): ("0d26cb229f97ae8e", "47de9517fe2d872b"),
+    ("safety.rm", "linear"): ("2c3bc71e0a4ea5fd", "ceabb1378c3fca4c"),
+    ("sequence.rm", "none"): ("8df9dd0e5f4d2f8d", "13e9e78f3256be75"),
+    ("sequence.rm", "tabular"): ("44c60cdb9f42716f", "ef7180565710d25a"),
+    ("sequence.rm", "linear"): ("aadaaa1824b9a715", "851f8c4aa8c4eb7b"),
+    ("guard_a.rm", "none"): ("d598c157733a85b3", "abc248902d2b8d6f"),
+    ("guard_a.rm", "tabular"): ("3279d9559104b8a7", "e9add59056476a3b"),
+    ("guard_a.rm", "linear"): ("3279d9559104b8a7", "e9add59056476a3b"),
+    ("guard_b.rm", "none"): ("084b0610b46fdcf4", "0c3131ea7f7eff58"),
+    ("guard_b.rm", "tabular"): ("c91298b91d0f4a51", "8cfb1e133099335e"),
+    ("guard_b.rm", "linear"): ("c91298b91d0f4a51", "8cfb1e133099335e"),
+}
+
+
+@pytest.fixture(scope="module")
+def oracle_models(tmp_path_factory, desk_cfg):
+    root = tmp_path_factory.mktemp("oracle_models")
+    coverage = full_coverage_dataset(desk_cfg)
+    # 5 linear sweeps stop short of the fixed point that the tabular PVFs reach
+    for backend, iters in (("tabular", 200), ("linear", 5)):
+        (root / backend).mkdir()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonConvergenceWarning)
+            pvfs = train_pvfs_fqi(coverage, GAMMA, iters=iters, backend=backend)
+        save_pvfs(pvfs, root / backend / "pvfs.json")
+    return root
+
+
+def _oracle_task(task, tmp_path):
+    if task in ORACLE_GUARDS:
+        path = tmp_path / task
+        path.write_text(f"vocab: {' '.join(VOCAB)}\nstates: 2\n(1, 0, {ORACLE_GUARDS[task]}, 1)\n")
+        return path
+    return TASKS_DIR / task
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        (task, backend)
+        for task in ("logic.rm", "loop.rm", "safety.rm", "sequence.rm", *ORACLE_GUARDS)
+        for backend in ("none", "tabular", "linear")
+    ],
+    ids="-".join,
+)
+def test_oracle_output_matches_recorded_digests(case, oracle_models, tmp_path, capsys):
+    task, backend = case
+    out = tmp_path / "oracle.csv"
+    argv = ["oracle", "--rm", str(_oracle_task(task, tmp_path)), "--out", str(out)]
+    if backend != "none":
+        argv += ["--models", str(oracle_models / backend)]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out.replace(str(tmp_path), "<tmp>")
+    got = (_digest(out.read_bytes()), _digest(stdout.encode()))
+    assert got == ORACLE_GOLDEN[case]
