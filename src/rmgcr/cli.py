@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import pathlib
@@ -42,6 +43,7 @@ VALIDATION_ERRORS = (
     ClauseLimitExceeded,
     geogrid.InfeasibleConfigError,
     geogrid.InconsistentLabelError,
+    geogrid.DatasetFormatError,
     ground.DegenerateAtomError,
     ground.ModelFormatError,
     agent.ConfigMismatchError,
@@ -283,7 +285,13 @@ def cmd_eval(args) -> int:
 # Argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Every call returns the same parser. No command may mutate a value in
+    the parsed arguments, since list defaults are shared between calls.
+    """
     parser = argparse.ArgumentParser(
         prog="rmgcr",
         description="Ground symbols offline, compose value functions, train shaped agents.",

@@ -9,6 +9,7 @@ generator produces labelled trajectories for offline grounding.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -22,7 +23,7 @@ CHANNELS = VOCAB + ("agent",)
 ACTIONS = ("up", "down", "left", "right")
 _MOVES = {0: (-1, 0), 1: (1, 0), 2: (0, -1), 3: (0, 1)}
 
-DATASET_FORMAT_VERSION = 1
+DATASET_FORMAT_VERSION = 2
 
 Cell = tuple[int, int]
 
@@ -33,6 +34,10 @@ class InfeasibleConfigError(ValueError):
 
 class InconsistentLabelError(ValueError):
     """A dataset gives one observation two different labels."""
+
+
+class DatasetFormatError(ValueError):
+    """A dataset file is of another format version, or its records do not fit together."""
 
 
 class StateSpaceTooLargeError(ValueError):
@@ -300,24 +305,37 @@ def generate_dataset(
 ) -> GroundingDataset:
     """Random-walk trajectories of length cfg.episode_len with ground-truth labels.
 
-    Reproducible: trajectory i uses the RNG stream (seed, i).
+    Reproducible: trajectory i uses the RNG stream (seed, i). Each distinct
+    state is encoded and labelled once; its observation array is read-only
+    and shared by every step that visits it.
     """
     if n_trajectories < 1:
         raise ValueError("need at least one trajectory")
     root = cfg.seed if seed is None else seed
+    seen: dict[GridState, tuple[np.ndarray, frozenset[str]]] = {}
+
+    def observe(state: GridState) -> tuple[np.ndarray, frozenset[str]]:
+        """Observation and label of a state, computed on its first visit and then shared."""
+        entry = seen.get(state)
+        if entry is None:
+            obs = encode_obs(state)
+            obs.flags.writeable = False
+            entry = seen[state] = (obs, true_label(state))
+        return entry
+
     trajectories = []
     for i in range(n_trajectories):
         rng = np.random.default_rng((root, i))
         state = reset(cfg, seed=int(rng.integers(2**63)))
-        observations = [encode_obs(state)]
-        labels = [true_label(state)]
-        actions = []
+        obs, label = observe(state)
+        observations, labels, actions = [obs], [label], []
         for _ in range(cfg.episode_len):
             a = int(rng.integers(len(ACTIONS)))
             state = step(state, a)
+            obs, label = observe(state)
             actions.append(a)
-            observations.append(encode_obs(state))
-            labels.append(true_label(state))
+            observations.append(obs)
+            labels.append(label)
         trajectories.append(Trajectory(observations, actions, labels))
     meta = {"seed": root, "policy": "random", "config": config_to_dict(cfg)}
     return GroundingDataset(VOCAB, trajectories, meta)
@@ -375,38 +393,106 @@ def config_from_dict(d: dict) -> GridConfig:
 
 
 def save_dataset(ds: GroundingDataset, path) -> None:
+    """Write ds in format 2: a header with each distinct observation once, then ids per trajectory.
+
+    The header holds vocab, meta, the table of distinct observations as
+    [shape, hex of the uint8 bytes] and one sorted label per table entry.
+    Each following line is one trajectory: {"actions": [...], "ids": [...]}.
+    Raises InconsistentLabelError if one observation has two labels.
+    """
+    view = ds.interned()
+    header = {
+        "format_version": DATASET_FORMAT_VERSION,
+        "vocab": list(ds.vocab),
+        "meta": ds.meta,
+        "observations": [
+            [list(o.shape), o.astype(np.uint8, copy=False).tobytes().hex()]
+            for o in view.observations
+        ],
+        "labels": [sorted(l) for l in view.labels],
+    }
     with open(path, "w") as fh:
-        header = {
-            "format_version": DATASET_FORMAT_VERSION,
-            "vocab": list(ds.vocab),
-            "meta": ds.meta,
-        }
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for tr in ds.trajectories:
-            record = {
-                "obs": [o.tolist() for o in tr.observations],
-                "actions": tr.actions,
-                "labels": [sorted(l) for l in tr.labels],
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        for tr, ids in zip(ds.trajectories, view.trajectory_ids):
+            fh.write(json.dumps({"actions": tr.actions, "ids": ids}, sort_keys=True) + "\n")
 
 
 def load_dataset(path) -> GroundingDataset:
+    """Read a format-2 dataset; see save_dataset.
+
+    Each table entry is decoded once into a read-only array, and every
+    step that names its id shares that array. Raises DatasetFormatError on
+    a file of another format version, an observation whose hex length
+    does not match its shape, a table label outside vocab, an id or an
+    action out of range, or a trajectory whose ids and actions do not
+    line up.
+    """
     with open(path) as fh:
         header = json.loads(fh.readline())
-        if header["format_version"] != DATASET_FORMAT_VERSION:
-            raise ValueError(f"unsupported dataset format {header['format_version']}")
-        trajectories = []
-        for line in fh:
-            record = json.loads(line)
-            trajectories.append(
-                Trajectory(
-                    [np.asarray(o, dtype=np.uint8) for o in record["obs"]],
-                    list(record["actions"]),
-                    [frozenset(l) for l in record["labels"]],
-                )
+        version = header.get("format_version")
+        if version == 1:
+            n = sum(1 for _ in fh)
+            seed = header.get("meta", {}).get("seed", "<seed>")
+            raise DatasetFormatError(
+                f"{path} is a format-1 dataset, which this version no longer reads; regenerate "
+                f"it with `rmgcr gen-dataset --out {path} --n {n} --seed {seed}` and the grid "
+                f"options it was made with"
             )
-    return GroundingDataset(tuple(header["vocab"]), trajectories, header.get("meta", {}))
+        if version != DATASET_FORMAT_VERSION:
+            raise DatasetFormatError(
+                f"unsupported dataset format {version!r}; expected {DATASET_FORMAT_VERSION}"
+            )
+        vocab = tuple(header["vocab"])
+        table = [
+            _decode_entry(k, shape, data) for k, (shape, data) in enumerate(header["observations"])
+        ]
+        labels = [frozenset(l) for l in header["labels"]]
+        if len(labels) != len(table):
+            raise DatasetFormatError(
+                f"the table has {len(table)} observations but {len(labels)} labels"
+            )
+        for k, label in enumerate(labels):
+            if not label <= set(vocab):
+                raise DatasetFormatError(
+                    f"table entry {k} has atoms {sorted(label - set(vocab))} outside the vocabulary"
+                )
+        trajectories = []
+        for t, line in enumerate(fh):
+            record = json.loads(line)
+            ids, actions = record["ids"], record["actions"]
+            if len(ids) != len(actions) + 1:
+                raise DatasetFormatError(
+                    f"trajectory {t} has {len(ids)} ids for {len(actions)} actions; "
+                    f"it needs one more id than actions"
+                )
+            if min(ids) < 0 or max(ids) >= len(table):
+                raise DatasetFormatError(
+                    f"trajectory {t} names an observation id outside 0..{len(table) - 1}"
+                )
+            if min(actions, default=0) < 0 or max(actions, default=0) >= len(ACTIONS):
+                raise DatasetFormatError(
+                    f"trajectory {t} has an action outside 0..{len(ACTIONS) - 1}"
+                )
+            trajectories.append(
+                Trajectory([table[i] for i in ids], actions, [labels[i] for i in ids])
+            )
+    return GroundingDataset(vocab, trajectories, header.get("meta", {}))
+
+
+def _decode_entry(k: int, shape: list, data: str) -> np.ndarray:
+    """Table entry k as a read-only uint8 array of the given shape."""
+    if not all(type(d) is int and d >= 0 for d in shape):
+        raise DatasetFormatError(f"table entry {k} has shape {shape}, not a list of sizes")
+    size = math.prod(shape)
+    if len(data) != 2 * size:
+        raise DatasetFormatError(
+            f"table entry {k} has {len(data)} hex digits; shape {shape} needs {2 * size}"
+        )
+    try:
+        raw = bytes.fromhex(data)
+    except ValueError as e:
+        raise DatasetFormatError(f"table entry {k} is not hex: {e}") from None
+    return np.frombuffer(raw, dtype=np.uint8).reshape(shape)
 
 
 def label_frequencies(ds: GroundingDataset) -> dict[str, float]:

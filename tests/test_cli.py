@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from rmgcr.cli import main
+from rmgcr.cli import build_parser, main
 from rmgcr.geogrid import GridConfig, config_to_dict
 
 SEQUENCE = "tasks/sequence.rm"
@@ -86,14 +86,28 @@ class TestGround:
         code = main(["ground", "--dataset", str(empty), "--out", str(tmp_path / "models")])
         assert code == 3
 
-    def test_observation_labelled_two_ways_is_validation_error(self, pipeline, tmp_path):
-        header, first, *rest = pipeline["dataset"].read_text().splitlines()
-        record = json.loads(first)
-        record["labels"][0] = [] if record["labels"][0] else ["red"]
+    def test_observation_labelled_two_ways_is_validation_error(self, pipeline, tmp_path, capsys):
+        # the same observation bytes twice in the table, with two labels, both referenced
+        header, *records = pipeline["dataset"].read_text().splitlines()
+        head = json.loads(header)
+        twin = len(head["observations"])
+        head["observations"].append(head["observations"][0])
+        head["labels"].append([] if head["labels"][0] else ["red"])
+        extra = json.dumps({"actions": [0], "ids": [0, twin]})
         bad = tmp_path / "relabelled.jsonl"
-        bad.write_text("\n".join([header, first, *rest, json.dumps(record)]) + "\n")
+        bad.write_text("\n".join([json.dumps(head), *records, extra]) + "\n")
         code = main(["ground", "--dataset", str(bad), "--out", str(tmp_path / "models")])
         assert code == 3
+        assert "labelled both" in capsys.readouterr().err
+
+    def test_format_one_dataset_is_validation_error(self, tmp_path, capsys):
+        old = tmp_path / "old.jsonl"
+        header = {"format_version": 1, "vocab": ["red"], "meta": {"seed": 1}}
+        record = {"obs": [[[0, 1]]], "actions": [], "labels": [[]]}
+        old.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+        code = main(["ground", "--dataset", str(old), "--out", str(tmp_path / "models")])
+        assert code == 3
+        assert f"rmgcr gen-dataset --out {old} --n 1 --seed 1" in capsys.readouterr().err
 
     def test_out_dir_env_override(self, pipeline, tmp_path, monkeypatch):
         target = tmp_path / "redirected"
@@ -112,6 +126,23 @@ class TestGround:
         )
         assert code == 0
         assert json.loads((out / "pvfs.json").read_text())["method"] == "mc"
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_a_later_call_sees_its_own_defaults(self, pipeline, tmp_path):
+        argv = ["train", "--rm", SEQUENCE, "--models", str(pipeline["models"])]
+        argv += ["--episodes", "2", "--eval-episodes", "2", "--max-steps", "5"]
+        first, second = tmp_path / "first", tmp_path / "second"
+        extra = ["--seeds", "1", "2", "--shaping", "none", "high-level"]
+        assert main(argv + ["--out", str(first)] + extra) == 0
+        assert main(argv + ["--out", str(second)]) == 0
+        summary = json.loads((second / "summary.json").read_text())
+        assert summary["seeds"] == [0]
+        assert list(summary["results"]) == ["composed"]
+        assert [r["seed"] for r in summary["results"]["composed"]["per_seed"]] == [0]
 
 
 class TestOracle:

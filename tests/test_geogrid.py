@@ -1,11 +1,21 @@
+import json
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rmgcr import geogrid
 from rmgcr.geogrid import (
     ACTIONS,
     CHANNELS,
+    COLORS,
+    SHAPES,
     VOCAB,
     CellGraph,
+    DatasetFormatError,
     GridConfig,
     GroundingDataset,
     InconsistentLabelError,
@@ -259,3 +269,163 @@ class TestInterned:
         ])
         with pytest.raises(InconsistentLabelError):
             ds.interned()
+
+
+@st.composite
+def grid_configs(draw, layouts=("fixed", "randomized")):
+    """1-5 x 1-5 grids of 1-3 objects, pinned or placed per reset, walked for 0-12 steps."""
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    layout = draw(st.sampled_from(layouts))
+    n = draw(st.integers(1, min(3, width * height)))
+    if layout == "fixed":
+        cell = st.tuples(st.integers(0, height - 1), st.integers(0, width - 1))
+        cells = draw(st.lists(cell, min_size=n, max_size=n, unique=True))
+    else:
+        cells = [None] * n
+    kind = st.tuples(st.sampled_from(COLORS), st.sampled_from(SHAPES))
+    kinds = draw(st.lists(kind, min_size=n, max_size=n))
+    objects = tuple(ObjectSpec(color, shape, c) for (color, shape), c in zip(kinds, cells))
+    return GridConfig(
+        width=width,
+        height=height,
+        objects=objects,
+        layout_mode=layout,
+        episode_len=draw(st.integers(0, 12)),
+    )
+
+
+class TestDatasetFile:
+    def _assert_preserved(self, ds):
+        with tempfile.TemporaryDirectory() as tmp:
+            save_dataset(ds, Path(tmp) / "ds.jsonl")
+            back = load_dataset(Path(tmp) / "ds.jsonl")
+        assert back.vocab == ds.vocab and back.meta == ds.meta
+        assert len(back.trajectories) == len(ds.trajectories)
+        for a, b in zip(ds.trajectories, back.trajectories):
+            assert b.actions == a.actions and b.labels == a.labels
+            assert len(b.observations) == len(a.observations)
+            for oa, ob in zip(a.observations, b.observations):
+                assert ob.dtype == np.uint8 and ob.shape == oa.shape
+                assert np.array_equal(ob, oa) and not ob.flags.writeable
+        # one shared array per distinct observation
+        loaded = [o for tr in back.trajectories for o in tr.observations]
+        assert len({id(o) for o in loaded}) == len({obs_key(o) for o in loaded})
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_configs(), st.integers(1, 6), st.integers(0, 2**31 - 1))
+    def test_save_load_preserves_generated_datasets(self, cfg, n, seed):
+        self._assert_preserved(generate_dataset(cfg, n, seed=seed))
+
+    @settings(max_examples=20, deadline=None)
+    @given(grid_configs(layouts=("fixed",)))
+    def test_save_load_preserves_full_coverage_datasets(self, cfg):
+        self._assert_preserved(full_coverage_dataset(cfg))
+
+    def test_file_holds_each_distinct_observation_once(self, desk_cfg, tmp_path):
+        ds = generate_dataset(desk_cfg, 20, seed=4)
+        path = tmp_path / "ds.jsonl"
+        save_dataset(ds, path)
+        header, *records = [json.loads(line) for line in path.read_text().splitlines()]
+        distinct = {obs_key(o) for tr in ds.trajectories for o in tr.observations}
+        assert header["format_version"] == 2
+        assert len(header["observations"]) == len(header["labels"]) == len(distinct)
+        assert [sorted(r) for r in records] == [["actions", "ids"]] * 20
+
+    def test_saving_an_observation_labelled_two_ways_is_rejected(self, desk_cfg, tmp_path):
+        obs = encode_obs(reset(desk_cfg))
+        ds = GroundingDataset(VOCAB, [
+            Trajectory([obs], [], [frozenset()]),
+            Trajectory([obs], [], [frozenset({"red"})]),
+        ])
+        with pytest.raises(InconsistentLabelError):
+            save_dataset(ds, tmp_path / "ds.jsonl")
+
+
+def _set(path, value):
+    """A tamper that sets header or record field path ('header'/'record', key, ...) to value."""
+
+    def tamper(header, records):
+        target = header if path[0] == "header" else records[0]
+        for key in path[1:-1]:
+            target = target[key]
+        target[path[-1]] = value(target[path[-1]]) if callable(value) else value
+
+    return tamper
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_set(("header", "format_version"), 3), "unsupported dataset format 3"),
+        (_set(("record", "ids", 0), 10**6), "names an observation id outside 0.."),
+        (_set(("record", "ids", 0), -1), "names an observation id outside 0.."),
+        (_set(("header", "labels", 0), ["red", "purple"]), "['purple'] outside the vocabulary"),
+        (_set(("header", "observations", 0, 1), lambda h: h[:-2]), "430 hex digits"),
+        (_set(("header", "observations", 0, 0), [6, 6, 5]), "shape [6, 6, 5] needs 360"),
+        (_set(("header", "observations", 0, 0), [6, -6, -6]), "not a list of sizes"),
+        (_set(("header", "observations", 0, 1), lambda h: "zz" + h[2:]), "is not hex"),
+        (_set(("record", "actions"), lambda a: a[:-1]), "61 ids for 59 actions"),
+        (_set(("record", "ids"), []), "0 ids for 60 actions"),
+        (_set(("record", "actions", 0), 4), "an action outside 0..3"),
+        (_set(("record", "actions", 0), -1), "an action outside 0..3"),
+    ],
+    ids=[
+        "unknown-version",
+        "id-past-end",
+        "negative-id",
+        "label-outside-vocab",
+        "short-hex",
+        "shape-mismatch",
+        "negative-sizes",
+        "not-hex",
+        "actions-short",
+        "no-ids",
+        "action-past-end",
+        "negative-action",
+    ],
+)
+def test_malformed_dataset_is_a_format_error(desk_cfg, tmp_path, tamper, message):
+    path = tmp_path / "ds.jsonl"
+    save_dataset(generate_dataset(desk_cfg, 2, seed=0), path)
+    header, *records = [json.loads(line) for line in path.read_text().splitlines()]
+    tamper(header, records)
+    path.write_text("".join(json.dumps(r) + "\n" for r in (header, *records)))
+    with pytest.raises(DatasetFormatError, match=re.escape(message)):
+        load_dataset(path)
+
+
+class TestGenerateOncePerState:
+    @pytest.mark.parametrize("layout", ["fixed", "randomized"])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_steps_match_a_replayed_walk(self, layout, seed):
+        cfg = GridConfig(layout_mode=layout, episode_len=40)
+        ds = generate_dataset(cfg, 6, seed=seed)
+        for i, tr in enumerate(ds.trajectories):
+            rng = np.random.default_rng((seed, i))
+            states = [reset(cfg, seed=int(rng.integers(2**63)))]
+            actions = [int(rng.integers(len(ACTIONS))) for _ in range(cfg.episode_len)]
+            for a in actions:
+                states.append(step(states[-1], a))
+            assert tr.actions == actions
+            assert tr.labels == [true_label(s) for s in states]
+            for obs, s in zip(tr.observations, states):
+                want = encode_obs(s)
+                assert obs.dtype == want.dtype and np.array_equal(obs, want)
+
+    def test_each_distinct_state_is_encoded_once_and_shared(self, desk_cfg, monkeypatch):
+        counts = {"encode_obs": 0, "true_label": 0}
+        for name in counts:
+            original = getattr(geogrid, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(geogrid, name, counted)
+        ds = generate_dataset(desk_cfg, 30, seed=8)
+        steps = [o for tr in ds.trajectories for o in tr.observations]
+        distinct = {obs_key(o) for o in steps}
+        assert len(steps) == 30 * 61 and len(distinct) <= 36
+        assert counts == {"encode_obs": len(distinct), "true_label": len(distinct)}
+        assert len({id(o) for o in steps}) == len(distinct)
+        assert not any(o.flags.writeable for o in steps)

@@ -1,9 +1,12 @@
-"""Fixed-seed regression pins for `train`, `evaluate`, saved policies and `oracle`.
+"""Fixed-seed regression pins for `train`, `evaluate`, saved policies, `oracle` and `ground`.
 
 The training digests were recorded before the Q-learning hot path moved
 to dense observation ids and a tabulated RM step; the oracle digests
 before the oracle, the bound checks and `oracle --models` moved onto a
-cell graph built once per command. A change to the RNG draw order, to a
+cell graph built once per command; the `ground` digests before the
+dataset file moved to format 2, which writes each distinct observation
+once, and before `generate_dataset` encoded each distinct state once.
+A change to the RNG draw order, to a
 tie-break, to the update arithmetic or to a signed zero shows up here as
 a changed digest, even when every behavioural test still passes.
 """
@@ -197,3 +200,27 @@ def test_oracle_output_matches_recorded_digests(case, oracle_models, tmp_path, c
     stdout = capsys.readouterr().out.replace(str(tmp_path), "<tmp>")
     got = (_digest(out.read_bytes()), _digest(stdout.encode()))
     assert got == ORACLE_GOLDEN[case]
+
+
+# `rmgcr gen-dataset --n 50 --seed S` then `rmgcr ground`:
+# (seed, label backend, method) -> digests of (label_model.json, pvfs.json, metrics.json)
+GROUND_GOLDEN = {
+    (3, "linear", "fqi"): ("126e43ced9936b7d", "c13f46b638b381d6", "d1761f9741dc39e9"),
+    (3, "tabular", "mc"): ("bd693129e0a50fdd", "231e3caed5e63ffa", "036d0934004d85cf"),
+    (17, "linear", "fqi"): ("4dcadb0eca4b6e46", "ce4027040235dc37", "d1761f9741dc39e9"),
+    (17, "tabular", "mc"): ("bd693129e0a50fdd", "a22de1aac3418314", "036d0934004d85cf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GROUND_GOLDEN), ids=lambda c: "-".join(map(str, c)))
+def test_ground_outputs_match_recorded_digests(case, tmp_path):
+    seed, label_backend, method = case
+    dataset, models = tmp_path / "data.jsonl", tmp_path / "models"
+    assert main(["gen-dataset", "--out", str(dataset), "--n", "50", "--seed", str(seed)]) == 0
+    argv = ["ground", "--dataset", str(dataset), "--out", str(models)]
+    assert main(argv + ["--label-backend", label_backend, "--method", method]) == 0
+    got = tuple(
+        _digest((models / name).read_bytes())
+        for name in ("label_model.json", "pvfs.json", "metrics.json")
+    )
+    assert got == GROUND_GOLDEN[case]
