@@ -14,7 +14,6 @@ from .compose import (
     rm_value_iteration,
     make_composed_value_fn,
     composed_value,
-    shaping_reward,
     exact_product_values,
 )
 from .agent import AgentConfig, train, evaluate as evaluate_policy
@@ -39,7 +38,6 @@ __all__ = [
     "rm_value_iteration",
     "make_composed_value_fn",
     "composed_value",
-    "shaping_reward",
     "exact_product_values",
     "AgentConfig",
     "train",

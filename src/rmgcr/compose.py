@@ -96,7 +96,8 @@ def rm_value_iteration(
     Terminals are pinned at 0. A non-terminal state whose only explicit
     edges are self-loops is a dead end valued r_self(u)/(1-gamma); a
     non-terminal state with no explicit edges at all is an error. Raises
-    if the sweeps have not converged after MAX_RM_SWEEPS.
+    GammaRmTooLargeError if the sweeps have not converged after
+    MAX_RM_SWEEPS.
 
     A sweep updates each of its n states once, so it carries a change at
     most n edges along the RM graph and shrinks the residual by at least a
@@ -141,9 +142,10 @@ def rm_value_iteration(
                     f"by {residual:.3g} after {sweep} sweeps and cannot settle below {RM_TOL:g} "
                     f"within {MAX_RM_SWEEPS} sweeps"
                 )
-    else:
-        raise RuntimeError(
-            f"RM state values did not converge in {MAX_RM_SWEEPS} sweeps (residual {residual:.3g})"
+    else:  # the sweeps contract by gamma_rm, so running out of them means it is too close to 1
+        raise GammaRmTooLargeError(
+            f"gamma_rm {gamma_rm!r} is too close to 1: the RM state values did not converge in "
+            f"{MAX_RM_SWEEPS} sweeps (residual {residual:.3g})"
         )
     return RmStateValues(v, gamma_rm, gamma, residual)
 
@@ -287,23 +289,6 @@ def composed_table(cvf: ComposedValueFn, graph: CellGraph) -> np.ndarray:
         options = [_option_value(cvf, r_self, guard_value(cvf._edge_dnfs[t]), t) for t in edges]
         table[u] = _first_best(np.greater, options)
     return table
-
-
-def shaping_reward(
-    cvf: ComposedValueFn,
-    prev: tuple[np.ndarray, int],
-    nxt: tuple[np.ndarray, int],
-    lam: float = 1.0,
-    mode: str = "undiscounted",
-    gamma: Optional[float] = None,
-) -> float:
-    """Potential-based shaping term between consecutive product states.
-
-    Terminal next states have potential 0; see shaping_term for the formula.
-    """
-    check_shaping(lam, mode)
-    gamma = cvf.gamma if gamma is None else gamma
-    return shaping_term(composed_value(cvf, *prev), composed_value(cvf, *nxt), lam, mode, gamma)
 
 
 def check_shaping(lam: float, mode: str) -> None:

@@ -172,25 +172,6 @@ def encode_obs(s: GridState) -> np.ndarray:
     return obs
 
 
-def decode_obs(obs: np.ndarray) -> GridState:
-    """Inverse of encode_obs."""
-    height, width, _ = obs.shape
-    agent_cells = np.argwhere(obs[:, :, CHANNELS.index("agent")] == 1)
-    if len(agent_cells) != 1:
-        raise ValueError("observation must have exactly one agent cell")
-    placements = []
-    for r in range(height):
-        for c in range(width):
-            colors = [col for col in COLORS if obs[r, c, CHANNELS.index(col)]]
-            shapes = [sh for sh in SHAPES if obs[r, c, CHANNELS.index(sh)]]
-            if colors or shapes:
-                if len(colors) != 1 or len(shapes) != 1:
-                    raise ValueError(f"cell ({r},{c}) is not a single colour+shape object")
-                placements.append((colors[0], shapes[0], (r, c)))
-    agent = (int(agent_cells[0][0]), int(agent_cells[0][1]))
-    return GridState(width, height, agent, tuple(placements))
-
-
 def cell_states(cfg: GridConfig) -> dict[Cell, GridState]:
     """reset(cfg) with the agent moved to each cell in turn, keyed by cell in row-major order.
 
@@ -203,6 +184,20 @@ def cell_states(cfg: GridConfig) -> dict[Cell, GridState]:
         for r in range(cfg.height)
         for c in range(cfg.width)
     }
+
+
+def move_table(states: Sequence[GridState]) -> np.ndarray:
+    """Read-only [cell, action] -> next cell, where states[i] has the agent on row-major cell i.
+
+    Read off step, the one home of the grid's moves, for the states that
+    cell_states gives. Placements do not affect a move, so one table
+    serves every layout of the grid.
+    """
+    width = states[0].width
+    moved = [[step(s, a).agent for a in range(len(ACTIONS))] for s in states]
+    table = np.array([[r * width + c for r, c in row] for row in moved], dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
 class CellGraph:
@@ -228,12 +223,8 @@ class CellGraph:
         self.distinct_labels = sorted(set(self.labels), key=sorted)
         self.label_ids = np.array([self.distinct_labels.index(l) for l in self.labels])
         self.index = {cell: i for i, cell in enumerate(self.cells)}
-        self.next_cell = np.array(
-            [[self.index[step(s, a).agent] for a in range(len(ACTIONS))] for s in self.states],
-            dtype=np.int64,
-        )
-        for array in (self.label_ids, self.next_cell):
-            array.flags.writeable = False
+        self.next_cell = move_table(self.states)
+        self.label_ids.flags.writeable = False
 
 
 def obs_key(obs: np.ndarray) -> bytes:
@@ -305,38 +296,40 @@ def generate_dataset(
 ) -> GroundingDataset:
     """Random-walk trajectories of length cfg.episode_len with ground-truth labels.
 
-    Reproducible: trajectory i uses the RNG stream (seed, i). Each distinct
-    state is encoded and labelled once; its observation array is read-only
-    and shared by every step that visits it.
+    Reproducible: trajectory i uses the RNG stream (seed, i), drawing its
+    start from reset and then all its actions in one call, the same
+    stream as one draw per step. The walk follows move_table by cell id.
+    Each distinct state, a layout's placements with the agent on a cell,
+    is encoded and labelled on its first visit; its observation array is
+    read-only and shared by every step that visits it.
     """
     if n_trajectories < 1:
         raise ValueError("need at least one trajectory")
     root = cfg.seed if seed is None else seed
-    seen: dict[GridState, tuple[np.ndarray, frozenset[str]]] = {}
-
-    def observe(state: GridState) -> tuple[np.ndarray, frozenset[str]]:
-        """Observation and label of a state, computed on its first visit and then shared."""
-        entry = seen.get(state)
-        if entry is None:
-            obs = encode_obs(state)
-            obs.flags.writeable = False
-            entry = seen[state] = (obs, true_label(state))
-        return entry
-
+    moves = move_table(list(cell_states(cfg).values())).tolist()
+    # placements -> per cell id: (observation, label), or None before the first visit
+    seen: dict[tuple, list] = {}
     trajectories = []
     for i in range(n_trajectories):
         rng = np.random.default_rng((root, i))
-        state = reset(cfg, seed=int(rng.integers(2**63)))
-        obs, label = observe(state)
-        observations, labels, actions = [obs], [label], []
-        for _ in range(cfg.episode_len):
-            a = int(rng.integers(len(ACTIONS)))
-            state = step(state, a)
-            obs, label = observe(state)
-            actions.append(a)
-            observations.append(obs)
-            labels.append(label)
-        trajectories.append(Trajectory(observations, actions, labels))
+        start = reset(cfg, seed=int(rng.integers(2**63)))
+        actions = rng.integers(len(ACTIONS), size=cfg.episode_len).tolist()
+        cell = start.agent[0] * cfg.width + start.agent[1]
+        cells = [cell]
+        for a in actions:
+            cell = moves[cell][a]
+            cells.append(cell)
+        by_cell = seen.setdefault(start.placements, [None] * len(moves))
+        for cell in dict.fromkeys(cells):
+            if by_cell[cell] is None:
+                state = GridState(cfg.width, cfg.height, divmod(cell, cfg.width), start.placements)
+                obs = encode_obs(state)
+                obs.flags.writeable = False
+                by_cell[cell] = (obs, true_label(state))
+        steps = [by_cell[cell] for cell in cells]
+        trajectories.append(
+            Trajectory([obs for obs, _ in steps], actions, [label for _, label in steps])
+        )
     meta = {"seed": root, "policy": "random", "config": config_to_dict(cfg)}
     return GroundingDataset(VOCAB, trajectories, meta)
 
@@ -422,13 +415,16 @@ def load_dataset(path) -> GroundingDataset:
 
     Each table entry is decoded once into a read-only array, and every
     step that names its id shares that array. Raises DatasetFormatError on
-    a file of another format version, an observation whose hex length
-    does not match its shape, a table label outside vocab, an id or an
-    action out of range, or a trajectory whose ids and actions do not
-    line up.
+    an empty file, a line that is not a JSON object or lacks a field, a
+    file of another format version, an observation whose hex length does
+    not match its shape, a table label outside vocab, an id or an action
+    out of range, or a trajectory whose ids and actions do not line up.
     """
     with open(path) as fh:
-        header = json.loads(fh.readline())
+        first = fh.readline()
+        if not first:
+            raise DatasetFormatError(f"{path} is empty")
+        header = _json_object(first, "the header")
         version = header.get("format_version")
         if version == 1:
             n = sum(1 for _ in fh)
@@ -442,6 +438,7 @@ def load_dataset(path) -> GroundingDataset:
             raise DatasetFormatError(
                 f"unsupported dataset format {version!r}; expected {DATASET_FORMAT_VERSION}"
             )
+        _require(header, ("vocab", "observations", "labels"), "the header")
         vocab = tuple(header["vocab"])
         table = [
             _decode_entry(k, shape, data) for k, (shape, data) in enumerate(header["observations"])
@@ -458,7 +455,8 @@ def load_dataset(path) -> GroundingDataset:
                 )
         trajectories = []
         for t, line in enumerate(fh):
-            record = json.loads(line)
+            record = _json_object(line, f"trajectory {t}")
+            _require(record, ("ids", "actions"), f"trajectory {t}")
             ids, actions = record["ids"], record["actions"]
             if len(ids) != len(actions) + 1:
                 raise DatasetFormatError(
@@ -477,6 +475,23 @@ def load_dataset(path) -> GroundingDataset:
                 Trajectory([table[i] for i in ids], actions, [labels[i] for i in ids])
             )
     return GroundingDataset(vocab, trajectories, header.get("meta", {}))
+
+
+def _json_object(line: str, what: str) -> dict:
+    """One line of a dataset file parsed as a JSON object; what names the line in errors."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise DatasetFormatError(f"{what} is not JSON: {e}") from None
+    if not isinstance(record, dict):
+        raise DatasetFormatError(f"{what} is not a JSON object")
+    return record
+
+
+def _require(record: dict, fields: tuple, what: str) -> None:
+    missing = [f for f in fields if f not in record]
+    if missing:
+        raise DatasetFormatError(f"{what} lacks {', '.join(missing)}")
 
 
 def _decode_entry(k: int, shape: list, data: str) -> np.ndarray:

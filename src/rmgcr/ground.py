@@ -278,13 +278,12 @@ def train_pvfs_fqi(
         for positive in (True, False):
             lit = (atom, positive)
             sat = np.array([literal_satisfied(lit, label) for label in view.labels], dtype=bool)
-            sat_next = sat[dst]
             residual = np.inf
             if backend == "tabular":
                 q = np.zeros((n_states, N_ACTIONS))
                 for it in range(iters):
-                    next_v = q[dst].max(axis=1)
-                    target = gamma * np.where(sat_next, 1.0, next_v)
+                    # the target of a transition depends only on its next state
+                    target = (gamma * np.where(sat, 1.0, q.max(axis=1)))[dst]
                     sums = np.bincount(cells, weights=target, minlength=size)
                     sums = sums.reshape(n_states, N_ACTIONS)
                     q_new = np.divide(sums, counts, out=np.zeros_like(q), where=visited)
@@ -295,6 +294,7 @@ def train_pvfs_fqi(
                 v = q.max(axis=1).tolist()
                 est = TabularPvf(gamma, {view.keys[i]: v[i] for i in in_transition})
             else:
+                sat_next = sat[dst]
                 w = np.zeros((N_ACTIONS, feats.shape[1]))
                 for it in range(iters):
                     next_q = np.clip((feats[dst] @ w.T).max(axis=1), 0.0, 1.0)

@@ -371,21 +371,3 @@ def dnf_to_formula(dnf) -> Formula:
 
     terms = [clause(c) for c in dnf.clauses]
     return terms[0] if len(terms) == 1 else Or(tuple(terms))
-
-
-def formula_atoms(f) -> frozenset[str]:
-    """Set of atom names appearing in a Formula or DnfFormula."""
-    if isinstance(f, (TrueConst, FalseConst)):
-        return frozenset()
-    if isinstance(f, Var):
-        return frozenset([f.name])
-    if isinstance(f, Not):
-        return formula_atoms(f.child)
-    if isinstance(f, (And, Or)):
-        out: frozenset[str] = frozenset()
-        for c in f.children:
-            out |= formula_atoms(c)
-        return out
-    if isinstance(f, DnfFormula):
-        return frozenset(a for c in f.clauses for a, _ in c)
-    raise TypeError(f"not a formula: {f!r}")

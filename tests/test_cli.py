@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from rmgcr import compose
 from rmgcr.cli import build_parser, main
 from rmgcr.geogrid import GridConfig, config_to_dict
 
@@ -330,6 +331,15 @@ class TestTrainEval:
         assert main(argv) == 3
         assert time.perf_counter() - start < 1.0
         assert "too close to 1" in capsys.readouterr().err
+
+    def test_exhausted_rm_sweeps_are_validation_error(
+        self, pipeline, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(compose, "MAX_RM_SWEEPS", 50)
+        argv = ["train", "--rm", "tasks/loop.rm", "--models", str(pipeline["models"])]
+        argv += ["--out", str(tmp_path), "--shaping", "high-level", "--gamma-rm", "0.999"]
+        assert main(argv) == 3
+        assert "did not converge in 50 sweeps" in capsys.readouterr().err
 
     def test_unknown_shaping_is_usage_error(self, pipeline, tmp_path):
         with pytest.raises(SystemExit) as e:

@@ -11,6 +11,7 @@ from rmgcr.compose import (
     NoOutgoingEdgeError,
     StateSpaceTooLargeError,
     UnsatisfiableGuardError,
+    check_shaping,
     clause_value,
     composed_table,
     composed_value,
@@ -20,7 +21,7 @@ from rmgcr.compose import (
     make_composed_value_fn,
     max_self_loop_rewards,
     rm_value_iteration,
-    shaping_reward,
+    shaping_term,
 )
 from rmgcr import compose
 from rmgcr.geogrid import (
@@ -138,7 +139,7 @@ class TestRmValueIteration:
     def test_sweep_cap_raises(self, loop_rm, monkeypatch):
         # at gamma_rm 0.999 the residual shrinks by about 0.1 % a sweep
         monkeypatch.setattr(compose, "MAX_RM_SWEEPS", 50)
-        with pytest.raises(RuntimeError, match="did not converge"):
+        with pytest.raises(GammaRmTooLargeError, match="too close to 1: .* did not converge"):
             rm_value_iteration(loop_rm, 0.999, 0.97)
 
     def test_unreachable_gamma_rm_fails_fast(self, loop_rm):
@@ -291,27 +292,28 @@ class TestShaping:
 
     def test_undiscounted_difference(self):
         cvf, o1, o2 = self._two_point_cvf()
-        assert shaping_reward(cvf, (o1, 1), (o2, 1)) == pytest.approx(0.1)
+        v, v2 = composed_value(cvf, o1, 1), composed_value(cvf, o2, 1)
+        assert shaping_term(v, v2, 1.0, "undiscounted", cvf.gamma) == pytest.approx(0.1)
 
     def test_plateau_is_zero(self):
         cvf, o1, _ = self._two_point_cvf()
-        assert shaping_reward(cvf, (o1, 1), (o1, 1)) == 0.0
+        v = composed_value(cvf, o1, 1)
+        assert shaping_term(v, v, 1.0, "undiscounted", cvf.gamma) == 0.0
 
     def test_discounted_terminal(self):
         cvf, o1, o2 = self._two_point_cvf()
         cvf.pvfs.estimators[("red", True)].v[obs_key(o1)] = 0.9
-        got = shaping_reward(cvf, (o1, 1), (o2, 0), mode="discounted", gamma=0.97)
-        assert got == pytest.approx(-0.9)
+        v, v2 = composed_value(cvf, o1, 1), composed_value(cvf, o2, 0)
+        assert v2 == 0.0  # a terminal RM state has potential 0
+        assert shaping_term(v, v2, 1.0, "discounted", 0.97) == pytest.approx(-0.9)
 
     def test_negative_lambda_rejected(self):
-        cvf, o1, o2 = self._two_point_cvf()
         with pytest.raises(ValueError):
-            shaping_reward(cvf, (o1, 1), (o2, 1), lam=-1.0)
+            check_shaping(-1.0, "undiscounted")
 
     def test_unknown_mode_rejected(self):
-        cvf, o1, o2 = self._two_point_cvf()
         with pytest.raises(ValueError):
-            shaping_reward(cvf, (o1, 1), (o2, 1), mode="sideways")
+            check_shaping(1.0, "sideways")
 
     def test_discounted_telescoping(self, sequence_rm, desk_pvfs, desk_cfg):
         cvf = make_composed_value_fn(sequence_rm, desk_pvfs, GAMMA_RM)
@@ -324,9 +326,9 @@ class TestShaping:
             a = int(rng.integers(4))
             s2 = step(state, a)
             stp = rm_step(sequence_rm, u, true_label(s2))
-            total += GAMMA**t * shaping_reward(
-                cvf, (encode_obs(state), u), (encode_obs(s2), stp.next_state), mode="discounted"
-            )
+            v = composed_value(cvf, encode_obs(state), u)
+            v2 = composed_value(cvf, encode_obs(s2), stp.next_state)
+            total += GAMMA**t * shaping_term(v, v2, 1.0, "discounted", cvf.gamma)
             state, u = s2, stp.next_state
             if stp.terminated:
                 break

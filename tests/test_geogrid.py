@@ -24,12 +24,12 @@ from rmgcr.geogrid import (
     StateSpaceTooLargeError,
     Trajectory,
     cell_states,
-    decode_obs,
     encode_obs,
     full_coverage_dataset,
     generate_dataset,
     label_frequencies,
     load_dataset,
+    move_table,
     obs_key,
     reset,
     save_dataset,
@@ -148,20 +148,6 @@ class TestObservations:
         obs = encode_obs(reset(desk_cfg))
         assert (obs[:, :, :3].sum(axis=2) <= 1).all()
 
-    def test_encode_decode_bijection(self):
-        cfg = GridConfig(layout_mode="randomized")
-        for s in range(50):
-            st = reset(cfg, seed=s)
-            back = decode_obs(encode_obs(st))
-            assert back.agent == st.agent
-            assert set(back.placements) == set(st.placements)
-
-    def test_decode_rejects_missing_agent(self, desk_cfg):
-        obs = encode_obs(reset(desk_cfg))
-        obs[:, :, -1] = 0
-        with pytest.raises(ValueError):
-            decode_obs(obs)
-
     def test_obs_key_distinguishes_states(self, desk_cfg):
         s = reset(desk_cfg)
         assert obs_key(encode_obs(s)) != obs_key(encode_obs(step(s, 3)))
@@ -169,10 +155,12 @@ class TestObservations:
 
 class TestDataset:
     def test_label_soundness(self, desk_cfg):
+        graph = CellGraph(desk_cfg)
+        label_of = {obs_key(encode_obs(s)): l for s, l in zip(graph.states, graph.labels)}
         ds = generate_dataset(desk_cfg, 5, seed=11)
         for tr in ds.trajectories:
             for obs, lab in zip(tr.observations, tr.labels):
-                assert true_label(decode_obs(obs)) == lab
+                assert label_of[obs_key(obs)] == lab
 
     def test_shape(self, desk_cfg):
         ds = generate_dataset(desk_cfg, 3, seed=0)
@@ -219,7 +207,9 @@ class TestDataset:
     def test_full_coverage_counts(self, desk_cfg):
         ds = full_coverage_dataset(desk_cfg)
         assert len(ds.trajectories) == 6 * 6 * len(ACTIONS)
-        seen = {(decode_obs(tr.observations[0]).agent, tr.actions[0]) for tr in ds.trajectories}
+        graph = CellGraph(desk_cfg)
+        cell_of = {obs_key(encode_obs(s)): cell for cell, s in zip(graph.cells, graph.states)}
+        seen = {(cell_of[obs_key(tr.observations[0])], tr.actions[0]) for tr in ds.trajectories}
         assert len(seen) == 6 * 6 * len(ACTIONS)
 
     def test_cell_graph_matches_step_and_true_label(self, desk_cfg, corridor_cfg):
@@ -353,6 +343,15 @@ def _set(path, value):
     return tamper
 
 
+def _drop(path):
+    """A tamper that deletes header or record field path ('header'/'record', key)."""
+
+    def tamper(header, records):
+        del (header if path[0] == "header" else records[0])[path[1]]
+
+    return tamper
+
+
 @pytest.mark.parametrize(
     "tamper, message",
     [
@@ -368,6 +367,16 @@ def _set(path, value):
         (_set(("record", "ids"), []), "0 ids for 60 actions"),
         (_set(("record", "actions", 0), 4), "an action outside 0..3"),
         (_set(("record", "actions", 0), -1), "an action outside 0..3"),
+        (lambda h, r: [], "is empty"),
+        (lambda h, r: ["{", *map(json.dumps, r)], "the header is not JSON"),
+        (lambda h, r: [json.dumps([h]), *map(json.dumps, r)], "the header is not a JSON object"),
+        (_drop(("header", "vocab")), "the header lacks vocab"),
+        (_drop(("header", "observations")), "the header lacks observations"),
+        (_drop(("header", "labels")), "the header lacks labels"),
+        (lambda h, r: [json.dumps(h), json.dumps(r[0])[:-1]], "trajectory 0 is not JSON"),
+        (lambda h, r: [json.dumps(h), json.dumps(r[0]), "7"], "trajectory 1 is not a JSON object"),
+        (_drop(("record", "ids")), "trajectory 0 lacks ids"),
+        (_drop(("record", "actions")), "trajectory 0 lacks actions"),
     ],
     ids=[
         "unknown-version",
@@ -382,14 +391,27 @@ def _set(path, value):
         "no-ids",
         "action-past-end",
         "negative-action",
+        "empty-file",
+        "header-not-json",
+        "header-not-object",
+        "no-vocab",
+        "no-observations",
+        "no-labels",
+        "record-not-json",
+        "record-not-object",
+        "record-without-ids",
+        "record-without-actions",
     ],
 )
 def test_malformed_dataset_is_a_format_error(desk_cfg, tmp_path, tamper, message):
+    # a tamper edits the parsed lines in place, or returns the lines to write instead
     path = tmp_path / "ds.jsonl"
     save_dataset(generate_dataset(desk_cfg, 2, seed=0), path)
     header, *records = [json.loads(line) for line in path.read_text().splitlines()]
-    tamper(header, records)
-    path.write_text("".join(json.dumps(r) + "\n" for r in (header, *records)))
+    lines = tamper(header, records)
+    if lines is None:
+        lines = [json.dumps(r) for r in (header, *records)]
+    path.write_text("".join(line + "\n" for line in lines))
     with pytest.raises(DatasetFormatError, match=re.escape(message)):
         load_dataset(path)
 
@@ -397,9 +419,12 @@ def test_malformed_dataset_is_a_format_error(desk_cfg, tmp_path, tamper, message
 class TestGenerateOncePerState:
     @pytest.mark.parametrize("layout", ["fixed", "randomized"])
     @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
-    def test_steps_match_a_replayed_walk(self, layout, seed):
-        cfg = GridConfig(layout_mode=layout, episode_len=40)
-        ds = generate_dataset(cfg, 6, seed=seed)
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_steps_match_a_replayed_walk(self, layout, seed, data):
+        # one rng.integers call per step pins the batched draw of a trajectory's actions
+        cfg = data.draw(grid_configs(layouts=(layout,)))
+        ds = generate_dataset(cfg, data.draw(st.integers(1, 6)), seed=seed)
         for i, tr in enumerate(ds.trajectories):
             rng = np.random.default_rng((seed, i))
             states = [reset(cfg, seed=int(rng.integers(2**63)))]
@@ -411,6 +436,19 @@ class TestGenerateOncePerState:
             for obs, s in zip(tr.observations, states):
                 want = encode_obs(s)
                 assert obs.dtype == want.dtype and np.array_equal(obs, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid_configs())
+    def test_move_table_follows_step_and_is_the_cell_graphs(self, cfg):
+        states = cell_states(cfg)  # keyed by cell in row-major order
+        moves = move_table(list(states.values()))
+        assert moves.shape == (len(states), len(ACTIONS)) and not moves.flags.writeable
+        cells = list(states)
+        for i, state in enumerate(states.values()):
+            for a in range(len(ACTIONS)):
+                assert cells[moves[i, a]] == step(state, a).agent
+        if cfg.layout_mode == "fixed":
+            assert np.array_equal(CellGraph(cfg).next_cell, moves)
 
     def test_each_distinct_state_is_encoded_once_and_shared(self, desk_cfg, monkeypatch):
         counts = {"encode_obs": 0, "true_label": 0}

@@ -1,14 +1,19 @@
-"""Fixed-seed regression pins for `train`, `evaluate`, saved policies, `oracle` and `ground`.
+"""Fixed-seed regression pins for `train`, `evaluate`, policies, `oracle`, `gen-dataset`, `ground`.
 
 The training digests were recorded before the Q-learning hot path moved
 to dense observation ids and a tabulated RM step; the oracle digests
 before the oracle, the bound checks and `oracle --models` moved onto a
-cell graph built once per command; the `ground` digests before the
-dataset file moved to format 2, which writes each distinct observation
-once, and before `generate_dataset` encoded each distinct state once.
-A change to the RNG draw order, to a
-tie-break, to the update arithmetic or to a signed zero shows up here as
-a changed digest, even when every behavioural test still passes.
+cell graph built once per command; the first four `ground` digests
+before the dataset file moved to format 2, which writes each distinct
+observation once, and before `generate_dataset` encoded each distinct
+state once. The `gen-dataset` file digests (fixed and randomized
+layouts), the `ground` digests of a randomized-layout dataset and of a
+hand-built file in which one (observation, action) pair has two
+successors were recorded before `generate_dataset` walked cell ids with
+one action draw per trajectory and before tabular FQI took its target
+once per state. A change to the RNG draw order, to a tie-break, to the
+update arithmetic or to a signed zero shows up here as a changed
+digest, even when every behavioural test still passes.
 """
 
 import hashlib
@@ -20,7 +25,15 @@ import pytest
 from rmgcr.agent import AgentConfig, evaluate, train
 from rmgcr.cli import main, save_policy
 from rmgcr.compose import make_composed_value_fn, rm_value_iteration
-from rmgcr.geogrid import VOCAB, GridConfig, full_coverage_dataset
+from rmgcr.geogrid import (
+    VOCAB,
+    GridConfig,
+    ObjectSpec,
+    cell_states,
+    encode_obs,
+    full_coverage_dataset,
+    true_label,
+)
 from rmgcr.ground import NonConvergenceWarning, save_pvfs, train_pvfs_fqi
 from rmgcr.rm import load_rm
 
@@ -224,3 +237,71 @@ def test_ground_outputs_match_recorded_digests(case, tmp_path):
         for name in ("label_model.json", "pvfs.json", "metrics.json")
     )
     assert got == GROUND_GOLDEN[case]
+
+
+# `rmgcr gen-dataset --n 50 --seed S [--layout randomized]`:
+# (layout, seed) -> digest of the dataset file's bytes
+GEN_DATASET_GOLDEN = {
+    ("fixed", 5): "937611e0808136dd",
+    ("fixed", 23): "1226e1135c91c744",
+    ("randomized", 5): "103d650ed8f4f3b1",
+    ("randomized", 23): "d745682bc9404e8a",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GEN_DATASET_GOLDEN), ids=lambda c: "-".join(map(str, c)))
+def test_gen_dataset_file_matches_recorded_digest(case, tmp_path):
+    layout, seed = case
+    dataset = tmp_path / "data.jsonl"
+    argv = ["gen-dataset", "--out", str(dataset), "--n", "50", "--seed", str(seed)]
+    assert main(argv + ["--layout", layout]) == 0
+    assert _digest(dataset.read_bytes()) == GEN_DATASET_GOLDEN[case]
+
+
+def _ground_digests(dataset, models) -> tuple:
+    assert main(["ground", "--dataset", str(dataset), "--out", str(models)]) == 0
+    return tuple(
+        _digest((models / name).read_bytes())
+        for name in ("label_model.json", "pvfs.json", "metrics.json")
+    )
+
+
+def test_ground_on_a_randomized_layout_matches_recorded_digests(tmp_path):
+    dataset = tmp_path / "data.jsonl"
+    argv = ["gen-dataset", "--out", str(dataset), "--n", "50", "--seed", "9"]
+    assert main(argv + ["--layout", "randomized"]) == 0
+    assert _ground_digests(dataset, tmp_path / "models") == (
+        "22cb2e6725cb9c85",
+        "5160f331f1da816e",
+        "d1761f9741dc39e9",
+    )
+
+
+def test_ground_averages_the_successors_of_a_repeated_pair(tmp_path):
+    """Tabular FQI on a hand-built file: (observation 1, right) leads to 2 once, to 1 three times."""
+    cfg = GridConfig(
+        width=3,
+        height=1,
+        objects=(ObjectSpec("blue", "circle", (0, 0)), ObjectSpec("red", "circle", (0, 2))),
+    )
+    states = list(cell_states(cfg).values())
+    header = {
+        "format_version": 2,
+        "vocab": ["red", "blue", "circle"],
+        "meta": {},
+        "observations": [[list(o.shape), o.tobytes().hex()] for o in map(encode_obs, states)],
+        "labels": [sorted(true_label(s)) for s in states],
+    }
+    records = [
+        {"ids": [0, 1, 2, 1], "actions": [3, 3, 2]},
+        {"ids": [1, 1, 0, 0], "actions": [3, 2, 2]},
+        {"ids": [2, 1, 1, 1], "actions": [2, 3, 3]},
+        {"ids": [0, 1, 0], "actions": [3, 2]},
+    ]
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text("".join(json.dumps(r) + "\n" for r in (header, *records)))
+    assert _ground_digests(dataset, tmp_path / "models") == (
+        "7656fd93e4b7d921",
+        "4fcb10bb0a46f168",
+        "5270055a30c2984b",
+    )

@@ -17,7 +17,6 @@ from rmgcr.logic import (
     check_vocab,
     dnf_to_formula,
     evaluate,
-    formula_atoms,
     parse_formula,
     to_dnf,
 )
@@ -186,11 +185,6 @@ class TestRoundTripProperty:
 
 
 class TestHelpers:
-    def test_formula_atoms(self):
-        f = parse_formula("red & (triangle | !blue)", GEO)
-        assert formula_atoms(f) == frozenset({"red", "triangle", "blue"})
-        assert formula_atoms(TRUE) == frozenset()
-
     def test_dnf_invariants_enforced(self):
         with pytest.raises(ValueError):
             DnfFormula(())
