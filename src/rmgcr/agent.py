@@ -16,7 +16,7 @@ import numpy as np
 
 from . import geogrid
 from .compose import ComposedValueFn, RmStateValues, check_shaping, composed_value, shaping_term
-from .geogrid import GridConfig, GridState, encode_obs, obs_key, true_label
+from .geogrid import GridConfig, ObsIndex
 from .ground import LabelModel, predict_labels
 from .rm import RewardMachine, StepTable, label_mask
 
@@ -95,63 +95,6 @@ class RandomPolicy:
         return int(rng.integers(N_ACTIONS))
 
 
-class ObsIndex:
-    """Dense integer ids for the observations met on a grid, with what the
-    hot path reads per id.
-
-    States with the same observation share an id. Per id it stores the
-    observation and its key, the true-label mask and, given a label
-    model, the predicted-label mask (`predict_labels` is a pure function
-    of the observation), plus the successor id per action. So
-    `encode_obs` runs once per new (placements, agent) pair, labels once
-    per new observation and `geogrid.step` once per new (id, action).
-    Masks are over `vocab` (see `rm.label_mask`).
-    """
-
-    def __init__(self, vocab, label_model: Optional[LabelModel] = None):
-        self.vocab = tuple(vocab)
-        self.label_model = label_model
-        self.keys: list[bytes] = []
-        self.obs: list[np.ndarray] = []
-        self.true_masks: list[int] = []
-        self.predicted_masks: list[int] = []
-        self.unseen_label_obs = 0  # ids the tabular label model has no entry for
-        self._states: list[GridState] = []
-        self._successors: list[list[int]] = []  # -1 until (id, action) is first taken
-        self._by_state: dict = {}  # (placements, agent) -> id
-        self._by_key: dict = {}  # observation bytes -> id
-
-    def intern(self, state: GridState) -> int:
-        """The id of state's observation, added on first sight."""
-        where = (state.placements, state.agent)
-        i = self._by_state.get(where)
-        if i is None:
-            obs = encode_obs(state)
-            key = obs_key(obs)
-            i = self._by_key.get(key)
-            if i is None:
-                i = self._by_key[key] = len(self.keys)
-                self.keys.append(key)
-                self.obs.append(obs)
-                self._states.append(state)
-                self.true_masks.append(label_mask(self.vocab, true_label(state)))
-                self._successors.append([-1] * N_ACTIONS)
-                if self.label_model is not None:
-                    self.predicted_masks.append(
-                        label_mask(self.vocab, predict_labels(self.label_model, obs))
-                    )
-                    self.unseen_label_obs += self.label_model.unseen(obs)
-            self._by_state[where] = i
-        return i
-
-    def successor(self, i: int, a: int) -> int:
-        """The id reached from id i by action a."""
-        j = self._successors[i][a]
-        if j < 0:
-            j = self._successors[i][a] = self.intern(geogrid.step(self._states[i], a))
-        return j
-
-
 def train(
     cfg: GridConfig,
     rm: RewardMachine,
@@ -176,7 +119,23 @@ def train(
     if agent_cfg.shaping == "high-level" and rm_values is None:
         raise ConfigMismatchError("high-level shaping requires RM state values")
 
-    index = ObsIndex(rm.vocab, label_model)
+    index = ObsIndex()
+    moves = geogrid.move_table(list(geogrid.cell_states(cfg).values())).tolist()
+    # per id, filled when the id is first numbered: label masks (see rm.label_mask)
+    true_masks: list[int] = []
+    predicted: list[int] = []  # predict_labels is a pure function of the observation
+    unseen_label_obs = 0  # ids the tabular label model has no entry for
+
+    def visit(start, cell) -> int:
+        nonlocal unseen_label_obs
+        i = index.visit(start, cell)
+        if i == len(true_masks):
+            obs = index.obs[i]
+            true_masks.append(label_mask(rm.vocab, index.labels[i]))
+            predicted.append(label_mask(rm.vocab, predict_labels(label_model, obs)))
+            unseen_label_obs += label_model.unseen(obs)
+        return i
+
     table = StepTable(rm)
     n_u = rm.num_states
     terminal = [rm.is_terminal(u) for u in range(n_u)]
@@ -209,13 +168,16 @@ def train(
     rng = np.random.default_rng((agent_cfg.seed, 0xA6E47))
     gamma = agent_cfg.gamma
     shaped = agent_cfg.shaping != "none"
-    predicted = index.predicted_masks
-    true_masks = index.true_masks
 
     for episode in range(agent_cfg.episodes):
         frac = min(1.0, episode / decay_span)
         epsilon = EPSILON_START + frac * (EPSILON_END - EPSILON_START)
-        i = index.intern(geogrid.reset(cfg, seed=int(rng.integers(2**63))))
+        start = geogrid.reset(cfg, seed=int(rng.integers(2**63)))
+        ids = index.cells(start)
+        cell = start.agent[0] * cfg.width + start.agent[1]
+        i = ids[cell]
+        if i < 0:
+            i = visit(start, cell)
         u = rm.initial
         u_true = rm.initial
         true_done = terminal[u_true]
@@ -231,7 +193,10 @@ def train(
                 a = int(rng.integers(N_ACTIONS))
             else:
                 a = row.index(max(row))  # first maximum, as np.argmax
-            j = index.successor(i, a)
+            cell = moves[cell][a]
+            j = ids[cell]
+            if j < 0:
+                j = visit(start, cell)
             u2, r, terminated = table.step(u, predicted[j])
             perceived += r
 
@@ -256,7 +221,7 @@ def train(
             i, u = j, u2
             steps += 1
         report.episodes.append(EpisodeRecord(perceived, actual, steps))
-    report.meta["unseen_label_obs"] = index.unseen_label_obs
+    report.meta["unseen_label_obs"] = unseen_label_obs
     keys = index.keys
     policy_q = {(keys[p // n_u], p % n_u): np.array(row) for p, row in q.items()}
     return GreedyPolicy(policy_q), report
@@ -278,21 +243,38 @@ def evaluate(
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be positive")
-    index = ObsIndex(rm.vocab)
+    index = ObsIndex()
+    moves = geogrid.move_table(list(geogrid.cell_states(cfg).values())).tolist()
+    true_masks: list[int] = []  # per id, filled when the id is first numbered
+
+    def visit(start, cell) -> int:
+        i = index.visit(start, cell)
+        if i == len(true_masks):
+            true_masks.append(label_mask(rm.vocab, index.labels[i]))
+        return i
+
     table = StepTable(rm)
     rng = np.random.default_rng((seed, 0xE7A1))
     returns = []
     unseen: set = set()
     for _ in range(n_episodes):
-        i = index.intern(geogrid.reset(cfg, seed=int(rng.integers(2**63))))
+        start = geogrid.reset(cfg, seed=int(rng.integers(2**63)))
+        ids = index.cells(start)
+        cell = start.agent[0] * cfg.width + start.agent[1]
+        i = ids[cell]
+        if i < 0:
+            i = visit(start, cell)
         u = rm.initial
         total = 0.0
         for _ in range(max_steps):
             if rm.is_terminal(u):
                 break
             a = policy.action(index.keys[i], u, rng, unseen)
-            i = index.successor(i, a)
-            u, r, _ = table.step(u, index.true_masks[i])
+            cell = moves[cell][a]
+            i = ids[cell]
+            if i < 0:
+                i = visit(start, cell)
+            u, r, _ = table.step(u, true_masks[i])
             total += r
         returns.append(total)
     mean, stderr = mean_stderr(returns)

@@ -42,6 +42,7 @@ VALIDATION_ERRORS = (
     UnknownAtomError,
     ClauseLimitExceeded,
     geogrid.InfeasibleConfigError,
+    geogrid.GridConfigError,
     geogrid.InconsistentLabelError,
     geogrid.DatasetFormatError,
     ground.DegenerateAtomError,
@@ -62,18 +63,17 @@ def out_dir(flag_value) -> pathlib.Path:
 
 
 def load_grid_config(path, overrides: dict) -> GridConfig:
+    """The grid config file at path, if any, with the overrides that are not None put over it."""
+    data = {}
     if path is not None:
         with open(path) as fh:
-            data = json.load(fh)
-        cfg = geogrid.config_from_dict({**geogrid.config_to_dict(GridConfig()), **data})
-    else:
-        cfg = GridConfig()
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as e:
+                raise geogrid.GridConfigError(f"grid config {path} is not JSON: {e}") from None
     fields = {k: v for k, v in overrides.items() if v is not None}
-    if fields:
-        data = geogrid.config_to_dict(cfg)
-        data.update(fields)
-        cfg = geogrid.config_from_dict(data)
-    return cfg
+    # the merged config is checked as a whole; config_from_dict rejects a file that is no object
+    return geogrid.config_from_dict({**data, **fields} if isinstance(data, dict) else data)
 
 
 # ---------------------------------------------------------------------------

@@ -99,12 +99,13 @@ def rm_value_iteration(
     GammaRmTooLargeError if the sweeps have not converged after
     MAX_RM_SWEEPS.
 
-    A sweep updates each of its n states once, so it carries a change at
-    most n edges along the RM graph and shrinks the residual by at least a
-    factor gamma_rm**n. After RM_PROBE_SWEEPS unconverged sweeps, a residual
-    that even that rate would keep at or above RM_TOL until MAX_RM_SWEEPS
-    raises GammaRmTooLargeError at once. An acyclic RM converges within n
-    sweeps, long before the probe.
+    After RM_PROBE_SWEEPS unconverged sweeps, the residual is extrapolated
+    to MAX_RM_SWEEPS at the rate it has shrunk since sweep
+    RM_PROBE_SWEEPS // 2; if that reaches no lower than RM_TOL,
+    GammaRmTooLargeError is raised at once. The rate varies with the RM
+    graph: on loop.rm a sweep shrinks the residual by about gamma_rm**1.5.
+    An acyclic RM converges within as many sweeps as it has states, long
+    before the probe.
     """
     if not (0.0 < gamma_rm < 1.0):
         raise ValueError("gamma_rm must lie in (0, 1)")
@@ -122,7 +123,7 @@ def rm_value_iteration(
             dead_ends.append(u)
             v[u] = r_self[u] / (1.0 - gamma)
     swept = [u for u in range(rm.num_states) if not rm.is_terminal(u) and u not in dead_ends]
-    residual = np.inf
+    residual = halfway = np.inf
     for sweep in range(1, MAX_RM_SWEEPS + 1):
         residual = 0.0
         for u in swept:
@@ -134,9 +135,11 @@ def rm_value_iteration(
             v[u] = best
         if residual < RM_TOL:
             break
-        if sweep == RM_PROBE_SWEEPS:
-            fastest = gamma_rm ** (len(swept) * (MAX_RM_SWEEPS - sweep))
-            if residual * fastest >= RM_TOL:
+        if sweep == RM_PROBE_SWEEPS // 2:
+            halfway = residual
+        elif sweep == RM_PROBE_SWEEPS:
+            rate = (residual / halfway) ** (1 / (sweep - RM_PROBE_SWEEPS // 2))
+            if residual * rate ** (MAX_RM_SWEEPS - sweep) >= RM_TOL:
                 raise GammaRmTooLargeError(
                     f"gamma_rm {gamma_rm!r} is too close to 1: the RM state values still change "
                     f"by {residual:.3g} after {sweep} sweeps and cannot settle below {RM_TOL:g} "

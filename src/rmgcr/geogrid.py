@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,6 +30,10 @@ Cell = tuple[int, int]
 
 class InfeasibleConfigError(ValueError):
     pass
+
+
+class GridConfigError(ValueError):
+    """A grid config has an unknown field, or a field of the wrong type or value."""
 
 
 class InconsistentLabelError(ValueError):
@@ -75,11 +79,11 @@ class GridConfig:
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
-            raise ValueError("grid dimensions must be positive")
+            raise GridConfigError("grid dimensions must be positive")
         if self.layout_mode not in ("fixed", "randomized"):
-            raise ValueError(f"unknown layout_mode {self.layout_mode!r}")
+            raise GridConfigError(f"unknown layout_mode {self.layout_mode!r}")
         if self.episode_len < 0:
-            raise ValueError("episode_len must be non-negative")
+            raise GridConfigError("episode_len must be non-negative")
         if not self.objects:
             object.__setattr__(
                 self,
@@ -92,18 +96,22 @@ class GridConfig:
             )
         for obj in self.objects:
             if obj.color not in COLORS or obj.shape not in SHAPES:
-                raise ValueError(f"bad object entry: {obj}")
+                raise GridConfigError(f"bad object entry: {obj}")
         if len(self.objects) > self.width * self.height:
             raise InfeasibleConfigError("more objects than cells")
         if self.layout_mode == "fixed":
             cells = [o.cell for o in self.objects]
             if any(c is None for c in cells):
-                raise ValueError("fixed layout requires a pinned cell on every object")
+                raise GridConfigError("fixed layout requires a pinned cell on every object")
             if len(set(cells)) != len(cells):
                 raise InfeasibleConfigError("pinned objects overlap")
             for r, c in cells:
                 if not (0 <= r < self.height and 0 <= c < self.width):
                     raise InfeasibleConfigError(f"pinned cell ({r},{c}) out of bounds")
+        if self.agent_start is not None:
+            r, c = self.agent_start
+            if not (0 <= r < self.height and 0 <= c < self.width):
+                raise InfeasibleConfigError(f"agent_start ({r},{c}) out of bounds")
 
 
 @dataclass(frozen=True)
@@ -232,6 +240,54 @@ def obs_key(obs: np.ndarray) -> bytes:
     return obs.tobytes()
 
 
+class ObsIndex:
+    """The distinct observations met on a grid, numbered by dense id in order of first sight.
+
+    Per id: keys[i], the observation's bytes; obs[i], the observation as a
+    read-only array; labels[i], its label. add numbers an observation by its
+    bytes. cells(state) is the list of ids of state's layout by row-major
+    cell, -1 until visit(state, cell) encodes and labels the cell; a walk
+    fetches that list once per trajectory and visits only cells that hold -1.
+    """
+
+    def __init__(self):
+        self.keys: list[bytes] = []
+        self.obs: list[np.ndarray] = []
+        self.labels: list[frozenset[str]] = []
+        self._by_key: dict[bytes, int] = {}
+        self._by_layout: dict[tuple, list[int]] = {}  # placements -> id per cell
+
+    def add(self, obs: np.ndarray, label: frozenset[str]) -> int:
+        """The id of obs, added on first sight; raises InconsistentLabelError on a second label."""
+        key = obs.tobytes()  # obs_key, inlined: interned() adds every step of a dataset
+        i = self._by_key.get(key)
+        if i is None:
+            i = self._by_key[key] = len(self.keys)
+            self.keys.append(key)
+            self.obs.append(np.frombuffer(key, obs.dtype).reshape(obs.shape))  # read-only
+            self.labels.append(label)
+        elif self.labels[i] != label:
+            raise InconsistentLabelError(
+                f"an observation is labelled both {sorted(self.labels[i])} and {sorted(label)}"
+            )
+        return i
+
+    def cells(self, state: GridState) -> list[int]:
+        """The id of each row-major cell of state's layout, -1 for a cell not yet visited."""
+        ids = self._by_layout.get(state.placements)
+        if ids is None:
+            ids = self._by_layout[state.placements] = [-1] * (state.width * state.height)
+        return ids
+
+    def visit(self, state: GridState, cell: int) -> int:
+        """The id of state's layout with the agent on row-major cell, encoded and labelled once."""
+        ids = self.cells(state)
+        if ids[cell] < 0:
+            at = GridState(state.width, state.height, divmod(cell, state.width), state.placements)
+            ids[cell] = self.add(encode_obs(at), true_label(at))
+        return ids[cell]
+
+
 @dataclass
 class Trajectory:
     observations: list[np.ndarray]
@@ -251,42 +307,15 @@ class GroundingDataset:
     trajectories: list[Trajectory]
     meta: dict = field(default_factory=dict)
 
-    def interned(self) -> "InternedDataset":
-        """The dataset with each distinct observation numbered once; see InternedDataset."""
-        view = InternedDataset([], [], [], [])
-        by_key: dict = {}
-        for tr in self.trajectories:
-            ids = []
-            for obs, label in zip(tr.observations, tr.labels):
-                key = obs_key(obs)
-                i = by_key.get(key)
-                if i is None:
-                    i = by_key[key] = len(view.keys)
-                    view.keys.append(key)
-                    view.observations.append(obs)
-                    view.labels.append(label)
-                elif view.labels[i] != label:
-                    raise InconsistentLabelError(
-                        f"an observation is labelled both {sorted(view.labels[i])} and {sorted(label)}"
-                    )
-                ids.append(i)
-            view.trajectory_ids.append(ids)
-        return view
+    def interned(self) -> tuple[ObsIndex, list[list[int]]]:
+        """An ObsIndex of the dataset's observations, and per trajectory the id of each step.
 
-
-@dataclass
-class InternedDataset:
-    """A dataset's distinct observations, numbered by dense id in order of first appearance.
-
-    Per id: its key, observation and label. Per trajectory: the id of
-    every step, so trajectory_ids[t][k] is the id of observation k of
-    trajectory t.
-    """
-
-    keys: list[bytes]
-    observations: list[np.ndarray]
-    labels: list[frozenset[str]]
-    trajectory_ids: list[list[int]]
+        Raises InconsistentLabelError if one observation has two labels.
+        """
+        index = ObsIndex()
+        add = index.add
+        ids = [[add(o, l) for o, l in zip(tr.observations, tr.labels)] for tr in self.trajectories]
+        return index, ids
 
 
 def generate_dataset(
@@ -298,37 +327,31 @@ def generate_dataset(
 
     Reproducible: trajectory i uses the RNG stream (seed, i), drawing its
     start from reset and then all its actions in one call, the same
-    stream as one draw per step. The walk follows move_table by cell id.
-    Each distinct state, a layout's placements with the agent on a cell,
-    is encoded and labelled on its first visit; its observation array is
-    read-only and shared by every step that visits it.
+    stream as one draw per step. The walk follows move_table by cell id
+    and numbers its cells through one ObsIndex, so each distinct state is
+    encoded and labelled on its first visit, and its read-only
+    observation array is shared by every step that visits it.
     """
     if n_trajectories < 1:
         raise ValueError("need at least one trajectory")
     root = cfg.seed if seed is None else seed
     moves = move_table(list(cell_states(cfg).values())).tolist()
-    # placements -> per cell id: (observation, label), or None before the first visit
-    seen: dict[tuple, list] = {}
+    index = ObsIndex()
+    obs, labels = index.obs, index.labels
     trajectories = []
     for i in range(n_trajectories):
         rng = np.random.default_rng((root, i))
         start = reset(cfg, seed=int(rng.integers(2**63)))
         actions = rng.integers(len(ACTIONS), size=cfg.episode_len).tolist()
+        ids = index.cells(start)
         cell = start.agent[0] * cfg.width + start.agent[1]
-        cells = [cell]
+        steps = [index.visit(start, cell)]
         for a in actions:
             cell = moves[cell][a]
-            cells.append(cell)
-        by_cell = seen.setdefault(start.placements, [None] * len(moves))
-        for cell in dict.fromkeys(cells):
-            if by_cell[cell] is None:
-                state = GridState(cfg.width, cfg.height, divmod(cell, cfg.width), start.placements)
-                obs = encode_obs(state)
-                obs.flags.writeable = False
-                by_cell[cell] = (obs, true_label(state))
-        steps = [by_cell[cell] for cell in cells]
+            k = ids[cell]
+            steps.append(k if k >= 0 else index.visit(start, cell))
         trajectories.append(
-            Trajectory([obs for obs, _ in steps], actions, [label for _, label in steps])
+            Trajectory([obs[k] for k in steps], actions, [labels[k] for k in steps])
         )
     meta = {"seed": root, "policy": "random", "config": config_to_dict(cfg)}
     return GroundingDataset(VOCAB, trajectories, meta)
@@ -341,9 +364,10 @@ def full_coverage_dataset(cfg: GridConfig) -> GroundingDataset:
     dynamics, so fitted values can match exact value iteration.
     """
     graph = CellGraph(cfg)
-    obs, labels = [encode_obs(s) for s in graph.states], graph.labels
-    for o in obs:  # each is shared by the trajectories into and out of its cell
-        o.flags.writeable = False
+    index = ObsIndex()
+    for i in range(len(graph.cells)):  # the agent channel sets each cell apart, so id i is cell i
+        index.visit(graph.states[0], i)
+    obs, labels = index.obs, index.labels
     trajectories = [
         Trajectory([obs[i], obs[j]], [a], [labels[i], labels[j]])
         for i, row in enumerate(graph.next_cell.tolist())
@@ -371,6 +395,46 @@ def config_to_dict(cfg: GridConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> GridConfig:
+    """The GridConfig of a mapping shaped as config_to_dict writes it; missing fields take defaults.
+
+    Raises GridConfigError if d is not a dict, names a field GridConfig
+    lacks, or gives a field a value of the wrong JSON type.
+    """
+    if not isinstance(d, dict):
+        raise GridConfigError(f"a grid config must be a JSON object, not {type(d).__name__}")
+    unknown = set(d) - {f.name for f in fields(GridConfig)}
+    if unknown:
+        raise GridConfigError(f"unknown grid config fields {sorted(unknown)}")
+    d = {**config_to_dict(GridConfig()), **d}
+
+    def is_int(v):
+        return type(v) is int
+
+    def is_cell(v):
+        return v is None or (isinstance(v, list) and len(v) == 2 and all(map(is_int, v)))
+
+    def is_object(v):
+        return (
+            isinstance(v, list)
+            and len(v) == 3
+            and isinstance(v[0], str)
+            and isinstance(v[1], str)
+            and is_cell(v[2])
+        )
+
+    for name, ok, what in (
+        ("width", is_int, "an integer"),
+        ("height", is_int, "an integer"),
+        ("objects", lambda v: isinstance(v, list) and all(map(is_object, v)),
+         "a list of [colour, shape, [row, col] or null]"),
+        ("layout_mode", lambda v: isinstance(v, str), "a string"),
+        ("episode_len", is_int, "an integer"),
+        ("seed", is_int, "an integer"),
+        ("agent_start", is_cell, "a [row, col] pair of integers or null"),
+        ("exclude_agent_from_objects", lambda v: isinstance(v, bool), "true or false"),
+    ):
+        if not ok(d[name]):
+            raise GridConfigError(f"grid config field {name!r} must be {what}, not {d[name]!r}")
     return GridConfig(
         width=d["width"],
         height=d["height"],
@@ -380,8 +444,8 @@ def config_from_dict(d: dict) -> GridConfig:
         layout_mode=d["layout_mode"],
         episode_len=d["episode_len"],
         seed=d["seed"],
-        agent_start=tuple(d["agent_start"]) if d.get("agent_start") else None,
-        exclude_agent_from_objects=d.get("exclude_agent_from_objects", False),
+        agent_start=tuple(d["agent_start"]) if d["agent_start"] else None,
+        exclude_agent_from_objects=d["exclude_agent_from_objects"],
     )
 
 
@@ -393,20 +457,20 @@ def save_dataset(ds: GroundingDataset, path) -> None:
     Each following line is one trajectory: {"actions": [...], "ids": [...]}.
     Raises InconsistentLabelError if one observation has two labels.
     """
-    view = ds.interned()
+    index, trajectory_ids = ds.interned()
     header = {
         "format_version": DATASET_FORMAT_VERSION,
         "vocab": list(ds.vocab),
         "meta": ds.meta,
         "observations": [
             [list(o.shape), o.astype(np.uint8, copy=False).tobytes().hex()]
-            for o in view.observations
+            for o in index.obs
         ],
-        "labels": [sorted(l) for l in view.labels],
+        "labels": [sorted(l) for l in index.labels],
     }
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for tr, ids in zip(ds.trajectories, view.trajectory_ids):
+        for tr, ids in zip(ds.trajectories, trajectory_ids):
             fh.write(json.dumps({"actions": tr.actions, "ids": ids}, sort_keys=True) + "\n")
 
 

@@ -133,19 +133,19 @@ def train_label_model(
     """
     if not (0.0 <= holdout_fraction < 1.0):
         raise ValueError("holdout_fraction must lie in [0, 1)")
-    view = ds.interned()
-    _check_degenerate(ds.vocab, view.labels)
+    index, trajectory_ids = ds.interned()
+    _check_degenerate(ds.vocab, index.labels)
     n_holdout = int(len(ds.trajectories) * holdout_fraction)
     n_train = len(ds.trajectories) - n_holdout
-    train_ids = [i for ids in view.trajectory_ids[:n_train] for i in ids]
-    eval_ids = [i for ids in view.trajectory_ids[n_train:] for i in ids] if n_holdout else train_ids
-    y = np.array([[1.0 if a in lab else 0.0 for a in ds.vocab] for lab in view.labels])
+    train_ids = [i for ids in trajectory_ids[:n_train] for i in ids]
+    eval_ids = [i for ids in trajectory_ids[n_train:] for i in ids] if n_holdout else train_ids
+    y = np.array([[1.0 if a in lab else 0.0 for a in ds.vocab] for lab in index.labels])
 
     if backend == "tabular":
-        table = {view.keys[i]: y[i] for i in dict.fromkeys(train_ids)}
+        table = {index.keys[i]: y[i] for i in dict.fromkeys(train_ids)}
         model = LabelModel(ds.vocab, "tabular", threshold=threshold, table=table)
     elif backend == "linear":
-        features = np.array([observation_features(obs) for obs in view.observations])
+        features = np.array([observation_features(obs) for obs in index.obs])
         rows = Counter(train_ids)  # distinct ids in order of first appearance
         ids = list(rows)
         x, y_ids = features[ids], y[ids]
@@ -168,9 +168,9 @@ def train_label_model(
         if backend == "linear":
             scores = _linear_scores(w, b, features[i])
         else:
-            scores = model.scores(view.observations[i])
+            scores = model.scores(index.obs[i])
         for a, s in zip(ds.vocab, scores.tolist()):
-            correct[a] += count * ((s >= threshold) == (a in view.labels[i]))
+            correct[a] += count * ((s >= threshold) == (a in index.labels[i]))
     model.holdout_accuracy = {a: correct[a] / len(eval_ids) for a in ds.vocab}
     model.accuracy_split = "holdout" if n_holdout else "train"
     return model
@@ -253,10 +253,10 @@ def train_pvfs_fqi(
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")
-    view = ds.interned()
-    n_states = len(view.keys)
+    index, trajectory_ids = ds.interned()
+    n_states = len(index.keys)
     src, act, dst = [], [], []
-    for tr, ids in zip(ds.trajectories, view.trajectory_ids):
+    for tr, ids in zip(ds.trajectories, trajectory_ids):
         src += ids[:-1]
         act += tr.actions
         dst += ids[1:]
@@ -269,7 +269,7 @@ def train_pvfs_fqi(
         counts = np.bincount(cells, minlength=size).reshape(n_states, N_ACTIONS)
         visited = counts > 0
     elif backend == "linear":
-        feats = np.array([observation_features(obs) for obs in view.observations])
+        feats = np.array([observation_features(obs) for obs in index.obs])
     else:
         raise ValueError(f"unknown backend {backend!r}")
 
@@ -277,7 +277,7 @@ def train_pvfs_fqi(
     for atom in ds.vocab:
         for positive in (True, False):
             lit = (atom, positive)
-            sat = np.array([literal_satisfied(lit, label) for label in view.labels], dtype=bool)
+            sat = np.array([literal_satisfied(lit, label) for label in index.labels], dtype=bool)
             residual = np.inf
             if backend == "tabular":
                 q = np.zeros((n_states, N_ACTIONS))
@@ -292,7 +292,7 @@ def train_pvfs_fqi(
                     if residual < FQI_TOL:
                         break
                 v = q.max(axis=1).tolist()
-                est = TabularPvf(gamma, {view.keys[i]: v[i] for i in in_transition})
+                est = TabularPvf(gamma, {index.keys[i]: v[i] for i in in_transition})
             else:
                 sat_next = sat[dst]
                 w = np.zeros((N_ACTIONS, feats.shape[1]))
@@ -333,19 +333,19 @@ def train_pvfs_mc(ds: GroundingDataset, gamma: float) -> PvfSet:
     """Monte-Carlo regression of discounted first-satisfaction returns (tabular)."""
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")
-    view = ds.interned()
+    index, trajectory_ids = ds.interned()
     estimators = {}
     for atom in ds.vocab:
         for positive in (True, False):
             lit = (atom, positive)
             sums: dict = {}  # id -> sum of targets
             counts: dict = {}
-            for tr, ids in zip(ds.trajectories, view.trajectory_ids):
+            for tr, ids in zip(ds.trajectories, trajectory_ids):
                 targets = mc_targets(tr.labels, lit, gamma)
                 for i, tgt in zip(ids[:-1], targets[:-1]):
                     sums[i] = sums.get(i, 0.0) + tgt
                     counts[i] = counts.get(i, 0) + 1
-            v = {view.keys[i]: sums[i] / counts[i] for i in sums}
+            v = {index.keys[i]: sums[i] / counts[i] for i in sums}
             estimators[lit] = TabularPvf(gamma, v)
     return PvfSet(ds.vocab, gamma, "mc", estimators)
 

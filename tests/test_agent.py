@@ -154,9 +154,9 @@ class TestHotPath:
     def test_per_observation_work_runs_once(self, monkeypatch, desk_cfg, logic_rm, desk_label_model):
         counts: dict = {}
         for module, name in (
-            (agent, "encode_obs"),
+            (geogrid, "encode_obs"),
             (agent, "predict_labels"),
-            (agent, "true_label"),
+            (geogrid, "true_label"),
             (geogrid, "step"),
             (rm_module, "rm_step"),
         ):

@@ -56,6 +56,16 @@ class TestGenDataset:
         first = json.loads(out.read_text().splitlines()[1])
         assert len(first["actions"]) == 5
 
+    def test_config_is_checked_with_the_flags_over_it(self, tmp_path):
+        # the start lies outside the file's default 6 x 6 grid but inside the flags' 8 x 8
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"agent_start": [7, 7], "episode_len": 0}))
+        out = tmp_path / "ds.jsonl"
+        argv = ["gen-dataset", "--out", str(out), "--config", str(cfg), "--n", "1"]
+        assert main(argv + ["--width", "8", "--height", "8"]) == 0
+        config = json.loads(out.read_text().splitlines()[0])["meta"]["config"]
+        assert (config["width"], config["height"], config["agent_start"]) == (8, 8, [7, 7])
+
 
 class TestGround:
     def test_outputs(self, pipeline):
@@ -229,6 +239,42 @@ def test_tampered_model_file_is_validation_error(pipeline, tmp_path, command, mo
     if command == "train":
         argv += ["--out", str(tmp_path / "runs"), "--episodes", "1", "--eval-episodes", "1"]
     assert main(argv) == 3
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"widht": 4}', "unknown grid config fields ['widht']"),
+        ('{"objects": [["red", "triangle"]]}', "'objects' must be a list of"),
+        ("[1, 2]", "must be a JSON object, not list"),
+        ('{"width": "6"}', "'width' must be an integer, not '6'"),
+        ('{"width": 6', "is not JSON"),
+        ('{"layout_mode": "drifting"}', "unknown layout_mode 'drifting'"),
+        ('{"agent_start": [-1, 0]}', "agent_start (-1,0) out of bounds"),
+        ('{"agent_start": [9, 9]}', "agent_start (9,9) out of bounds"),
+    ],
+    ids=[
+        "unknown-key",
+        "short-object",
+        "not-an-object",
+        "string-width",
+        "not-json",
+        "unknown-mode",
+        "start-below",
+        "start-beyond",
+    ],
+)
+@pytest.mark.parametrize("command", ["gen-dataset", "eval"])
+def test_bad_grid_config_file_is_validation_error(tmp_path, capsys, text, message, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    if command == "gen-dataset":
+        argv = ["gen-dataset", "--out", str(tmp_path / "ds.jsonl"), "--n", "1"]
+        argv += ["--config", str(cfg)]
+    else:
+        argv = ["eval", "--rm", SEQUENCE, "--random", "--episodes", "1", "--env", str(cfg)]
+    assert main(argv) == 3
+    assert message in capsys.readouterr().err
 
 
 class TestTrainEval:

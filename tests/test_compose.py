@@ -149,6 +149,13 @@ class TestRmValueIteration:
             rm_value_iteration(loop_rm, 0.99999999, 0.97)
         assert time.perf_counter() - start < 1.0
 
+    def test_probe_extrapolates_the_measured_decay(self, loop_rm):
+        # loop.rm shrinks its residual by about gamma_rm**1.5 a sweep, far slower than
+        # the gamma_rm**n that a probe assuming the fastest decay allows, so that probe
+        # let this gamma_rm run all MAX_RM_SWEEPS sweeps before it raised
+        with pytest.raises(GammaRmTooLargeError, match="after 10000 sweeps and cannot settle"):
+            rm_value_iteration(loop_rm, 0.99999, 0.97)
+
     def test_probe_rejects_no_gamma_rm_that_converges(self):
         # the digest of every task file's values at these gamma_rm, recorded
         # before the probe existed: the probe may only reject, never change

@@ -1,6 +1,7 @@
 import json
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from rmgcr.geogrid import (
     InconsistentLabelError,
     InfeasibleConfigError,
     ObjectSpec,
+    ObsIndex,
     StateSpaceTooLargeError,
     Trajectory,
     cell_states,
@@ -59,6 +61,11 @@ class TestConfig:
     def test_pin_out_of_bounds(self):
         with pytest.raises(InfeasibleConfigError):
             GridConfig(width=3, height=3, objects=(ObjectSpec("red", "circle", (5, 5)),))
+
+    @pytest.mark.parametrize("start", [(-1, 0), (9, 9), (0, 6)])
+    def test_agent_start_out_of_bounds(self, start):
+        with pytest.raises(InfeasibleConfigError, match="agent_start"):
+            GridConfig(agent_start=start)
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
@@ -241,15 +248,16 @@ class TestDataset:
 class TestInterned:
     def test_ids_follow_first_appearance(self, desk_cfg):
         ds = generate_dataset(desk_cfg, 4, seed=6)
-        view = ds.interned()
+        index, trajectory_ids = ds.interned()
         first_seen = list(dict.fromkeys(obs_key(o) for tr in ds.trajectories for o in tr.observations))
-        assert view.keys == first_seen
-        assert len(view.observations) == len(view.labels) == len(first_seen)
-        for tr, ids in zip(ds.trajectories, view.trajectory_ids):
+        assert index.keys == first_seen
+        assert len(index.obs) == len(index.labels) == len(first_seen)
+        assert not any(o.flags.writeable for o in index.obs)
+        for tr, ids in zip(ds.trajectories, trajectory_ids):
             assert len(ids) == len(tr.observations)
             for obs, label, i in zip(tr.observations, tr.labels, ids):
-                assert np.array_equal(view.observations[i], obs)
-                assert view.keys[i] == obs_key(obs) and view.labels[i] == label
+                assert np.array_equal(index.obs[i], obs)
+                assert index.keys[i] == obs_key(obs) and index.labels[i] == label
 
     def test_observation_labelled_two_ways_is_rejected(self, desk_cfg):
         obs = encode_obs(reset(desk_cfg))
@@ -282,6 +290,48 @@ def grid_configs(draw, layouts=("fixed", "randomized")):
         layout_mode=layout,
         episode_len=draw(st.integers(0, 12)),
     )
+
+
+class TestObsIndex:
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=grid_configs(), data=st.data())
+    def test_visiting_cells_numbers_them_as_adding_their_observations(self, cfg, data):
+        # the walks number a cell by visiting it, the dataset view by the observation's bytes
+        seeds = data.draw(st.lists(st.integers(0, 99), min_size=1, max_size=3))
+        starts = [reset(cfg, seed=s) for s in seeds]
+        cells = st.integers(0, cfg.width * cfg.height - 1)
+        visits = data.draw(st.lists(st.tuples(st.integers(0, len(starts) - 1), cells)))
+        visited, added = ObsIndex(), ObsIndex()
+        for k, cell in visits:
+            state = replace(starts[k], agent=divmod(cell, cfg.width))
+            i = visited.visit(starts[k], cell)
+            assert i == added.add(encode_obs(state), true_label(state))
+            assert visited.cells(starts[k])[cell] == i
+        assert visited.keys == added.keys and visited.labels == added.labels
+        for start in starts:
+            seen = {cell for j, cell in visits if starts[j].placements == start.placements}
+            assert [c for c, i in enumerate(visited.cells(start)) if i >= 0] == sorted(seen)
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=grid_configs(), seed=st.integers(0, 99))
+    def test_the_cell_a_move_leads_to_holds_the_stepped_observation(self, cfg, seed):
+        start = reset(cfg, seed=seed)
+        moves = move_table(list(cell_states(cfg).values()))
+        index = ObsIndex()
+        for cell in range(cfg.width * cfg.height):
+            state = replace(start, agent=divmod(cell, cfg.width))
+            for a in range(len(ACTIONS)):
+                i = index.visit(start, int(moves[cell, a]))
+                assert np.array_equal(index.obs[i], encode_obs(step(state, a)))
+                assert index.labels[i] == true_label(step(state, a))
+
+    def test_read_only_and_labelled_once(self, desk_cfg):
+        obs = encode_obs(reset(desk_cfg))
+        index = ObsIndex()
+        assert index.add(obs, frozenset()) == index.add(obs.copy(), frozenset()) == 0
+        assert obs.flags.writeable and not index.obs[0].flags.writeable
+        with pytest.raises(InconsistentLabelError):
+            index.add(obs, frozenset({"red"}))
 
 
 class TestDatasetFile:
