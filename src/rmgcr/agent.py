@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from . import geogrid
-from .compose import ComposedValueFn, RmStateValues, check_shaping, composed_value, shaping_term
+from .compose import ComposedValueFn, ConfigMismatchError, RmStateValues, check_shaping
+from .compose import composed_value, shaping_term
 from .geogrid import GridConfig, ObsIndex
 from .ground import LabelModel, predict_labels
 from .rm import RewardMachine, StepTable, label_mask
@@ -31,10 +32,6 @@ EPSILON_START = 1.0
 EPSILON_END = 0.05
 EPSILON_DECAY_FRACTION = 0.5
 THRESHOLD_WINDOW = 20  # trailing episodes averaged by episodes_to_threshold
-
-
-class ConfigMismatchError(ValueError):
-    pass
 
 
 @dataclass

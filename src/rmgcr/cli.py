@@ -47,7 +47,7 @@ VALIDATION_ERRORS = (
     geogrid.DatasetFormatError,
     ground.DegenerateAtomError,
     ground.ModelFormatError,
-    agent.ConfigMismatchError,
+    compose.ConfigMismatchError,
     compose.NoOutgoingEdgeError,
     compose.UnsatisfiableGuardError,
     compose.StateSpaceTooLargeError,
@@ -258,7 +258,7 @@ def _warn_unseen_policy_states(stats: dict, prefix: str = "") -> None:
 def save_policy(policy: agent.GreedyPolicy, path) -> None:
     data = {f"{key.hex()}/{u}": q.tolist() for (key, u), q in sorted(policy.q.items())}
     with open(path, "w") as fh:
-        json.dump(data, fh, sort_keys=True)
+        fh.write(json.dumps(data, sort_keys=True))
 
 
 def load_policy(path) -> agent.GreedyPolicy:

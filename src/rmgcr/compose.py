@@ -57,6 +57,10 @@ class GammaRmTooLargeError(ValueError):
     """gamma_rm is so close to 1 that the RM-graph sweeps cannot reach RM_TOL in MAX_RM_SWEEPS."""
 
 
+class ConfigMismatchError(ValueError):
+    """Models, a task and settings that do not fit together, such as two vocabularies."""
+
+
 # ---------------------------------------------------------------------------
 # State-independent value iteration over RM states
 
@@ -193,7 +197,7 @@ class ComposedValueFn:
 
     def __post_init__(self):
         if tuple(self.rm.vocab) != tuple(self.pvfs.vocab):
-            raise ValueError("RM and PVF vocabularies differ")
+            raise ConfigMismatchError("RM and PVF vocabularies differ")
         self._r_self = max_self_loop_rewards(self.rm)
         for u in range(self.rm.num_states):
             for t in _non_self_edges(self.rm, u):
@@ -226,12 +230,8 @@ def composed_value(cvf: ComposedValueFn, obs: np.ndarray, u: int) -> float:
         if not rm.outgoing(u):
             raise NoOutgoingEdgeError(u)
         return r_self / (1.0 - cvf.gamma)
-    best = None
-    for t in edges:
-        val = _option_value(cvf, r_self, formula_value(cvf.pvfs, cvf._edge_dnfs[t], obs), t)
-        if best is None or val > best:
-            best = val
-    return float(best)
+    dnfs = cvf._edge_dnfs
+    return float(max(_option_value(cvf, r_self, formula_value(cvf.pvfs, dnfs[t], obs), t) for t in edges))
 
 
 def _option_value(cvf: ComposedValueFn, r_self: float, fv, t: RmTransition):

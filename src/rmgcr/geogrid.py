@@ -259,7 +259,7 @@ class ObsIndex:
 
     def add(self, obs: np.ndarray, label: frozenset[str]) -> int:
         """The id of obs, added on first sight; raises InconsistentLabelError on a second label."""
-        key = obs.tobytes()  # obs_key, inlined: interned() adds every step of a dataset
+        key = obs.tobytes()  # obs_key, inlined: from_steps adds every step of a dataset
         i = self._by_key.get(key)
         if i is None:
             i = self._by_key[key] = len(self.keys)
@@ -290,32 +290,46 @@ class ObsIndex:
 
 @dataclass
 class Trajectory:
-    observations: list[np.ndarray]
+    """A walk: step t's observation is index entry ids[t] and actions[t] follows it.
+
+    observations and labels give one entry per step; the library reads ids.
+    """
+
+    index: ObsIndex = field(repr=False)
+    ids: list[int]
     actions: list[int]
-    labels: list[frozenset[str]]
 
     def __post_init__(self):
-        if len(self.actions) != len(self.observations) - 1:
+        if len(self.actions) != len(self.ids) - 1:
             raise ValueError("need exactly one action between consecutive observations")
-        if len(self.labels) != len(self.observations):
-            raise ValueError("labels must align with observations")
+
+    @property
+    def observations(self) -> list[np.ndarray]:
+        return [self.index.obs[i] for i in self.ids]
+
+    @property
+    def labels(self) -> list[frozenset[str]]:
+        return [self.index.labels[i] for i in self.ids]
 
 
 @dataclass
 class GroundingDataset:
+    """Labelled walks in table form: the trajectories' ids number the observations in index."""
+
     vocab: tuple[str, ...]
+    index: ObsIndex
     trajectories: list[Trajectory]
     meta: dict = field(default_factory=dict)
 
-    def interned(self) -> tuple[ObsIndex, list[list[int]]]:
-        """An ObsIndex of the dataset's observations, and per trajectory the id of each step.
-
-        Raises InconsistentLabelError if one observation has two labels.
-        """
+    @classmethod
+    def from_steps(cls, vocab, steps, meta=None) -> GroundingDataset:
+        """The dataset of (observations, actions, labels) per trajectory; ids follow first sight."""
         index = ObsIndex()
-        add = index.add
-        ids = [[add(o, l) for o, l in zip(tr.observations, tr.labels)] for tr in self.trajectories]
-        return index, ids
+        trajectories = [
+            Trajectory(index, [index.add(o, l) for o, l in zip(obs, labels, strict=True)], list(acts))
+            for obs, acts, labels in steps
+        ]
+        return cls(tuple(vocab), index, trajectories, dict(meta or {}))
 
 
 def generate_dataset(
@@ -329,15 +343,14 @@ def generate_dataset(
     start from reset and then all its actions in one call, the same
     stream as one draw per step. The walk follows move_table by cell id
     and numbers its cells through one ObsIndex, so each distinct state is
-    encoded and labelled on its first visit, and its read-only
-    observation array is shared by every step that visits it.
+    encoded and labelled on its first visit; the dataset keeps that index,
+    and each trajectory the ids of its steps.
     """
     if n_trajectories < 1:
         raise ValueError("need at least one trajectory")
     root = cfg.seed if seed is None else seed
     moves = move_table(list(cell_states(cfg).values())).tolist()
     index = ObsIndex()
-    obs, labels = index.obs, index.labels
     trajectories = []
     for i in range(n_trajectories):
         rng = np.random.default_rng((root, i))
@@ -350,11 +363,9 @@ def generate_dataset(
             cell = moves[cell][a]
             k = ids[cell]
             steps.append(k if k >= 0 else index.visit(start, cell))
-        trajectories.append(
-            Trajectory([obs[k] for k in steps], actions, [labels[k] for k in steps])
-        )
+        trajectories.append(Trajectory(index, steps, actions))
     meta = {"seed": root, "policy": "random", "config": config_to_dict(cfg)}
-    return GroundingDataset(VOCAB, trajectories, meta)
+    return GroundingDataset(VOCAB, index, trajectories, meta)
 
 
 def full_coverage_dataset(cfg: GridConfig) -> GroundingDataset:
@@ -365,16 +376,14 @@ def full_coverage_dataset(cfg: GridConfig) -> GroundingDataset:
     """
     graph = CellGraph(cfg)
     index = ObsIndex()
-    for i in range(len(graph.cells)):  # the agent channel sets each cell apart, so id i is cell i
-        index.visit(graph.states[0], i)
-    obs, labels = index.obs, index.labels
+    start = graph.states[0]
     trajectories = [
-        Trajectory([obs[i], obs[j]], [a], [labels[i], labels[j]])
+        Trajectory(index, [index.visit(start, i), index.visit(start, j)], [a])
         for i, row in enumerate(graph.next_cell.tolist())
         for a, j in enumerate(row)
     ]
     meta = {"seed": cfg.seed, "policy": "exhaustive", "config": config_to_dict(cfg)}
-    return GroundingDataset(VOCAB, trajectories, meta)
+    return GroundingDataset(VOCAB, index, trajectories, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +464,8 @@ def save_dataset(ds: GroundingDataset, path) -> None:
     The header holds vocab, meta, the table of distinct observations as
     [shape, hex of the uint8 bytes] and one sorted label per table entry.
     Each following line is one trajectory: {"actions": [...], "ids": [...]}.
-    Raises InconsistentLabelError if one observation has two labels.
     """
-    index, trajectory_ids = ds.interned()
+    index = ds.index
     header = {
         "format_version": DATASET_FORMAT_VERSION,
         "vocab": list(ds.vocab),
@@ -470,15 +478,17 @@ def save_dataset(ds: GroundingDataset, path) -> None:
     }
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for tr, ids in zip(ds.trajectories, trajectory_ids):
-            fh.write(json.dumps({"actions": tr.actions, "ids": ids}, sort_keys=True) + "\n")
+        for tr in ds.trajectories:
+            fh.write(json.dumps({"actions": tr.actions, "ids": tr.ids}, sort_keys=True) + "\n")
 
 
 def load_dataset(path) -> GroundingDataset:
     """Read a format-2 dataset; see save_dataset.
 
-    Each table entry is decoded once into a read-only array, and every
-    step that names its id shares that array. Raises DatasetFormatError on
+    The table entries the trajectories use are numbered into one ObsIndex
+    in order of first use, so an unused entry drops, a duplicate merges with
+    its first copy and raises InconsistentLabelError if labelled otherwise,
+    and a file saved in that order keeps its ids. Raises DatasetFormatError on
     an empty file, a line that is not a JSON object or lacks a field, a
     file of another format version, an observation whose hex length does
     not match its shape, a table label outside vocab, an id or an action
@@ -517,6 +527,8 @@ def load_dataset(path) -> GroundingDataset:
                 raise DatasetFormatError(
                     f"table entry {k} has atoms {sorted(label - set(vocab))} outside the vocabulary"
                 )
+        index = ObsIndex()
+        number = [-1] * len(table)  # file id -> index id, numbered on first use
         trajectories = []
         for t, line in enumerate(fh):
             record = _json_object(line, f"trajectory {t}")
@@ -535,10 +547,14 @@ def load_dataset(path) -> GroundingDataset:
                 raise DatasetFormatError(
                     f"trajectory {t} has an action outside 0..{len(ACTIONS) - 1}"
                 )
-            trajectories.append(
-                Trajectory([table[i] for i in ids], actions, [labels[i] for i in ids])
-            )
-    return GroundingDataset(vocab, trajectories, header.get("meta", {}))
+            for k in dict.fromkeys(ids):  # each distinct file id in order of first use
+                if number[k] < 0:
+                    number[k] = index.add(table[k], labels[k])
+            trajectories.append(Trajectory(index, ids, actions))
+    if any(n >= 0 and n != k for k, n in enumerate(number)):  # not saved in first-use order
+        for tr in trajectories:
+            tr.ids = [number[k] for k in tr.ids]
+    return GroundingDataset(vocab, index, trajectories, header.get("meta", {}))
 
 
 def _json_object(line: str, what: str) -> dict:
@@ -576,11 +592,6 @@ def _decode_entry(k: int, shape: list, data: str) -> np.ndarray:
 
 def label_frequencies(ds: GroundingDataset) -> dict[str, float]:
     """Fraction of dataset steps at which each atom holds."""
-    total = 0
-    counts = {a: 0 for a in ds.vocab}
-    for tr in ds.trajectories:
-        for lab in tr.labels:
-            total += 1
-            for a in lab:
-                counts[a] += 1
-    return {a: counts[a] / total for a in ds.vocab}
+    steps = np.bincount(np.concatenate([tr.ids for tr in ds.trajectories])).tolist()  # per id
+    total = sum(steps)
+    return {a: sum(n for n, lab in zip(steps, ds.index.labels) if a in lab) / total for a in ds.vocab}

@@ -133,12 +133,12 @@ def train_label_model(
     """
     if not (0.0 <= holdout_fraction < 1.0):
         raise ValueError("holdout_fraction must lie in [0, 1)")
-    index, trajectory_ids = ds.interned()
+    index, trajectories = ds.index, ds.trajectories
     _check_degenerate(ds.vocab, index.labels)
-    n_holdout = int(len(ds.trajectories) * holdout_fraction)
-    n_train = len(ds.trajectories) - n_holdout
-    train_ids = [i for ids in trajectory_ids[:n_train] for i in ids]
-    eval_ids = [i for ids in trajectory_ids[n_train:] for i in ids] if n_holdout else train_ids
+    n_holdout = int(len(trajectories) * holdout_fraction)
+    n_train = len(trajectories) - n_holdout
+    train_ids = [i for tr in trajectories[:n_train] for i in tr.ids]
+    eval_ids = [i for tr in trajectories[n_train:] for i in tr.ids] if n_holdout else train_ids
     y = np.array([[1.0 if a in lab else 0.0 for a in ds.vocab] for lab in index.labels])
 
     if backend == "tabular":
@@ -253,15 +253,15 @@ def train_pvfs_fqi(
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")
-    index, trajectory_ids = ds.interned()
+    index = ds.index
     n_states = len(index.keys)
     src, act, dst = [], [], []
-    for tr, ids in zip(ds.trajectories, trajectory_ids):
-        src += ids[:-1]
+    for tr in ds.trajectories:
+        src += tr.ids[:-1]
         act += tr.actions
-        dst += ids[1:]
+        dst += tr.ids[1:]
     src, act, dst = (np.array(c, dtype=np.int64) for c in (src, act, dst))
-    in_transition = dict.fromkeys(i for pair in zip(src.tolist(), dst.tolist()) for i in pair)
+    in_transition = np.flatnonzero(np.bincount(np.concatenate([src, dst]), minlength=n_states))
 
     if backend == "tabular":
         cells = src * N_ACTIONS + act  # flat (state, action) index of each transition
@@ -292,7 +292,7 @@ def train_pvfs_fqi(
                     if residual < FQI_TOL:
                         break
                 v = q.max(axis=1).tolist()
-                est = TabularPvf(gamma, {index.keys[i]: v[i] for i in in_transition})
+                est = TabularPvf(gamma, {index.keys[i]: v[i] for i in in_transition.tolist()})
             else:
                 sat_next = sat[dst]
                 w = np.zeros((N_ACTIONS, feats.shape[1]))
@@ -333,19 +333,17 @@ def train_pvfs_mc(ds: GroundingDataset, gamma: float) -> PvfSet:
     """Monte-Carlo regression of discounted first-satisfaction returns (tabular)."""
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")
-    index, trajectory_ids = ds.interned()
+    keys, trajectories = ds.index.keys, ds.trajectories
+    src = [i for tr in trajectories for i in tr.ids[:-1]]  # the id of each step with a successor
+    counts = np.bincount(src, minlength=len(keys))
     estimators = {}
     for atom in ds.vocab:
         for positive in (True, False):
             lit = (atom, positive)
-            sums: dict = {}  # id -> sum of targets
-            counts: dict = {}
-            for tr, ids in zip(ds.trajectories, trajectory_ids):
-                targets = mc_targets(tr.labels, lit, gamma)
-                for i, tgt in zip(ids[:-1], targets[:-1]):
-                    sums[i] = sums.get(i, 0.0) + tgt
-                    counts[i] = counts.get(i, 0) + 1
-            v = {index.keys[i]: sums[i] / counts[i] for i in sums}
+            targets = [g for tr in trajectories for g in mc_targets(tr.labels, lit, gamma)[:-1]]
+            # bincount adds each id's targets in dataset order, as a running sum would
+            sums = np.bincount(src, weights=targets, minlength=len(keys)).tolist()
+            v = {keys[i]: sums[i] / int(counts[i]) for i in dict.fromkeys(src)}
             estimators[lit] = TabularPvf(gamma, v)
     return PvfSet(ds.vocab, gamma, "mc", estimators)
 
@@ -369,7 +367,7 @@ def save_label_model(model: LabelModel, path) -> None:
     else:
         data["table"] = {k.hex(): v.tolist() for k, v in model.table.items()}
     with open(path, "w") as fh:
-        json.dump(data, fh, sort_keys=True)
+        fh.write(json.dumps(data, sort_keys=True))  # the C encoder; json.dump is pure Python
 
 
 def _check_feature_version(data: dict, path) -> None:
@@ -384,19 +382,11 @@ def load_label_model(path) -> LabelModel:
     with open(path) as fh:
         data = json.load(fh)
     _check_feature_version(data, path)
-    kwargs = dict(
-        vocab=tuple(data["vocab"]),
-        backend=data["backend"],
-        threshold=data["threshold"],
-    )
-    if data["backend"] == "linear":
-        model = LabelModel(
-            weights=np.asarray(data["weights"]), bias=np.asarray(data["bias"]), **kwargs
-        )
+    model = LabelModel(tuple(data["vocab"]), data["backend"], threshold=data["threshold"])
+    if model.backend == "linear":
+        model.weights, model.bias = np.asarray(data["weights"]), np.asarray(data["bias"])
     else:
-        model = LabelModel(
-            table={bytes.fromhex(k): np.asarray(v) for k, v in data["table"].items()}, **kwargs
-        )
+        model.table = {bytes.fromhex(k): np.asarray(v) for k, v in data["table"].items()}
     model.holdout_accuracy = data.get("holdout_accuracy", {})
     model.accuracy_split = data.get("accuracy_split", "holdout")
     return model
@@ -427,7 +417,7 @@ def save_pvfs(pvfs: PvfSet, path) -> None:
         "estimators": ests,
     }
     with open(path, "w") as fh:
-        json.dump(data, fh, sort_keys=True)
+        fh.write(json.dumps(data, sort_keys=True))
 
 
 def load_pvfs(path) -> PvfSet:

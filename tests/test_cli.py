@@ -11,7 +11,7 @@ import pytest
 
 from rmgcr import compose
 from rmgcr.cli import build_parser, main
-from rmgcr.geogrid import GridConfig, config_to_dict
+from rmgcr.geogrid import GridConfig, ObsIndex, config_to_dict
 
 SEQUENCE = "tasks/sequence.rm"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -96,6 +96,20 @@ class TestGround:
         empty.write_text(header + "\n")
         code = main(["ground", "--dataset", str(empty), "--out", str(tmp_path / "models")])
         assert code == 3
+
+    def test_ground_adds_no_observation_per_step(self, tmp_path, monkeypatch):
+        # the walk and the loader each number a distinct observation once; nothing re-interns a step
+        added = []
+        add = ObsIndex.add
+        monkeypatch.setattr(ObsIndex, "add", lambda self, *a: added.append(1) or add(self, *a))
+        dataset = tmp_path / "data.jsonl"
+        assert main(["gen-dataset", "--out", str(dataset), "--n", "50", "--seed", "4"]) == 0
+        generated = len(added)
+        assert main(["ground", "--dataset", str(dataset), "--out", str(tmp_path / "models")]) == 0
+        header = json.loads(dataset.read_text().split("\n", 1)[0])
+        distinct = len(header["observations"])
+        assert generated == len(added) - generated == distinct
+        assert len(added) <= 2 * distinct < 50 * 61
 
     def test_observation_labelled_two_ways_is_validation_error(self, pipeline, tmp_path, capsys):
         # the same observation bytes twice in the table, with two labels, both referenced
@@ -197,6 +211,12 @@ class TestOracle:
         assert code == 0
         assert "bounds PASS" in printed
         assert out.exists()
+
+    def test_models_of_another_vocabulary_are_validation_error(self, pipeline, capsys):
+        # lava.rm speaks of lava; the models were grounded on the grid's colours and shapes
+        argv = ["oracle", "--rm", "tasks/lava.rm", "--models", str(pipeline["models"])]
+        assert main(argv) == 3
+        assert "vocabularies differ" in capsys.readouterr().err
 
     def test_nondeterministic_rm_is_validation_error(self, tmp_path):
         bad = tmp_path / "bad.rm"

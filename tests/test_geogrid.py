@@ -1,4 +1,6 @@
 import json
+import math
+import random
 import re
 import tempfile
 from dataclasses import replace
@@ -8,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmgcr import geogrid
+from rmgcr import cli, geogrid
+from rmgcr.ground import save_pvfs, train_pvfs_fqi
 from rmgcr.geogrid import (
     ACTIONS,
     CHANNELS,
@@ -239,34 +242,41 @@ class TestDataset:
 
     def test_trajectory_validation(self):
         obs = [encode_obs(reset(GridConfig()))] * 2
-        with pytest.raises(ValueError):
-            Trajectory(obs, [], [frozenset(), frozenset()])
-        with pytest.raises(ValueError):
-            Trajectory(obs, [0], [frozenset()])
+        with pytest.raises(ValueError, match="one action between"):
+            Trajectory(ObsIndex(), [0, 0], [])
+        with pytest.raises(ValueError, match="one action between"):
+            GroundingDataset.from_steps(VOCAB, [(obs, [], [frozenset(), frozenset()])])
+        with pytest.raises(ValueError):  # one label for two observations
+            GroundingDataset.from_steps(VOCAB, [(obs, [0], [frozenset()])])
 
 
 class TestInterned:
+    """Every dataset holds its distinct observations once, in an ObsIndex numbered by first sight."""
+
     def test_ids_follow_first_appearance(self, desk_cfg):
-        ds = generate_dataset(desk_cfg, 4, seed=6)
-        index, trajectory_ids = ds.interned()
-        first_seen = list(dict.fromkeys(obs_key(o) for tr in ds.trajectories for o in tr.observations))
-        assert index.keys == first_seen
-        assert len(index.obs) == len(index.labels) == len(first_seen)
-        assert not any(o.flags.writeable for o in index.obs)
-        for tr, ids in zip(ds.trajectories, trajectory_ids):
-            assert len(ids) == len(tr.observations)
-            for obs, label, i in zip(tr.observations, tr.labels, ids):
-                assert np.array_equal(index.obs[i], obs)
-                assert index.keys[i] == obs_key(obs) and index.labels[i] == label
+        for ds in (generate_dataset(desk_cfg, 4, seed=6), full_coverage_dataset(desk_cfg)):
+            self._assert_first_sight(ds)
+
+    def _assert_first_sight(self, ds):
+        steps = [(tr.observations, tr.actions, tr.labels) for tr in ds.trajectories]
+        rebuilt = GroundingDataset.from_steps(ds.vocab, steps, ds.meta)
+        first_seen = list(dict.fromkeys(obs_key(o) for obs, _, _ in steps for o in obs))
+        for index in (ds.index, rebuilt.index):
+            assert index.keys == first_seen
+            assert len(index.obs) == len(index.labels) == len(first_seen)
+            assert not any(o.flags.writeable for o in index.obs)
+        assert rebuilt.index.labels == ds.index.labels and rebuilt.meta == ds.meta
+        for tr, again in zip(ds.trajectories, rebuilt.trajectories):
+            assert again.ids == tr.ids and again.actions == tr.actions
+            for obs, label, i in zip(tr.observations, tr.labels, tr.ids):
+                assert obs is ds.index.obs[i]
+                assert ds.index.keys[i] == obs_key(obs) and ds.index.labels[i] == label
 
     def test_observation_labelled_two_ways_is_rejected(self, desk_cfg):
         obs = encode_obs(reset(desk_cfg))
-        ds = GroundingDataset(VOCAB, [
-            Trajectory([obs], [], [frozenset()]),
-            Trajectory([obs], [], [frozenset({"red"})]),
-        ])
+        steps = [([obs], [], [frozenset()]), ([obs.copy()], [], [frozenset({"red"})])]
         with pytest.raises(InconsistentLabelError):
-            ds.interned()
+            GroundingDataset.from_steps(VOCAB, steps)
 
 
 @st.composite
@@ -339,8 +349,14 @@ class TestDatasetFile:
         with tempfile.TemporaryDirectory() as tmp:
             save_dataset(ds, Path(tmp) / "ds.jsonl")
             back = load_dataset(Path(tmp) / "ds.jsonl")
+            save_dataset(back, Path(tmp) / "again.jsonl")
+            assert (Path(tmp) / "again.jsonl").read_bytes() == (Path(tmp) / "ds.jsonl").read_bytes()
         assert back.vocab == ds.vocab and back.meta == ds.meta
-        assert len(back.trajectories) == len(ds.trajectories)
+        # the table form itself: the same index, and the same ids and actions per trajectory
+        assert back.index.keys == ds.index.keys and back.index.labels == ds.index.labels
+        assert [(tr.ids, tr.actions) for tr in back.trajectories] == [
+            (tr.ids, tr.actions) for tr in ds.trajectories
+        ]
         for a, b in zip(ds.trajectories, back.trajectories):
             assert b.actions == a.actions and b.labels == a.labels
             assert len(b.observations) == len(a.observations)
@@ -371,14 +387,78 @@ class TestDatasetFile:
         assert len(header["observations"]) == len(header["labels"]) == len(distinct)
         assert [sorted(r) for r in records] == [["actions", "ids"]] * 20
 
-    def test_saving_an_observation_labelled_two_ways_is_rejected(self, desk_cfg, tmp_path):
-        obs = encode_obs(reset(desk_cfg))
-        ds = GroundingDataset(VOCAB, [
-            Trajectory([obs], [], [frozenset()]),
-            Trajectory([obs], [], [frozenset({"red"})]),
-        ])
-        with pytest.raises(InconsistentLabelError):
-            save_dataset(ds, tmp_path / "ds.jsonl")
+    @settings(max_examples=40, deadline=None)
+    @given(
+        grid_configs(), st.integers(1, 6), st.integers(0, 2**31 - 1), st.randoms(use_true_random=False)
+    )
+    def test_a_scrambled_table_loads_to_first_use_ids(self, cfg, n, seed, rnd):
+        ds = generate_dataset(cfg, n, seed=seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            canonical, scrambled = Path(tmp) / "ds.jsonl", Path(tmp) / "scrambled.jsonl"
+            save_dataset(ds, canonical)
+            _write_scrambled(canonical, scrambled, rnd)
+            back = load_dataset(scrambled)
+            pvfs = []
+            for path in (canonical, scrambled):
+                out = path.with_suffix(".pvfs.json")
+                save_pvfs(train_pvfs_fqi(load_dataset(path), 0.9), out)
+                pvfs.append(out.read_bytes())
+        assert back.index.keys == ds.index.keys and back.index.labels == ds.index.labels
+        assert [tr.ids for tr in back.trajectories] == [tr.ids for tr in ds.trajectories]
+        assert pvfs[0] == pvfs[1]
+
+    def test_a_scrambled_table_grounds_to_the_canonical_files(self, desk_cfg, tmp_path):
+        canonical, scrambled = tmp_path / "ds.jsonl", tmp_path / "scrambled.jsonl"
+        save_dataset(generate_dataset(desk_cfg, 30, seed=12), canonical)
+        _write_scrambled(canonical, scrambled, random.Random(3))
+        outputs = []
+        for path in (canonical, scrambled):
+            models = tmp_path / path.stem
+            assert cli.main(["ground", "--dataset", str(path), "--out", str(models)]) == 0
+            files = ("label_model.json", "pvfs.json", "metrics.json")
+            outputs.append([(models / f).read_bytes() for f in files])
+        assert outputs[0] == outputs[1]
+
+    def test_loading_a_table_that_labels_an_observation_two_ways_is_rejected(self, desk_cfg, tmp_path):
+        # the same observation bytes twice in the table with two labels, both used; the CLI
+        # turns this into exit 3 (tests/test_cli.py::TestGround)
+        path = tmp_path / "ds.jsonl"
+        save_dataset(generate_dataset(desk_cfg, 2, seed=0), path)
+        header, *records = [json.loads(line) for line in path.read_text().splitlines()]
+        header["observations"].append(header["observations"][0])
+        header["labels"].append([] if header["labels"][0] else ["red"])
+        records[1]["ids"][-1] = len(header["labels"]) - 1
+        path.write_text("".join(json.dumps(r) + "\n" for r in (header, *records)))
+        with pytest.raises(InconsistentLabelError, match="labelled both"):
+            load_dataset(path)
+
+
+def _write_scrambled(canonical, out, rnd):
+    """Rewrite a canonical dataset file with the same content, its table out of first-use order.
+
+    The table is shuffled, gains one entry no trajectory uses, and its first
+    entry gains a second copy (same bytes and label) that every other use
+    of it names instead.
+    """
+    header, *records = [json.loads(line) for line in Path(canonical).read_text().splitlines()]
+    entries = list(zip(header["observations"], header["labels"]))
+    shape = entries[0][0][0]
+    unused = ([shape, "00" * math.prod(shape)], [])  # no agent channel set: no walk shows it
+    copy = len(entries)
+    entries += [entries[0], unused]
+    order = list(range(len(entries)))
+    rnd.shuffle(order)  # order[new position] = old entry
+    new_id = {old: new for new, old in enumerate(order)}
+    uses = 0
+    for record in records:
+        for t, i in enumerate(record["ids"]):
+            if i == 0:
+                uses += 1
+                i = copy if uses % 2 == 0 else 0
+            record["ids"][t] = new_id[i]
+    header["observations"] = [entries[k][0] for k in order]
+    header["labels"] = [entries[k][1] for k in order]
+    Path(out).write_text("".join(json.dumps(r) + "\n" for r in (header, *records)))
 
 
 def _set(path, value):

@@ -17,7 +17,6 @@ from rmgcr.geogrid import (
     GroundingDataset,
     InconsistentLabelError,
     ObjectSpec,
-    Trajectory,
     cell_states,
     encode_obs,
     full_coverage_dataset,
@@ -145,14 +144,14 @@ class TestLabelModel:
         states = cell_states(desk_cfg)
         empty, on_red = encode_obs(states[(3, 1)]), encode_obs(states[(0, 0)])
         train_cells = [(3, 1), (4, 2), (0, 4)]  # empty, green circle, blue triangle
-        train = Trajectory(
+        train = (
             [encode_obs(states[c]) for c in train_cells],
             [0, 0],
             [true_label(states[c]) for c in train_cells],
         )
         red = frozenset({"red", "triangle"})
-        held_out = Trajectory([on_red] * 3 + [empty], [0, 0, 0], [red] * 3 + [frozenset()])
-        ds = GroundingDataset(VOCAB, [train, held_out])
+        held_out = ([on_red] * 3 + [empty], [0, 0, 0], [red] * 3 + [frozenset()])
+        ds = GroundingDataset.from_steps(VOCAB, [train, held_out])
         # the table never saw on_red, so it predicts no atoms on 3 of the 4 held-out rows
         model = train_label_model(ds, backend="tabular", holdout_fraction=0.5)
         assert model.holdout_accuracy == {
@@ -174,13 +173,21 @@ class TestLabelModel:
         assert back.accuracy_split == desk_label_model.accuracy_split
 
 
+def steps_of(trajectories):
+    """The (observations, actions, labels) of each trajectory, as GroundingDataset.from_steps takes them."""
+    return [(tr.observations, tr.actions, tr.labels) for tr in trajectories]
+
+
 def relabelled_dataset(cfg):
-    """A random-walk dataset in which the first observation recurs with a different label."""
+    """A random-walk dataset in which the first observation recurs with a different label.
+
+    Building it raises, so no fit is ever handed an observation with two labels.
+    """
     ds = generate_dataset(cfg, 20, seed=7)
     first = ds.trajectories[0]
     wrong = frozenset() if first.labels[0] else frozenset({"red"})
-    copy = Trajectory(first.observations, first.actions, [wrong] + first.labels[1:])
-    return GroundingDataset(ds.vocab, ds.trajectories + [copy])
+    copy = (first.observations, first.actions, [wrong] + first.labels[1:])
+    return GroundingDataset.from_steps(ds.vocab, steps_of(ds.trajectories) + [copy])
 
 
 @pytest.mark.parametrize(
@@ -254,10 +261,10 @@ class TestFqiExactness:
             train_pvfs_fqi(full_coverage_dataset(corridor_cfg), GAMMA, backend="quadratic")
 
     def test_observations_outside_transitions_get_no_entry(self, corridor_cfg):
-        ds = full_coverage_dataset(corridor_cfg)
         alone = encode_obs(cell_states(corridor_cfg)[(0, 0)])
         alone[0, 0, -1] = 0  # no agent: an observation no transition reaches
-        ds.trajectories.append(Trajectory([alone], [], [frozenset()]))
+        steps = steps_of(full_coverage_dataset(corridor_cfg).trajectories)
+        ds = GroundingDataset.from_steps(VOCAB, steps + [([alone], [], [frozenset()])])
         for pvfs in (train_pvfs_fqi(ds, GAMMA), train_pvfs_mc(ds, GAMMA)):
             assert all(obs_key(alone) not in est.v for est in pvfs.estimators.values())
 
@@ -297,8 +304,8 @@ def rightward_corridor_dataset(cfg):
             actions.append(3)
             observations.append(encode_obs(s))
             labels.append(true_label(s))
-        trajectories.append(Trajectory(observations, actions, labels))
-    return GroundingDataset(("red", "green", "blue", "triangle", "circle"), trajectories)
+        trajectories.append((observations, actions, labels))
+    return GroundingDataset.from_steps(("red", "green", "blue", "triangle", "circle"), trajectories)
 
 
 class TestMonteCarloRegression:
@@ -442,10 +449,11 @@ class TestWeightedLabelFit:
         st.randoms(use_true_random=False),
     )
     def test_matches_per_row_descent(self, cfg, seed, repeats, holdout_fraction, order):
-        walks = generate_dataset(cfg, 4, seed=seed).trajectories
-        trajectories = full_coverage_dataset(cfg).trajectories + walks + [walks[i] for i in repeats]
-        order.shuffle(trajectories)
-        ds = GroundingDataset(VOCAB, trajectories)
+        walks = steps_of(generate_dataset(cfg, 4, seed=seed).trajectories)
+        steps = steps_of(full_coverage_dataset(cfg).trajectories) + walks + [walks[i] for i in repeats]
+        order.shuffle(steps)
+        ds = GroundingDataset.from_steps(VOCAB, steps)
+        trajectories = ds.trajectories
         model = train_label_model(ds, holdout_fraction=holdout_fraction, seed=seed)
         reference = per_row_fit(ds, holdout_fraction, seed)
         assert np.abs(model.weights - reference.weights).max() <= 1e-12
@@ -459,18 +467,34 @@ class TestWeightedLabelFit:
         assert all(type(v) is float for v in model.holdout_accuracy.values())
 
     def test_row_counts_weigh_the_fit(self, desk_cfg):
-        walks = generate_dataset(desk_cfg, 6, seed=5).trajectories
+        walks = steps_of(generate_dataset(desk_cfg, 6, seed=5).trajectories)
         # the first walk five more times: the same distinct observations, other row counts
-        ds = GroundingDataset(VOCAB, walks + walks[:1] * 5)
+        ds = GroundingDataset.from_steps(VOCAB, walks + walks[:1] * 5)
         model = train_label_model(ds, holdout_fraction=0.0)
         reference = per_row_fit(ds, 0.0, 0)
         assert np.abs(model.weights - reference.weights).max() <= 1e-12
         assert np.abs(model.bias - reference.bias).max() <= 1e-12
-        once = train_label_model(GroundingDataset(VOCAB, walks), holdout_fraction=0.0)
+        once = train_label_model(GroundingDataset.from_steps(VOCAB, walks), holdout_fraction=0.0)
         assert np.abs(model.weights - once.weights).max() > 1e-6
 
 
 class TestPvfProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(small_layouts(), st.integers(1, 12), st.integers(0, 2**31 - 1))
+    def test_monte_carlo_equals_running_sums_per_observation(self, cfg, n, seed):
+        # the reference: each step's target added to its observation's running sum, in dataset order
+        ds = generate_dataset(replace(cfg, episode_len=30), n, seed=seed)
+        mc = train_pvfs_mc(ds, GAMMA)
+        for lit in mc.literals:
+            sums, counts = {}, {}
+            for tr in ds.trajectories:
+                targets = mc_targets(tr.labels, lit, GAMMA)
+                for obs, target in zip(tr.observations[:-1], targets):
+                    key = obs_key(obs)
+                    sums[key] = sums.get(key, 0.0) + target
+                    counts[key] = counts.get(key, 0) + 1
+            assert mc.estimators[lit].v == {k: sums[k] / counts[k] for k in sums}
+
     @settings(deadline=None)
     @given(small_layouts())
     def test_full_coverage_fqi_equals_exact_values(self, cfg):
