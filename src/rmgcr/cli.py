@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="optional output CSV file")
     p.add_argument("--gamma", type=float, default=0.97)
     p.add_argument("--gamma-rm", type=float, default=0.97**10)
-    p.add_argument("--max-states", type=int, default=2_000_000)
+    p.add_argument("--max-states", type=int, default=compose.MAX_PRODUCT_STATES)
     p.set_defaults(func=cmd_oracle)
 
     return parser

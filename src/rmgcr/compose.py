@@ -28,12 +28,14 @@ from . import geogrid
 from .geogrid import CellGraph, GridConfig, StateSpaceTooLargeError
 from .ground import PvfSet
 from .logic import Clause, DnfFormula, FalseConst, TrueConst, clauses_hold, dnf_to_formula, to_dnf
-from .rm import RewardMachine, RmTransition, StepTable, label_mask, reachability_rm
+from .rm import RewardMachine, RmTransition, StepTable, label_mask, make_rm
 
 # exact oracle: reaching ORACLE_TOL takes about 23 / (1 - gamma) sweeps,
 # so the sweep cap allows gamma up to about 0.9997
 ORACLE_TOL = 1e-10
 MAX_ORACLE_SWEEPS = 100_000
+# default cap on the product states (cells x RM states) of one exact solve
+MAX_PRODUCT_STATES = 2_000_000
 # RM-graph value iteration: stops below RM_TOL, raises after MAX_RM_SWEEPS;
 # after RM_PROBE_SWEEPS it raises at once if the cap is out of reach
 RM_TOL = 1e-12
@@ -341,7 +343,7 @@ def exact_product_values(
     layout: GridConfig | CellGraph,
     rm: RewardMachine,
     gamma: float,
-    max_states: int = 2_000_000,
+    max_states: int = MAX_PRODUCT_STATES,
 ) -> ProductValueTable:
     """Exact optimal values of the product MDP under the ground-truth labelling.
 
@@ -364,30 +366,29 @@ def exact_product_values(
     arrive = np.arange(n_cells)
 
     n_total = rm.num_states * n_cells  # flat index: u * n_cells + cell
-    nxt = np.zeros((n_total, n_actions), dtype=np.int64)
-    rew = np.zeros((n_total, n_actions))
-    cont = np.ones((n_total, n_actions))  # 0 where the RM terminates
-    terminal_mask = np.zeros(n_total, dtype=bool)
+    # action-major, so the max over actions is a max of contiguous rows; a
+    # terminal RM state keeps rew = cont = 0, so every sweep writes +0.0 there
+    nxt = np.zeros((n_actions, n_total), dtype=np.int64)
+    rew = np.zeros((n_actions, n_total))
+    cont = np.zeros((n_actions, n_total))  # 1 where the RM goes on, 0 where it terminates
     table = StepTable(rm)
+    moves = graph.next_cell.T  # [action, cell] -> cell
     for u in range(rm.num_states):
-        block = slice(u * n_cells, (u + 1) * n_cells)
         if rm.is_terminal(u):
-            terminal_mask[block] = True
             continue
-        # the RM step on arriving in each cell, then gathered per (cell, action)
+        block = slice(u * n_cells, (u + 1) * n_cells)
+        # the RM step on arriving in each cell, then gathered per (action, cell)
         u2, reward, terminated = (
             np.array(column)[graph.label_ids] for column in zip(*(table.step(u, m) for m in masks))
         )
-        nxt[block] = (u2 * n_cells + arrive)[graph.next_cell]
-        rew[block] = reward[graph.next_cell]
-        cont[block] = np.where(terminated, 0.0, 1.0)[graph.next_cell]
+        nxt[:, block] = (u2 * n_cells + arrive)[moves]
+        rew[:, block] = reward[moves]
+        cont[:, block] = np.where(terminated, 0.0, 1.0)[moves]
 
     v = np.zeros(n_total)
     residual = np.inf
     for _ in range(MAX_ORACLE_SWEEPS):
-        q = gamma * (rew + cont * v[nxt])
-        v_new = q.max(axis=1)
-        v_new[terminal_mask] = 0.0
+        v_new = (gamma * (rew + cont * v[nxt])).max(axis=0)
         residual = float(np.abs(v_new - v).max())
         v = v_new
         if residual <= ORACLE_TOL:
@@ -417,6 +418,27 @@ class BoundCheck:
     ok: bool
 
 
+def _reachability_tables(graph: CellGraph, vocab: Sequence[str], clause_sets: list, gamma: float) -> list:
+    """Exact value of reaching each clause set, at every cell, in as few solves as fit MAX_PRODUCT_STATES.
+
+    One machine values a batch: its state k + 1 moves to the terminal state
+    0 with reward 1 when clause set k holds, so its row k + 1 is row 1 of
+    exact_product_values on reachability_rm of that set. The rows do not
+    interact, and sweep s changes a row only at the cells s steps from where
+    its set holds, each from 0 to the same gamma ** s. So each row alone
+    would stop at the first sweep where gamma ** s <= ORACLE_TOL or it no
+    longer changes, the batch stops no sooner, and in between the row does
+    not change: the rows equal the separate solves bit for bit.
+    """
+    per_solve = max(1, MAX_PRODUCT_STATES // (graph.cfg.width * graph.cfg.height) - 1)
+    tables = []
+    for start in range(0, len(clause_sets), per_solve):
+        batch = clause_sets[start : start + per_solve]
+        edges = [RmTransition(k + 1, 0, dnf_to_formula(DnfFormula(c)), 1.0) for k, c in enumerate(batch)]
+        tables.extend(exact_product_values(graph, make_rm(vocab, len(batch) + 1, edges), gamma).values[1:])
+    return tables
+
+
 def composition_bounds(
     layout: GridConfig | CellGraph, vocab: Sequence[str], guards: Iterable, gamma: float
 ) -> list[BoundCheck]:
@@ -426,32 +448,36 @@ def composition_bounds(
     disjunction check, then each clause of two or more literals a
     conjunction check; constant guards are skipped. The exact reachability
     values of a clause set depend only on the cells where it holds, and so
-    on the cell labels it holds on: they are computed once per distinct set
-    of such labels.
+    on the cell labels it holds on: each distinct set of such labels is
+    valued once, and all of them together (see _reachability_tables).
     """
     graph = _cell_graph(layout)
-    tables: dict = {}  # labels the clause set holds on -> exact value at each cell
+    clause_sets: dict = {}  # labels a clause set holds on -> the first clause set seen with them
 
-    def exact(clauses: tuple) -> np.ndarray:
+    def key(clauses: tuple) -> tuple:
         holds = tuple(clauses_hold(clauses, label) for label in graph.distinct_labels)
-        if holds not in tables:
-            rm = reachability_rm(vocab, dnf_to_formula(DnfFormula(clauses)))
-            tables[holds] = exact_product_values(graph, rm, gamma).values[1]
-        return tables[holds]
+        clause_sets.setdefault(holds, clauses)
+        return holds
 
-    checks = []
+    planned = []  # (kind, guard, key of the clause set checked, keys of those it is bounded by)
     for guard in guards:
         dnf = guard if isinstance(guard, DnfFormula) else to_dnf(guard)
         if isinstance(dnf, (TrueConst, FalseConst)):
             continue
         if len(dnf.clauses) >= 2:
-            lower = np.maximum.reduce([exact((c,)) for c in dnf.clauses])
-            ok = bool((lower <= exact(dnf.clauses) + BOUND_TOL).all())
-            checks.append(BoundCheck("disjunction underestimation", dnf, ok))
+            parts = [key((c,)) for c in dnf.clauses]
+            planned.append(("disjunction underestimation", dnf, key(dnf.clauses), parts))
         for clause in dnf.clauses:
             if len(clause) >= 2:
-                upper = np.minimum.reduce([exact(((lit,),)) for lit in clause])
-                ok = bool((exact((clause,)) <= upper + BOUND_TOL).all())
-                checks.append(BoundCheck("conjunction overestimation", DnfFormula((clause,)), ok))
-    return checks
+                parts = [key(((lit,),)) for lit in clause]
+                planned.append(("conjunction overestimation", DnfFormula((clause,)), key((clause,)), parts))
 
+    exact = dict(zip(clause_sets, _reachability_tables(graph, vocab, list(clause_sets.values()), gamma)))
+    checks = []
+    for kind, dnf, whole, parts in planned:
+        if kind == "disjunction underestimation":
+            ok = np.maximum.reduce([exact[p] for p in parts]) <= exact[whole] + BOUND_TOL
+        else:
+            ok = exact[whole] <= np.minimum.reduce([exact[p] for p in parts]) + BOUND_TOL
+        checks.append(BoundCheck(kind, dnf, bool(ok.all())))
+    return checks

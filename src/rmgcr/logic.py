@@ -263,6 +263,48 @@ def evaluate(f, assignment: Iterable[str]) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def truth_table(f, vocab: Sequence[str]) -> int:
+    """The assignments over vocab where a Formula or DnfFormula holds, as one int.
+
+    Bit m is set iff f holds on the assignment of mask m, where bit i of m
+    says whether vocab[i] holds (as `rm.label_mask` encodes labels). All
+    2^|vocab| assignments are evaluated at once: an atom is the column int
+    of the masks where it holds, and the connectives are &, | and full ^ x.
+    """
+    n = 1 << len(vocab)
+    full = (1 << n) - 1
+    columns = {}
+    for i, atom in enumerate(vocab):
+        period = 2 << i  # masks alternate 2^i without the atom, then 2^i with it
+        block = ((1 << (1 << i)) - 1) << (1 << i)
+        columns[atom] = block * (full // ((1 << period) - 1))
+
+    def table(g) -> int:
+        if isinstance(g, TrueConst):
+            return full
+        if isinstance(g, FalseConst):
+            return 0
+        if isinstance(g, Var):
+            return columns.get(g.name, 0)
+        if isinstance(g, Not):
+            return full ^ table(g.child)
+        if isinstance(g, And):
+            out = full
+            for c in g.children:
+                out &= table(c)
+            return out
+        if isinstance(g, Or):
+            out = 0
+            for c in g.children:
+                out |= table(c)
+            return out
+        if isinstance(g, DnfFormula):
+            return table(dnf_to_formula(g))
+        raise TypeError(f"not a formula: {g!r}")
+
+    return table(f)
+
+
 def clauses_hold(clauses: Sequence[Clause], assignment: frozenset[str]) -> bool:
     """Truth of a disjunction of clauses under a closed-world assignment, such as a
     true label: some clause has each of its positive atoms in the assignment and

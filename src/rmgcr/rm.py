@@ -20,10 +20,9 @@ exist; `terminals:` with no ids declares a machine that never terminates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .logic import Formula, check_vocab, evaluate, parse_formula
+from .logic import Formula, check_vocab, evaluate, parse_formula, truth_table
 
 MAX_EXHAUSTIVE_VOCAB = 12  # determinism checked over all 2^|vocab| assignments
 
@@ -133,9 +132,12 @@ def all_assignments(vocab: Sequence[str]):
 
 
 def check_determinism(rm: RewardMachine) -> None:
-    """Exhaustively verify at most one explicit guard fires per assignment.
+    """Verify that at most one explicit guard fires on each of the 2^|vocab| assignments.
 
-    Skipped for vocabularies larger than MAX_EXHAUSTIVE_VOCAB atoms.
+    Each guard's `truth_table` is taken once; on an overlap the error names
+    the lowest assignment mask where two guards fire, and the first two
+    edges that fire there. Skipped for vocabularies larger than
+    MAX_EXHAUSTIVE_VOCAB atoms.
     """
     if len(rm.vocab) > MAX_EXHAUSTIVE_VOCAB:
         return
@@ -145,10 +147,16 @@ def check_determinism(rm: RewardMachine) -> None:
         edges = rm.outgoing(u)
         if len(edges) < 2:
             continue
-        for w in all_assignments(rm.vocab):
-            firing = [e for e in edges if evaluate(e.guard, w)]
-            if len(firing) > 1:
-                raise NondeterministicGuardError(u, w, (firing[0], firing[1]))
+        tables = [truth_table(e.guard, rm.vocab) for e in edges]
+        seen = overlap = 0
+        for t in tables:
+            overlap |= seen & t
+            seen |= t
+        if overlap:
+            mask = (overlap & -overlap).bit_length() - 1
+            firing = [e for e, t in zip(edges, tables) if t >> mask & 1]
+            w = frozenset(a for i, a in enumerate(rm.vocab) if mask >> i & 1)
+            raise NondeterministicGuardError(u, w, (firing[0], firing[1]))
 
 
 def parse_rm(text: str) -> RewardMachine:

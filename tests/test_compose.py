@@ -23,7 +23,7 @@ from rmgcr.compose import (
     rm_value_iteration,
     shaping_term,
 )
-from rmgcr import compose
+from rmgcr import cli, compose
 from rmgcr.geogrid import (
     VOCAB,
     CellGraph,
@@ -51,6 +51,7 @@ from rmgcr.logic import (
 from rmgcr.rm import RmTransition, all_assignments, load_rm, make_rm, reachability_rm, rm_step
 
 from conftest import TASKS_DIR
+from test_geogrid import grid_configs
 
 GEO = ("red", "green", "blue", "triangle", "circle")
 GAMMA = 0.97
@@ -73,6 +74,31 @@ def const_pvfs(vocab, values, gamma=GAMMA):
         (a, pol): ConstPvf(values.get((a, pol), 0.0)) for a in vocab for pol in (True, False)
     }
     return PvfSet(tuple(vocab), gamma, "fqi", estimators)
+
+
+@st.composite
+def dnf_guards(draw):
+    """DNF guards over the grid's vocabulary: 1-3 clauses of 1-3 literals each."""
+    clause = st.sets(st.sampled_from(VOCAB), min_size=1, max_size=3).flatmap(
+        lambda atoms: st.tuples(*(st.tuples(st.just(a), st.booleans()) for a in sorted(atoms)))
+    )
+    return DnfFormula(tuple(draw(st.lists(clause, min_size=1, max_size=3, unique=True))))
+
+
+@st.composite
+def small_machines(draw):
+    """RMs of 2-4 states over the grid's vocabulary, with random DNF or `true` guards,
+    rewarded self-loops and at least one edge out of every non-terminal state."""
+    n = draw(st.integers(2, 4))
+    terminals = draw(st.sets(st.integers(0, n - 1), max_size=n - 1).filter(lambda t: 1 not in t))
+    guard = st.one_of(dnf_guards().map(dnf_to_formula), st.just(TRUE))
+    reward = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])
+    edges = []
+    for u in range(n):
+        if u not in terminals:
+            for dst in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
+                edges.append(RmTransition(u, dst, draw(guard), draw(reward)))
+    return make_rm(VOCAB, n, edges, terminals=terminals, check=False)
 
 
 class TestRmValueIteration:
@@ -372,19 +398,23 @@ class TestExactProductValues:
         oracle = exact_product_values(desk_cfg, sequence_rm, GAMMA)
         assert oracle.residual < 1e-10
 
-    def test_values_satisfy_bellman(self, sequence_rm, desk_cfg):
-        oracle = exact_product_values(desk_cfg, sequence_rm, GAMMA)
-        states = cell_states(desk_cfg)
-        for cell in [(0, 1), (3, 3), (5, 5)]:
-            for u in (1, 2, 3):
-                s = states[cell]
+    @settings(max_examples=40, deadline=None)
+    @given(rm=small_machines(), cfg=grid_configs(layouts=("fixed",)))
+    def test_values_satisfy_bellman(self, rm, cfg):
+        oracle = exact_product_values(cfg, rm, GAMMA)
+        for cell, s in cell_states(cfg).items():
+            for u in range(rm.num_states):
+                v = oracle.value_at(cell, u)
+                if rm.is_terminal(u):
+                    assert v == 0.0 and not np.signbit(v)
+                    continue
                 best = -np.inf
                 for a in range(4):
                     s2 = step(s, a)
-                    stp = rm_step(sequence_rm, u, true_label(s2))
+                    stp = rm_step(rm, u, true_label(s2))
                     cont = 0.0 if stp.terminated else oracle.value_at(s2.agent, stp.next_state)
                     best = max(best, GAMMA * (stp.reward + cont))
-                assert oracle.value_at(cell, u) == pytest.approx(best, abs=1e-8)
+                assert v == pytest.approx(best, abs=1e-8)
 
 
 class TestCompositionBounds:
@@ -416,31 +446,6 @@ class TestCompositionBounds:
 
 # ---------------------------------------------------------------------------
 # The cell-graph paths against the per-cell references they replace
-
-
-@st.composite
-def dnf_guards(draw):
-    """DNF guards over the grid's vocabulary: 1-3 clauses of 1-3 literals each."""
-    clause = st.sets(st.sampled_from(VOCAB), min_size=1, max_size=3).flatmap(
-        lambda atoms: st.tuples(*(st.tuples(st.just(a), st.booleans()) for a in sorted(atoms)))
-    )
-    return DnfFormula(tuple(draw(st.lists(clause, min_size=1, max_size=3, unique=True))))
-
-
-@st.composite
-def small_machines(draw):
-    """RMs of 2-4 states over the grid's vocabulary, with random DNF or `true` guards,
-    rewarded self-loops and at least one edge out of every non-terminal state."""
-    n = draw(st.integers(2, 4))
-    terminals = draw(st.sets(st.integers(0, n - 1), max_size=n - 1).filter(lambda t: 1 not in t))
-    guard = st.one_of(dnf_guards().map(dnf_to_formula), st.just(TRUE))
-    reward = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])
-    edges = []
-    for u in range(n):
-        if u not in terminals:
-            for dst in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
-                edges.append(RmTransition(u, dst, draw(guard), draw(reward)))
-    return make_rm(VOCAB, n, edges, terminals=terminals, check=False)
 
 
 @st.composite
@@ -510,3 +515,86 @@ class TestCellGraphPaths:
     def test_composition_bounds_hold_on_random_guards(self, desk_cfg, guard):
         checks = composition_bounds(desk_cfg, VOCAB, [guard], GAMMA)
         assert all(check.ok for check in checks), checks
+
+
+def needed_clause_sets(guards):
+    """The clause sets composition_bounds compares, by the rules in its docstring."""
+    needed = []
+    for guard in guards:
+        if len(guard.clauses) >= 2:
+            needed += [guard.clauses] + [(c,) for c in guard.clauses]
+        for clause in guard.clauses:
+            if len(clause) >= 2:
+                needed += [(clause,)] + [((lit,),) for lit in clause]
+    return needed
+
+
+def capture_solves(monkeypatch):
+    """Record (rm, table) for every exact_product_values call made through the module."""
+    solves = []
+    real = compose.exact_product_values
+
+    def wrapped(*args, **kwargs):
+        table = real(*args, **kwargs)
+        solves.append((args[1], table))
+        return table
+
+    monkeypatch.setattr(compose, "exact_product_values", wrapped)
+    return solves
+
+
+class TestBoundSolves:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cfg=grid_configs(layouts=("fixed",)),
+        guards=st.lists(dnf_guards(), min_size=1, max_size=4),
+        gamma=st.sampled_from([0.5, 0.9, GAMMA]),
+    )
+    def test_one_stacked_solve_equals_the_per_table_solves(self, cfg, guards, gamma):
+        graph = CellGraph(cfg)
+        needed = needed_clause_sets(guards)
+        with pytest.MonkeyPatch.context() as mp:
+            solves = capture_solves(mp)
+            composition_bounds(graph, VOCAB, guards, gamma)
+        assert len(solves) == (1 if needed else 0)
+
+        def holds(clauses):
+            return tuple(clauses_hold(clauses, label) for label in graph.distinct_labels)
+
+        formulas = {dnf_to_formula(DnfFormula(c)): c for c in needed}
+        for rm, table in solves:
+            row_sets = []
+            for k, edge in enumerate(rm.transitions, start=1):
+                assert (edge.src, edge.dst, edge.reward) == (k, 0, 1.0)
+                clauses = formulas[edge.guard]
+                want = exact_product_values(
+                    graph, reachability_rm(VOCAB, dnf_to_formula(DnfFormula(clauses))), gamma
+                ).values[1]
+                assert table.values[k].tobytes() == want.tobytes()
+                row_sets.append(holds(clauses))
+            # one row per distinct set of labels a needed clause set holds on
+            assert sorted(row_sets) == sorted({holds(c) for c in needed})
+
+    def test_sets_split_into_as_few_solves_as_fit_the_cap(self, desk_cfg, monkeypatch):
+        # 6 x 6 cells and a cap of 4 RM states: 3 clause sets a solve
+        guards = [DnfFormula(((("red", True),), (("blue", True),), (("green", True),)))]
+        want = composition_bounds(desk_cfg, VOCAB, guards, GAMMA)
+        monkeypatch.setattr(compose, "MAX_PRODUCT_STATES", 36 * 4)
+        solves = capture_solves(monkeypatch)
+        assert composition_bounds(desk_cfg, VOCAB, guards, GAMMA) == want
+        assert [rm.num_states for rm, _ in solves] == [4, 2]
+
+    def test_a_cap_that_fits_one_set_solves_each_alone(self, desk_cfg, monkeypatch):
+        # the per-table solves each needed 2 x 36 product states
+        guards = [DnfFormula(((("red", True), ("circle", True)),))]
+        monkeypatch.setattr(compose, "MAX_PRODUCT_STATES", 36 * 2)
+        solves = capture_solves(monkeypatch)
+        assert all(check.ok for check in composition_bounds(desk_cfg, VOCAB, guards, GAMMA))
+        assert [rm.num_states for rm, _ in solves] == [2, 2, 2]
+
+    def test_oracle_on_logic_rm_solves_twice(self, monkeypatch, capsys):
+        # the task RM once, then every bound table of its guards in one solve
+        solves = capture_solves(monkeypatch)
+        assert cli.main(["oracle", "--rm", str(TASKS_DIR / "logic.rm")]) == 0
+        assert len(solves) == 2
+        assert capsys.readouterr().out.rstrip().endswith("bounds PASS")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rmgcr.logic import (
     FALSE,
@@ -19,8 +20,9 @@ from rmgcr.logic import (
     evaluate,
     parse_formula,
     to_dnf,
+    truth_table,
 )
-from rmgcr.rm import all_assignments
+from rmgcr.rm import all_assignments, label_mask
 
 GEO = ("red", "green", "blue", "triangle", "circle")
 
@@ -203,3 +205,42 @@ class TestHelpers:
         assert isinstance(TRUE, TrueConst)
         assert isinstance(FALSE, FalseConst)
         assert TRUE != FALSE
+
+
+@st.composite
+def formulas_over_vocabs(draw):
+    """A vocabulary of 1-6 atoms and a formula over it, as a tree or in DNF."""
+    vocab = tuple(f"a{i}" for i in range(draw(st.integers(1, 6))))
+    leaves = st.sampled_from([Var(a) for a in vocab] + [TRUE, FALSE])
+    tree = draw(
+        st.recursive(
+            leaves,
+            lambda sub: st.one_of(
+                sub.map(Not),
+                st.lists(sub, min_size=2, max_size=3).map(lambda c: And(tuple(c))),
+                st.lists(sub, min_size=2, max_size=3).map(lambda c: Or(tuple(c))),
+            ),
+            max_leaves=8,
+        )
+    )
+    return vocab, draw(st.sampled_from([tree, to_dnf(tree)]))
+
+
+class TestTruthTable:
+    @settings(max_examples=300, deadline=None)
+    @given(formulas_over_vocabs())
+    def test_agrees_with_evaluate_on_every_assignment(self, case):
+        vocab, f = case
+        table = truth_table(f, vocab)
+        assert 0 <= table < 1 << (1 << len(vocab))
+        for mask, w in enumerate(all_assignments(vocab)):
+            assert label_mask(vocab, w) == mask
+            assert bool(table >> mask & 1) == evaluate(f, w), (f, sorted(w))
+
+    def test_columns_and_constants(self):
+        vocab = ("a", "b", "c")
+        assert truth_table(Var("a"), vocab) == 0b10101010
+        assert truth_table(Var("c"), vocab) == 0b11110000
+        assert truth_table(Not(Var("b")), vocab) == 0b00110011
+        assert truth_table(TRUE, vocab) == 0xFF
+        assert truth_table(FALSE, vocab) == 0

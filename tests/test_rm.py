@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmgcr.logic import FALSE, TRUE, And, Not, Or, Var
+from rmgcr.logic import FALSE, TRUE, And, Not, Or, Var, evaluate
 from rmgcr.rm import (
     MAX_EXHAUSTIVE_VOCAB,
     DanglingStateError,
@@ -13,6 +13,7 @@ from rmgcr.rm import (
     StepTable,
     TransitionFromTerminalError,
     all_assignments,
+    check_determinism,
     label_mask,
     load_rm,
     make_rm,
@@ -236,3 +237,58 @@ class TestStepTable:
         table = StepTable(rm)
         assert table.step(1, label_mask(vocab, {"a0"})) == (1, 0.0, False)
         assert table.step(1, label_mask(vocab, {"a0", vocab[-1]})) == (0, 1.0, True)
+
+
+def _first_overlap(rm):
+    """The reference scan: the first state, lowest-mask assignment and first two edges that both fire."""
+    for u in range(rm.num_states):
+        if rm.is_terminal(u):
+            continue
+        for w in all_assignments(rm.vocab):
+            firing = [e for e in rm.outgoing(u) if evaluate(e.guard, w)]
+            if len(firing) > 1:
+                return u, w, (firing[0], firing[1])
+    return None
+
+
+class TestDeterminism:
+    def _error(self, vocab, edges):
+        rm = make_rm(vocab, 3, edges, check=False)
+        with pytest.raises(NondeterministicGuardError) as e:
+            check_determinism(rm)
+        return e.value
+
+    def test_overlap_at_mask_zero(self):
+        edges = [RmTransition(1, 0, Not(Var("a")), 1.0), RmTransition(1, 2, Not(Var("b")), 0.0)]
+        err = self._error(("a", "b"), edges)
+        assert (err.state, err.assignment, err.edges) == (1, frozenset(), tuple(edges))
+
+    def test_overlap_at_a_middle_mask(self):
+        # a & !c and b & !c first fire together on {a, b}, mask 0b011 of 0..7
+        edges = [
+            RmTransition(1, 0, And((Var("a"), Not(Var("c")))), 1.0),
+            RmTransition(1, 2, And((Var("b"), Not(Var("c")))), 0.0),
+        ]
+        err = self._error(("a", "b", "c"), edges)
+        assert (err.state, err.assignment, err.edges) == (1, frozenset({"a", "b"}), tuple(edges))
+
+    def test_only_the_second_and_third_edges_overlap(self):
+        edges = [
+            RmTransition(2, 0, And((Var("a"), Var("b"))), 1.0),
+            RmTransition(2, 1, And((Not(Var("a")), Var("c"))), 0.0),
+            RmTransition(2, 0, And((Not(Var("b")), Var("c"))), -1.0),
+        ]
+        err = self._error(("a", "b", "c"), edges)
+        # !a & c and !b & c both fire first on {c} (mask 0b100), where a & b does not
+        assert (err.state, err.assignment, err.edges) == (2, frozenset({"c"}), (edges[1], edges[2]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_machines())
+    def test_raises_as_the_exhaustive_scan(self, rm):
+        want = _first_overlap(rm)
+        if want is None:
+            check_determinism(rm)
+            return
+        with pytest.raises(NondeterministicGuardError) as e:
+            check_determinism(rm)
+        assert (e.value.state, e.value.assignment, e.value.edges) == want
