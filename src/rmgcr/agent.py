@@ -117,7 +117,7 @@ def train(
         raise ConfigMismatchError("high-level shaping requires RM state values")
 
     index = ObsIndex()
-    moves = geogrid.move_table(list(geogrid.cell_states(cfg).values())).tolist()
+    moves = geogrid.move_table(cfg.height, cfg.width).tolist()
     # per id, filled when the id is first numbered: label masks (see rm.label_mask)
     true_masks: list[int] = []
     predicted: list[int] = []  # predict_labels is a pure function of the observation
@@ -241,7 +241,7 @@ def evaluate(
     if n_episodes < 1:
         raise ValueError("n_episodes must be positive")
     index = ObsIndex()
-    moves = geogrid.move_table(list(geogrid.cell_states(cfg).values())).tolist()
+    moves = geogrid.move_table(cfg.height, cfg.width).tolist()
     true_masks: list[int] = []  # per id, filled when the id is first numbered
 
     def visit(start, cell) -> int:

@@ -138,27 +138,25 @@ def cmd_oracle(args) -> int:
         pvfs = ground.load_pvfs(pathlib.Path(args.models) / "pvfs.json")
         cvf = compose.make_composed_value_fn(rm, pvfs, args.gamma_rm, gamma=args.gamma)
         composed = compose.composed_table(cvf, graph).tolist()
-    # (cell, u, exact, composed) row-major; composed is None at terminal RM states
-    rows = [
-        (cell, u, exact[u][i], None if composed is None or rm.is_terminal(u) else composed[u][i])
-        for i, cell in enumerate(graph.cells)
-        for u in range(rm.num_states)
-    ]
+    # one CSV line per (cell, u), row-major; terminal RM states get no composed value
+    compared = [composed is not None and not rm.is_terminal(u) for u in range(rm.num_states)]
+    lines = ["row,col,rm_state,exact" + (",composed,abs_deviation" if composed is not None else "")]
+    devs = []
+    for i, (r, c) in enumerate(graph.cells):
+        for u, both in enumerate(compared):
+            want = exact[u][i]
+            line = f"{r},{c},{u},{want:.10f}"
+            if both:
+                got = composed[u][i]
+                devs.append(abs(got - want))
+                line = f"{line},{got:.10f},{devs[-1]:.10f}"
+            lines.append(line)
     if args.out:
+        # the bytes csv.writer gives: no field needs quoting, and lines end in \r\n
         with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["row", "col", "rm_state", "exact"]
-            if composed is not None:
-                header += ["composed", "abs_deviation"]
-            writer.writerow(header)
-            for (r, c), u, want, got in rows:
-                row = [r, c, u, f"{want:.10f}"]
-                if got is not None:
-                    row += [f"{got:.10f}", f"{abs(got - want):.10f}"]
-                writer.writerow(row)
+            fh.write("\r\n".join(lines) + "\r\n")
         print(f"wrote oracle table to {args.out}")
     if composed is not None:
-        devs = [abs(got - want) for _, _, want, got in rows if got is not None]
         print(f"max absolute deviation from the exact oracle: {max(devs, default=0.0):.6f}")
     guards = [t.guard for t in rm.transitions if t.src != t.dst]
     checks = compose.composition_bounds(graph, rm.vocab, guards, args.gamma)

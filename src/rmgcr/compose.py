@@ -20,14 +20,14 @@ successors and their true labels, computed once and then only read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import geogrid
 from .geogrid import CellGraph, GridConfig, StateSpaceTooLargeError
 from .ground import PvfSet
-from .logic import Clause, DnfFormula, FalseConst, TrueConst, clauses_hold, dnf_to_formula, to_dnf
+from .logic import Clause, DnfFormula, FalseConst, TrueConst, dnf_to_formula, to_dnf
 from .rm import RewardMachine, RmTransition, StepTable, label_mask, make_rm
 
 # exact oracle: reaching ORACLE_TOL takes about 23 / (1 - gamma) sweeps,
@@ -259,18 +259,15 @@ def composed_table(cvf: ComposedValueFn, graph: CellGraph) -> np.ndarray:
     """composed_value at every (RM state, cell) of a fixed layout, as an array indexed [u, cell].
 
     Bit for bit equal to composed_value, signed zeros included: each
-    literal is valued once per cell with PvfSet.value, then the min over
-    each clause, the max over clauses and the best edge make the same
-    comparisons, in the same order, on whole rows of cells.
+    literal is valued once per cell, in one PvfSet.values call, then the
+    min over each clause, the max over clauses and the best edge make the
+    same comparisons, in the same order, on whole rows of cells.
     """
     rm = cvf.rm
     dnfs = [dnf for dnf in cvf._edge_dnfs.values() if isinstance(dnf, DnfFormula)]
     lits = sorted({lit for dnf in dnfs for clause in dnf.clauses for lit in clause})
-    lit_rows = {lit: np.empty(len(graph.states)) for lit in lits}
-    for i, state in enumerate(graph.states):
-        obs = geogrid.encode_obs(state)
-        for lit in lits:
-            lit_rows[lit][i] = cvf.pvfs.value(lit, obs)
+    observations = [geogrid.encode_obs(state) for state in graph.states]
+    lit_rows = dict(zip(lits, cvf.pvfs.values(lits, observations)))
 
     def guard_value(dnf):
         if isinstance(dnf, TrueConst):
@@ -439,6 +436,33 @@ def _reachability_tables(graph: CellGraph, vocab: Sequence[str], clause_sets: li
     return tables
 
 
+def label_bits(labels: Sequence[frozenset]) -> Callable[[tuple], int]:
+    """The truth of a clause set on each label, as a function of the clause set.
+
+    It returns an int whose bit j says whether the set holds on labels[j],
+    as clauses_hold does: each literal's bits are computed once, a clause
+    is the AND of its literals' bits and a set the OR of its clauses.
+    """
+    every = (1 << len(labels)) - 1
+    lit_bits: dict = {}
+
+    def bits(clauses: tuple) -> int:
+        holds = 0
+        for clause in clauses:
+            conj = every
+            for lit in clause:
+                b = lit_bits.get(lit)
+                if b is None:
+                    atom, positive = lit
+                    b = sum(1 << j for j, label in enumerate(labels) if (atom in label) == positive)
+                    lit_bits[lit] = b
+                conj &= b
+            holds |= conj
+        return holds
+
+    return bits
+
+
 def composition_bounds(
     layout: GridConfig | CellGraph, vocab: Sequence[str], guards: Iterable, gamma: float
 ) -> list[BoundCheck]:
@@ -452,10 +476,11 @@ def composition_bounds(
     valued once, and all of them together (see _reachability_tables).
     """
     graph = _cell_graph(layout)
-    clause_sets: dict = {}  # labels a clause set holds on -> the first clause set seen with them
+    bits = label_bits(graph.distinct_labels)
+    clause_sets: dict = {}  # label bits of a clause set -> the first clause set seen with them
 
-    def key(clauses: tuple) -> tuple:
-        holds = tuple(clauses_hold(clauses, label) for label in graph.distinct_labels)
+    def key(clauses: tuple) -> int:
+        holds = bits(clauses)
         clause_sets.setdefault(holds, clauses)
         return holds
 

@@ -153,13 +153,21 @@ def reset(cfg: GridConfig, seed: Optional[int] = None) -> GridState:
     return GridState(cfg.width, cfg.height, agent, placements)
 
 
+def move(cell: int, action: int, height: int, width: int) -> int:
+    """The row-major cell that action leads to from cell on a height x width grid.
+
+    The one home of the grid's moves: off-grid moves are no-ops.
+    """
+    dr, dc = _MOVES[action]
+    r, c = divmod(cell, width)
+    r, c = r + dr, c + dc
+    return r * width + c if 0 <= r < height and 0 <= c < width else cell
+
+
 def step(s: GridState, action: int) -> GridState:
     """Move one cell; off-grid moves are no-ops. Objects are static."""
-    dr, dc = _MOVES[int(action)]
-    r, c = s.agent[0] + dr, s.agent[1] + dc
-    if not (0 <= r < s.height and 0 <= c < s.width):
-        r, c = s.agent
-    return GridState(s.width, s.height, (r, c), s.placements)
+    cell = move(s.agent[0] * s.width + s.agent[1], int(action), s.height, s.width)
+    return GridState(s.width, s.height, divmod(cell, s.width), s.placements)
 
 
 def true_label(s: GridState) -> frozenset[str]:
@@ -194,16 +202,17 @@ def cell_states(cfg: GridConfig) -> dict[Cell, GridState]:
     }
 
 
-def move_table(states: Sequence[GridState]) -> np.ndarray:
-    """Read-only [cell, action] -> next cell, where states[i] has the agent on row-major cell i.
+def move_table(height: int, width: int) -> np.ndarray:
+    """Read-only [cell, action] -> next cell over the row-major cells of a height x width grid.
 
-    Read off step, the one home of the grid's moves, for the states that
-    cell_states gives. Placements do not affect a move, so one table
-    serves every layout of the grid.
+    Placements do not affect a move, so one table serves every layout of
+    the grid.
     """
-    width = states[0].width
-    moved = [[step(s, a).agent for a in range(len(ACTIONS))] for s in states]
-    table = np.array([[r * width + c for r, c in row] for row in moved], dtype=np.int64)
+    n_actions = len(ACTIONS)
+    table = np.array(
+        [[move(i, a, height, width) for a in range(n_actions)] for i in range(height * width)],
+        dtype=np.int64,
+    )
     table.flags.writeable = False
     return table
 
@@ -231,7 +240,7 @@ class CellGraph:
         self.distinct_labels = sorted(set(self.labels), key=sorted)
         self.label_ids = np.array([self.distinct_labels.index(l) for l in self.labels])
         self.index = {cell: i for i, cell in enumerate(self.cells)}
-        self.next_cell = move_table(self.states)
+        self.next_cell = move_table(cfg.height, cfg.width)
         self.label_ids.flags.writeable = False
 
 
@@ -349,7 +358,7 @@ def generate_dataset(
     if n_trajectories < 1:
         raise ValueError("need at least one trajectory")
     root = cfg.seed if seed is None else seed
-    moves = move_table(list(cell_states(cfg).values())).tolist()
+    moves = move_table(cfg.height, cfg.width).tolist()
     index = ObsIndex()
     trajectories = []
     for i in range(n_trajectories):
@@ -471,8 +480,7 @@ def save_dataset(ds: GroundingDataset, path) -> None:
         "vocab": list(ds.vocab),
         "meta": ds.meta,
         "observations": [
-            [list(o.shape), o.astype(np.uint8, copy=False).tobytes().hex()]
-            for o in index.obs
+            encode_entry(o.shape, o.astype(np.uint8, copy=False).tobytes()) for o in index.obs
         ],
         "labels": [sorted(l) for l in index.labels],
     }
@@ -514,9 +522,10 @@ def load_dataset(path) -> GroundingDataset:
             )
         _require(header, ("vocab", "observations", "labels"), "the header")
         vocab = tuple(header["vocab"])
-        table = [
-            _decode_entry(k, shape, data) for k, (shape, data) in enumerate(header["observations"])
-        ]
+        table = []
+        for k, entry in enumerate(header["observations"]):
+            shape, raw = decode_entry(k, entry)
+            table.append(np.frombuffer(raw, dtype=np.uint8).reshape(shape))
         labels = [frozenset(l) for l in header["labels"]]
         if len(labels) != len(table):
             raise DatasetFormatError(
@@ -574,20 +583,30 @@ def _require(record: dict, fields: tuple, what: str) -> None:
         raise DatasetFormatError(f"{what} lacks {', '.join(missing)}")
 
 
-def _decode_entry(k: int, shape: list, data: str) -> np.ndarray:
-    """Table entry k as a read-only uint8 array of the given shape."""
-    if not all(type(d) is int and d >= 0 for d in shape):
-        raise DatasetFormatError(f"table entry {k} has shape {shape}, not a list of sizes")
+def encode_entry(shape: Sequence[int], raw: bytes) -> list:
+    """An observation table entry: [shape, hex of the observation's uint8 bytes]."""
+    return [list(shape), raw.hex()]
+
+
+def decode_entry(k: int, entry, error: type[ValueError] = DatasetFormatError) -> tuple:
+    """Observation table entry k, as encode_entry writes it, back as (shape, bytes).
+
+    Raises error if the entry is no [shape, hex] pair, or its hex is not
+    the size its shape needs.
+    """
+    if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], str)):
+        raise error(f"table entry {k} is not a [shape, hex] pair")
+    shape, data = entry
+    if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+        raise error(f"table entry {k} has shape {shape}, not a list of sizes")
     size = math.prod(shape)
     if len(data) != 2 * size:
-        raise DatasetFormatError(
-            f"table entry {k} has {len(data)} hex digits; shape {shape} needs {2 * size}"
-        )
+        raise error(f"table entry {k} has {len(data)} hex digits; shape {shape} needs {2 * size}")
     try:
         raw = bytes.fromhex(data)
     except ValueError as e:
-        raise DatasetFormatError(f"table entry {k} is not hex: {e}") from None
-    return np.frombuffer(raw, dtype=np.uint8).reshape(shape)
+        raise error(f"table entry {k} is not hex: {e}") from None
+    return tuple(shape), raw
 
 
 def label_frequencies(ds: GroundingDataset) -> dict[str, float]:

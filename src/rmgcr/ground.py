@@ -10,6 +10,7 @@ k steps away is worth gamma^k.
 from __future__ import annotations
 
 import json
+import pathlib
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -17,12 +18,14 @@ from typing import Optional
 
 import numpy as np
 
-from .geogrid import GroundingDataset, obs_key
+from .geogrid import GroundingDataset, decode_entry, encode_entry, obs_key
 from .logic import Literal
 
 N_ACTIONS = 4
 
 FEATURE_MAP_VERSION = 1
+# pvfs.json layout: 2 writes the observation table once and a value list per tabular literal
+PVF_FORMAT_VERSION = 2
 
 # full-batch gradient descent of the linear label fit
 LABEL_LR = 1.0
@@ -222,6 +225,8 @@ class PvfSet:
     gamma: float
     method: str  # "fqi" | "mc"
     estimators: dict  # Literal -> estimator
+    # shape of the observations the tabular estimators are keyed by; save_pvfs needs it
+    obs_shape: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
         expected = {(a, pol) for a in self.vocab for pol in (True, False)}
@@ -231,6 +236,26 @@ class PvfSet:
     def value(self, lit: Literal, obs: np.ndarray) -> float:
         """The literal's estimated value at obs, clipped to [0, 1]."""
         return min(max(self.estimators[lit].value(obs), 0.0), 1.0)
+
+    def values(self, lits, observations) -> np.ndarray:
+        """value(lit, obs) for each literal and observation, as an array indexed [lit, obs].
+
+        Each observation is keyed once, and a tabular estimator answers by
+        dict lookups on those keys; any other estimator through its own
+        value. The same clip as value keeps every entry equal to it bit for
+        bit, signed zeros included.
+        """
+        out = np.empty((len(lits), len(observations)))
+        keys = [obs_key(obs) for obs in observations]
+        for row, lit in zip(out, lits):
+            est = self.estimators[lit]
+            if isinstance(est, TabularPvf):
+                get = est.v.get
+                raw = [get(k, 0.0) for k in keys]
+            else:
+                raw = [est.value(obs) for obs in observations]
+            row[:] = [min(max(x, 0.0), 1.0) for x in raw]
+        return out
 
     @property
     def literals(self):
@@ -315,7 +340,8 @@ def train_pvfs_fqi(
                     NonConvergenceWarning,
                 )
             estimators[lit] = est
-    return PvfSet(ds.vocab, gamma, "fqi", estimators)
+    obs_shape = index.obs[0].shape if backend == "tabular" else None
+    return PvfSet(ds.vocab, gamma, "fqi", estimators, obs_shape)
 
 
 def mc_targets(labels: list, lit: Literal, gamma: float) -> list[float]:
@@ -345,7 +371,7 @@ def train_pvfs_mc(ds: GroundingDataset, gamma: float) -> PvfSet:
             sums = np.bincount(src, weights=targets, minlength=len(keys)).tolist()
             v = {keys[i]: sums[i] / int(counts[i]) for i in dict.fromkeys(src)}
             estimators[lit] = TabularPvf(gamma, v)
-    return PvfSet(ds.vocab, gamma, "mc", estimators)
+    return PvfSet(ds.vocab, gamma, "mc", estimators, ds.index.obs[0].shape)
 
 
 # ---------------------------------------------------------------------------
@@ -401,19 +427,38 @@ def _lit_from_key(s: str) -> Literal:
 
 
 def save_pvfs(pvfs: PvfSet, path) -> None:
+    """Write pvfs in format 2: the observation table once, then each literal's estimator.
+
+    The table holds every observation a tabular estimator has an entry
+    for, in order of first sight, as [shape, hex] like a dataset header.
+    A tabular literal stores one value per table entry, null where it has
+    none; a linear one its weights.
+    """
+    table: dict = {}  # obs key -> position in the table
+    for est in pvfs.estimators.values():
+        if isinstance(est, TabularPvf):
+            for k in est.v:
+                table.setdefault(k, len(table))
+    if table and pvfs.obs_shape is None:
+        raise ValueError("saving tabular PVFs needs the PvfSet's obs_shape")
     ests = {}
     for lit, est in pvfs.estimators.items():
         if isinstance(est, TabularPvf):
-            ests[_lit_key(lit)] = {"kind": "tabular", "v": {k.hex(): v for k, v in est.v.items()}}
+            values = [None] * len(table)
+            for k, v in est.v.items():
+                values[table[k]] = v
+            ests[_lit_key(lit)] = {"kind": "tabular", "v": values}
         elif isinstance(est, LinearPvf):
             ests[_lit_key(lit)] = {"kind": "linear", "weights": est.weights.tolist()}
         else:
             raise TypeError(f"cannot serialize {type(est)}")
     data = {
+        "format_version": PVF_FORMAT_VERSION,
         "vocab": list(pvfs.vocab),
         "gamma": pvfs.gamma,
         "method": pvfs.method,
         "feature_version": FEATURE_MAP_VERSION,
+        "observations": [encode_entry(pvfs.obs_shape, k) for k in table],
         "estimators": ests,
     }
     with open(path, "w") as fh:
@@ -421,20 +466,59 @@ def save_pvfs(pvfs: PvfSet, path) -> None:
 
 
 def load_pvfs(path) -> PvfSet:
+    """Read a format-2 PVF file; see save_pvfs.
+
+    Each table entry is decoded once, and every tabular literal's dict
+    shares those keys. Raises ModelFormatError for a file of another
+    format or feature map, a table entry whose hex does not fit its shape
+    or whose shape differs from the first entry's, a value list whose
+    length is not the table's, or an unknown estimator kind.
+    """
     with open(path) as fh:
         data = json.load(fh)
+    version = data.get("format_version")
+    if version is None:
+        linear = any(e.get("kind") == "linear" for e in data.get("estimators", {}).values())
+        backend = " --pvf-backend linear" if linear else ""
+        raise ModelFormatError(
+            f"{path} is a format-1 PVF file, which this version no longer reads; regenerate it "
+            f"with `rmgcr ground --dataset <dataset> --out {pathlib.Path(path).parent} --method "
+            f"{data.get('method')} --gamma {data.get('gamma')}{backend}` and the options it was "
+            f"grounded with"
+        )
+    if version != PVF_FORMAT_VERSION:
+        raise ModelFormatError(
+            f"{path}: unsupported PVF file format {version!r}; expected {PVF_FORMAT_VERSION}"
+        )
     _check_feature_version(data, path)
     gamma = data["gamma"]
+    obs_shape = None
+    keys = []
+    for k, entry in enumerate(data["observations"]):
+        shape, raw = decode_entry(k, entry, ModelFormatError)
+        if obs_shape is None:
+            obs_shape = shape
+        elif shape != obs_shape:
+            raise ModelFormatError(
+                f"{path}: table entry {k} has shape {list(shape)}, not {list(obs_shape)}"
+            )
+        keys.append(raw)
     estimators = {}
     for key, entry in data["estimators"].items():
         lit = _lit_from_key(key)
         kind = entry.get("kind")
         if kind == "tabular":
+            values = entry["v"]
+            if not (isinstance(values, list) and len(values) == len(keys)):
+                raise ModelFormatError(
+                    f"{path}: the values of {key} are not a list of one per table observation "
+                    f"({len(keys)})"
+                )
             estimators[lit] = TabularPvf(
-                gamma, {bytes.fromhex(k): float(v) for k, v in entry["v"].items()}
+                gamma, {k: float(v) for k, v in zip(keys, values) if v is not None}
             )
         elif kind == "linear":
             estimators[lit] = LinearPvf(gamma, np.asarray(entry["weights"]))
         else:
             raise ModelFormatError(f"{path}: unknown estimator kind {kind!r} for {key}")
-    return PvfSet(tuple(data["vocab"]), gamma, data["method"], estimators)
+    return PvfSet(tuple(data["vocab"]), gamma, data["method"], estimators, obs_shape)

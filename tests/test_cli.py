@@ -13,6 +13,8 @@ from rmgcr import compose
 from rmgcr.cli import build_parser, main
 from rmgcr.geogrid import GridConfig, ObsIndex, config_to_dict
 
+from test_ground import format_1_pvfs
+
 SEQUENCE = "tasks/sequence.rm"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -259,6 +261,25 @@ def test_tampered_model_file_is_validation_error(pipeline, tmp_path, command, mo
     if command == "train":
         argv += ["--out", str(tmp_path / "runs"), "--episodes", "1", "--eval-episodes", "1"]
     assert main(argv) == 3
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (format_1_pvfs, "regenerate it with `rmgcr ground --dataset <dataset> --out "),
+        (lambda d: d["observations"][0].pop(), "table entry 0 is not a [shape, hex] pair"),
+        (lambda d: d["estimators"]["+red"]["v"].pop(), "the values of +red are not a list of one"),
+    ],
+    ids=["format-1", "short-entry", "short-values"],
+)
+def test_unreadable_pvf_file_is_validation_error(pipeline, tmp_path, capsys, tamper, message):
+    models = tmp_path / "models"
+    shutil.copytree(pipeline["models"], models)
+    data = json.loads((models / "pvfs.json").read_text())
+    tamper(data)
+    (models / "pvfs.json").write_text(json.dumps(data))
+    assert main(["oracle", "--rm", SEQUENCE, "--models", str(models)]) == 3
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

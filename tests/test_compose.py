@@ -18,6 +18,7 @@ from rmgcr.compose import (
     composition_bounds,
     exact_product_values,
     formula_value,
+    label_bits,
     make_composed_value_fn,
     max_self_loop_rewards,
     rm_value_iteration,
@@ -452,13 +453,14 @@ class TestCompositionBounds:
 def tabular_pvfs(draw):
     """Tabular PVFs with values chosen to hit the clip and both signed zeros."""
     values = st.sampled_from([-0.5, -0.0, 0.0, 0.25, 0.5, 0.97, 1.0, 1.5])
-    keys = [obs_key(encode_obs(s)) for s in cell_states(GridConfig()).values()]
+    observations = [encode_obs(s) for s in cell_states(GridConfig()).values()]
+    keys = [obs_key(obs) for obs in observations]
     estimators = {
         (a, pol): TabularPvf(GAMMA, {k: draw(values) for k in keys if draw(st.booleans())})
         for a in VOCAB
         for pol in (True, False)
     }
-    return PvfSet(VOCAB, GAMMA, "fqi", estimators)
+    return PvfSet(VOCAB, GAMMA, "fqi", estimators, observations[0].shape)
 
 
 @st.composite
@@ -515,6 +517,24 @@ class TestCellGraphPaths:
     def test_composition_bounds_hold_on_random_guards(self, desk_cfg, guard):
         checks = composition_bounds(desk_cfg, VOCAB, [guard], GAMMA)
         assert all(check.ok for check in checks), checks
+
+
+class TestLabelBits:
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=grid_configs(layouts=("fixed",)), guards=st.lists(dnf_guards(), min_size=1, max_size=5))
+    def test_keys_partition_clause_sets_as_clauses_hold_does(self, cfg, guards):
+        labels = CellGraph(cfg).distinct_labels
+        bits = label_bits(labels)
+        sets = needed_clause_sets(guards) + [g.clauses for g in guards]
+        by_bits, by_holds = {}, {}
+        for k, clauses in enumerate(sets):
+            key = bits(clauses)
+            holds = tuple(clauses_hold(clauses, label) for label in labels)
+            assert [bool(key >> j & 1) for j in range(len(labels))] == list(holds)
+            assert key >> len(labels) == 0
+            by_bits.setdefault(key, set()).add(k)
+            by_holds.setdefault(holds, set()).add(k)
+        assert sorted(map(sorted, by_bits.values())) == sorted(map(sorted, by_holds.values()))
 
 
 def needed_clause_sets(guards):

@@ -21,6 +21,7 @@ from rmgcr.geogrid import (
     CellGraph,
     DatasetFormatError,
     GridConfig,
+    GridState,
     GroundingDataset,
     InconsistentLabelError,
     InfeasibleConfigError,
@@ -326,7 +327,7 @@ class TestObsIndex:
     @given(cfg=grid_configs(), seed=st.integers(0, 99))
     def test_the_cell_a_move_leads_to_holds_the_stepped_observation(self, cfg, seed):
         start = reset(cfg, seed=seed)
-        moves = move_table(list(cell_states(cfg).values()))
+        moves = move_table(cfg.height, cfg.width)
         index = ObsIndex()
         for cell in range(cfg.width * cfg.height):
             state = replace(start, agent=divmod(cell, cfg.width))
@@ -571,7 +572,7 @@ class TestGenerateOncePerState:
     @given(grid_configs())
     def test_move_table_follows_step_and_is_the_cell_graphs(self, cfg):
         states = cell_states(cfg)  # keyed by cell in row-major order
-        moves = move_table(list(states.values()))
+        moves = move_table(cfg.height, cfg.width)
         assert moves.shape == (len(states), len(ACTIONS)) and not moves.flags.writeable
         cells = list(states)
         for i, state in enumerate(states.values()):
@@ -579,6 +580,15 @@ class TestGenerateOncePerState:
                 assert cells[moves[i, a]] == step(state, a).agent
         if cfg.layout_mode == "fixed":
             assert np.array_equal(CellGraph(cfg).next_cell, moves)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6))
+    def test_move_table_equals_step_on_every_cell_and_action(self, height, width):
+        moves = move_table(height, width)
+        for cell in range(height * width):
+            state = GridState(width, height, divmod(cell, width), ())
+            for a in range(len(ACTIONS)):
+                assert divmod(int(moves[cell, a]), width) == step(state, a).agent
 
     def test_each_distinct_state_is_encoded_once_and_shared(self, desk_cfg, monkeypatch):
         counts = {"encode_obs": 0, "true_label": 0}

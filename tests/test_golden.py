@@ -11,9 +11,12 @@ layouts), the `ground` digests of a randomized-layout dataset and of a
 hand-built file in which one (observation, action) pair has two
 successors were recorded before `generate_dataset` walked cell ids with
 one action draw per trajectory and before tabular FQI took its target
-once per state. A change to the RNG draw order, to a tie-break, to the
-update arithmetic or to a signed zero shows up here as a changed
-digest, even when every behavioural test still passes.
+once per state. The `ground` value digests, which read the PVFs back
+from `pvfs.json`, were recorded before that file wrote its observation
+table once (format 2); its byte digests were re-recorded then. A change
+to the RNG draw order, to a tie-break, to the update arithmetic or to a
+signed zero shows up here as a changed digest, even when every
+behavioural test still passes.
 """
 
 import hashlib
@@ -34,7 +37,7 @@ from rmgcr.geogrid import (
     full_coverage_dataset,
     true_label,
 )
-from rmgcr.ground import NonConvergenceWarning, save_pvfs, train_pvfs_fqi
+from rmgcr.ground import NonConvergenceWarning, load_pvfs, save_pvfs, train_pvfs_fqi
 from rmgcr.rm import load_rm
 
 from conftest import GAMMA, GAMMA_RM, TASKS_DIR
@@ -216,13 +219,34 @@ def test_oracle_output_matches_recorded_digests(case, oracle_models, tmp_path, c
 
 
 # `rmgcr gen-dataset --n 50 --seed S` then `rmgcr ground`:
-# (seed, label backend, method) -> digests of (label_model.json, pvfs.json, metrics.json)
+# (seed, label backend, method) -> digests of (label_model.json, pvfs.json, metrics.json,
+# the loaded PVF values)
 GROUND_GOLDEN = {
-    (3, "linear", "fqi"): ("126e43ced9936b7d", "c13f46b638b381d6", "d1761f9741dc39e9"),
-    (3, "tabular", "mc"): ("bd693129e0a50fdd", "231e3caed5e63ffa", "036d0934004d85cf"),
-    (17, "linear", "fqi"): ("4dcadb0eca4b6e46", "ce4027040235dc37", "d1761f9741dc39e9"),
-    (17, "tabular", "mc"): ("bd693129e0a50fdd", "a22de1aac3418314", "036d0934004d85cf"),
+    (3, "linear", "fqi"): ("126e43ced9936b7d", "f522452c5c9f574f", "d1761f9741dc39e9", "2d641826c40ec486"),
+    (3, "tabular", "mc"): ("bd693129e0a50fdd", "2f3dfb832bd450ff", "036d0934004d85cf", "e4cfe445ddb867db"),
+    (17, "linear", "fqi"): ("4dcadb0eca4b6e46", "3a6c391bb95760a2", "d1761f9741dc39e9", "ba40eec855561935"),
+    (17, "tabular", "mc"): ("bd693129e0a50fdd", "1bc7a8d00b396330", "036d0934004d85cf", "5477afef4013f178"),
 }
+
+
+def _model_digests(models) -> tuple:
+    """Digests of the three model files, then of the PVF values loaded from pvfs.json.
+
+    The value digest holds float.hex of each literal's entry at every
+    observation a tabular estimator holds (None where it has none), so it
+    does not depend on how pvfs.json lays the values out.
+    """
+    files = tuple(
+        _digest((models / name).read_bytes())
+        for name in ("label_model.json", "pvfs.json", "metrics.json")
+    )
+    pvfs = load_pvfs(models / "pvfs.json")
+    keys = sorted({k for est in pvfs.estimators.values() for k in est.v})
+    values = [
+        [list(lit), [est.v[k].hex() if k in est.v else None for k in keys]]
+        for lit, est in sorted(pvfs.estimators.items())
+    ]
+    return files + (_digest(values),)
 
 
 @pytest.mark.parametrize("case", sorted(GROUND_GOLDEN), ids=lambda c: "-".join(map(str, c)))
@@ -232,11 +256,7 @@ def test_ground_outputs_match_recorded_digests(case, tmp_path):
     assert main(["gen-dataset", "--out", str(dataset), "--n", "50", "--seed", str(seed)]) == 0
     argv = ["ground", "--dataset", str(dataset), "--out", str(models)]
     assert main(argv + ["--label-backend", label_backend, "--method", method]) == 0
-    got = tuple(
-        _digest((models / name).read_bytes())
-        for name in ("label_model.json", "pvfs.json", "metrics.json")
-    )
-    assert got == GROUND_GOLDEN[case]
+    assert _model_digests(models) == GROUND_GOLDEN[case]
 
 
 # `rmgcr gen-dataset --n 50 --seed S [--layout randomized]`:
@@ -260,10 +280,7 @@ def test_gen_dataset_file_matches_recorded_digest(case, tmp_path):
 
 def _ground_digests(dataset, models) -> tuple:
     assert main(["ground", "--dataset", str(dataset), "--out", str(models)]) == 0
-    return tuple(
-        _digest((models / name).read_bytes())
-        for name in ("label_model.json", "pvfs.json", "metrics.json")
-    )
+    return _model_digests(models)
 
 
 def test_ground_on_a_randomized_layout_matches_recorded_digests(tmp_path):
@@ -272,8 +289,9 @@ def test_ground_on_a_randomized_layout_matches_recorded_digests(tmp_path):
     assert main(argv + ["--layout", "randomized"]) == 0
     assert _ground_digests(dataset, tmp_path / "models") == (
         "22cb2e6725cb9c85",
-        "5160f331f1da816e",
+        "be60e901e61486a4",
         "d1761f9741dc39e9",
+        "a850c9242ce5e819",
     )
 
 
@@ -302,6 +320,7 @@ def test_ground_averages_the_successors_of_a_repeated_pair(tmp_path):
     dataset.write_text("".join(json.dumps(r) + "\n" for r in (header, *records)))
     assert _ground_digests(dataset, tmp_path / "models") == (
         "7656fd93e4b7d921",
-        "4fcb10bb0a46f168",
+        "bc61f01c422673f9",
         "5270055a30c2984b",
+        "d443888a3c6dfa92",
     )

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 import warnings
 from dataclasses import replace
@@ -45,6 +46,8 @@ from rmgcr.ground import (
 from rmgcr.logic import Not, Var
 from rmgcr.rm import reachability_rm
 from rmgcr.compose import exact_product_values
+
+from test_compose import const_pvfs, linear_pvfs, tabular_pvfs
 
 GAMMA = 0.97
 
@@ -373,6 +376,117 @@ class TestSerialization:
             load(path)
 
 
+def format_1_pvfs(data: dict) -> None:
+    """Turn a saved pvfs.json's data back into format 1: hex-keyed value dicts and no table."""
+    keys = [raw for _, raw in data.pop("observations")]
+    del data["format_version"]
+    for entry in data["estimators"].values():
+        if entry["kind"] == "tabular":
+            entry["v"] = {k: v for k, v in zip(keys, entry["v"]) if v is not None}
+
+
+def assert_same_pvfs(back, pvfs):
+    """Equal PVF sets: the same header, and each estimator's entries equal under float.hex."""
+    assert (back.vocab, back.gamma, back.method) == (pvfs.vocab, pvfs.gamma, pvfs.method)
+    assert set(back.literals) == set(pvfs.literals)
+    if any(isinstance(est, ground.TabularPvf) and est.v for est in pvfs.estimators.values()):
+        assert back.obs_shape == pvfs.obs_shape  # read off the table, which is empty otherwise
+    for lit, est in pvfs.estimators.items():
+        got = back.estimators[lit]
+        assert type(got) is type(est)
+        if isinstance(est, ground.TabularPvf):
+            assert {k: v.hex() for k, v in got.v.items()} == {k: v.hex() for k, v in est.v.items()}
+        else:
+            assert got.weights.tobytes() == est.weights.tobytes()
+
+
+def assert_values_match(pvfs, observations):
+    """PvfSet.values over every literal equals PvfSet.value at each entry under float.hex."""
+    lits = sorted(pvfs.literals)
+    table = pvfs.values(lits, observations)
+    assert table.shape == (len(lits), len(observations))
+    for row, lit in zip(table, lits):
+        want = [float(pvfs.value(lit, obs)).hex() for obs in observations]
+        assert [x.hex() for x in row.tolist()] == want
+
+
+@st.composite
+def const_pvf_sets(draw):
+    """Stub estimators, neither tabular nor linear, of one constant each, signed zeros included."""
+    values = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
+    return const_pvfs(VOCAB, {(a, pol): draw(values) for a in VOCAB for pol in (True, False)})
+
+
+class TestPvfFile:
+    def test_table_holds_each_observation_once_and_the_literals_share_it(self, desk_pvfs, tmp_path):
+        path = tmp_path / "pvfs.json"
+        save_pvfs(desk_pvfs, path)
+        data = json.loads(path.read_text())
+        assert data["format_version"] == ground.PVF_FORMAT_VERSION
+        assert [shape for shape, _ in data["observations"]] == [[6, 6, 6]] * 36
+        assert len({raw for _, raw in data["observations"]}) == 36
+        back = load_pvfs(path)
+        assert back.obs_shape == desk_pvfs.obs_shape == (6, 6, 6)
+        key_ids = [[id(k) for k in est.v] for est in back.estimators.values()]
+        assert all(ids == key_ids[0] for ids in key_ids)
+
+    def test_format_1_file_names_the_command_that_regenerates_it(self, corridor_pvfs, tmp_path):
+        path = tmp_path / "pvfs.json"
+        save_pvfs(corridor_pvfs, path)
+        data = json.loads(path.read_text())
+        format_1_pvfs(data)
+        path.write_text(json.dumps(data, sort_keys=True))
+        want = "format-1 PVF file, which this version no longer reads; regenerate it with `rmgcr ground"
+        with pytest.raises(ModelFormatError, match=re.escape(want)):
+            load_pvfs(path)
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda d: d["observations"][0].pop(), "table entry 0 is not a [shape, hex] pair"),
+            (lambda d: d["observations"][1].insert(1, "00"), "table entry 1 is not a [shape, hex] pair"),
+            (lambda d: d["observations"][2][0].append(2), "table entry 2 has 48 hex digits; shape"),
+            (lambda d: d["observations"][1][0].reverse(), "table entry 1 has shape [6, 4, 1], not [1, 4, 6]"),
+            (lambda d: d["observations"][0][0].insert(0, -1), "table entry 0 has shape [-1, 1, 4, 6]"),
+            (lambda d: d["estimators"]["+red"]["v"].pop(), "the values of +red are not a list of one"),
+            (lambda d: d["estimators"]["-red"].update(v={}), "the values of -red are not a list of one"),
+            (lambda d: d.update(format_version=3), "unsupported PVF file format 3"),
+        ],
+        ids=["short-entry", "long-entry", "hex-too-short", "other-shape", "bad-shape",
+             "short-values", "values-dict", "format-3"],
+    )
+    def test_a_table_that_does_not_fit_is_rejected(self, corridor_pvfs, tmp_path, tamper, message):
+        path = tmp_path / "pvfs.json"
+        save_pvfs(corridor_pvfs, path)
+        data = json.loads(path.read_text())
+        tamper(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            load_pvfs(path)
+
+    def test_tabular_pvfs_without_an_obs_shape_are_not_saved(self, corridor_pvfs, tmp_path):
+        pvfs = replace(corridor_pvfs, obs_shape=None)
+        with pytest.raises(ValueError, match="obs_shape"):
+            save_pvfs(pvfs, tmp_path / "pvfs.json")
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(tabular_pvfs(), linear_pvfs()))
+    def test_round_trip_keeps_every_entry_under_float_hex(self, pvfs):
+        # missing entries, -0.0 and values outside [0, 1] come back as they went in
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pvfs.json"
+            save_pvfs(pvfs, path)
+            assert_same_pvfs(load_pvfs(path), pvfs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(tabular_pvfs(), linear_pvfs(), const_pvf_sets()))
+    def test_values_equal_value_bit_for_bit(self, pvfs):
+        observations = [encode_obs(s) for s in cell_states(GridConfig()).values()]
+        observations.append(np.zeros_like(observations[0]))  # seen by no estimator
+        assert_values_match(pvfs, observations)
+        assert pvfs.values([], observations).shape == (0, len(observations))
+
+
 @st.composite
 def small_layouts(draw):
     """Fixed layouts of 1-4 x 1-4 cells holding 1-3 objects at distinct cells."""
@@ -507,6 +621,17 @@ class TestPvfProperties:
                     got = pvfs.value((atom, positive), encode_obs(state))
                     assert abs(got - oracle.value_at(cell, 1)) < 1e-6
 
+    @settings(max_examples=30, deadline=None)
+    @given(small_layouts(), st.integers(0, 2**31 - 1))
+    def test_fitted_values_equal_value_bit_for_bit(self, cfg, seed):
+        ds = generate_dataset(cfg, 3, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonConvergenceWarning)
+            linear = train_pvfs_fqi(full_coverage_dataset(cfg), GAMMA, backend="linear", iters=5)
+        observations = [encode_obs(s) for s in cell_states(cfg).values()]
+        for pvfs in (train_pvfs_fqi(ds, GAMMA), train_pvfs_mc(ds, GAMMA), linear):
+            assert_values_match(pvfs, observations)
+
     @settings(max_examples=50, deadline=None)
     @given(small_layouts(), st.integers(0, 2**31 - 1))
     def test_save_load_preserves_every_value(self, cfg, seed):
@@ -519,7 +644,7 @@ class TestPvfProperties:
                 path = Path(tmp) / "pvfs.json"
                 save_pvfs(pvfs, path)
                 back = load_pvfs(path)
-            assert (back.vocab, back.gamma, back.method) == (pvfs.vocab, pvfs.gamma, pvfs.method)
+            assert_same_pvfs(back, pvfs)
             for lit in pvfs.literals:
                 for state in cell_states(cfg).values():
                     obs = encode_obs(state)
