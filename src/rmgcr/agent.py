@@ -32,6 +32,7 @@ EPSILON_START = 1.0
 EPSILON_END = 0.05
 EPSILON_DECAY_FRACTION = 0.5
 THRESHOLD_WINDOW = 20  # trailing episodes averaged by episodes_to_threshold
+_RAW_BLOCK = 1024  # PCG64 outputs RawDraws reads per random_raw call
 
 
 @dataclass
@@ -69,22 +70,89 @@ class TrainReport:
         return [e.actual_return for e in self.episodes]
 
 
+class RawDraws:
+    """The draws of a fresh PCG64 `np.random.Generator`, read from raw output blocks.
+
+    A Generator call for one scalar costs far more than the draw itself.
+    These methods return what the same calls on the Generator would, by
+    numpy's own rules for PCG64 over its 64-bit outputs x:
+
+    - `random()` is `(x >> 11) * 2**-53`.
+    - A 32-bit draw is the low half of a fresh x and buffers the high half
+      for the next 32-bit draw; 64-bit draws leave that buffer alone.
+    - `integers(4)` is a 32-bit draw shifted right by 30 (Lemire's method
+      never rejects for a power-of-two range).
+    - `integers(2**63)` is `x >> 1`.
+
+    The bit generator must be fresh and drawn from through this object
+    only. `_RAW_BLOCK` outputs are read per `random_raw` call.
+    """
+
+    def __init__(self, bit_generator: np.random.PCG64):
+        assert isinstance(bit_generator, np.random.PCG64)
+        self._bits = bit_generator
+        self._words: list[int] = []
+        self._uniform: list[float] = []  # random() of each word
+        self._pos = _RAW_BLOCK  # next unread word; _RAW_BLOCK means the block is used up
+        self._half = -1  # the buffered high half's integers(4) draw, or -1
+
+    def _refill(self) -> None:
+        raw = self._bits.random_raw(_RAW_BLOCK)
+        self._words = raw.tolist()
+        self._uniform = ((raw >> 11) * 2.0**-53).tolist()
+        self._pos = 0
+
+    def _word(self) -> int:
+        if self._pos == _RAW_BLOCK:
+            self._refill()
+        self._pos += 1
+        return self._words[self._pos - 1]
+
+    def random(self) -> float:
+        pos = self._pos
+        if pos == _RAW_BLOCK:
+            self._refill()
+            pos = 0
+        self._pos = pos + 1
+        return self._uniform[pos]
+
+    def integers4(self) -> int:
+        half = self._half
+        if half >= 0:
+            self._half = -1
+            return half
+        x = self._word()
+        self._half = x >> 62
+        return (x & 0xFFFFFFFF) >> 30
+
+    def integers63(self) -> int:
+        """`integers(2**63)`."""
+        return self._word() >> 1
+
+
 class GreedyPolicy:
     """Greedy readout of a Q-table; unseen states fall back to action 0.
 
     Given a set `unseen`, `action` adds to it each (key, u) it falls back on.
+    Each entry's greedy action (the first maximum, as `np.argmax`) is
+    computed on its first use and kept, so `q` must not change afterwards.
     """
 
     def __init__(self, q: dict):
         self.q = q
+        self._greedy: dict = {}
 
     def action(self, key, u: int, rng=None, unseen: Optional[set] = None) -> int:
-        entry = self.q.get((key, u))
-        if entry is None:
-            if unseen is not None:
-                unseen.add((key, u))
-            return 0
-        return int(np.argmax(entry))
+        pair = (key, u)
+        a = self._greedy.get(pair)
+        if a is None:
+            entry = self.q.get(pair)
+            if entry is None:
+                if unseen is not None:
+                    unseen.add(pair)
+                return 0
+            a = self._greedy[pair] = int(np.argmax(entry))
+        return a
 
 
 class RandomPolicy:
@@ -133,22 +201,24 @@ def train(
             unseen_label_obs += label_model.unseen(obs)
         return i
 
-    table = StepTable(rm)
+    rows = StepTable(rm).rows
     n_u = rm.num_states
     terminal = [rm.is_terminal(u) for u in range(n_u)]
     # Q rows and potentials are keyed by the product index id * n_u + u
     q: dict[int, list[float]] = {}
-    potential_cache: dict[int, float] = {}
+    potentials: dict[int, float] = {}
 
     def potential(i, u) -> float:
-        if terminal[u]:
-            return 0.0
-        if agent_cfg.shaping == "high-level":
-            return rm_values[u]
         p = i * n_u + u
-        cached = potential_cache.get(p)
+        cached = potentials.get(p)
         if cached is None:
-            cached = potential_cache[p] = composed_value(cvf, index.obs[i], u)
+            if terminal[u]:
+                cached = 0.0
+            elif agent_cfg.shaping == "high-level":
+                cached = rm_values[u]
+            else:
+                cached = composed_value(cvf, index.obs[i], u)
+            potentials[p] = cached
         return cached
 
     report = TrainReport(
@@ -162,14 +232,17 @@ def train(
         }
     )
     decay_span = max(1, int(agent_cfg.episodes * EPSILON_DECAY_FRACTION))
-    rng = np.random.default_rng((agent_cfg.seed, 0xA6E47))
-    gamma = agent_cfg.gamma
+    assert N_ACTIONS == 4  # exploration draws integers(4)
+    draws = RawDraws(np.random.default_rng((agent_cfg.seed, 0xA6E47)).bit_generator)
+    random, integers4 = draws.random, draws.integers4
+    gamma, lam, mode = agent_cfg.gamma, agent_cfg.lam, agent_cfg.shaping_mode
+    max_steps = agent_cfg.max_steps
     shaped = agent_cfg.shaping != "none"
 
     for episode in range(agent_cfg.episodes):
         frac = min(1.0, episode / decay_span)
         epsilon = EPSILON_START + frac * (EPSILON_END - EPSILON_START)
-        start = geogrid.reset(cfg, seed=int(rng.integers(2**63)))
+        start = geogrid.reset(cfg, seed=draws.integers63())
         ids = index.cells(start)
         cell = start.agent[0] * cfg.width + start.agent[1]
         i = ids[cell]
@@ -178,44 +251,47 @@ def train(
         u = rm.initial
         u_true = rm.initial
         true_done = terminal[u_true]
+        v = potential(i, u) if shaped else 0.0  # carried: the potential of (i, u)
         perceived = 0.0
         actual = 0.0
         steps = 0
-        while not terminal[u] and steps < agent_cfg.max_steps:
-            p = i * n_u + u
-            row = q.get(p)
+        p = i * n_u + u
+        row = q.get(p)  # carried: the Q row of p
+        while not terminal[u] and steps < max_steps:
             if row is None:
                 row = q[p] = [0.0] * N_ACTIONS
-            if rng.random() < epsilon:
-                a = int(rng.integers(N_ACTIONS))
+            if random() < epsilon:
+                a = integers4()
             else:
                 a = row.index(max(row))  # first maximum, as np.argmax
             cell = moves[cell][a]
             j = ids[cell]
             if j < 0:
                 j = visit(start, cell)
-            u2, r, terminated = table.step(u, predicted[j])
+            mask = predicted[j]
+            u2, r, terminated = rows[u][mask]
             perceived += r
 
+            p = j * n_u + u2
             shaping = 0.0
             if shaped:
-                shaping = shaping_term(
-                    potential(i, u), potential(j, u2), agent_cfg.lam, agent_cfg.shaping_mode, gamma
-                )
+                v2 = potentials.get(p)
+                if v2 is None:
+                    v2 = potential(j, u2)
+                shaping = shaping_term(v, v2, lam, mode, gamma)
+                v = v2
 
-            if terminated:
-                bootstrap = 0.0
-            else:
-                nxt = q.get(j * n_u + u2)
-                bootstrap = max(nxt) if nxt is not None else 0.0
+            nxt = None if terminated else q.get(p)
+            bootstrap = max(nxt) if nxt is not None else 0.0
             target = r + shaping + gamma * bootstrap
             row[a] += ALPHA * (target - row[a])
 
             if not true_done:
-                u_true, true_r, true_done = table.step(u_true, true_masks[j])
+                mask = true_masks[j]
+                u_true, true_r, true_done = rows[u_true][mask]
                 actual += true_r
 
-            i, u = j, u2
+            u, row = u2, nxt
             steps += 1
         report.episodes.append(EpisodeRecord(perceived, actual, steps))
     report.meta["unseen_label_obs"] = unseen_label_obs
@@ -250,7 +326,8 @@ def evaluate(
             true_masks.append(label_mask(rm.vocab, index.labels[i]))
         return i
 
-    table = StepTable(rm)
+    rows = StepTable(rm).rows
+    terminal = [rm.is_terminal(u) for u in range(rm.num_states)]
     rng = np.random.default_rng((seed, 0xE7A1))
     returns = []
     unseen: set = set()
@@ -264,14 +341,15 @@ def evaluate(
         u = rm.initial
         total = 0.0
         for _ in range(max_steps):
-            if rm.is_terminal(u):
+            if terminal[u]:
                 break
             a = policy.action(index.keys[i], u, rng, unseen)
             cell = moves[cell][a]
             i = ids[cell]
             if i < 0:
                 i = visit(start, cell)
-            u, r, _ = table.step(u, true_masks[i])
+            mask = true_masks[i]
+            u, r, _ = rows[u][mask]
             total += r
         returns.append(total)
     mean, stderr = mean_stderr(returns)

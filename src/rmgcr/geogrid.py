@@ -8,6 +8,7 @@ generator produces labelled trajectories for offline grounding.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -122,13 +123,27 @@ class GridState:
     placements: tuple[tuple[str, str, Cell], ...]  # (color, shape, cell)
 
 
+def _start_options(cfg: GridConfig, placements) -> tuple[int, ...]:
+    """The row-major cells a random agent start may take among these placements."""
+    occupied = {cell for _, _, cell in placements} if cfg.exclude_agent_from_objects else set()
+    n_cells = cfg.width * cfg.height
+    return tuple(i for i in range(n_cells) if (i // cfg.width, i % cfg.width) not in occupied)
+
+
+@functools.lru_cache(maxsize=64)
+def _fixed_layout(cfg: GridConfig) -> tuple[tuple, tuple[int, ...]]:
+    """A fixed layout's placements and start options, built once per config; read-only."""
+    placements = tuple((o.color, o.shape, o.cell) for o in cfg.objects)
+    return placements, _start_options(cfg, placements)
+
+
 def reset(cfg: GridConfig, seed: Optional[int] = None) -> GridState:
     """Initial state; a deterministic function of (cfg, seed)."""
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    n_cells = cfg.width * cfg.height
     if cfg.layout_mode == "fixed":
-        placements = tuple((o.color, o.shape, o.cell) for o in cfg.objects)
+        placements, fixed_options = _fixed_layout(cfg)
     else:
+        n_cells = cfg.width * cfg.height
         pinned = [o for o in cfg.objects if o.cell is not None]
         free = [o for o in cfg.objects if o.cell is None]
         taken = {o.cell for o in pinned}
@@ -144,8 +159,7 @@ def reset(cfg: GridConfig, seed: Optional[int] = None) -> GridState:
     if cfg.agent_start is not None:
         agent = cfg.agent_start
     else:
-        occupied = {cell for _, _, cell in placements} if cfg.exclude_agent_from_objects else set()
-        options = [i for i in range(n_cells) if (i // cfg.width, i % cfg.width) not in occupied]
+        options = fixed_options if cfg.layout_mode == "fixed" else _start_options(cfg, placements)
         if not options:
             raise InfeasibleConfigError("no free cell for the agent")
         i = int(rng.integers(len(options)))

@@ -62,7 +62,8 @@ def observation_features(obs: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -60, 60)))
+    # np.minimum/np.maximum give np.clip's values without its wrapper's overhead
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -60), 60)))
 
 
 def _linear_scores(weights: np.ndarray, bias: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -251,26 +251,39 @@ def label_mask(vocab: Sequence[str], w: Iterable[str]) -> int:
     return sum(1 << i for i, atom in enumerate(vocab) if atom in w)
 
 
+class _StepRow(dict):
+    """One RM state's {mask: (next_state, reward, terminated)}, filled from
+    `rm_step` on the first read of each mask."""
+
+    __slots__ = ("rm", "u")
+
+    def __init__(self, rm: RewardMachine, u: int):
+        super().__init__()
+        self.rm = rm
+        self.u = u
+
+    def __missing__(self, mask: int) -> tuple[int, float, bool]:
+        w = [atom for i, atom in enumerate(self.rm.vocab) if mask >> i & 1]
+        stp = rm_step(self.rm, self.u, w)
+        entry = self[mask] = (stp.next_state, stp.reward, stp.terminated)
+        return entry
+
+
 class StepTable:
     """`rm_step` tabulated over assignment bitmasks (see `label_mask`).
 
     Maps (u, mask) to (next_state, reward, terminated), filled from
     `rm_step` on the first use of each pair, so it works for any
-    vocabulary size and steps exactly as `rm_step` does.
+    vocabulary size and steps exactly as `rm_step` does. `rows[u][mask]`
+    is the same as `step(u, mask)`, without a method call on a hot path.
     """
 
     def __init__(self, rm: RewardMachine):
         self.rm = rm
-        self._rows: list[dict] = [{} for _ in range(rm.num_states)]
+        self.rows: list[_StepRow] = [_StepRow(rm, u) for u in range(rm.num_states)]
 
     def step(self, u: int, mask: int) -> tuple[int, float, bool]:
-        row = self._rows[u]
-        entry = row.get(mask)
-        if entry is None:
-            w = [atom for i, atom in enumerate(self.rm.vocab) if mask >> i & 1]
-            stp = rm_step(self.rm, u, w)
-            entry = row[mask] = (stp.next_state, stp.reward, stp.terminated)
-        return entry
+        return self.rows[u][mask]
 
 
 def run_rm(rm: RewardMachine, ws: Iterable[Iterable[str]]):

@@ -1,7 +1,9 @@
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rmgcr import agent, geogrid, rm as rm_module
 from rmgcr.agent import (
@@ -10,6 +12,7 @@ from rmgcr.agent import (
     EpisodeRecord,
     GreedyPolicy,
     RandomPolicy,
+    RawDraws,
     TrainReport,
     episodes_to_threshold,
     evaluate,
@@ -297,7 +300,57 @@ class TestPolicies:
         q = {(b"k", 1): np.array([0.0, 2.0, 1.0, 0.0])}
         assert GreedyPolicy(q).action(b"k", 1) == 1
 
+    def test_greedy_takes_the_first_maximum_on_every_call(self):
+        policy = GreedyPolicy({(b"k", 1): np.array([0.0, 2.0, 2.0, 1.0])})
+        assert [policy.action(b"k", 1) for _ in range(3)] == [1, 1, 1]
+
     def test_random_policy_seeded(self):
         rng = np.random.default_rng(0)
         acts = [RandomPolicy().action(b"k", 1, rng) for _ in range(20)]
         assert set(acts) <= {0, 1, 2, 3}
+
+
+DRAWS = {
+    "random": lambda rng: rng.random(),
+    "integers4": lambda rng: int(rng.integers(4)),
+    "integers63": lambda rng: int(rng.integers(2**63)),
+}
+
+
+def _assert_draws_match_generator(seed, ops):
+    rng = np.random.default_rng((seed, 0xA6E47))
+    draws = RawDraws(np.random.default_rng((seed, 0xA6E47)).bit_generator)
+    for op in ops:
+        got, want = getattr(draws, op)(), DRAWS[op](rng)
+        assert got == want and type(got) is type(want), (op, got, want)
+
+
+class TestRawDraws:
+    """`RawDraws` against the `np.random.Generator` calls it stands in for.
+
+    A lead of `random()` draws stops 0-8 words short of the end of the
+    first raw block, so the interleaving under test crosses a refill at
+    any point; runs of integers4 leave the 32-bit buffer full or empty
+    before the next 64-bit draw and across the refill.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 8),
+        st.lists(st.sampled_from(sorted(DRAWS)), max_size=40),
+    )
+    @example(0, 1, ["integers4", "random", "integers4", "integers4", "integers63", "integers4"])
+    @example(1, 2, ["integers4", "integers4", "integers4", "random", "integers4", "random"])
+    def test_interleavings_across_a_refill_match_the_generator(self, seed, short, ops):
+        lead = ["random"] * (agent._RAW_BLOCK - short)
+        _assert_draws_match_generator(seed, lead + ops)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1))
+    def test_training_mixes_match_the_generator(self, seed, order):
+        # the mix of a training run: random() per step, integers(4) on a
+        # share of them, integers(2**63) per episode; 2,500 draws cross
+        # two refills
+        ops = random.Random(order).choices(list(DRAWS), weights=(10, 3, 1), k=2500)
+        _assert_draws_match_generator(seed, ops)

@@ -13,10 +13,13 @@ successors were recorded before `generate_dataset` walked cell ids with
 one action draw per trajectory and before tabular FQI took its target
 once per state. The `ground` value digests, which read the PVFs back
 from `pvfs.json`, were recorded before that file wrote its observation
-table once (format 2); its byte digests were re-recorded then. A change
-to the RNG draw order, to a tie-break, to the update arithmetic or to a
-signed zero shows up here as a changed digest, even when every
-behavioural test still passes.
+table once (format 2); its byte digests were re-recorded then. The
+300-episode `train` pins (`LONG_GOLDEN`) were recorded before the training
+step drew its exploration from raw PCG64 blocks and carried its potential
+and Q row from step to step, and before `GreedyPolicy` kept each greedy
+action. A change to the RNG draw order, to a tie-break, to the update
+arithmetic or to a signed zero shows up here as a changed digest, even
+when every behavioural test still passes.
 """
 
 import hashlib
@@ -116,14 +119,41 @@ GOLDEN = {
 }
 
 
+# 300-episode runs on logic.rm, the scale of the `reinforce` benchmark: the
+# long exploring phase (epsilon decays over 150 episodes) draws far more
+# exploration actions than the 40-episode pins above reach.
+LONG_EPISODES = 300
+LONG_GOLDEN = {
+    ("fixed", "logic.rm", "none", "undiscounted", "desk_label_model"): (
+        "a5f0574ebcd4ca12",
+        "1c3982f0c3d2f96a",
+        "ebe2a4e621de6bd5",
+    ),
+    ("fixed", "logic.rm", "composed", "undiscounted", "desk_label_model"): (
+        "ed926ea3c75e59be",
+        "52cfe93009beb0a1",
+        "b320982ed44e6be8",
+    ),
+    ("fixed", "logic.rm", "composed", "discounted", "desk_label_model"): (
+        "cfdef5c57f69729e",
+        "70c1e5257dda7ce7",
+        "f17d0606915f2541",
+    ),
+    ("fixed", "logic.rm", "high-level", "undiscounted", "desk_label_model"): (
+        "7202c1b0de7b4dfb",
+        "70c1e5257dda7ce7",
+        "beaa2fc30e8b7925",
+    ),
+}
+
+
 def _digest(data) -> str:
     if not isinstance(data, bytes):
         data = json.dumps(data).encode()
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: "-".join(c[:4]))
-def test_fixed_seed_run_matches_recorded_digests(case, request, desk_pvfs, tmp_path):
+def _run_digests(case, episodes, request, desk_pvfs, tmp_path):
     layout, task, shaping, mode, label_fixture = case
     cfg = GridConfig(layout_mode=layout)
     rm = load_rm(TASKS_DIR / task)
@@ -132,18 +162,28 @@ def test_fixed_seed_run_matches_recorded_digests(case, request, desk_pvfs, tmp_p
         cfg,
         rm,
         label_model,
-        AgentConfig(shaping=shaping, shaping_mode=mode, episodes=EPISODES, seed=7),
+        AgentConfig(shaping=shaping, shaping_mode=mode, episodes=episodes, seed=7),
         cvf=make_composed_value_fn(rm, desk_pvfs, GAMMA_RM) if shaping == "composed" else None,
         rm_values=rm_value_iteration(rm, GAMMA_RM, GAMMA) if shaping == "high-level" else None,
     )
     returns = evaluate(policy, cfg, rm, EVAL_EPISODES, seed=3)["returns"]
     save_policy(policy, tmp_path / "policy.json")
-    got = (
+    return (
         _digest([[e.perceived_return, e.actual_return, e.steps] for e in report.episodes]),
         _digest(returns),
         _digest((tmp_path / "policy.json").read_bytes()),
     )
-    assert got == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: "-".join(c[:4]))
+def test_fixed_seed_run_matches_recorded_digests(case, request, desk_pvfs, tmp_path):
+    assert _run_digests(case, EPISODES, request, desk_pvfs, tmp_path) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(LONG_GOLDEN), ids=lambda c: "-".join(c[:4]))
+def test_benchmark_scale_run_matches_recorded_digests(case, request, desk_pvfs, tmp_path):
+    got = _run_digests(case, LONG_EPISODES, request, desk_pvfs, tmp_path)
+    assert got == LONG_GOLDEN[case]
 
 
 # `rmgcr oracle` on every task file the grid can label and on two fixed

@@ -177,14 +177,19 @@ class TestConstruction:
 
 def _assert_table_matches_rm_step(rm):
     table = StepTable(rm)
+    rows = StepTable(rm).rows  # filled by subscripts alone
     for u in range(rm.num_states):
         if rm.is_terminal(u):
             with pytest.raises(StepFromTerminalError):
                 table.step(u, 0)
+            with pytest.raises(StepFromTerminalError):
+                rows[u][0]
             continue
         for mask, w in enumerate(all_assignments(rm.vocab)):
             stp = rm_step(rm, u, w)
-            assert table.step(u, mask) == (stp.next_state, stp.reward, stp.terminated)
+            want = (stp.next_state, stp.reward, stp.terminated)
+            assert table.step(u, mask) == want
+            assert rows[u][mask] == want
 
 
 @st.composite
