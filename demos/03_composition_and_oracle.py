@@ -3,7 +3,7 @@
 #
 # The recipe: value guards in DNF with max over clauses and min over
 # literals, then score each RM edge as an option using a state-independent
-# value iteration over the RM graph for the tail.
+# exact solve of the RM graph for the tail.
 
 from pathlib import Path
 

@@ -18,7 +18,7 @@ from . import geogrid
 from .compose import ComposedValueFn, ConfigMismatchError, RmStateValues, check_shaping
 from .compose import composed_value, shaping_term
 from .geogrid import GridConfig, ObsIndex
-from .ground import LabelModel, predict_labels
+from .ground import LabelModel, check_open_unit, predict_labels
 from .rm import RewardMachine, StepTable, label_mask
 
 N_ACTIONS = len(geogrid.ACTIONS)
@@ -48,6 +48,7 @@ class AgentConfig:
     def __post_init__(self):
         if self.shaping not in SHAPING_MODES:
             raise ValueError(f"unknown shaping {self.shaping!r}")
+        check_open_unit("gamma", self.gamma)
         check_shaping(self.lam, self.shaping_mode)
 
 

@@ -2,8 +2,8 @@
 
 Subcommands: gen-dataset, ground, train, eval, oracle.
 Exit codes: 0 success, 2 usage, 3 validation (bad task files or datasets,
-mismatched models), 4 runtime failures. The RMGCR_OUT_DIR environment variable
-overrides directory-valued --out arguments.
+mismatched models, out-of-range settings), 4 runtime failures. The
+RMGCR_OUT_DIR environment variable overrides directory-valued --out arguments.
 """
 
 from __future__ import annotations
@@ -47,11 +47,11 @@ VALIDATION_ERRORS = (
     geogrid.DatasetFormatError,
     ground.DegenerateAtomError,
     ground.ModelFormatError,
+    ground.OutOfRangeError,
     compose.ConfigMismatchError,
     compose.NoOutgoingEdgeError,
     compose.UnsatisfiableGuardError,
     compose.StateSpaceTooLargeError,
-    compose.GammaRmTooLargeError,
 )
 
 

@@ -4,7 +4,7 @@ Approximates the optimal value of any RM task from the 2|vocab| primitive
 value functions: guards are normalized to DNF and valued with fuzzy
 max/min over literal values, each outgoing RM edge is scored as an option
 (with accumulation of the best self-loop reward while the option runs),
-and a state-independent value iteration over the RM graph supplies the
+and an exact RM-graph solve, independent of the MDP state, supplies the
 bootstrap for the next RM state.
 
 The DNF of a formula is not unique and logically equivalent DNFs can
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import geogrid
 from .geogrid import CellGraph, GridConfig, StateSpaceTooLargeError
-from .ground import PvfSet
+from .ground import OutOfRangeError, PvfSet, check_open_unit
 from .logic import Clause, DnfFormula, FalseConst, TrueConst, dnf_to_formula, to_dnf
 from .rm import RewardMachine, RmTransition, StepTable, label_mask, make_rm
 
@@ -36,11 +36,6 @@ ORACLE_TOL = 1e-10
 MAX_ORACLE_SWEEPS = 100_000
 # default cap on the product states (cells x RM states) of one exact solve
 MAX_PRODUCT_STATES = 2_000_000
-# RM-graph value iteration: stops below RM_TOL, raises after MAX_RM_SWEEPS;
-# after RM_PROBE_SWEEPS it raises at once if the cap is out of reach
-RM_TOL = 1e-12
-MAX_RM_SWEEPS = 1_000_000
-RM_PROBE_SWEEPS = 10_000
 # slack on both composition bounds, for floating-point noise in the oracle
 BOUND_TOL = 1e-9
 
@@ -55,16 +50,12 @@ class UnsatisfiableGuardError(ValueError):
     pass
 
 
-class GammaRmTooLargeError(ValueError):
-    """gamma_rm is so close to 1 that the RM-graph sweeps cannot reach RM_TOL in MAX_RM_SWEEPS."""
-
-
 class ConfigMismatchError(ValueError):
     """Models, a task and settings that do not fit together, such as two vocabularies."""
 
 
 # ---------------------------------------------------------------------------
-# State-independent value iteration over RM states
+# Exact RM-graph solve, independent of the MDP state
 
 
 @dataclass(frozen=True)
@@ -91,71 +82,65 @@ def _non_self_edges(rm: RewardMachine, u: int) -> tuple[RmTransition, ...]:
     return tuple(t for t in rm.outgoing(u) if t.dst != u)
 
 
-def rm_value_iteration(
-    rm: RewardMachine,
-    gamma_rm: float,
-    gamma: float,
-) -> RmStateValues:
-    """Fixed point of v(u) = max over non-self edges of
-    r_self(u)*(1-gamma_rm)/gamma + gamma_rm*(r + v(u')).
+def rm_value_iteration(rm: RewardMachine, gamma_rm: float, gamma: float) -> RmStateValues:
+    """Exact fixed point of v(u) = max over non-self edges of
+    r_self(u)*(1-gamma_rm)/gamma + gamma_rm*(r + v(u')), by policy iteration.
 
     Terminals are pinned at 0. A non-terminal state whose only explicit
     edges are self-loops is a dead end valued r_self(u)/(1-gamma); a
-    non-terminal state with no explicit edges at all is an error. Raises
-    GammaRmTooLargeError if the sweeps have not converged after
-    MAX_RM_SWEEPS.
-
-    After RM_PROBE_SWEEPS unconverged sweeps, the residual is extrapolated
-    to MAX_RM_SWEEPS at the rate it has shrunk since sweep
-    RM_PROBE_SWEEPS // 2; if that reaches no lower than RM_TOL,
-    GammaRmTooLargeError is raised at once. The rate varies with the RM
-    graph: on loop.rm a sweep shrinks the residual by about gamma_rm**1.5.
-    An acyclic RM converges within as many sweeps as it has states, long
-    before the probe.
+    non-terminal state with no explicit edges at all is an error. A policy
+    is valued back from states of known value by the expression above, and
+    a cycle of k states by sum_i gamma_rm**i * a_i / (1 - gamma_rm**k), a_i
+    being the i-th state's expression at v(u') = 0. The residual is the
+    final Bellman residual.
     """
-    if not (0.0 < gamma_rm < 1.0):
-        raise ValueError("gamma_rm must lie in (0, 1)")
-    if not (0.0 < gamma < 1.0):
-        raise ValueError("gamma must lie in (0, 1)")
+    check_open_unit("gamma_rm", gamma_rm)
+    check_open_unit("gamma", gamma)
     r_self = max_self_loop_rewards(rm)
     v = {u: 0.0 for u in range(rm.num_states)}
-    dead_ends = []
-    for u in range(rm.num_states):
-        if rm.is_terminal(u):
-            continue
+    edges = {u: _non_self_edges(rm, u) for u in v if not rm.is_terminal(u)}
+    for u, out in edges.items():
         if not rm.outgoing(u):
             raise NoOutgoingEdgeError(u)
-        if not _non_self_edges(rm, u):
-            dead_ends.append(u)
+        if not out:
             v[u] = r_self[u] / (1.0 - gamma)
-    swept = [u for u in range(rm.num_states) if not rm.is_terminal(u) and u not in dead_ends]
-    residual = halfway = np.inf
-    for sweep in range(1, MAX_RM_SWEEPS + 1):
+    solved = [u for u in edges if edges[u]]
+
+    def backup(u: int, t: RmTransition) -> float:
+        return r_self[u] * (1.0 - gamma_rm) / gamma + gamma_rm * (t.reward + v[t.dst])
+
+    def evaluate(policy: dict) -> None:
+        known = set(v).difference(solved)  # terminals and dead ends
+        for u in solved:
+            path = []
+            while u not in known and u not in path:
+                path.append(u)
+                u = policy[u].dst
+            if u in path:  # the walk came back to u round a cycle of k states
+                k = len(path) - path.index(u)
+                v[u] = 0.0  # one round of backups from 0 leaves the closed form's sum at u
+                for w in reversed(path[-k:]):
+                    v[w] = backup(w, policy[w])
+                v[u] /= 1.0 - gamma_rm**k
+            for w in reversed(path):
+                if w != u:
+                    v[w] = backup(w, policy[w])
+            known.update(path)
+
+    # an edge changes only for a strict gain, so no policy recurs in exact arithmetic;
+    # one that does is rounding, and as policies are finite, stopping there always ends
+    policy = {u: edges[u][0] for u in solved}
+    seen = set()
+    while (key := tuple(policy.values())) not in seen:
+        seen.add(key)
+        evaluate(policy)
         residual = 0.0
-        for u in swept:
-            best = max(
-                r_self[u] * (1.0 - gamma_rm) / gamma + gamma_rm * (t.reward + v[t.dst])
-                for t in _non_self_edges(rm, u)
-            )
+        for u in solved:
+            options = [backup(u, t) for t in edges[u]]
+            best = max(options)
             residual = max(residual, abs(best - v[u]))
-            v[u] = best
-        if residual < RM_TOL:
-            break
-        if sweep == RM_PROBE_SWEEPS // 2:
-            halfway = residual
-        elif sweep == RM_PROBE_SWEEPS:
-            rate = (residual / halfway) ** (1 / (sweep - RM_PROBE_SWEEPS // 2))
-            if residual * rate ** (MAX_RM_SWEEPS - sweep) >= RM_TOL:
-                raise GammaRmTooLargeError(
-                    f"gamma_rm {gamma_rm!r} is too close to 1: the RM state values still change "
-                    f"by {residual:.3g} after {sweep} sweeps and cannot settle below {RM_TOL:g} "
-                    f"within {MAX_RM_SWEEPS} sweeps"
-                )
-    else:  # the sweeps contract by gamma_rm, so running out of them means it is too close to 1
-        raise GammaRmTooLargeError(
-            f"gamma_rm {gamma_rm!r} is too close to 1: the RM state values did not converge in "
-            f"{MAX_RM_SWEEPS} sweeps (residual {residual:.3g})"
-        )
+            if best > backup(u, policy[u]):
+                policy[u] = edges[u][options.index(best)]
     return RmStateValues(v, gamma_rm, gamma, residual)
 
 
@@ -295,8 +280,8 @@ def composed_table(cvf: ComposedValueFn, graph: CellGraph) -> np.ndarray:
 
 def check_shaping(lam: float, mode: str) -> None:
     """Reject a negative shaping weight or an unknown shaping mode."""
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
+    if not lam >= 0:
+        raise OutOfRangeError(f"lam must be non-negative, not {lam!r}")
     if mode not in ("discounted", "undiscounted"):
         raise ValueError(f"unknown shaping mode {mode!r}")
 
@@ -350,8 +335,7 @@ def exact_product_values(
     states are worth 0. Raises if the sweeps have not converged after
     MAX_ORACLE_SWEEPS.
     """
-    if not (0.0 < gamma < 1.0):
-        raise ValueError("gamma must lie in (0, 1)")
+    check_open_unit("gamma", gamma)
     cfg = layout.cfg if isinstance(layout, CellGraph) else layout
     n = cfg.width * cfg.height * rm.num_states
     if n > max_states:

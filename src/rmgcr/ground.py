@@ -48,6 +48,16 @@ class ModelFormatError(ValueError):
     """A saved model file this version cannot read: unknown estimator kind or feature map."""
 
 
+class OutOfRangeError(ValueError):
+    """A numeric setting outside its range: a discount, a threshold, a fraction or a weight."""
+
+
+def check_open_unit(name: str, value: float) -> None:
+    """Raise OutOfRangeError unless 0 < value < 1, which NaN fails too."""
+    if not (0.0 < value < 1.0):
+        raise OutOfRangeError(f"{name} must lie in (0, 1), not {value!r}")
+
+
 def observation_features(obs: np.ndarray) -> np.ndarray:
     """Per-cell agent*property products (one per property channel) plus raw channels.
 
@@ -89,8 +99,7 @@ class LabelModel:
     accuracy_split: str = "holdout"
 
     def __post_init__(self):
-        if not (0.0 < self.threshold < 1.0):
-            raise ValueError("threshold must lie strictly inside (0, 1)")
+        check_open_unit("threshold", self.threshold)
 
     def scores(self, obs: np.ndarray) -> np.ndarray:
         if self.backend == "linear":
@@ -136,7 +145,7 @@ def train_label_model(
     observation; the accuracy counts every row.
     """
     if not (0.0 <= holdout_fraction < 1.0):
-        raise ValueError("holdout_fraction must lie in [0, 1)")
+        raise OutOfRangeError(f"holdout_fraction must lie in [0, 1), not {holdout_fraction!r}")
     index, trajectories = ds.index, ds.trajectories
     _check_degenerate(ds.vocab, index.labels)
     n_holdout = int(len(trajectories) * holdout_fraction)
@@ -277,8 +286,7 @@ def train_pvfs_fqi(
     entries read as 0; observations met in no transition get no tabular
     entry.
     """
-    if not (0.0 < gamma < 1.0):
-        raise ValueError("gamma must lie in (0, 1)")
+    check_open_unit("gamma", gamma)
     index = ds.index
     n_states = len(index.keys)
     src, act, dst = [], [], []
@@ -358,8 +366,7 @@ def mc_targets(labels: list, lit: Literal, gamma: float) -> list[float]:
 
 def train_pvfs_mc(ds: GroundingDataset, gamma: float) -> PvfSet:
     """Monte-Carlo regression of discounted first-satisfaction returns (tabular)."""
-    if not (0.0 < gamma < 1.0):
-        raise ValueError("gamma must lie in (0, 1)")
+    check_open_unit("gamma", gamma)
     keys, trajectories = ds.index.keys, ds.trajectories
     src = [i for tr in trajectories for i in tr.ids[:-1]]  # the id of each step with a successor
     counts = np.bincount(src, minlength=len(keys))

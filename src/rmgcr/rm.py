@@ -124,13 +124,6 @@ def make_rm(
     return rm
 
 
-def all_assignments(vocab: Sequence[str]):
-    """All 2^|vocab| truth assignments, as frozensets."""
-    vocab = tuple(vocab)
-    for mask in range(1 << len(vocab)):
-        yield frozenset(a for i, a in enumerate(vocab) if mask >> i & 1)
-
-
 def check_determinism(rm: RewardMachine) -> None:
     """Verify that at most one explicit guard fires on each of the 2^|vocab| assignments.
 

@@ -17,6 +17,13 @@ GAMMA = 0.97
 GAMMA_RM = 0.97 ** 10
 
 
+def all_assignments(vocab):
+    """All 2^|vocab| truth assignments, as frozensets, in label-mask order."""
+    vocab = tuple(vocab)
+    for mask in range(1 << len(vocab)):
+        yield frozenset(a for i, a in enumerate(vocab) if mask >> i & 1)
+
+
 @pytest.fixture(scope="session")
 def desk_cfg():
     """Default 6x6 fixed-layout grid with the six standard objects."""

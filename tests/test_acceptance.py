@@ -20,8 +20,8 @@ from rmgcr.compose import (
 )
 from rmgcr.geogrid import cell_states, encode_obs
 from rmgcr.logic import DnfFormula, Not, Var, evaluate as eval_formula, to_dnf
-from rmgcr.rm import all_assignments, reachability_rm, run_rm
-from conftest import GAMMA, GAMMA_RM
+from rmgcr.rm import reachability_rm, run_rm
+from conftest import GAMMA, GAMMA_RM, all_assignments
 from test_logic import random_formula
 
 GEO = ("red", "green", "blue", "triangle", "circle")

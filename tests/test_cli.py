@@ -5,11 +5,9 @@ import pathlib
 import shutil
 import subprocess
 import sys
-import time
 
 import pytest
 
-from rmgcr import compose
 from rmgcr.cli import build_parser, main
 from rmgcr.geogrid import GridConfig, ObsIndex, config_to_dict
 
@@ -318,6 +316,41 @@ def test_bad_grid_config_file_is_validation_error(tmp_path, capsys, text, messag
     assert message in capsys.readouterr().err
 
 
+TRAIN = ["train", "--rm", SEQUENCE, "--models", "{models}", "--out", "{out}", "--episodes", "1"]
+GROUND = ["ground", "--dataset", "{dataset}", "--out", "{out}"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["oracle", "--rm", SEQUENCE, "--gamma", "1.0"], "gamma must lie in (0, 1), not 1.0"),
+        (["oracle", "--rm", SEQUENCE, "--gamma", "nan"], "gamma must lie in (0, 1), not nan"),
+        (TRAIN + ["--gamma-rm", "1.5"], "gamma_rm must lie in (0, 1), not 1.5"),
+        (TRAIN + ["--lam", "-1"], "lam must be non-negative, not -1.0"),
+        (TRAIN + ["--shaping", "none", "--gamma", "1.5"], "gamma must lie in (0, 1), not 1.5"),
+        (TRAIN + ["--shaping", "none", "--gamma", "1.0"], "gamma must lie in (0, 1), not 1.0"),
+        (TRAIN + ["--shaping", "none", "--gamma", "nan"], "gamma must lie in (0, 1), not nan"),
+        (GROUND + ["--gamma", "1.0"], "gamma must lie in (0, 1), not 1.0"),
+        (GROUND + ["--threshold", "2"], "threshold must lie in (0, 1), not 2.0"),
+    ],
+    ids=[
+        "oracle-gamma-1",
+        "oracle-gamma-nan",
+        "train-gamma-rm",
+        "train-lam",
+        "train-gamma-1.5",
+        "train-gamma-1",
+        "train-gamma-nan",
+        "ground-gamma",
+        "ground-threshold",
+    ],
+)
+def test_out_of_range_setting_is_validation_error(pipeline, tmp_path, capsys, argv, message):
+    paths = {"models": pipeline["models"], "dataset": pipeline["dataset"], "out": tmp_path / "out"}
+    assert main([arg.format(**paths) for arg in argv]) == 3
+    assert message in capsys.readouterr().err
+
+
 class TestTrainEval:
     def test_train_writes_reports_and_eval_reads_policy(self, pipeline, tmp_path, capsys):
         out = tmp_path / "runs"
@@ -411,22 +444,10 @@ class TestTrainEval:
         stats = json.loads(capsys.readouterr().out)
         assert stats["mean"] <= 0.5
 
-    def test_unreachable_gamma_rm_is_validation_error(self, pipeline, tmp_path, capsys):
+    def test_gamma_rm_near_one_trains(self, pipeline, tmp_path):
         argv = ["train", "--rm", "tasks/loop.rm", "--models", str(pipeline["models"])]
         argv += ["--out", str(tmp_path), "--shaping", "high-level", "--gamma-rm", "0.99999999"]
-        start = time.perf_counter()
-        assert main(argv) == 3
-        assert time.perf_counter() - start < 1.0
-        assert "too close to 1" in capsys.readouterr().err
-
-    def test_exhausted_rm_sweeps_are_validation_error(
-        self, pipeline, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.setattr(compose, "MAX_RM_SWEEPS", 50)
-        argv = ["train", "--rm", "tasks/loop.rm", "--models", str(pipeline["models"])]
-        argv += ["--out", str(tmp_path), "--shaping", "high-level", "--gamma-rm", "0.999"]
-        assert main(argv) == 3
-        assert "did not converge in 50 sweeps" in capsys.readouterr().err
+        assert main(argv + ["--episodes", "2", "--eval-episodes", "2"]) == 0
 
     def test_unknown_shaping_is_usage_error(self, pipeline, tmp_path):
         with pytest.raises(SystemExit) as e:

@@ -1,5 +1,4 @@
 import hashlib
-import time
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from rmgcr.compose import (
     ComposedValueFn,
-    GammaRmTooLargeError,
     NoOutgoingEdgeError,
     StateSpaceTooLargeError,
     UnsatisfiableGuardError,
@@ -49,9 +47,9 @@ from rmgcr.logic import (
     dnf_to_formula,
     evaluate,
 )
-from rmgcr.rm import RmTransition, all_assignments, load_rm, make_rm, reachability_rm, rm_step
+from rmgcr.rm import RmTransition, load_rm, make_rm, reachability_rm, rm_step
 
-from conftest import TASKS_DIR
+from conftest import TASKS_DIR, all_assignments
 from test_geogrid import grid_configs
 
 GEO = ("red", "green", "blue", "triangle", "circle")
@@ -163,37 +161,56 @@ class TestRmValueIteration:
         with pytest.raises(ValueError):
             rm_value_iteration(sequence_rm, 0.5, 1.0)
 
-    def test_sweep_cap_raises(self, loop_rm, monkeypatch):
-        # at gamma_rm 0.999 the residual shrinks by about 0.1 % a sweep
-        monkeypatch.setattr(compose, "MAX_RM_SWEEPS", 50)
-        with pytest.raises(GammaRmTooLargeError, match="too close to 1: .* did not converge"):
-            rm_value_iteration(loop_rm, 0.999, 0.97)
-
-    def test_unreachable_gamma_rm_fails_fast(self, loop_rm):
-        # before the probe, this ran all MAX_RM_SWEEPS sweeps (about 10 s) to raise
-        start = time.perf_counter()
-        with pytest.raises(GammaRmTooLargeError, match="too close to 1"):
-            rm_value_iteration(loop_rm, 0.99999999, 0.97)
-        assert time.perf_counter() - start < 1.0
-
-    def test_probe_extrapolates_the_measured_decay(self, loop_rm):
-        # loop.rm shrinks its residual by about gamma_rm**1.5 a sweep, far slower than
-        # the gamma_rm**n that a probe assuming the fastest decay allows, so that probe
-        # let this gamma_rm run all MAX_RM_SWEEPS sweeps before it raised
-        with pytest.raises(GammaRmTooLargeError, match="after 10000 sweeps and cannot settle"):
-            rm_value_iteration(loop_rm, 0.99999, 0.97)
-
     def test_probe_rejects_no_gamma_rm_that_converges(self):
-        # the digest of every task file's values at these gamma_rm, recorded
-        # before the probe existed: the probe may only reject, never change
+        # the digest of the acyclic task files' values and residuals at these
+        # gamma_rm, recorded on the solver that swept to a tolerance and probed
+        # for a gamma_rm it could not reach: the exact solve keeps them bit for bit
         values = {}
-        for path in sorted(TASKS_DIR.glob("*.rm")):
-            rm = load_rm(path)
-            for gamma_rm in (0.97**10, 0.9, 0.99, 0.999, 0.9999):
-                values[(path.name, gamma_rm)] = rm_value_iteration(rm, gamma_rm, 0.97)
-        assert all(v.residual < compose.RM_TOL for v in values.values())
+        for name in ("lava.rm", "logic.rm", "safety.rm", "sequence.rm"):
+            rm = load_rm(TASKS_DIR / name)
+            for gamma_rm in (0.97**10, 0.5, 0.9, 0.97, 0.99, 0.999, 0.9999):
+                values[(name, gamma_rm)] = rm_value_iteration(rm, gamma_rm, 0.97)
+        assert all(v.residual == 0.0 for v in values.values())
         flat = sorted((k, sorted(v.values.items()), v.residual) for k, v in values.items())
-        assert hashlib.sha256(repr(flat).encode()).hexdigest()[:16] == "34d88160200fcf52"
+        assert hashlib.sha256(repr(flat).encode()).hexdigest()[:16] == "1b2d262c4a215b1b"
+
+    @pytest.mark.parametrize("gamma_rm", [0.97**10, 0.5, 0.9, 0.97, 0.99, 0.999])
+    def test_loop_matches_its_closed_form(self, loop_rm, gamma_rm):
+        vals = rm_value_iteration(loop_rm, gamma_rm, 0.97)
+        closed = {0: gamma_rm, 2: gamma_rm**2, 1: gamma_rm**3}
+        for u, numerator in closed.items():
+            want = numerator / (1.0 - gamma_rm**3)
+            assert abs(vals[u] - want) <= 1e-12 * max(1.0, abs(want))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_bellman_residual_vanishes_on_random_machines(self, data):
+        # cyclic and acyclic machines, with self-loops, dead ends, terminals and
+        # negative rewards; every gamma_rm in (0, 1) returns
+        n = data.draw(st.integers(2, 7))
+        terminals = data.draw(st.sets(st.sampled_from([u for u in range(n) if u != 1])))
+        reward = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5])
+        edges = []
+        for u in sorted(set(range(n)) - terminals):
+            for dst in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)):
+                edges.append(RmTransition(u, dst, TRUE, data.draw(reward)))
+        rm = make_rm(VOCAB, n, edges, terminals=terminals, check=False)
+        pinned = st.sampled_from([0.5, 0.999, 1 - 1e-6])
+        gamma_rm = data.draw(st.one_of(st.floats(1e-3, 1 - 1e-6), pinned))
+        gamma = data.draw(st.floats(0.5, 0.999))
+        vals = rm_value_iteration(rm, gamma_rm, gamma)
+        r_self = max_self_loop_rewards(rm)
+        for u in range(n):
+            out = [t for t in rm.outgoing(u) if t.dst != u]
+            if rm.is_terminal(u):
+                assert vals[u] == 0.0
+            elif not out:
+                assert vals[u] == r_self[u] / (1.0 - gamma)
+            else:
+                stay = r_self[u] * (1.0 - gamma_rm) / gamma
+                best = max(stay + gamma_rm * (t.reward + vals[t.dst]) for t in out)
+                assert abs(best - vals[u]) <= 1e-12 * max(1.0, abs(vals[u]))
+        assert vals.residual <= 1e-12 * max(1.0, *(abs(x) for x in vals.values.values()))
 
     def test_high_level_potential(self, sequence_rm):
         vals = rm_value_iteration(sequence_rm, gamma_rm=0.5, gamma=0.97)

@@ -22,7 +22,9 @@ from rmgcr.logic import (
     to_dnf,
     truth_table,
 )
-from rmgcr.rm import all_assignments, label_mask
+from rmgcr.rm import label_mask
+
+from conftest import all_assignments
 
 GEO = ("red", "green", "blue", "triangle", "circle")
 

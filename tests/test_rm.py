@@ -12,7 +12,6 @@ from rmgcr.rm import (
     StepFromTerminalError,
     StepTable,
     TransitionFromTerminalError,
-    all_assignments,
     check_determinism,
     label_mask,
     load_rm,
@@ -23,7 +22,7 @@ from rmgcr.rm import (
     run_rm,
 )
 
-from conftest import TASKS_DIR
+from conftest import TASKS_DIR, all_assignments
 
 GEO = ("red", "green", "blue", "triangle", "circle")
 
