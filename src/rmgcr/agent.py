@@ -18,7 +18,7 @@ from . import geogrid
 from .compose import ComposedValueFn, ConfigMismatchError, RmStateValues, check_shaping
 from .compose import composed_value, shaping_term
 from .geogrid import GridConfig, ObsIndex
-from .ground import LabelModel, check_open_unit, predict_labels
+from .ground import LabelModel, check_count, check_open_unit, predict_labels
 from .rm import RewardMachine, StepTable, label_mask
 
 N_ACTIONS = len(geogrid.ACTIONS)
@@ -50,6 +50,8 @@ class AgentConfig:
             raise ValueError(f"unknown shaping {self.shaping!r}")
         check_open_unit("gamma", self.gamma)
         check_shaping(self.lam, self.shaping_mode)
+        check_count("episodes", self.episodes)
+        check_count("max_steps", self.max_steps)
 
 
 @dataclass
@@ -315,8 +317,8 @@ def evaluate(
     `unseen_policy_states`, the number of distinct (observation, RM state)
     pairs where the policy had no entry and fell back to a default action.
     """
-    if n_episodes < 1:
-        raise ValueError("n_episodes must be positive")
+    check_count("n_episodes", n_episodes)
+    check_count("max_steps", max_steps)
     index = ObsIndex()
     moves = geogrid.move_table(cfg.height, cfg.width).tolist()
     true_masks: list[int] = []  # per id, filled when the id is first numbered

@@ -128,6 +128,7 @@ def cmd_ground(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    ground.check_open_unit("gamma_rm", args.gamma_rm)
     rm = load_rm(args.rm)
     cfg = load_grid_config(args.env, {})
     oracle = compose.exact_product_values(cfg, rm, args.gamma, max_states=args.max_states)
@@ -168,6 +169,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_train(args) -> int:
+    ground.check_open_unit("gamma_rm", args.gamma_rm)
     rm = load_rm(args.rm)
     models = pathlib.Path(args.models)
     label_model = ground.load_label_model(models / "label_model.json")

@@ -19,6 +19,7 @@ successors and their true labels, computed once and then only read.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -28,10 +29,11 @@ from . import geogrid
 from .geogrid import CellGraph, GridConfig, StateSpaceTooLargeError
 from .ground import OutOfRangeError, PvfSet, check_open_unit
 from .logic import Clause, DnfFormula, FalseConst, TrueConst, dnf_to_formula, to_dnf
-from .rm import RewardMachine, RmTransition, StepTable, label_mask, make_rm
+from .logic import assignment_columns, truth_bits
+from .rm import RewardMachine, RmTransition, make_rm
 
-# exact oracle: reaching ORACLE_TOL takes about 23 / (1 - gamma) sweeps,
-# so the sweep cap allows gamma up to about 0.9997
+# exact oracle: sweeps stop at a residual of ORACLE_TOL, about 23 / (1 - gamma) sweeps on a rewarding
+# cycle; past min(product states, MAX_ORACLE_SWEEPS) sweeps, policy iteration values it exactly
 ORACLE_TOL = 1e-10
 MAX_ORACLE_SWEEPS = 100_000
 # default cap on the product states (cells x RM states) of one exact solve
@@ -82,17 +84,43 @@ def _non_self_edges(rm: RewardMachine, u: int) -> tuple[RmTransition, ...]:
     return tuple(t for t in rm.outgoing(u) if t.dst != u)
 
 
+def evaluate_policy(
+    states: Iterable[int], succ, backup: Callable[[int], float], v, known: set, discount: float
+) -> None:
+    """Exact values, written into v, of the policy that moves from w to succ[w], walked from states.
+
+    backup(w) is its affine backup a_w + discount * v[succ[w]]. A walk
+    follows succ to a known state or round a cycle of k states, valued
+    sum_i discount**i * a_i / (1 - discount**k); the states before are
+    backed up from there. Walked states become known.
+    """
+    for u in states:
+        path: dict = {}  # state -> its position on the walk
+        while u not in known and u not in path:
+            path[u] = len(path)
+            u = succ[u]
+        walk = list(path)
+        if u in path:  # the walk came back to u round a cycle of k states
+            k = len(walk) - path[u]
+            v[u] = 0.0  # one round of backups from 0 leaves the closed form's sum at u
+            for w in reversed(walk[-k:]):
+                v[w] = backup(w)
+            v[u] /= 1.0 - discount**k
+        for w in reversed(walk):
+            if w != u:
+                v[w] = backup(w)
+        known.update(walk)
+
+
 def rm_value_iteration(rm: RewardMachine, gamma_rm: float, gamma: float) -> RmStateValues:
     """Exact fixed point of v(u) = max over non-self edges of
     r_self(u)*(1-gamma_rm)/gamma + gamma_rm*(r + v(u')), by policy iteration.
 
     Terminals are pinned at 0. A non-terminal state whose only explicit
     edges are self-loops is a dead end valued r_self(u)/(1-gamma); a
-    non-terminal state with no explicit edges at all is an error. A policy
-    is valued back from states of known value by the expression above, and
-    a cycle of k states by sum_i gamma_rm**i * a_i / (1 - gamma_rm**k), a_i
-    being the i-th state's expression at v(u') = 0. The residual is the
-    final Bellman residual.
+    non-terminal state with no explicit edges at all is an error. Each
+    policy is valued by evaluate_policy. The residual is the final Bellman
+    residual.
     """
     check_open_unit("gamma_rm", gamma_rm)
     check_open_unit("gamma", gamma)
@@ -109,31 +137,15 @@ def rm_value_iteration(rm: RewardMachine, gamma_rm: float, gamma: float) -> RmSt
     def backup(u: int, t: RmTransition) -> float:
         return r_self[u] * (1.0 - gamma_rm) / gamma + gamma_rm * (t.reward + v[t.dst])
 
-    def evaluate(policy: dict) -> None:
-        known = set(v).difference(solved)  # terminals and dead ends
-        for u in solved:
-            path = []
-            while u not in known and u not in path:
-                path.append(u)
-                u = policy[u].dst
-            if u in path:  # the walk came back to u round a cycle of k states
-                k = len(path) - path.index(u)
-                v[u] = 0.0  # one round of backups from 0 leaves the closed form's sum at u
-                for w in reversed(path[-k:]):
-                    v[w] = backup(w, policy[w])
-                v[u] /= 1.0 - gamma_rm**k
-            for w in reversed(path):
-                if w != u:
-                    v[w] = backup(w, policy[w])
-            known.update(path)
-
     # an edge changes only for a strict gain, so no policy recurs in exact arithmetic;
     # one that does is rounding, and as policies are finite, stopping there always ends
     policy = {u: edges[u][0] for u in solved}
     seen = set()
     while (key := tuple(policy.values())) not in seen:
         seen.add(key)
-        evaluate(policy)
+        succ = {u: t.dst for u, t in policy.items()}
+        known = set(v).difference(solved)  # terminals and dead ends
+        evaluate_policy(solved, succ, lambda w: backup(w, policy[w]), v, known, gamma_rm)
         residual = 0.0
         for u in solved:
             options = [backup(u, t) for t in edges[u]]
@@ -298,12 +310,13 @@ def shaping_term(v: float, v2: float, lam: float, mode: str, gamma: float) -> fl
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracle: exact value iteration on the product MDP
+# Brute-force oracle: exact values of the product MDP
 #
 # The transition arrays are gathered from the layout's CellGraph: the RM
 # step into a cell depends only on the RM state and that cell's label, so
-# StepTable is consulted once per (RM state, distinct label mask) and
-# next_cell maps those steps onto every (cell, action).
+# each guard's truth is taken once on all distinct labels together, as the
+# bits of one logic.truth_bits int, and next_cell maps those steps onto
+# every (cell, action).
 
 
 @dataclass
@@ -332,8 +345,12 @@ def exact_product_values(
     Fixed layouts only (the reachable state space must be enumerable as
     agent cell x RM state), given as a GridConfig or as its CellGraph; the
     table keeps the graph for later checks on the same layout. Terminal RM
-    states are worth 0. Raises if the sweeps have not converged after
-    MAX_ORACLE_SWEEPS.
+    states step to themselves with reward 0, so they are worth +0.0.
+
+    Value iteration sweeps from 0 to a residual of ORACLE_TOL, within as many
+    sweeps as product states if no cycle is rewarded and rewards share a sign.
+    Past that many, or MAX_ORACLE_SWEEPS, evaluate_policy values each sweep's
+    greedy policy exactly: policy iteration, to the tolerance or a repeat.
     """
     check_open_unit("gamma", gamma)
     cfg = layout.cfg if isinstance(layout, CellGraph) else layout
@@ -342,42 +359,46 @@ def exact_product_values(
         raise StateSpaceTooLargeError(f"{n} product states exceeds cap {max_states}")
     graph = _cell_graph(layout)
     n_cells = len(graph.cells)
-    n_actions = len(geogrid.ACTIONS)
-    masks = [label_mask(rm.vocab, label) for label in graph.distinct_labels]
+    n_labels = len(graph.distinct_labels)
+    columns, full = assignment_columns(graph.distinct_labels), (1 << n_labels) - 1
     arrive = np.arange(n_cells)
 
     n_total = rm.num_states * n_cells  # flat index: u * n_cells + cell
-    # action-major, so the max over actions is a max of contiguous rows; a
-    # terminal RM state keeps rew = cont = 0, so every sweep writes +0.0 there
-    nxt = np.zeros((n_actions, n_total), dtype=np.int64)
-    rew = np.zeros((n_actions, n_total))
-    cont = np.zeros((n_actions, n_total))  # 1 where the RM goes on, 0 where it terminates
-    table = StepTable(rm)
+    # action-major, so the max over actions is a max of contiguous rows
+    nxt = np.zeros((len(geogrid.ACTIONS), n_total), dtype=np.int64)
+    rew = np.zeros((len(geogrid.ACTIONS), n_total))
     moves = graph.next_cell.T  # [action, cell] -> cell
     for u in range(rm.num_states):
-        if rm.is_terminal(u):
-            continue
+        # the RM step on each distinct label: the first edge that fires, as in rm_step, else
+        # the implicit self-loop; a terminal state has no edges, so it stays with reward 0
+        u2, reward = np.full(n_labels, u), np.zeros(n_labels)
+        for t in reversed(rm.outgoing(u)):
+            bits = truth_bits(t.guard, columns, full)
+            fires = [j for j in range(n_labels) if bits >> j & 1]
+            u2[fires], reward[fires] = t.dst, t.reward
         block = slice(u * n_cells, (u + 1) * n_cells)
-        # the RM step on arriving in each cell, then gathered per (action, cell)
-        u2, reward, terminated = (
-            np.array(column)[graph.label_ids] for column in zip(*(table.step(u, m) for m in masks))
-        )
-        nxt[:, block] = (u2 * n_cells + arrive)[moves]
-        rew[:, block] = reward[moves]
-        cont[:, block] = np.where(terminated, 0.0, 1.0)[moves]
+        nxt[:, block] = (u2[graph.label_ids] * n_cells + arrive)[moves]
+        rew[:, block] = reward[graph.label_ids][moves]
 
     v = np.zeros(n_total)
-    residual = np.inf
-    for _ in range(MAX_ORACLE_SWEEPS):
-        v_new = (gamma * (rew + cont * v[nxt])).max(axis=0)
+    policies = set()
+    for sweep in itertools.count(1):
+        q = gamma * (rew + v[nxt])
+        v_new = q.max(axis=0)
         residual = float(np.abs(v_new - v).max())
         v = v_new
         if residual <= ORACLE_TOL:
             break
-    else:
-        raise RuntimeError(
-            f"exact values did not converge in {MAX_ORACLE_SWEEPS} sweeps (residual {residual:.3g})"
-        )
+        if sweep >= min(n_total, MAX_ORACLE_SWEEPS):
+            policy = q.argmax(axis=0)
+            if (key := policy.tobytes()) in policies:
+                break
+            policies.add(key)
+            succ, gain, values = np.choose(policy, nxt).tolist(), np.choose(policy, rew).tolist(), v.tolist()
+            evaluate_policy(
+                range(n_total), succ, lambda w: gamma * (gain[w] + values[succ[w]]), values, set(), gamma
+            )
+            v = np.array(values)
     return ProductValueTable(v.reshape(rm.num_states, n_cells), graph, gamma, residual)
 
 
@@ -424,27 +445,10 @@ def label_bits(labels: Sequence[frozenset]) -> Callable[[tuple], int]:
     """The truth of a clause set on each label, as a function of the clause set.
 
     It returns an int whose bit j says whether the set holds on labels[j],
-    as clauses_hold does: each literal's bits are computed once, a clause
-    is the AND of its literals' bits and a set the OR of its clauses.
+    as clauses_hold does, by logic.truth_bits on the labels' atom columns.
     """
-    every = (1 << len(labels)) - 1
-    lit_bits: dict = {}
-
-    def bits(clauses: tuple) -> int:
-        holds = 0
-        for clause in clauses:
-            conj = every
-            for lit in clause:
-                b = lit_bits.get(lit)
-                if b is None:
-                    atom, positive = lit
-                    b = sum(1 << j for j, label in enumerate(labels) if (atom in label) == positive)
-                    lit_bits[lit] = b
-                conj &= b
-            holds |= conj
-        return holds
-
-    return bits
+    columns, full = assignment_columns(labels), (1 << len(labels)) - 1
+    return lambda clauses: truth_bits(DnfFormula(clauses), columns, full)
 
 
 def composition_bounds(

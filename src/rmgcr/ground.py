@@ -58,6 +58,12 @@ def check_open_unit(name: str, value: float) -> None:
         raise OutOfRangeError(f"{name} must lie in (0, 1), not {value!r}")
 
 
+def check_count(name: str, value: int) -> None:
+    """Raise OutOfRangeError unless value is at least 1."""
+    if not value >= 1:
+        raise OutOfRangeError(f"{name} must be at least 1, not {value!r}")
+
+
 def observation_features(obs: np.ndarray) -> np.ndarray:
     """Per-cell agent*property products (one per property channel) plus raw channels.
 
@@ -287,6 +293,7 @@ def train_pvfs_fqi(
     entry.
     """
     check_open_unit("gamma", gamma)
+    check_count("iters", iters)
     index = ds.index
     n_states = len(index.keys)
     src, act, dst = [], [], []

@@ -6,8 +6,10 @@ strings; a truth assignment is the set of atoms that hold (closed world).
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Sequence, Union
 
 ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -263,13 +265,44 @@ def evaluate(f, assignment: Iterable[str]) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def assignment_columns(assignments: Sequence[Iterable[str]]) -> dict[str, int]:
+    """Per atom, the int whose bit j says whether it holds in assignments[j] (see truth_bits)."""
+    columns: dict[str, int] = {}
+    for j, w in enumerate(assignments):
+        for atom in w:
+            columns[atom] = columns.get(atom, 0) | 1 << j
+    return columns
+
+
+def truth_bits(f, columns: dict[str, int], full: int) -> int:
+    """Where a Formula or DnfFormula holds over many assignments at once, as one int.
+
+    Bit j is set iff f holds on assignment j. columns[atom] is the int of the
+    assignments where atom holds (an atom without a column holds nowhere),
+    and full has one bit per assignment. The connectives are &, | and full ^ x.
+    """
+    if isinstance(f, TrueConst):
+        return full
+    if isinstance(f, FalseConst):
+        return 0
+    if isinstance(f, Var):
+        return columns.get(f.name, 0)
+    if isinstance(f, Not):
+        return full ^ truth_bits(f.child, columns, full)
+    if isinstance(f, (And, Or)):
+        bits = (truth_bits(c, columns, full) for c in f.children)
+        return reduce(operator.and_ if isinstance(f, And) else operator.or_, bits)
+    if isinstance(f, DnfFormula):
+        return truth_bits(dnf_to_formula(f), columns, full)
+    raise TypeError(f"not a formula: {f!r}")
+
+
 def truth_table(f, vocab: Sequence[str]) -> int:
     """The assignments over vocab where a Formula or DnfFormula holds, as one int.
 
     Bit m is set iff f holds on the assignment of mask m, where bit i of m
-    says whether vocab[i] holds (as `rm.label_mask` encodes labels). All
-    2^|vocab| assignments are evaluated at once: an atom is the column int
-    of the masks where it holds, and the connectives are &, | and full ^ x.
+    says whether vocab[i] holds (as `rm.label_mask` encodes labels): the
+    truth_bits of all 2^|vocab| assignments, columns built in closed form.
     """
     n = 1 << len(vocab)
     full = (1 << n) - 1
@@ -278,31 +311,7 @@ def truth_table(f, vocab: Sequence[str]) -> int:
         period = 2 << i  # masks alternate 2^i without the atom, then 2^i with it
         block = ((1 << (1 << i)) - 1) << (1 << i)
         columns[atom] = block * (full // ((1 << period) - 1))
-
-    def table(g) -> int:
-        if isinstance(g, TrueConst):
-            return full
-        if isinstance(g, FalseConst):
-            return 0
-        if isinstance(g, Var):
-            return columns.get(g.name, 0)
-        if isinstance(g, Not):
-            return full ^ table(g.child)
-        if isinstance(g, And):
-            out = full
-            for c in g.children:
-                out &= table(c)
-            return out
-        if isinstance(g, Or):
-            out = 0
-            for c in g.children:
-                out |= table(c)
-            return out
-        if isinstance(g, DnfFormula):
-            return table(dnf_to_formula(g))
-        raise TypeError(f"not a formula: {g!r}")
-
-    return table(f)
+    return truth_bits(f, columns, full)
 
 
 def clauses_hold(clauses: Sequence[Clause], assignment: frozenset[str]) -> bool:

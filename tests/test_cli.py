@@ -201,6 +201,11 @@ class TestOracle:
         assert main(["oracle", "--rm", SEQUENCE]) == 0
         assert "deviation" not in capsys.readouterr().out
 
+    def test_loop_at_a_gamma_the_sweeps_could_not_reach(self, capsys):
+        # about 23 / (1 - gamma) = 230,000 sweeps, over the cap, so policy iteration values it
+        assert main(["oracle", "--rm", "tasks/loop.rm", "--gamma", "0.9999"]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("bounds PASS")
+
 
     def test_bounds_pass(self, pipeline, tmp_path, capsys):
         out = tmp_path / "oracle.csv"
@@ -332,6 +337,14 @@ GROUND = ["ground", "--dataset", "{dataset}", "--out", "{out}"]
         (TRAIN + ["--shaping", "none", "--gamma", "nan"], "gamma must lie in (0, 1), not nan"),
         (GROUND + ["--gamma", "1.0"], "gamma must lie in (0, 1), not 1.0"),
         (GROUND + ["--threshold", "2"], "threshold must lie in (0, 1), not 2.0"),
+        (GROUND + ["--iters", "0"], "iters must be at least 1, not 0"),
+        (GROUND + ["--iters", "-5"], "iters must be at least 1, not -5"),
+        (TRAIN + ["--shaping", "none", "--episodes", "0"], "episodes must be at least 1, not 0"),
+        (TRAIN + ["--shaping", "none", "--max-steps", "0"], "max_steps must be at least 1, not 0"),
+        (TRAIN + ["--shaping", "none", "--gamma-rm", "1.5"], "gamma_rm must lie in (0, 1), not 1.5"),
+        (["eval", "--rm", SEQUENCE, "--random", "--episodes", "0"], "n_episodes must be at least 1, not 0"),
+        (["eval", "--rm", SEQUENCE, "--random", "--max-steps", "0"], "max_steps must be at least 1, not 0"),
+        (["oracle", "--rm", SEQUENCE, "--gamma-rm", "1.5"], "gamma_rm must lie in (0, 1), not 1.5"),
     ],
     ids=[
         "oracle-gamma-1",
@@ -343,6 +356,14 @@ GROUND = ["ground", "--dataset", "{dataset}", "--out", "{out}"]
         "train-gamma-nan",
         "ground-gamma",
         "ground-threshold",
+        "ground-iters-0",
+        "ground-iters-negative",
+        "train-episodes-0",
+        "train-max-steps-0",
+        "train-unshaped-gamma-rm",
+        "eval-episodes-0",
+        "eval-max-steps-0",
+        "oracle-gamma-rm",
     ],
 )
 def test_out_of_range_setting_is_validation_error(pipeline, tmp_path, capsys, argv, message):

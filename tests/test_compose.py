@@ -85,19 +85,40 @@ def dnf_guards(draw):
 
 
 @st.composite
-def small_machines(draw):
+def small_machines(draw, reward_cycles=True):
     """RMs of 2-4 states over the grid's vocabulary, with random DNF or `true` guards,
-    rewarded self-loops and at least one edge out of every non-terminal state."""
+    rewarded self-loops and at least one edge out of every non-terminal state.
+
+    Without reward_cycles, every edge on a cycle (self-loops included) has
+    reward 0, and the other rewards share one sign."""
     n = draw(st.integers(2, 4))
     terminals = draw(st.sets(st.integers(0, n - 1), max_size=n - 1).filter(lambda t: 1 not in t))
     guard = st.one_of(dnf_guards().map(dnf_to_formula), st.just(TRUE))
-    reward = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])
+    rewards = [0.0, -0.0, 1.0, -1.0, 0.5]
+    if not reward_cycles:
+        rewards = [0.0, -0.0, draw(st.sampled_from([1.0, -1.0])), draw(st.sampled_from([0.5, -0.5]))]
+        rewards = [r for r in rewards if r * rewards[2] >= 0]
+    reward = st.sampled_from(rewards)
     edges = []
     for u in range(n):
         if u not in terminals:
             for dst in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
                 edges.append(RmTransition(u, dst, draw(guard), draw(reward)))
+    if not reward_cycles:
+        edges = [t if not reaches(edges, t.dst, t.src) else RmTransition(t.src, t.dst, t.guard, 0.0) for t in edges]
     return make_rm(VOCAB, n, edges, terminals=terminals, check=False)
+
+
+def reaches(edges, start, goal):
+    """Whether the RM graph of edges has a path, maybe empty, from start to goal."""
+    seen, todo = {start}, [start]
+    while todo:
+        u = todo.pop()
+        for t in edges:
+            if t.src == u and t.dst not in seen:
+                seen.add(t.dst)
+                todo.append(t.dst)
+    return goal in seen
 
 
 class TestRmValueIteration:
@@ -407,10 +428,12 @@ class TestExactProductValues:
         with pytest.raises(ValueError):
             exact_product_values(GridConfig(), loop_rm, 1.0)
 
-    def test_sweep_cap_raises(self, sequence_rm, desk_cfg, monkeypatch):
+    def test_sweep_cap_turns_to_policy_iteration(self, sequence_rm, desk_cfg, monkeypatch):
+        swept = exact_product_values(desk_cfg, sequence_rm, GAMMA)
         monkeypatch.setattr(compose, "MAX_ORACLE_SWEEPS", 3)
-        with pytest.raises(RuntimeError):
-            exact_product_values(desk_cfg, sequence_rm, GAMMA)
+        capped = exact_product_values(desk_cfg, sequence_rm, GAMMA)
+        assert capped.residual <= compose.ORACLE_TOL
+        assert np.abs(capped.values - swept.values).max() <= 1e-9
 
     def test_residual_converged(self, sequence_rm, desk_cfg):
         oracle = exact_product_values(desk_cfg, sequence_rm, GAMMA)
@@ -419,20 +442,83 @@ class TestExactProductValues:
     @settings(max_examples=40, deadline=None)
     @given(rm=small_machines(), cfg=grid_configs(layouts=("fixed",)))
     def test_values_satisfy_bellman(self, rm, cfg):
-        oracle = exact_product_values(cfg, rm, GAMMA)
-        for cell, s in cell_states(cfg).items():
-            for u in range(rm.num_states):
-                v = oracle.value_at(cell, u)
-                if rm.is_terminal(u):
-                    assert v == 0.0 and not np.signbit(v)
-                    continue
-                best = -np.inf
-                for a in range(4):
-                    s2 = step(s, a)
-                    stp = rm_step(rm, u, true_label(s2))
-                    cont = 0.0 if stp.terminated else oracle.value_at(s2.agent, stp.next_state)
-                    best = max(best, GAMMA * (stp.reward + cont))
-                assert v == pytest.approx(best, abs=1e-8)
+        assert_bellman(exact_product_values(cfg, rm, GAMMA), rm, lambda v: 1e-8)
+
+    def test_loop_table_is_a_fixed_point(self, loop_rm, desk_cfg):
+        # sweeps stopped at a residual of ORACLE_TOL left it 7.1e-11 (relative) away
+        oracle = exact_product_values(desk_cfg, loop_rm, GAMMA)
+        assert_bellman(oracle, loop_rm, lambda v: 1e-12 * max(1.0, abs(v)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rm=small_machines(reward_cycles=False), cfg=grid_configs(layouts=("fixed",)))
+    def test_no_rewarding_cycle_stops_before_the_exact_evaluation(self, rm, cfg):
+        oracle, evaluations = solve_counting_evaluations(cfg, rm)
+        assert evaluations == 0
+        assert_bellman(oracle, rm, lambda v: 1e-8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rm=small_machines(), cfg=grid_configs(layouts=("fixed",)), reward=st.sampled_from([1.0, -1.0, 0.5])
+    )
+    def test_rewarding_cycle_is_valued_exactly(self, rm, cfg, reward):
+        # one more state, which loops on `true` with a reward: the sweeps alone would
+        # need about 756 sweeps, and the product has at most 25 x 5 states
+        n = rm.num_states
+        edges = [*rm.transitions, RmTransition(n, n, TRUE, reward)]
+        rm = make_rm(rm.vocab, n + 1, edges, terminals=rm.terminals, check=False)
+        oracle, evaluations = solve_counting_evaluations(cfg, rm)
+        assert evaluations
+        assert oracle.values[n].tolist() == pytest.approx([GAMMA * reward / (1 - GAMMA)] * len(oracle.graph.cells))
+        assert_bellman(oracle, rm, lambda v: 1e-12 * max(1.0, abs(v)))
+
+    def test_rewards_of_both_signs_may_need_the_exact_evaluation(self, desk_cfg):
+        # no rewarding cycle, but a short horizon sees the +1 and not the -10 after it,
+        # so the sweeps shrink that +1 by gamma each and run past the 144 product states
+        edges = [RmTransition(1, 2, And((Var("red"), Var("triangle"))), 0.0)]
+        edges += [RmTransition(2, 3, TRUE, 1.0), RmTransition(3, 0, TRUE, -10.0)]
+        rm = make_rm(GEO, 4, edges)
+        oracle, evaluations = solve_counting_evaluations(desk_cfg, rm)
+        assert evaluations
+        assert_bellman(oracle, rm, lambda v: 1e-12 * max(1.0, abs(v)))
+
+    def test_guard_past_the_dnf_and_truth_table_limits(self, desk_cfg):
+        # 26 atoms (no exhaustive truth table) and a guard whose DNF has 2^13 clauses
+        extra = [f"x{i}" for i in range(21)]
+        pairs = zip([*VOCAB, *extra[:8]], extra[8:])
+        guard = And(tuple(Or((Var(a), Var(b))) for a, b in pairs))
+        rm = make_rm([*VOCAB, *extra], 2, [RmTransition(1, 0, guard, 1.0), RmTransition(1, 1, Var("red"), 0.5)])
+        assert_bellman(exact_product_values(desk_cfg, rm, GAMMA), rm, lambda v: 1e-8)
+
+    def test_loop_at_a_gamma_the_sweeps_could_not_reach(self, loop_rm, desk_cfg):
+        oracle = exact_product_values(desk_cfg, loop_rm, 0.9999)
+        assert_bellman(oracle, loop_rm, lambda v: 1e-12 * max(1.0, abs(v)))
+
+
+def solve_counting_evaluations(cfg, rm):
+    """exact_product_values at GAMMA, and how many times it called evaluate_policy."""
+    calls = []
+    real = compose.evaluate_policy
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compose, "evaluate_policy", lambda *args: calls.append(real(*args)))
+        return exact_product_values(cfg, rm, GAMMA), len(calls)
+
+
+def assert_bellman(oracle, rm, within):
+    """Check the oracle's table against one Bellman backup at every cell and RM state,
+    stepping the RM with rm_step on true_label; within(v) bounds the gap at value v."""
+    for cell, s in cell_states(oracle.graph.cfg).items():
+        for u in range(rm.num_states):
+            v = oracle.value_at(cell, u)
+            if rm.is_terminal(u):
+                assert v == 0.0 and not np.signbit(v)
+                continue
+            best = -np.inf
+            for a in range(4):
+                s2 = step(s, a)
+                stp = rm_step(rm, u, true_label(s2))
+                cont = 0.0 if stp.terminated else oracle.value_at(s2.agent, stp.next_state)
+                best = max(best, oracle.gamma * (stp.reward + cont))
+            assert abs(v - best) <= within(v), (cell, u, v, best)
 
 
 class TestCompositionBounds:

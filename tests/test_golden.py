@@ -197,9 +197,9 @@ ORACLE_GOLDEN = {
     ("logic.rm", "none"): ("11410dc2b3d6e3f3", "e8746f55d71911bc"),
     ("logic.rm", "tabular"): ("2ba99b089c483e9e", "a59286d94f757345"),
     ("logic.rm", "linear"): ("9907c92a93d8f1db", "3d5f63707beed360"),
-    ("loop.rm", "none"): ("34919d43c7175636", "4222c1927ce8919c"),
-    ("loop.rm", "tabular"): ("f8cac42c2f79604a", "0c97cab38b64dbb2"),
-    ("loop.rm", "linear"): ("4c0498ae61c07e92", "337a14c9652631f5"),
+    ("loop.rm", "none"): ("98aa4369a323dc30", "4222c1927ce8919c"),
+    ("loop.rm", "tabular"): ("766e7b718ff0d548", "0c97cab38b64dbb2"),
+    ("loop.rm", "linear"): ("f001f26928853d26", "337a14c9652631f5"),
     ("safety.rm", "none"): ("1b447edad01f3716", "d2a0dea76247b873"),
     ("safety.rm", "tabular"): ("0d26cb229f97ae8e", "47de9517fe2d872b"),
     ("safety.rm", "linear"): ("2c3bc71e0a4ea5fd", "ceabb1378c3fca4c"),
