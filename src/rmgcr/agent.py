@@ -9,15 +9,15 @@ used only for reporting and evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from . import geogrid
 from .compose import ComposedValueFn, ConfigMismatchError, RmStateValues, check_shaping
-from .compose import composed_value, shaping_term
-from .geogrid import GridConfig, ObsIndex
+from .compose import composed_table, shaping_term
+from .geogrid import GridConfig, ObsIndex, check_seed
 from .ground import LabelModel, check_count, check_open_unit, predict_labels
 from .rm import RewardMachine, StepTable, label_mask
 
@@ -52,6 +52,7 @@ class AgentConfig:
         check_shaping(self.lam, self.shaping_mode)
         check_count("episodes", self.episodes)
         check_count("max_steps", self.max_steps)
+        check_seed("seed", self.seed)
 
 
 @dataclass
@@ -163,6 +164,16 @@ class RandomPolicy:
         return int(rng.integers(N_ACTIONS))
 
 
+def potential_table(shaping: str, start: geogrid.GridState, rm: RewardMachine, cvf=None, rm_values=None):
+    """The shaping potential at each (RM state u, row-major cell) of start's layout, as rows [u][cell]:
+    one composed_table call, or rm_values[u]; terminal RM states are worth 0."""
+    cells = range(start.width * start.height)
+    if shaping == "composed":
+        observations = [geogrid.encode_obs(replace(start, agent=divmod(i, start.width))) for i in cells]
+        return composed_table(cvf, observations).tolist()
+    return [[0.0 if rm.is_terminal(u) else rm_values[u]] * len(cells) for u in range(rm.num_states)]
+
+
 def train(
     cfg: GridConfig,
     rm: RewardMachine,
@@ -175,7 +186,9 @@ def train(
 
     The perceived return per episode sums the agent's own RM rewards
     (shaping terms excluded); the actual return replays the same states
-    through the ground-truth labelling and true RM.
+    through the ground-truth labelling and true RM. Shaping reads the
+    potential_table of each layout an episode starts on, built once per run
+    on a fixed layout.
     """
     if tuple(rm.vocab) != tuple(label_model.vocab):
         raise ConfigMismatchError("RM and label model vocabularies differ")
@@ -207,22 +220,7 @@ def train(
     rows = StepTable(rm).rows
     n_u = rm.num_states
     terminal = [rm.is_terminal(u) for u in range(n_u)]
-    # Q rows and potentials are keyed by the product index id * n_u + u
-    q: dict[int, list[float]] = {}
-    potentials: dict[int, float] = {}
-
-    def potential(i, u) -> float:
-        p = i * n_u + u
-        cached = potentials.get(p)
-        if cached is None:
-            if terminal[u]:
-                cached = 0.0
-            elif agent_cfg.shaping == "high-level":
-                cached = rm_values[u]
-            else:
-                cached = composed_value(cvf, index.obs[i], u)
-            potentials[p] = cached
-        return cached
+    q: dict[int, list[float]] = {}  # Q rows keyed by the product index id * n_u + u
 
     report = TrainReport(
         meta={
@@ -241,20 +239,22 @@ def train(
     gamma, lam, mode = agent_cfg.gamma, agent_cfg.lam, agent_cfg.shaping_mode
     max_steps = agent_cfg.max_steps
     shaped = agent_cfg.shaping != "none"
+    starts = geogrid.episode_starts(cfg, index)
+    layout = None  # the id list of the layout that pot values
 
     for episode in range(agent_cfg.episodes):
         frac = min(1.0, episode / decay_span)
         epsilon = EPSILON_START + frac * (EPSILON_END - EPSILON_START)
-        start = geogrid.reset(cfg, seed=draws.integers63())
-        ids = index.cells(start)
-        cell = start.agent[0] * cfg.width + start.agent[1]
+        start, ids, cell = starts(draws.integers63())
+        if shaped and ids is not layout:  # a layout the last episode did not use
+            layout, pot = ids, potential_table(agent_cfg.shaping, start, rm, cvf, rm_values)
         i = ids[cell]
         if i < 0:
             i = visit(start, cell)
         u = rm.initial
         u_true = rm.initial
         true_done = terminal[u_true]
-        v = potential(i, u) if shaped else 0.0  # carried: the potential of (i, u)
+        v = pot[u][cell] if shaped else 0.0  # carried: the potential of (cell, u)
         perceived = 0.0
         actual = 0.0
         steps = 0
@@ -278,9 +278,7 @@ def train(
             p = j * n_u + u2
             shaping = 0.0
             if shaped:
-                v2 = potentials.get(p)
-                if v2 is None:
-                    v2 = potential(j, u2)
+                v2 = pot[u2][cell]
                 shaping = shaping_term(v, v2, lam, mode, gamma)
                 v = v2
 
@@ -319,6 +317,7 @@ def evaluate(
     """
     check_count("n_episodes", n_episodes)
     check_count("max_steps", max_steps)
+    check_seed("seed", seed)
     index = ObsIndex()
     moves = geogrid.move_table(cfg.height, cfg.width).tolist()
     true_masks: list[int] = []  # per id, filled when the id is first numbered
@@ -332,12 +331,11 @@ def evaluate(
     rows = StepTable(rm).rows
     terminal = [rm.is_terminal(u) for u in range(rm.num_states)]
     rng = np.random.default_rng((seed, 0xE7A1))
+    starts = geogrid.episode_starts(cfg, index)
     returns = []
     unseen: set = set()
     for _ in range(n_episodes):
-        start = geogrid.reset(cfg, seed=int(rng.integers(2**63)))
-        ids = index.cells(start)
-        cell = start.agent[0] * cfg.width + start.agent[1]
+        start, ids, cell = starts(int(rng.integers(2**63)))
         i = ids[cell]
         if i < 0:
             i = visit(start, cell)

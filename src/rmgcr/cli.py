@@ -138,7 +138,7 @@ def cmd_oracle(args) -> int:
     if args.models:  # composed values need only the PVFs, not the label model
         pvfs = ground.load_pvfs(pathlib.Path(args.models) / "pvfs.json")
         cvf = compose.make_composed_value_fn(rm, pvfs, args.gamma_rm, gamma=args.gamma)
-        composed = compose.composed_table(cvf, graph).tolist()
+        composed = compose.composed_table(cvf, [geogrid.encode_obs(s) for s in graph.states]).tolist()
     # one CSV line per (cell, u), row-major; terminal RM states get no composed value
     compared = [composed is not None and not rm.is_terminal(u) for u in range(rm.num_states)]
     lines = ["row,col,rm_state,exact" + (",composed,abs_deviation" if composed is not None else "")]
@@ -170,6 +170,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_train(args) -> int:
     ground.check_open_unit("gamma_rm", args.gamma_rm)
+    geogrid.check_seed("eval_seed", args.eval_seed)
     rm = load_rm(args.rm)
     models = pathlib.Path(args.models)
     label_model = ground.load_label_model(models / "label_model.json")

@@ -11,10 +11,11 @@ The DNF of a formula is not unique and logically equivalent DNFs can
 yield different composed values; this module values whatever DNF the
 normalizer produces.
 
-The brute-force checks (the exact product-MDP oracle, the composition
-bounds and the composed table that `oracle --models` compares with it)
-read a fixed layout through a `geogrid.CellGraph`: its cells, their
-successors and their true labels, computed once and then only read.
+The brute-force checks (the exact product-MDP oracle and the composition
+bounds) read a fixed layout through a `geogrid.CellGraph`: its cells,
+their successors and their true labels, computed once and then only read.
+`composed_table` values a list of observations, such as every cell of a
+layout, at once.
 """
 
 from __future__ import annotations
@@ -252,18 +253,17 @@ def _first_best(better, rows: list):
     return out
 
 
-def composed_table(cvf: ComposedValueFn, graph: CellGraph) -> np.ndarray:
-    """composed_value at every (RM state, cell) of a fixed layout, as an array indexed [u, cell].
+def composed_table(cvf: ComposedValueFn, observations: Sequence[np.ndarray]) -> np.ndarray:
+    """composed_value at every (RM state, observation), as an array indexed [u, observation].
 
     Bit for bit equal to composed_value, signed zeros included: each
-    literal is valued once per cell, in one PvfSet.values call, then the
-    min over each clause, the max over clauses and the best edge make the
-    same comparisons, in the same order, on whole rows of cells.
+    literal is valued once per observation, in one PvfSet.values call, then
+    the min over each clause, the max over clauses and the best edge make
+    the same comparisons, in the same order, on whole rows of observations.
     """
     rm = cvf.rm
     dnfs = [dnf for dnf in cvf._edge_dnfs.values() if isinstance(dnf, DnfFormula)]
     lits = sorted({lit for dnf in dnfs for clause in dnf.clauses for lit in clause})
-    observations = [geogrid.encode_obs(state) for state in graph.states]
     lit_rows = dict(zip(lits, cvf.pvfs.values(lits, observations)))
 
     def guard_value(dnf):
@@ -274,7 +274,7 @@ def composed_table(cvf: ComposedValueFn, graph: CellGraph) -> np.ndarray:
         clauses = [_first_best(np.less, [lit_rows[lit] for lit in c]) for c in dnf.clauses]
         return _first_best(np.greater, clauses)
 
-    table = np.zeros((rm.num_states, len(graph.states)))
+    table = np.zeros((rm.num_states, len(observations)))
     for u in range(rm.num_states):
         if rm.is_terminal(u):
             continue

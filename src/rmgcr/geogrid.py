@@ -8,11 +8,10 @@ generator produces labelled trajectories for offline grounding.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field, fields
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +46,16 @@ class DatasetFormatError(ValueError):
 
 class StateSpaceTooLargeError(ValueError):
     """The states of a layout cannot be enumerated: it is randomized, or over a size cap."""
+
+
+class OutOfRangeError(ValueError):
+    """A numeric setting outside its range: a seed, a discount, a threshold, a fraction or a weight."""
+
+
+def check_seed(name: str, value: int) -> None:
+    """Raise OutOfRangeError if value is negative, which numpy's seeding refuses."""
+    if value < 0:
+        raise OutOfRangeError(f"{name} must be non-negative, not {value!r}")
 
 
 # one of each colour x shape, laid out so the subgoal cycle is walkable
@@ -85,6 +94,8 @@ class GridConfig:
             raise GridConfigError(f"unknown layout_mode {self.layout_mode!r}")
         if self.episode_len < 0:
             raise GridConfigError("episode_len must be non-negative")
+        if self.seed < 0:
+            raise GridConfigError(f"seed must be non-negative, not {self.seed!r}")
         if not self.objects:
             object.__setattr__(
                 self,
@@ -130,18 +141,46 @@ def _start_options(cfg: GridConfig, placements) -> tuple[int, ...]:
     return tuple(i for i in range(n_cells) if (i // cfg.width, i % cfg.width) not in occupied)
 
 
-@functools.lru_cache(maxsize=64)
-def _fixed_layout(cfg: GridConfig) -> tuple[tuple, tuple[int, ...]]:
-    """A fixed layout's placements and start options, built once per config; read-only."""
-    placements = tuple((o.color, o.shape, o.cell) for o in cfg.objects)
-    return placements, _start_options(cfg, placements)
+# for seeded_index: PCG64's multiplier, and the (pool word, xor, multiplier) of the eight hashmix
+# calls of SeedSequence.generate_state(4, uint64), whose constants never depend on the data
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_hash_const = 0x8B51F9DD
+_STATE_CONSTS = [(i % 4, _hash_const, (_hash_const := _hash_const * 0x58F38DED & _M32)) for i in range(8)]
+
+
+def seeded_index(seed: int, n: int) -> int:
+    """int(np.random.default_rng(seed).integers(n)) for 1 <= n <= 2**32, by numpy's own rules.
+
+    SeedSequence(seed) mixes seed into its pool; the rest runs here, at about two thirds of
+    default_rng's cost: the pool's generate_state(4, uint64) seeds PCG64, and Lemire's method
+    draws on the 32-bit halves of its XSL-RR outputs, low half first, until one clears the
+    threshold. Raises OutOfRangeError on a negative seed.
+    """
+    check_seed("seed", seed)
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    w = [(h := (pool[src] ^ x) * m & _M32) ^ h >> 16 for src, x, m in _STATE_CONSTS]
+    # the state's 64-bit words seed PCG64, high first, then its stream: step from 0, add, step
+    inc = ((w[4] | w[5] << 32) << 64 | w[6] | w[7] << 32) << 1 & _M128 | 1
+    state = ((inc + ((w[0] | w[1] << 32) << 64 | w[2] | w[3] << 32)) * _PCG64_MULT + inc) & _M128
+    threshold, halves = (1 << 32) % n, []
+    while True:
+        if not halves:  # the next output: step, then xor-shift low and rotate right
+            state = (state * _PCG64_MULT + inc) & _M128
+            x, rot = (state >> 64 ^ state) & _M64, state >> 122
+            x = (x >> rot | x << (64 - rot)) & _M64
+            halves = [x >> 32, x & _M32]
+        m = halves.pop() * n
+        if m & _M32 >= threshold:
+            return m >> 32
 
 
 def reset(cfg: GridConfig, seed: Optional[int] = None) -> GridState:
-    """Initial state; a deterministic function of (cfg, seed)."""
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    if cfg.layout_mode == "fixed":
-        placements, fixed_options = _fixed_layout(cfg)
+    """Initial state; a deterministic function of (cfg, seed): seeded_index on a fixed layout."""
+    seed = cfg.seed if seed is None else seed
+    rng = None if cfg.layout_mode == "fixed" else np.random.default_rng(seed)
+    if rng is None:
+        placements = tuple((o.color, o.shape, o.cell) for o in cfg.objects)
     else:
         n_cells = cfg.width * cfg.height
         pinned = [o for o in cfg.objects if o.cell is not None]
@@ -159,12 +198,27 @@ def reset(cfg: GridConfig, seed: Optional[int] = None) -> GridState:
     if cfg.agent_start is not None:
         agent = cfg.agent_start
     else:
-        options = fixed_options if cfg.layout_mode == "fixed" else _start_options(cfg, placements)
+        options = _start_options(cfg, placements)
         if not options:
             raise InfeasibleConfigError("no free cell for the agent")
-        i = int(rng.integers(len(options)))
+        i = seeded_index(seed, len(options)) if rng is None else int(rng.integers(len(options)))
         agent = (options[i] // cfg.width, options[i] % cfg.width)
     return GridState(cfg.width, cfg.height, agent, placements)
+
+
+def episode_starts(cfg: GridConfig, index: ObsIndex) -> Callable[[int], tuple[GridState, list[int], int]]:
+    """A function from seed to (state, index.cells(state), cell) of reset(cfg, seed): state has the
+    start's layout, not always its agent, and cell is the agent's row-major cell. A fixed layout with
+    a random start builds state and ids once, and then costs one seeded_index per start."""
+    def start(seed):
+        state = reset(cfg, seed)
+        return state, index.cells(state), state.agent[0] * cfg.width + state.agent[1]
+
+    if cfg.layout_mode == "randomized" or cfg.agent_start is not None:
+        return start
+    state, ids, _ = start(cfg.seed)
+    options = _start_options(cfg, state.placements)
+    return lambda seed: (state, ids, options[seeded_index(seed, len(options))])
 
 
 def move(cell: int, action: int, height: int, width: int) -> int:
@@ -363,24 +417,24 @@ def generate_dataset(
     """Random-walk trajectories of length cfg.episode_len with ground-truth labels.
 
     Reproducible: trajectory i uses the RNG stream (seed, i), drawing its
-    start from reset and then all its actions in one call, the same
-    stream as one draw per step. The walk follows move_table by cell id
-    and numbers its cells through one ObsIndex, so each distinct state is
-    encoded and labelled on its first visit; the dataset keeps that index,
-    and each trajectory the ids of its steps.
+    start's seed (for episode_starts) and then all its actions in one call,
+    the same stream as one draw per step. The walk follows move_table by
+    cell id and numbers its cells through one ObsIndex, so each distinct
+    state is encoded and labelled on its first visit; the dataset keeps
+    that index, and each trajectory the ids of its steps.
     """
     if n_trajectories < 1:
         raise ValueError("need at least one trajectory")
     root = cfg.seed if seed is None else seed
+    check_seed("seed", root)
     moves = move_table(cfg.height, cfg.width).tolist()
     index = ObsIndex()
     trajectories = []
+    starts = episode_starts(cfg, index)
     for i in range(n_trajectories):
         rng = np.random.default_rng((root, i))
-        start = reset(cfg, seed=int(rng.integers(2**63)))
+        start, ids, cell = starts(int(rng.integers(2**63)))
         actions = rng.integers(len(ACTIONS), size=cfg.episode_len).tolist()
-        ids = index.cells(start)
-        cell = start.agent[0] * cfg.width + start.agent[1]
         steps = [index.visit(start, cell)]
         for a in actions:
             cell = moves[cell][a]

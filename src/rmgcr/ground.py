@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geogrid import GroundingDataset, decode_entry, encode_entry, obs_key
+from .geogrid import GroundingDataset, OutOfRangeError, check_seed, decode_entry, encode_entry, obs_key
 from .logic import Literal
 
 N_ACTIONS = 4
@@ -46,10 +46,6 @@ class NonConvergenceWarning(UserWarning):
 
 class ModelFormatError(ValueError):
     """A saved model file this version cannot read: unknown estimator kind or feature map."""
-
-
-class OutOfRangeError(ValueError):
-    """A numeric setting outside its range: a discount, a threshold, a fraction or a weight."""
 
 
 def check_open_unit(name: str, value: float) -> None:
@@ -150,6 +146,7 @@ def train_label_model(
     "train". Features and scores are computed once per distinct
     observation; the accuracy counts every row.
     """
+    check_seed("seed", seed)
     if not (0.0 <= holdout_fraction < 1.0):
         raise OutOfRangeError(f"holdout_fraction must lie in [0, 1), not {holdout_fraction!r}")
     index, trajectories = ds.index, ds.trajectories

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rmgcr import agent, geogrid, rm as rm_module
+from rmgcr import agent, compose, geogrid, rm as rm_module
 from rmgcr.agent import (
     AgentConfig,
     ConfigMismatchError,
@@ -16,15 +16,20 @@ from rmgcr.agent import (
     TrainReport,
     episodes_to_threshold,
     evaluate,
+    potential_table,
     train,
 )
-from rmgcr.compose import make_composed_value_fn, rm_value_iteration
-from rmgcr.geogrid import cell_states, encode_obs, obs_key, step, reset, true_label
-from rmgcr.ground import LabelModel, predict_labels
+from rmgcr.compose import composed_value, make_composed_value_fn, rm_value_iteration
+from rmgcr.geogrid import VOCAB, GridConfig, cell_states, encode_obs, obs_key, step, reset, true_label
+from rmgcr.ground import LabelModel, LinearPvf, PvfSet, TabularPvf, observation_features, predict_labels
 from rmgcr.rm import MAX_EXHAUSTIVE_VOCAB, make_rm, run_rm
+
+from test_compose import small_machines
+from test_geogrid import grid_configs
 
 GAMMA = 0.97
 GAMMA_RM = 0.97 ** 10
+LITERALS = [(a, pol) for a in VOCAB for pol in (True, False)]
 
 
 class TestAgentConfig:
@@ -175,6 +180,18 @@ class TestHotPath:
         assert counts.get("step", 0) <= n_cells * 4
         assert counts["rm_step"] <= logic_rm.num_states * 2 ** len(logic_rm.vocab)
 
+    @pytest.mark.parametrize("layout, tables", [("fixed", 1), ("randomized", 30)])
+    def test_composed_shaping_values_each_layout_in_one_table(
+        self, monkeypatch, layout, tables, logic_rm, desk_label_model, desk_pvfs
+    ):
+        counts: dict = {}
+        self._counting(monkeypatch, agent, "composed_table", counts)
+        self._counting(monkeypatch, compose, "composed_value", counts)
+        cvf = make_composed_value_fn(logic_rm, desk_pvfs, GAMMA_RM)
+        agent_cfg = AgentConfig(shaping="composed", episodes=30, seed=3)
+        train(GridConfig(layout_mode=layout), logic_rm, desk_label_model, agent_cfg, cvf=cvf)
+        assert counts == {"composed_table": tables}  # randomized: no two episodes share a layout
+
     def test_machine_beyond_the_exhaustive_vocab_trains_and_evaluates(self, desk_cfg, sequence_rm):
         # sequence.rm plus atoms the grid never labels: the same episodes,
         # Q values and returns as over the five grid atoms
@@ -199,6 +216,35 @@ class TestHotPath:
             q = {k: v.tolist() for k, v in policy.q.items()}
             runs.append((report.episodes, q, stats["returns"]))
         assert runs[0] == runs[1]
+
+
+class TestPotentialTable:
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=grid_configs(), machine=small_machines(), seed=st.integers(0, 2**32 - 1), linear=st.booleans())
+    def test_rows_equal_the_scalar_potentials(self, cfg, machine, seed, linear):
+        start = reset(cfg, seed)
+        cells = range(cfg.width * cfg.height)
+        observations = [encode_obs(replace(start, agent=divmod(i, cfg.width))) for i in cells]
+        rng = np.random.default_rng(seed)
+        if linear:
+            n_features = len(observation_features(observations[0]))
+            estimators = {lit: LinearPvf(GAMMA, rng.normal(0.3, 0.5, (4, n_features))) for lit in LITERALS}
+        else:  # values that hit the clip and both signed zeros, and observations with no entry
+            values = [-0.5, -0.0, 0.0, 0.25, 0.97, 1.5]
+            keys = [obs_key(o) for o in observations]
+            estimators = {
+                lit: TabularPvf(GAMMA, {k: values[rng.integers(6)] for k in keys if rng.random() < 0.7})
+                for lit in LITERALS
+            }
+        cvf = make_composed_value_fn(machine, PvfSet(VOCAB, GAMMA, "fqi", estimators), GAMMA_RM)
+        table = potential_table("composed", start, machine, cvf)
+        for i, obs in enumerate(observations):
+            for u in range(machine.num_states):
+                assert table[u][i].hex() == composed_value(cvf, obs, u).hex()
+        rm_values = rm_value_iteration(machine, GAMMA_RM, GAMMA)
+        table = potential_table("high-level", start, machine, rm_values=rm_values)
+        for u in range(machine.num_states):
+            assert [x.hex() for x in table[u]] == [rm_values[u].hex()] * len(observations)
 
 
 class TestUnseenLabelObservations:

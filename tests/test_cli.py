@@ -296,6 +296,7 @@ def test_unreadable_pvf_file_is_validation_error(pipeline, tmp_path, capsys, tam
         ('{"layout_mode": "drifting"}', "unknown layout_mode 'drifting'"),
         ('{"agent_start": [-1, 0]}', "agent_start (-1,0) out of bounds"),
         ('{"agent_start": [9, 9]}', "agent_start (9,9) out of bounds"),
+        ('{"seed": -5}', "seed must be non-negative, not -5"),
     ],
     ids=[
         "unknown-key",
@@ -306,17 +307,20 @@ def test_unreadable_pvf_file_is_validation_error(pipeline, tmp_path, capsys, tam
         "unknown-mode",
         "start-below",
         "start-beyond",
+        "negative-seed",
     ],
 )
-@pytest.mark.parametrize("command", ["gen-dataset", "eval"])
+@pytest.mark.parametrize("command", ["gen-dataset", "eval", "oracle"])
 def test_bad_grid_config_file_is_validation_error(tmp_path, capsys, text, message, command):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     if command == "gen-dataset":
         argv = ["gen-dataset", "--out", str(tmp_path / "ds.jsonl"), "--n", "1"]
         argv += ["--config", str(cfg)]
-    else:
+    elif command == "eval":
         argv = ["eval", "--rm", SEQUENCE, "--random", "--episodes", "1", "--env", str(cfg)]
+    else:
+        argv = ["oracle", "--rm", SEQUENCE, "--env", str(cfg)]
     assert main(argv) == 3
     assert message in capsys.readouterr().err
 
@@ -345,6 +349,11 @@ GROUND = ["ground", "--dataset", "{dataset}", "--out", "{out}"]
         (["eval", "--rm", SEQUENCE, "--random", "--episodes", "0"], "n_episodes must be at least 1, not 0"),
         (["eval", "--rm", SEQUENCE, "--random", "--max-steps", "0"], "max_steps must be at least 1, not 0"),
         (["oracle", "--rm", SEQUENCE, "--gamma-rm", "1.5"], "gamma_rm must lie in (0, 1), not 1.5"),
+        (["gen-dataset", "--out", "{out}", "--n", "1", "--seed", "-1"], "seed must be non-negative, not -1"),
+        (GROUND + ["--seed", "-1"], "seed must be non-negative, not -1"),
+        (TRAIN + ["--shaping", "none", "--seeds", "-3"], "seed must be non-negative, not -3"),
+        (TRAIN + ["--shaping", "none", "--eval-seed", "-1"], "eval_seed must be non-negative, not -1"),
+        (["eval", "--rm", SEQUENCE, "--random", "--seed", "-2"], "seed must be non-negative, not -2"),
     ],
     ids=[
         "oracle-gamma-1",
@@ -364,6 +373,11 @@ GROUND = ["ground", "--dataset", "{dataset}", "--out", "{out}"]
         "eval-episodes-0",
         "eval-max-steps-0",
         "oracle-gamma-rm",
+        "gen-dataset-seed-negative",
+        "ground-seed-negative",
+        "train-seeds-negative",
+        "train-eval-seed-negative",
+        "eval-seed-negative",
     ],
 )
 def test_out_of_range_setting_is_validation_error(pipeline, tmp_path, capsys, argv, message):

@@ -591,10 +591,9 @@ class TestCellGraphPaths:
     @given(small_machines(), st.one_of(tabular_pvfs(), linear_pvfs()))
     def test_composed_table_equals_composed_value_bit_for_bit(self, rm, pvfs):
         cvf = make_composed_value_fn(rm, pvfs, GAMMA_RM)
-        graph = CellGraph(GridConfig())
-        table = composed_table(cvf, graph)
-        for i, state in enumerate(graph.states):
-            obs = encode_obs(state)
+        observations = [encode_obs(s) for s in CellGraph(GridConfig()).states]
+        table = composed_table(cvf, observations)
+        for i, obs in enumerate(observations):
             for u in range(rm.num_states):
                 assert table[u, i].hex() == composed_value(cvf, obs, u).hex()
 
@@ -611,9 +610,9 @@ class TestCellGraphPaths:
         edges = [RmTransition(1, 1, Var("blue"), -0.0), RmTransition(1, 0, guard, 1.0)]
         rm = make_rm(GEO, 2, edges, check=False)
         cvf = make_composed_value_fn(rm, const_pvfs(GEO, values), GAMMA_RM)
-        graph = CellGraph(GridConfig())
-        assert composed_value(cvf, encode_obs(graph.states[0]), 1).hex() == want
-        assert {x.hex() for x in composed_table(cvf, graph)[1]} == {want}
+        observations = [encode_obs(s) for s in CellGraph(GridConfig()).states]
+        assert composed_value(cvf, observations[0], 1).hex() == want
+        assert {x.hex() for x in composed_table(cvf, observations)[1]} == {want}
 
     @settings(max_examples=40, deadline=None)
     @given(dnf_guards())

@@ -21,16 +21,19 @@ from rmgcr.geogrid import (
     CellGraph,
     DatasetFormatError,
     GridConfig,
+    GridConfigError,
     GridState,
     GroundingDataset,
     InconsistentLabelError,
     InfeasibleConfigError,
     ObjectSpec,
     ObsIndex,
+    OutOfRangeError,
     StateSpaceTooLargeError,
     Trajectory,
     cell_states,
     encode_obs,
+    episode_starts,
     full_coverage_dataset,
     generate_dataset,
     label_frequencies,
@@ -39,6 +42,7 @@ from rmgcr.geogrid import (
     obs_key,
     reset,
     save_dataset,
+    seeded_index,
     step,
     true_label,
 )
@@ -343,6 +347,78 @@ class TestObsIndex:
         assert obs.flags.writeable and not index.obs[0].flags.writeable
         with pytest.raises(InconsistentLabelError):
             index.add(obs, frozenset({"red"}))
+
+
+class TestSeededIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.one_of(
+            st.integers(0, 2**32 - 1),
+            st.integers(0, 2**63 - 1),
+            st.integers(0, 2**128 - 1),
+            st.integers(2**128, 2**300),
+        ),
+        # rejection-heavy ranges: 3 * 2**30 + 1 rejects a quarter of the draws, 2**31 + 1 half
+        n=st.one_of(
+            st.sampled_from([1, 2, 36, 2**31 + 1, 3 * 2**30 + 1, 2**32 - 1, 2**32]), st.integers(1, 2**32)
+        ),
+    )
+    def test_equals_a_fresh_generator(self, seed, n):
+        assert seeded_index(seed, n) == int(np.random.default_rng(seed).integers(n))
+
+    def test_rejections_fall_on_the_high_half_then_on_fresh_outputs(self):
+        # a quarter of the low halves are rejected at this range: count the 32-bit halves each draw takes
+        n = 3 * 2**30 + 1
+        halves = set()
+        for seed in range(300):
+            bits = np.random.PCG64(seed)
+            assert seeded_index(seed, n) == int(np.random.Generator(bits).integers(n))
+            state = bits.state
+            for outputs in range(1, 10):
+                fresh = np.random.PCG64(seed)
+                fresh.advance(outputs)
+                if fresh.state["state"] == state["state"]:
+                    halves.add(2 * outputs - state["has_uint32"])
+                    break
+        assert {1, 2, 3, 4} <= halves
+
+    def test_negative_seed_is_out_of_range(self):
+        with pytest.raises(OutOfRangeError, match="seed must be non-negative, not -1"):
+            seeded_index(-1, 36)
+        with pytest.raises(OutOfRangeError, match="seed must be non-negative, not -1"):
+            generate_dataset(GridConfig(), 1, seed=-1)
+
+
+class TestEpisodeStarts:
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=grid_configs(), data=st.data())
+    def test_a_start_is_the_layout_and_cell_of_reset(self, cfg, data):
+        cell = st.tuples(st.integers(0, cfg.height - 1), st.integers(0, cfg.width - 1))
+        cfg = replace(
+            cfg,
+            exclude_agent_from_objects=data.draw(st.booleans()),
+            agent_start=data.draw(st.one_of(st.none(), cell)),
+        )
+        full = len(cfg.objects) == cfg.width * cfg.height
+        if full and cfg.exclude_agent_from_objects and cfg.agent_start is None:
+            with pytest.raises(InfeasibleConfigError):  # no free cell, as reset finds too
+                episode_starts(cfg, ObsIndex())(0)
+            return
+        index = ObsIndex()
+        starts = episode_starts(cfg, index)
+        seeds = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=5))
+        for seed in seeds:
+            state, ids, cell = starts(seed)
+            want = reset(cfg, seed)
+            assert state.placements == want.placements
+            assert divmod(cell, cfg.width) == want.agent
+            assert ids is index.cells(state)
+        if cfg.layout_mode == "fixed":
+            assert len({id(starts(seed)[1]) for seed in seeds}) == 1
+
+    def test_negative_config_seed_is_a_config_error(self):
+        with pytest.raises(GridConfigError, match="seed must be non-negative, not -5"):
+            GridConfig(seed=-5)
 
 
 class TestDatasetFile:

@@ -38,6 +38,7 @@ from rmgcr.geogrid import (
     cell_states,
     encode_obs,
     full_coverage_dataset,
+    reset,
     true_label,
 )
 from rmgcr.ground import NonConvergenceWarning, load_pvfs, save_pvfs, train_pvfs_fqi
@@ -297,6 +298,45 @@ def test_ground_outputs_match_recorded_digests(case, tmp_path):
     argv = ["ground", "--dataset", str(dataset), "--out", str(models)]
     assert main(argv + ["--label-backend", label_backend, "--method", method]) == 0
     assert _model_digests(models) == GROUND_GOLDEN[case]
+
+
+# `reset(cfg, seed)` over 200 seeds: small ones, ones below 2**63 as the walks
+# draw them, and ones of five or more 32-bit words; case -> digest of the
+# (agent, placements) per seed
+RESET_SEEDS = [
+    *range(100),
+    *(k * 0x9E3779B97F4A7C15 % 2**63 for k in range(1, 97)),
+    2**128,
+    2**128 + 1,
+    3**90,
+    2**200 + 5,
+]
+RESET_CONFIGS = {
+    "default": GridConfig(),
+    "exclude_agent_from_objects": GridConfig(exclude_agent_from_objects=True),
+    "agent_start": GridConfig(agent_start=(2, 3)),
+    "7x3 exclude_agent_from_objects": GridConfig(
+        width=7,
+        height=3,
+        objects=(ObjectSpec("red", "circle", (0, 0)), ObjectSpec("blue", "triangle", (2, 5))),
+        exclude_agent_from_objects=True,
+    ),
+    "randomized": GridConfig(layout_mode="randomized"),
+}
+RESET_GOLDEN = {
+    "7x3 exclude_agent_from_objects": "e2150158846b5274",
+    "agent_start": "7830d6d44b6b2c6d",
+    "default": "1e5478ae69ffcf20",
+    "exclude_agent_from_objects": "5e15218b2284ac3d",
+    "randomized": "78d3a5a3d0b985f9",
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESET_GOLDEN))
+def test_reset_matches_recorded_digest(case):
+    cfg = RESET_CONFIGS[case]
+    starts = [reset(cfg, seed) for seed in RESET_SEEDS]
+    assert _digest([[s.agent, s.placements] for s in starts]) == RESET_GOLDEN[case]
 
 
 # `rmgcr gen-dataset --n 50 --seed S [--layout randomized]`:
