@@ -16,7 +16,7 @@ import numpy as np
 
 from . import geogrid
 from .compose import ComposedValueFn, ConfigMismatchError, RmStateValues, check_shaping
-from .compose import composed_table, shaping_term
+from .compose import UnsatisfiableGuardError, composed_table, composed_value, shaping_term
 from .geogrid import GridConfig, ObsIndex, check_seed
 from .ground import LabelModel, check_count, check_open_unit, predict_labels
 from .rm import RewardMachine, StepTable, label_mask
@@ -164,14 +164,30 @@ class RandomPolicy:
         return int(rng.integers(N_ACTIONS))
 
 
-def potential_table(shaping: str, start: geogrid.GridState, rm: RewardMachine, cvf=None, rm_values=None):
-    """The shaping potential at each (RM state u, row-major cell) of start's layout, as rows [u][cell]:
-    one composed_table call, or rm_values[u]; terminal RM states are worth 0."""
-    cells = range(start.width * start.height)
-    if shaping == "composed":
-        observations = [geogrid.encode_obs(replace(start, agent=divmod(i, start.width))) for i in cells]
-        return composed_table(cvf, observations).tolist()
-    return [[0.0 if rm.is_terminal(u) else rm_values[u]] * len(cells) for u in range(rm.num_states)]
+class LazyPotentials(dict):
+    """One RM state's composed potentials by row-major cell, each valued by composed_value on first read."""
+
+    def __init__(self, cvf: ComposedValueFn, u: int, obs_at):
+        self.cvf, self.u, self.obs_at = cvf, u, obs_at
+
+    def __missing__(self, cell: int) -> float:
+        value = self[cell] = composed_value(self.cvf, self.obs_at(cell), self.u)
+        return value
+
+
+def potential_table(shaping: str, start: geogrid.GridState, rm: RewardMachine, cvf, rm_values, obs_at=None):
+    """Rows [u][cell] of the shaping potential on start's layout, 0 at terminal u: rm_values[u], one
+    composed_table, or, given obs_at(cell) -> observation or on a false guard, LazyPotentials."""
+    n = start.width * start.height
+    if shaping == "high-level":
+        return [[0.0 if rm.is_terminal(u) else rm_values[u]] * n for u in range(rm.num_states)]
+    if obs_at is None:
+        obs = [geogrid.encode_obs(replace(start, agent=divmod(i, start.width))) for i in range(n)]
+        try:
+            return composed_table(cvf, obs).tolist()
+        except UnsatisfiableGuardError:  # raise only if an episode enters the guard's RM state
+            obs_at = obs.__getitem__
+    return [[0.0] * n if rm.is_terminal(u) else LazyPotentials(cvf, u, obs_at) for u in range(rm.num_states)]
 
 
 def train(
@@ -186,9 +202,7 @@ def train(
 
     The perceived return per episode sums the agent's own RM rewards
     (shaping terms excluded); the actual return replays the same states
-    through the ground-truth labelling and true RM. Shaping reads the
-    potential_table of each layout an episode starts on, built once per run
-    on a fixed layout.
+    through the ground-truth labelling and true RM. Shaping reads a potential_table per layout.
     """
     if tuple(rm.vocab) != tuple(label_model.vocab):
         raise ConfigMismatchError("RM and label model vocabularies differ")
@@ -241,13 +255,15 @@ def train(
     shaped = agent_cfg.shaping != "none"
     starts = geogrid.episode_starts(cfg, index)
     layout = None  # the id list of the layout that pot values
+    lazy = cfg.layout_mode == "randomized"  # a new layout per episode, which reads few of its cells
 
     for episode in range(agent_cfg.episodes):
         frac = min(1.0, episode / decay_span)
         epsilon = EPSILON_START + frac * (EPSILON_END - EPSILON_START)
         start, ids, cell = starts(draws.integers63())
         if shaped and ids is not layout:  # a layout the last episode did not use
-            layout, pot = ids, potential_table(agent_cfg.shaping, start, rm, cvf, rm_values)
+            obs_at = (lambda cell, ids=ids: index.obs[ids[cell]]) if lazy else None  # read once visited
+            layout, pot = ids, potential_table(agent_cfg.shaping, start, rm, cvf, rm_values, obs_at)
         i = ids[cell]
         if i < 0:
             i = visit(start, cell)

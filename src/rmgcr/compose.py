@@ -14,8 +14,7 @@ normalizer produces.
 The brute-force checks (the exact product-MDP oracle and the composition
 bounds) read a fixed layout through a `geogrid.CellGraph`: its cells,
 their successors and their true labels, computed once and then only read.
-`composed_table` values a list of observations, such as every cell of a
-layout, at once.
+`composed_table` values many observations, such as a layout's, at once.
 """
 
 from __future__ import annotations

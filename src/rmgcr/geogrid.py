@@ -145,18 +145,15 @@ def _start_options(cfg: GridConfig, placements) -> tuple[int, ...]:
 # calls of SeedSequence.generate_state(4, uint64), whose constants never depend on the data
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_hash_const = 0x8B51F9DD
-_STATE_CONSTS = [(i % 4, _hash_const, (_hash_const := _hash_const * 0x58F38DED & _M32)) for i in range(8)]
+_STATE_CONSTS = [
+    (k % 4, 0x8B51F9DD * 0x58F38DED**k & _M32, 0x8B51F9DD * 0x58F38DED ** (k + 1) & _M32) for k in range(8)
+]
 
 
 def seeded_index(seed: int, n: int) -> int:
-    """int(np.random.default_rng(seed).integers(n)) for 1 <= n <= 2**32, by numpy's own rules.
-
-    SeedSequence(seed) mixes seed into its pool; the rest runs here, at about two thirds of
-    default_rng's cost: the pool's generate_state(4, uint64) seeds PCG64, and Lemire's method
-    draws on the 32-bit halves of its XSL-RR outputs, low half first, until one clears the
-    threshold. Raises OutOfRangeError on a negative seed.
-    """
+    """int(np.random.default_rng(seed).integers(n)) for 1 <= n <= 2**32 at two thirds of its cost: after
+    SeedSequence(seed), numpy's rules run here. generate_state(4, uint64) seeds PCG64, and Lemire's method
+    draws on the 32-bit halves of its XSL-RR outputs, low half first. Raises OutOfRangeError if seed < 0."""
     check_seed("seed", seed)
     pool = np.random.SeedSequence(seed).pool.tolist()
     w = [(h := (pool[src] ^ x) * m & _M32) ^ h >> 16 for src, x, m in _STATE_CONSTS]
@@ -176,10 +173,9 @@ def seeded_index(seed: int, n: int) -> int:
 
 
 def reset(cfg: GridConfig, seed: Optional[int] = None) -> GridState:
-    """Initial state; a deterministic function of (cfg, seed): seeded_index on a fixed layout."""
-    seed = cfg.seed if seed is None else seed
-    rng = None if cfg.layout_mode == "fixed" else np.random.default_rng(seed)
-    if rng is None:
+    """Initial state; a deterministic function of (cfg, seed)."""
+    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    if cfg.layout_mode == "fixed":
         placements = tuple((o.color, o.shape, o.cell) for o in cfg.objects)
     else:
         n_cells = cfg.width * cfg.height
@@ -201,7 +197,7 @@ def reset(cfg: GridConfig, seed: Optional[int] = None) -> GridState:
         options = _start_options(cfg, placements)
         if not options:
             raise InfeasibleConfigError("no free cell for the agent")
-        i = seeded_index(seed, len(options)) if rng is None else int(rng.integers(len(options)))
+        i = int(rng.integers(len(options)))
         agent = (options[i] // cfg.width, options[i] % cfg.width)
     return GridState(cfg.width, cfg.height, agent, placements)
 

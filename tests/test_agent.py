@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rmgcr import agent, compose, geogrid, rm as rm_module
+from rmgcr import agent, geogrid, rm as rm_module
 from rmgcr.agent import (
     AgentConfig,
     ConfigMismatchError,
@@ -19,10 +19,11 @@ from rmgcr.agent import (
     potential_table,
     train,
 )
-from rmgcr.compose import composed_value, make_composed_value_fn, rm_value_iteration
+from rmgcr.compose import UnsatisfiableGuardError, composed_value, make_composed_value_fn, rm_value_iteration
 from rmgcr.geogrid import VOCAB, GridConfig, cell_states, encode_obs, obs_key, step, reset, true_label
 from rmgcr.ground import LabelModel, LinearPvf, PvfSet, TabularPvf, observation_features, predict_labels
-from rmgcr.rm import MAX_EXHAUSTIVE_VOCAB, make_rm, run_rm
+from rmgcr.logic import FALSE
+from rmgcr.rm import MAX_EXHAUSTIVE_VOCAB, RmTransition, make_rm, run_rm
 
 from test_compose import small_machines
 from test_geogrid import grid_configs
@@ -180,17 +181,53 @@ class TestHotPath:
         assert counts.get("step", 0) <= n_cells * 4
         assert counts["rm_step"] <= logic_rm.num_states * 2 ** len(logic_rm.vocab)
 
-    @pytest.mark.parametrize("layout, tables", [("fixed", 1), ("randomized", 30)])
-    def test_composed_shaping_values_each_layout_in_one_table(
-        self, monkeypatch, layout, tables, logic_rm, desk_label_model, desk_pvfs
+    def test_composed_shaping_values_a_fixed_layout_in_one_table(
+        self, monkeypatch, logic_rm, desk_label_model, desk_pvfs
     ):
         counts: dict = {}
         self._counting(monkeypatch, agent, "composed_table", counts)
-        self._counting(monkeypatch, compose, "composed_value", counts)
+        self._counting(monkeypatch, agent, "composed_value", counts)
         cvf = make_composed_value_fn(logic_rm, desk_pvfs, GAMMA_RM)
         agent_cfg = AgentConfig(shaping="composed", episodes=30, seed=3)
-        train(GridConfig(layout_mode=layout), logic_rm, desk_label_model, agent_cfg, cvf=cvf)
-        assert counts == {"composed_table": tables}  # randomized: no two episodes share a layout
+        train(GridConfig(), logic_rm, desk_label_model, agent_cfg, cvf=cvf)
+        assert counts == {"composed_table": 1}
+
+    def test_composed_shaping_values_only_the_cells_a_randomized_layout_reads(
+        self, monkeypatch, logic_rm, desk_label_model, desk_pvfs
+    ):
+        counts: dict = {}
+        self._counting(monkeypatch, agent, "composed_table", counts)
+        valued = []  # the (observation, RM state) of each composed_value call
+        scalar = agent.composed_value
+
+        def recorded(cvf, obs, u):
+            valued.append((obs_key(obs), u))
+            return scalar(cvf, obs, u)
+
+        monkeypatch.setattr(agent, "composed_value", recorded)
+        cvf = make_composed_value_fn(logic_rm, desk_pvfs, GAMMA_RM)
+        agent_cfg = AgentConfig(shaping="composed", episodes=30, seed=3)
+        _, report = train(GridConfig(layout_mode="randomized"), logic_rm, desk_label_model, agent_cfg, cvf=cvf)
+        # no two episodes share a layout, and each reads one potential per step and one at its start
+        assert counts == {}
+        assert len(set(valued)) == len(valued) <= sum(e.steps + 1 for e in report.episodes)
+
+    @pytest.mark.parametrize("layout", ["fixed", "randomized"])
+    def test_a_false_guard_stops_training_only_where_an_episode_enters_its_state(
+        self, layout, sequence_rm, desk_label_model, desk_pvfs
+    ):
+        def with_false_edge(src):  # from src, a new RM state past sequence.rm's or its initial one
+            edges = sequence_rm.transitions + (RmTransition(src, 0, FALSE, 0.0),)
+            machine = make_rm(sequence_rm.vocab, max(src + 1, sequence_rm.num_states), edges)
+            return machine, make_composed_value_fn(machine, desk_pvfs, GAMMA_RM)
+
+        cfg, agent_cfg = GridConfig(layout_mode=layout), AgentConfig(shaping="composed", episodes=5, seed=0)
+        machine, cvf = with_false_edge(sequence_rm.num_states)  # unreachable
+        _, report = train(cfg, machine, desk_label_model, agent_cfg, cvf=cvf)
+        assert len(report.episodes) == 5
+        machine, cvf = with_false_edge(sequence_rm.initial)
+        with pytest.raises(UnsatisfiableGuardError):
+            train(cfg, machine, desk_label_model, agent_cfg, cvf=cvf)
 
     def test_machine_beyond_the_exhaustive_vocab_trains_and_evaluates(self, desk_cfg, sequence_rm):
         # sequence.rm plus atoms the grid never labels: the same episodes,
@@ -237,12 +274,13 @@ class TestPotentialTable:
                 for lit in LITERALS
             }
         cvf = make_composed_value_fn(machine, PvfSet(VOCAB, GAMMA, "fqi", estimators), GAMMA_RM)
-        table = potential_table("composed", start, machine, cvf)
+        table = potential_table("composed", start, machine, cvf, None)
+        lazy = potential_table("composed", start, machine, cvf, None, observations.__getitem__)
         for i, obs in enumerate(observations):
             for u in range(machine.num_states):
-                assert table[u][i].hex() == composed_value(cvf, obs, u).hex()
+                assert table[u][i].hex() == lazy[u][i].hex() == composed_value(cvf, obs, u).hex()
         rm_values = rm_value_iteration(machine, GAMMA_RM, GAMMA)
-        table = potential_table("high-level", start, machine, rm_values=rm_values)
+        table = potential_table("high-level", start, machine, None, rm_values)
         for u in range(machine.num_states):
             assert [x.hex() for x in table[u]] == [rm_values[u].hex()] * len(observations)
 

@@ -187,6 +187,22 @@ def test_benchmark_scale_run_matches_recorded_digests(case, request, desk_pvfs, 
     assert got == LONG_GOLDEN[case]
 
 
+# The randomized pin above reads tabular PVFs of the fixed layout, which hold
+# no entry for a randomized layout's observations, so its potentials do not
+# vary by cell. Linear PVFs value each observation apart, so this run's policy
+# depends on the potential of each (observation, RM state) that training on
+# randomized layouts reads.
+RANDOMIZED_LINEAR_GOLDEN = ("74e4ec6c08bb134b", "1c3982f0c3d2f96a", "6675aec36df6aca6")
+
+
+def test_randomized_run_under_linear_pvfs_matches_recorded_digests(request, desk_cfg, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonConvergenceWarning)
+        pvfs = train_pvfs_fqi(full_coverage_dataset(desk_cfg), GAMMA, iters=5, backend="linear")
+    case = ("randomized", "logic.rm", "composed", "undiscounted", "exact_label_model")
+    assert _run_digests(case, EPISODES, request, pvfs, tmp_path) == RANDOMIZED_LINEAR_GOLDEN
+
+
 # `rmgcr oracle` on every task file the grid can label and on two fixed
 # multi-clause guards, with no models and with tabular and linear PVFs:
 # (task, PVF backend) -> digests of (CSV bytes, stdout)
