@@ -9,7 +9,7 @@ used only for reporting and evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -182,7 +182,7 @@ def potential_table(shaping: str, start: geogrid.GridState, rm: RewardMachine, c
     if shaping == "high-level":
         return [[0.0 if rm.is_terminal(u) else rm_values[u]] * n for u in range(rm.num_states)]
     if obs_at is None:
-        obs = [geogrid.encode_obs(replace(start, agent=divmod(i, start.width))) for i in range(n)]
+        obs = geogrid.encode_layout(start)
         try:
             return composed_table(cvf, obs).tolist()
         except UnsatisfiableGuardError:  # raise only if an episode enters the guard's RM state

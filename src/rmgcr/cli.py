@@ -138,7 +138,7 @@ def cmd_oracle(args) -> int:
     if args.models:  # composed values need only the PVFs, not the label model
         pvfs = ground.load_pvfs(pathlib.Path(args.models) / "pvfs.json")
         cvf = compose.make_composed_value_fn(rm, pvfs, args.gamma_rm, gamma=args.gamma)
-        composed = compose.composed_table(cvf, [geogrid.encode_obs(s) for s in graph.states]).tolist()
+        composed = compose.composed_table(cvf, geogrid.encode_layout(graph.states[0])).tolist()
     # one CSV line per (cell, u), row-major; terminal RM states get no composed value
     compared = [composed is not None and not rm.is_terminal(u) for u in range(rm.num_states)]
     lines = ["row,col,rm_state,exact" + (",composed,abs_deviation" if composed is not None else "")]
@@ -160,7 +160,7 @@ def cmd_oracle(args) -> int:
     if composed is not None:
         print(f"max absolute deviation from the exact oracle: {max(devs, default=0.0):.6f}")
     guards = [t.guard for t in rm.transitions if t.src != t.dst]
-    checks = compose.composition_bounds(graph, rm.vocab, guards, args.gamma)
+    checks = compose.composition_bounds(graph, guards, args.gamma)
     for check in checks:
         print(f"{check.kind} {check.guard!r}: {'PASS' if check.ok else 'FAIL'}")
     ok = all(check.ok for check in checks)

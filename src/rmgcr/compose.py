@@ -28,9 +28,9 @@ import numpy as np
 from . import geogrid
 from .geogrid import CellGraph, GridConfig, StateSpaceTooLargeError
 from .ground import OutOfRangeError, PvfSet, check_open_unit
-from .logic import Clause, DnfFormula, FalseConst, TrueConst, dnf_to_formula, to_dnf
+from .logic import Clause, DnfFormula, FalseConst, TrueConst, to_dnf
 from .logic import assignment_columns, truth_bits
-from .rm import RewardMachine, RmTransition, make_rm
+from .rm import RewardMachine, RmTransition
 
 # exact oracle: sweeps stop at a residual of ORACLE_TOL, about 23 / (1 - gamma) sweeps on a rewarding
 # cycle; past min(product states, MAX_ORACLE_SWEEPS) sweeps, policy iteration values it exactly
@@ -314,8 +314,9 @@ def shaping_term(v: float, v2: float, lam: float, mode: str, gamma: float) -> fl
 # The transition arrays are gathered from the layout's CellGraph: the RM
 # step into a cell depends only on the RM state and that cell's label, so
 # each guard's truth is taken once on all distinct labels together, as the
-# bits of one logic.truth_bits int, and next_cell maps those steps onto
-# every (cell, action).
+# bits of one logic.truth_bits int, and solve_product maps those steps
+# through next_cell onto every (cell, action). The bound checks hand it
+# their label bits straight, with no reward machine.
 
 
 @dataclass
@@ -345,11 +346,6 @@ def exact_product_values(
     agent cell x RM state), given as a GridConfig or as its CellGraph; the
     table keeps the graph for later checks on the same layout. Terminal RM
     states step to themselves with reward 0, so they are worth +0.0.
-
-    Value iteration sweeps from 0 to a residual of ORACLE_TOL, within as many
-    sweeps as product states if no cycle is rewarded and rewards share a sign.
-    Past that many, or MAX_ORACLE_SWEEPS, evaluate_policy values each sweep's
-    greedy policy exactly: policy iteration, to the tolerance or a repeat.
     """
     check_open_unit("gamma", gamma)
     cfg = layout.cfg if isinstance(layout, CellGraph) else layout
@@ -357,28 +353,40 @@ def exact_product_values(
     if n > max_states:
         raise StateSpaceTooLargeError(f"{n} product states exceeds cap {max_states}")
     graph = _cell_graph(layout)
-    n_cells = len(graph.cells)
     n_labels = len(graph.distinct_labels)
     columns, full = assignment_columns(graph.distinct_labels), (1 << n_labels) - 1
-    arrive = np.arange(n_cells)
-
-    n_total = rm.num_states * n_cells  # flat index: u * n_cells + cell
-    # action-major, so the max over actions is a max of contiguous rows
-    nxt = np.zeros((len(geogrid.ACTIONS), n_total), dtype=np.int64)
-    rew = np.zeros((len(geogrid.ACTIONS), n_total))
-    moves = graph.next_cell.T  # [action, cell] -> cell
+    # the RM step on each distinct label: the first edge that fires, as in rm_step, else
+    # the implicit self-loop; a terminal state has no edges, so it stays with reward 0
+    dst, reward = np.indices((rm.num_states, n_labels))[0], np.zeros((rm.num_states, n_labels))
     for u in range(rm.num_states):
-        # the RM step on each distinct label: the first edge that fires, as in rm_step, else
-        # the implicit self-loop; a terminal state has no edges, so it stays with reward 0
-        u2, reward = np.full(n_labels, u), np.zeros(n_labels)
         for t in reversed(rm.outgoing(u)):
             bits = truth_bits(t.guard, columns, full)
             fires = [j for j in range(n_labels) if bits >> j & 1]
-            u2[fires], reward[fires] = t.dst, t.reward
-        block = slice(u * n_cells, (u + 1) * n_cells)
-        nxt[:, block] = (u2[graph.label_ids] * n_cells + arrive)[moves]
-        rew[:, block] = reward[graph.label_ids][moves]
+            dst[u, fires], reward[u, fires] = t.dst, t.reward
+    values, residual = solve_product(graph, dst, reward, gamma)
+    return ProductValueTable(values, graph, gamma, residual)
 
+
+def solve_product(graph: CellGraph, dst: np.ndarray, reward: np.ndarray, gamma: float) -> tuple:
+    """Exact optimal values [u, cell], and the final residual, of a product MDP on graph's layout.
+
+    Entering a cell of label graph.distinct_labels[j] from RM state u steps
+    the RM to dst[u, j] with reward reward[u, j]. Value iteration sweeps
+    from 0 to a residual of ORACLE_TOL, within as many sweeps as product
+    states if no cycle is rewarded and rewards share a sign. Past that many,
+    or MAX_ORACLE_SWEEPS, evaluate_policy values each sweep's greedy policy
+    exactly: policy iteration, to the tolerance or a repeat.
+    """
+    n_cells = len(graph.cells)
+    n_total = dst.shape[0] * n_cells  # flat index: u * n_cells + cell
+    moves = graph.next_cell.T  # [action, cell] -> cell
+
+    def action_major(per_cell):  # [u, cell entered] -> [action, flat product state]
+        return per_cell[:, moves].transpose(1, 0, 2).reshape(len(geogrid.ACTIONS), n_total)
+
+    # action-major, so the max over actions is a max of contiguous rows
+    nxt = action_major(dst[:, graph.label_ids] * n_cells + np.arange(n_cells))
+    rew = action_major(reward[:, graph.label_ids])
     v = np.zeros(n_total)
     policies = set()
     for sweep in itertools.count(1):
@@ -398,7 +406,7 @@ def exact_product_values(
                 range(n_total), succ, lambda w: gamma * (gain[w] + values[succ[w]]), values, set(), gamma
             )
             v = np.array(values)
-    return ProductValueTable(v.reshape(rm.num_states, n_cells), graph, gamma, residual)
+    return v.reshape(dst.shape[0], n_cells), residual
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +427,12 @@ class BoundCheck:
     ok: bool
 
 
-def _reachability_tables(graph: CellGraph, vocab: Sequence[str], clause_sets: list, gamma: float) -> list:
-    """Exact value of reaching each clause set, at every cell, in as few solves as fit MAX_PRODUCT_STATES.
+def _reachability_tables(graph: CellGraph, keys: list, gamma: float) -> list:
+    """Exact value of reaching each set of labels, at every cell, in as few solves as fit MAX_PRODUCT_STATES.
 
-    One machine values a batch: its state k + 1 moves to the terminal state
-    0 with reward 1 when clause set k holds, so its row k + 1 is row 1 of
+    keys[k] has bit j where a clause set holds on graph.distinct_labels[j] (see
+    label_bits). One solve values a batch: its state k + 1 steps to the terminal
+    state 0 with reward 1 on those labels, so its row k + 1 is row 1 of
     exact_product_values on reachability_rm of that set. The rows do not
     interact, and sweep s changes a row only at the cells s steps from where
     its set holds, each from 0 to the same gamma ** s. So each row alone
@@ -432,11 +441,13 @@ def _reachability_tables(graph: CellGraph, vocab: Sequence[str], clause_sets: li
     not change: the rows equal the separate solves bit for bit.
     """
     per_solve = max(1, MAX_PRODUCT_STATES // (graph.cfg.width * graph.cfg.height) - 1)
+    labels = range(len(graph.distinct_labels))
     tables = []
-    for start in range(0, len(clause_sets), per_solve):
-        batch = clause_sets[start : start + per_solve]
-        edges = [RmTransition(k + 1, 0, dnf_to_formula(DnfFormula(c)), 1.0) for k, c in enumerate(batch)]
-        tables.extend(exact_product_values(graph, make_rm(vocab, len(batch) + 1, edges), gamma).values[1:])
+    for start in range(0, len(keys), per_solve):
+        batch = [0, *keys[start : start + per_solve]]  # the terminal state 0 holds nowhere
+        holds = np.array([[key >> j & 1 for j in labels] for key in batch], dtype=bool)
+        dst = np.where(holds, 0, np.arange(len(batch))[:, None])
+        tables.extend(solve_product(graph, dst, holds.astype(float), gamma)[0][1:])
     return tables
 
 
@@ -450,9 +461,7 @@ def label_bits(labels: Sequence[frozenset]) -> Callable[[tuple], int]:
     return lambda clauses: truth_bits(DnfFormula(clauses), columns, full)
 
 
-def composition_bounds(
-    layout: GridConfig | CellGraph, vocab: Sequence[str], guards: Iterable, gamma: float
-) -> list[BoundCheck]:
+def composition_bounds(layout: GridConfig | CellGraph, guards: Iterable, gamma: float) -> list[BoundCheck]:
     """Check the composition bounds on each guard, in order, up to BOUND_TOL.
 
     A guard (Formula or DnfFormula) of two or more clauses gets a
@@ -464,27 +473,21 @@ def composition_bounds(
     """
     graph = _cell_graph(layout)
     bits = label_bits(graph.distinct_labels)
-    clause_sets: dict = {}  # label bits of a clause set -> the first clause set seen with them
-
-    def key(clauses: tuple) -> int:
-        holds = bits(clauses)
-        clause_sets.setdefault(holds, clauses)
-        return holds
-
-    planned = []  # (kind, guard, key of the clause set checked, keys of those it is bounded by)
+    planned = []  # (kind, guard, label bits of the clause set checked, those of the sets bounding it)
     for guard in guards:
         dnf = guard if isinstance(guard, DnfFormula) else to_dnf(guard)
         if isinstance(dnf, (TrueConst, FalseConst)):
             continue
         if len(dnf.clauses) >= 2:
-            parts = [key((c,)) for c in dnf.clauses]
-            planned.append(("disjunction underestimation", dnf, key(dnf.clauses), parts))
+            parts = [bits((c,)) for c in dnf.clauses]
+            planned.append(("disjunction underestimation", dnf, bits(dnf.clauses), parts))
         for clause in dnf.clauses:
             if len(clause) >= 2:
-                parts = [key(((lit,),)) for lit in clause]
-                planned.append(("conjunction overestimation", DnfFormula((clause,)), key((clause,)), parts))
+                parts = [bits(((lit,),)) for lit in clause]
+                planned.append(("conjunction overestimation", DnfFormula((clause,)), bits((clause,)), parts))
 
-    exact = dict(zip(clause_sets, _reachability_tables(graph, vocab, list(clause_sets.values()), gamma)))
+    keys = list(dict.fromkeys(k for *_, whole, parts in planned for k in (*parts, whole)))
+    exact = dict(zip(keys, _reachability_tables(graph, keys, gamma)))
     checks = []
     for kind, dnf, whole, parts in planned:
         if kind == "disjunction underestimation":

@@ -8,6 +8,7 @@ generator produces labelled trajectories for offline grounding.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -135,10 +136,13 @@ class GridState:
 
 
 def _start_options(cfg: GridConfig, placements) -> tuple[int, ...]:
-    """The row-major cells a random agent start may take among these placements."""
+    """The row-major cells a random agent start may take among these placements, or InfeasibleConfigError."""
     occupied = {cell for _, _, cell in placements} if cfg.exclude_agent_from_objects else set()
     n_cells = cfg.width * cfg.height
-    return tuple(i for i in range(n_cells) if (i // cfg.width, i % cfg.width) not in occupied)
+    options = tuple(i for i in range(n_cells) if (i // cfg.width, i % cfg.width) not in occupied)
+    if not options:
+        raise InfeasibleConfigError("no free cell for the agent")
+    return options
 
 
 # for seeded_index: PCG64's multiplier, and the (pool word, xor, multiplier) of the eight hashmix
@@ -195,10 +199,7 @@ def reset(cfg: GridConfig, seed: Optional[int] = None) -> GridState:
         agent = cfg.agent_start
     else:
         options = _start_options(cfg, placements)
-        if not options:
-            raise InfeasibleConfigError("no free cell for the agent")
-        i = int(rng.integers(len(options)))
-        agent = (options[i] // cfg.width, options[i] % cfg.width)
+        agent = divmod(options[int(rng.integers(len(options)))], cfg.width)
     return GridState(cfg.width, cfg.height, agent, placements)
 
 
@@ -252,25 +253,39 @@ def encode_obs(s: GridState) -> np.ndarray:
     return obs
 
 
+def encode_layout(state: GridState) -> np.ndarray:
+    """encode_obs of state's layout with the agent on each row-major cell in turn, as one uint8 array."""
+    n = state.height * state.width
+    obs = np.zeros((n, state.height, state.width, len(CHANNELS)), dtype=np.uint8)
+    for color, shape, (r, c) in state.placements:
+        obs[:, r, c, [CHANNELS.index(color), CHANNELS.index(shape)]] = 1
+    obs.reshape(n, n, -1)[np.arange(n), np.arange(n), CHANNELS.index("agent")] = 1
+    return obs
+
+
 def cell_states(cfg: GridConfig) -> dict[Cell, GridState]:
     """reset(cfg) with the agent moved to each cell in turn, keyed by cell in row-major order.
 
-    On a fixed layout these are all the states the grid can be in;
-    encode_obs of each is the observation with the agent there.
+    On a fixed layout these are all the states the grid can be in, placed
+    from cfg with no start draw; encode_layout of one is their observations.
     """
-    base = reset(cfg)
+    fixed = cfg.layout_mode == "fixed"
+    placements = tuple((o.color, o.shape, o.cell) for o in cfg.objects) if fixed else reset(cfg).placements
+    if fixed and cfg.agent_start is None:
+        _start_options(cfg, placements)  # raises where reset would: no cell to start on
     return {
-        (r, c): GridState(base.width, base.height, (r, c), base.placements)
+        (r, c): GridState(cfg.width, cfg.height, (r, c), placements)
         for r in range(cfg.height)
         for c in range(cfg.width)
     }
 
 
+@functools.lru_cache(maxsize=None)
 def move_table(height: int, width: int) -> np.ndarray:
     """Read-only [cell, action] -> next cell over the row-major cells of a height x width grid.
 
-    Placements do not affect a move, so one table serves every layout of
-    the grid.
+    Placements do not affect a move, so one table, built once per grid
+    size and shared, serves every layout of the grid.
     """
     n_actions = len(ACTIONS)
     table = np.array(
@@ -289,7 +304,7 @@ class CellGraph:
     the agent there, and next_cell[i, a] is the cell that action a leads to.
     The few distinct labels are distinct_labels, and labels[i] is
     distinct_labels[label_ids[i]]. Observations are left to
-    encode_obs(states[i]): together they would take cells^2 * 6 bytes.
+    encode_layout(states[0]), whose one array takes cells^2 * 6 bytes.
     Built once per layout and then only read.
     """
 

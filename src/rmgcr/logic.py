@@ -292,8 +292,10 @@ def truth_bits(f, columns: dict[str, int], full: int) -> int:
     if isinstance(f, (And, Or)):
         bits = (truth_bits(c, columns, full) for c in f.children)
         return reduce(operator.and_ if isinstance(f, And) else operator.or_, bits)
-    if isinstance(f, DnfFormula):
-        return truth_bits(dnf_to_formula(f), columns, full)
+    if isinstance(f, DnfFormula):  # an OR of ANDs of literal columns, a negative literal's ^ full
+        flip = {True: 0, False: full}
+        ands = (reduce(operator.and_, (columns.get(a, 0) ^ flip[p] for a, p in c)) for c in f.clauses)
+        return reduce(operator.or_, ands)
     raise TypeError(f"not a formula: {f!r}")
 
 

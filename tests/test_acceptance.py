@@ -117,7 +117,7 @@ def test_criterion_05_composition_bounds_exhaustive(desk_cfg):
 
     guards = [DnfFormula((c,)) for c in clauses]
     guards += [DnfFormula(pair) for pair in itertools.combinations(clauses, 2)]
-    checks = composition_bounds(desk_cfg, GEO, guards, GAMMA)
+    checks = composition_bounds(desk_cfg, guards, GAMMA)
     conjunctions = {c.guard for c in checks if c.kind == "conjunction overestimation"}
     disjunctions = [c.guard for c in checks if c.kind == "disjunction underestimation"]
     assert conjunctions == {DnfFormula((c,)) for c in clauses if len(c) >= 2}

@@ -84,7 +84,7 @@ def test_exact_product_values_and_its_gamma_check():
 def test_composition_bounds_fields():
     graph = CellGraph(GridConfig())
     guards = [logic.Or((Var("red"), Not(Var("blue")))), DnfFormula(((("blue", True), ("circle", True)),))]
-    checks = compose.composition_bounds(graph, VOCAB, guards, GAMMA)
+    checks = compose.composition_bounds(graph, guards, GAMMA)
     assert [c.kind for c in checks] == ["disjunction underestimation", "conjunction overestimation"]
     assert all(isinstance(c.guard, DnfFormula) and c.ok for c in checks)
 

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from rmgcr.cli import build_parser, main
-from rmgcr.geogrid import GridConfig, ObsIndex, config_to_dict
+from rmgcr.geogrid import DEFAULT_FIXED_CELLS, GridConfig, ObsIndex, config_to_dict
 
 from test_ground import format_1_pvfs
 
@@ -234,6 +234,16 @@ class TestOracle:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"layout_mode": "randomized", "objects": []}))
         assert main(["oracle", "--rm", SEQUENCE, "--env", str(cfg)]) == 3
+
+    def test_fixed_layout_with_no_free_cell_for_the_agent_is_validation_error(self, tmp_path, capsys):
+        # six objects fill a 2 x 3 grid, and the agent may start on none of them
+        objects = [[c, s, [i // 3, i % 3]] for i, (c, s) in enumerate(DEFAULT_FIXED_CELLS)]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"width": 3, "height": 2, "objects": objects, "exclude_agent_from_objects": True})
+        )
+        assert main(["oracle", "--rm", SEQUENCE, "--env", str(cfg)]) == 3
+        assert "no free cell for the agent" in capsys.readouterr().err
 
     def test_gamma_one_fails_fast(self):
         # before gamma was checked, value iteration at gamma = 1 never ended

@@ -617,7 +617,7 @@ class TestCellGraphPaths:
     @settings(max_examples=40, deadline=None)
     @given(dnf_guards())
     def test_composition_bounds_hold_on_random_guards(self, desk_cfg, guard):
-        checks = composition_bounds(desk_cfg, VOCAB, [guard], GAMMA)
+        checks = composition_bounds(desk_cfg, [guard], GAMMA)
         assert all(check.ok for check in checks), checks
 
 
@@ -652,16 +652,16 @@ def needed_clause_sets(guards):
 
 
 def capture_solves(monkeypatch):
-    """Record (rm, table) for every exact_product_values call made through the module."""
+    """Record (dst, reward, values) for every solve_product call made through the module."""
     solves = []
-    real = compose.exact_product_values
+    real = compose.solve_product
 
-    def wrapped(*args, **kwargs):
-        table = real(*args, **kwargs)
-        solves.append((args[1], table))
-        return table
+    def wrapped(graph, dst, reward, gamma):
+        values, residual = real(graph, dst, reward, gamma)
+        solves.append((dst, reward, values))
+        return values, residual
 
-    monkeypatch.setattr(compose, "exact_product_values", wrapped)
+    monkeypatch.setattr(compose, "solve_product", wrapped)
     return solves
 
 
@@ -677,42 +677,46 @@ class TestBoundSolves:
         needed = needed_clause_sets(guards)
         with pytest.MonkeyPatch.context() as mp:
             solves = capture_solves(mp)
-            composition_bounds(graph, VOCAB, guards, gamma)
+            composition_bounds(graph, guards, gamma)
         assert len(solves) == (1 if needed else 0)
 
         def holds(clauses):
             return tuple(clauses_hold(clauses, label) for label in graph.distinct_labels)
 
-        formulas = {dnf_to_formula(DnfFormula(c)): c for c in needed}
-        for rm, table in solves:
+        by_holds = {holds(c): c for c in needed}
+        for dst, reward, values in solves:
+            # state 0 is terminal; state k moves to it with reward 1 where its set holds, else stays
+            assert not dst[0].any() and not reward[0].any()
             row_sets = []
-            for k, edge in enumerate(rm.transitions, start=1):
-                assert (edge.src, edge.dst, edge.reward) == (k, 0, 1.0)
-                clauses = formulas[edge.guard]
+            for k in range(1, len(dst)):
+                row = tuple(bool(x) for x in dst[k] == 0)
+                assert np.array_equal(dst[k], np.where(row, 0, k))
+                assert np.array_equal(reward[k], np.array(row, dtype=float))
+                clauses = by_holds[row]
                 want = exact_product_values(
                     graph, reachability_rm(VOCAB, dnf_to_formula(DnfFormula(clauses))), gamma
                 ).values[1]
-                assert table.values[k].tobytes() == want.tobytes()
-                row_sets.append(holds(clauses))
+                assert values[k].tobytes() == want.tobytes()
+                row_sets.append(row)
             # one row per distinct set of labels a needed clause set holds on
-            assert sorted(row_sets) == sorted({holds(c) for c in needed})
+            assert sorted(row_sets) == sorted(by_holds)
 
     def test_sets_split_into_as_few_solves_as_fit_the_cap(self, desk_cfg, monkeypatch):
         # 6 x 6 cells and a cap of 4 RM states: 3 clause sets a solve
         guards = [DnfFormula(((("red", True),), (("blue", True),), (("green", True),)))]
-        want = composition_bounds(desk_cfg, VOCAB, guards, GAMMA)
+        want = composition_bounds(desk_cfg, guards, GAMMA)
         monkeypatch.setattr(compose, "MAX_PRODUCT_STATES", 36 * 4)
         solves = capture_solves(monkeypatch)
-        assert composition_bounds(desk_cfg, VOCAB, guards, GAMMA) == want
-        assert [rm.num_states for rm, _ in solves] == [4, 2]
+        assert composition_bounds(desk_cfg, guards, GAMMA) == want
+        assert [len(dst) for dst, _, _ in solves] == [4, 2]
 
     def test_a_cap_that_fits_one_set_solves_each_alone(self, desk_cfg, monkeypatch):
         # the per-table solves each needed 2 x 36 product states
         guards = [DnfFormula(((("red", True), ("circle", True)),))]
         monkeypatch.setattr(compose, "MAX_PRODUCT_STATES", 36 * 2)
         solves = capture_solves(monkeypatch)
-        assert all(check.ok for check in composition_bounds(desk_cfg, VOCAB, guards, GAMMA))
-        assert [rm.num_states for rm, _ in solves] == [2, 2, 2]
+        assert all(check.ok for check in composition_bounds(desk_cfg, guards, GAMMA))
+        assert [len(dst) for dst, _, _ in solves] == [2, 2, 2]
 
     def test_oracle_on_logic_rm_solves_twice(self, monkeypatch, capsys):
         # the task RM once, then every bound table of its guards in one solve

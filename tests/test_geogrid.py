@@ -32,6 +32,7 @@ from rmgcr.geogrid import (
     StateSpaceTooLargeError,
     Trajectory,
     cell_states,
+    encode_layout,
     encode_obs,
     episode_starts,
     full_coverage_dataset,
@@ -683,3 +684,23 @@ class TestGenerateOncePerState:
         assert counts == {"encode_obs": len(distinct), "true_label": len(distinct)}
         assert len({id(o) for o in steps}) == len(distinct)
         assert not any(o.flags.writeable for o in steps)
+
+
+class TestLayoutEncoding:
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=grid_configs(), seed=st.integers(0, 99))
+    def test_one_array_equals_encode_obs_on_every_cell(self, cfg, seed):
+        start = reset(cfg, seed=seed)
+        want = [encode_obs(replace(start, agent=divmod(i, cfg.width))) for i in range(cfg.width * cfg.height)]
+        got = encode_layout(start)
+        assert got.dtype == want[0].dtype and got.shape == (len(want), *want[0].shape)
+        assert [o.tobytes() for o in got] == [o.tobytes() for o in want]
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_configs())
+    def test_cell_states_are_reset_with_the_agent_moved(self, cfg):
+        # a fixed layout's are placed from the config, with no start draw
+        base = reset(cfg)
+        assert cell_states(cfg) == {
+            (r, c): replace(base, agent=(r, c)) for r in range(cfg.height) for c in range(cfg.width)
+        }

@@ -20,11 +20,14 @@ from rmgcr.logic import (
     evaluate,
     parse_formula,
     to_dnf,
+    truth_bits,
     truth_table,
 )
+from rmgcr.logic import assignment_columns, clauses_hold
 from rmgcr.rm import label_mask
 
 from conftest import all_assignments
+from test_compose import dnf_guards
 
 GEO = ("red", "green", "blue", "triangle", "circle")
 
@@ -246,3 +249,22 @@ class TestTruthTable:
         assert truth_table(Not(Var("b")), vocab) == 0b00110011
         assert truth_table(TRUE, vocab) == 0xFF
         assert truth_table(FALSE, vocab) == 0
+
+
+class TestTruthBits:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        guard=st.one_of(dnf_guards(), st.just(TRUE), st.just(FALSE)),
+        labels=st.lists(st.frozensets(st.sampled_from(GEO), max_size=2), max_size=6),
+    )
+    def test_dnf_equals_its_formula_tree(self, guard, labels):
+        # a few short labels leave most atoms without a column
+        columns, full = assignment_columns(labels), (1 << len(labels)) - 1
+        bits = truth_bits(guard, columns, full)
+        assert bits == truth_bits(dnf_to_formula(guard), columns, full)
+        if isinstance(guard, DnfFormula):
+            assert [bool(bits >> j & 1) for j in range(len(labels))] == [
+                clauses_hold(guard.clauses, label) for label in labels
+            ]
+        else:
+            assert bits == (full if guard == TRUE else 0)
