@@ -17,8 +17,9 @@ import numpy as np
 from . import geogrid
 from .compose import ComposedValueFn, ConfigMismatchError, RmStateValues, check_shaping
 from .compose import UnsatisfiableGuardError, composed_table, composed_value, shaping_term
-from .geogrid import GridConfig, ObsIndex, check_seed
-from .ground import LabelModel, check_count, check_open_unit, predict_labels
+from .errors import InputError, check_count, check_open_unit, check_seed
+from .geogrid import GridConfig, ObsIndex
+from .ground import LabelModel, predict_labels
 from .rm import RewardMachine, StepTable, label_mask
 
 N_ACTIONS = len(geogrid.ACTIONS)
@@ -47,7 +48,7 @@ class AgentConfig:
 
     def __post_init__(self):
         if self.shaping not in SHAPING_MODES:
-            raise ValueError(f"unknown shaping {self.shaping!r}")
+            raise InputError(f"unknown shaping {self.shaping!r}")
         check_open_unit("gamma", self.gamma)
         check_shaping(self.lam, self.shaping_mode)
         check_count("episodes", self.episodes)

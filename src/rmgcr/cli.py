@@ -1,9 +1,10 @@
 """Command-line front end for the grounding/composition/training pipeline.
 
 Subcommands: gen-dataset, ground, train, eval, oracle.
-Exit codes: 0 success, 2 usage, 3 validation (bad task files or datasets,
-mismatched models, out-of-range settings), 4 runtime failures. The
-RMGCR_OUT_DIR environment variable overrides directory-valued --out arguments.
+Exit codes: 0 success, 2 usage, 3 validation (any rmgcr.errors.InputError:
+bad task files, datasets, model files or policies, mismatched models,
+out-of-range settings), 4 runtime failures. The RMGCR_OUT_DIR
+environment variable overrides directory-valued --out arguments.
 """
 
 from __future__ import annotations
@@ -19,40 +20,13 @@ import sys
 import numpy as np
 
 from . import agent, compose, geogrid, ground
+from .errors import InputError, check_open_unit, check_seed
 from .geogrid import GridConfig
-from .logic import ClauseLimitExceeded, FormulaSyntaxError, UnknownAtomError
-from .rm import (
-    DanglingStateError,
-    NondeterministicGuardError,
-    RmSyntaxError,
-    TransitionFromTerminalError,
-    load_rm,
-)
+from .rm import load_rm
 
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_RUNTIME = 4
-
-VALIDATION_ERRORS = (
-    RmSyntaxError,
-    NondeterministicGuardError,
-    DanglingStateError,
-    TransitionFromTerminalError,
-    FormulaSyntaxError,
-    UnknownAtomError,
-    ClauseLimitExceeded,
-    geogrid.InfeasibleConfigError,
-    geogrid.GridConfigError,
-    geogrid.InconsistentLabelError,
-    geogrid.DatasetFormatError,
-    ground.DegenerateAtomError,
-    ground.ModelFormatError,
-    ground.OutOfRangeError,
-    compose.ConfigMismatchError,
-    compose.NoOutgoingEdgeError,
-    compose.UnsatisfiableGuardError,
-    compose.StateSpaceTooLargeError,
-)
 
 
 def out_dir(flag_value) -> pathlib.Path:
@@ -128,7 +102,7 @@ def cmd_ground(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    ground.check_open_unit("gamma_rm", args.gamma_rm)
+    check_open_unit("gamma_rm", args.gamma_rm)
     rm = load_rm(args.rm)
     cfg = load_grid_config(args.env, {})
     oracle = compose.exact_product_values(cfg, rm, args.gamma, max_states=args.max_states)
@@ -169,8 +143,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_train(args) -> int:
-    ground.check_open_unit("gamma_rm", args.gamma_rm)
-    geogrid.check_seed("eval_seed", args.eval_seed)
+    check_open_unit("gamma_rm", args.gamma_rm)
+    check_seed("eval_seed", args.eval_seed)
     rm = load_rm(args.rm)
     models = pathlib.Path(args.models)
     label_model = ground.load_label_model(models / "label_model.json")
@@ -263,12 +237,17 @@ def save_policy(policy: agent.GreedyPolicy, path) -> None:
 
 
 def load_policy(path) -> agent.GreedyPolicy:
+    """A policy save_policy wrote; ModelFormatError if it is no JSON object or a key is no <hex>/<int>."""
     with open(path) as fh:
-        data = json.load(fh)
+        data = geogrid.json_object(fh.read(), str(path), ground.ModelFormatError)
     q = {}
     for key, values in data.items():
-        obs_hex, _, u = key.rpartition("/")
-        q[(bytes.fromhex(obs_hex), int(u))] = np.asarray(values)
+        try:
+            obs_hex, u = key.split("/")
+            state = (bytes.fromhex(obs_hex), int(u))
+        except ValueError:
+            raise ground.ModelFormatError(f"{path}: policy key {key!r} is not <hex>/<int>") from None
+        q[state] = np.asarray(values)
     return agent.GreedyPolicy(q)
 
 
@@ -376,7 +355,7 @@ def main(argv=None) -> int:
         parser.error("--n must be at least 1")
     try:
         return args.func(args)
-    except VALIDATION_ERRORS as e:
+    except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as e:

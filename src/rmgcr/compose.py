@@ -27,7 +27,8 @@ import numpy as np
 
 from . import geogrid
 from .geogrid import CellGraph, GridConfig, StateSpaceTooLargeError
-from .ground import OutOfRangeError, PvfSet, check_open_unit
+from .errors import InputError, OutOfRangeError, check_open_unit
+from .ground import PvfSet
 from .logic import Clause, DnfFormula, FalseConst, TrueConst, to_dnf
 from .logic import assignment_columns, truth_bits
 from .rm import RewardMachine, RmTransition
@@ -42,17 +43,17 @@ MAX_PRODUCT_STATES = 2_000_000
 BOUND_TOL = 1e-9
 
 
-class NoOutgoingEdgeError(ValueError):
+class NoOutgoingEdgeError(InputError):
     def __init__(self, state: int):
         super().__init__(f"non-terminal RM state {state} has no outgoing transitions")
         self.state = state
 
 
-class UnsatisfiableGuardError(ValueError):
+class UnsatisfiableGuardError(InputError):
     pass
 
 
-class ConfigMismatchError(ValueError):
+class ConfigMismatchError(InputError):
     """Models, a task and settings that do not fit together, such as two vocabularies."""
 
 
@@ -294,7 +295,7 @@ def check_shaping(lam: float, mode: str) -> None:
     if not lam >= 0:
         raise OutOfRangeError(f"lam must be non-negative, not {lam!r}")
     if mode not in ("discounted", "undiscounted"):
-        raise ValueError(f"unknown shaping mode {mode!r}")
+        raise InputError(f"unknown shaping mode {mode!r}")
 
 
 def shaping_term(v: float, v2: float, lam: float, mode: str, gamma: float) -> float:

@@ -16,6 +16,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .errors import InputError, check_count, check_seed
+
 COLORS = ("red", "green", "blue")
 SHAPES = ("triangle", "circle")
 VOCAB = COLORS + SHAPES
@@ -29,34 +31,24 @@ DATASET_FORMAT_VERSION = 2
 Cell = tuple[int, int]
 
 
-class InfeasibleConfigError(ValueError):
+class InfeasibleConfigError(InputError):
     pass
 
 
-class GridConfigError(ValueError):
+class GridConfigError(InputError):
     """A grid config has an unknown field, or a field of the wrong type or value."""
 
 
-class InconsistentLabelError(ValueError):
+class InconsistentLabelError(InputError):
     """A dataset gives one observation two different labels."""
 
 
-class DatasetFormatError(ValueError):
+class DatasetFormatError(InputError):
     """A dataset file is of another format version, or its records do not fit together."""
 
 
-class StateSpaceTooLargeError(ValueError):
+class StateSpaceTooLargeError(InputError):
     """The states of a layout cannot be enumerated: it is randomized, or over a size cap."""
-
-
-class OutOfRangeError(ValueError):
-    """A numeric setting outside its range: a seed, a discount, a threshold, a fraction or a weight."""
-
-
-def check_seed(name: str, value: int) -> None:
-    """Raise OutOfRangeError if value is negative, which numpy's seeding refuses."""
-    if value < 0:
-        raise OutOfRangeError(f"{name} must be non-negative, not {value!r}")
 
 
 # one of each colour x shape, laid out so the subgoal cycle is walkable
@@ -434,8 +426,7 @@ def generate_dataset(
     state is encoded and labelled on its first visit; the dataset keeps
     that index, and each trajectory the ids of its steps.
     """
-    if n_trajectories < 1:
-        raise ValueError("need at least one trajectory")
+    check_count("n_trajectories", n_trajectories)
     root = cfg.seed if seed is None else seed
     check_seed("seed", root)
     moves = move_table(cfg.height, cfg.width).tolist()
@@ -585,7 +576,7 @@ def load_dataset(path) -> GroundingDataset:
         first = fh.readline()
         if not first:
             raise DatasetFormatError(f"{path} is empty")
-        header = _json_object(first, "the header")
+        header = json_object(first, "the header")
         version = header.get("format_version")
         if version == 1:
             n = sum(1 for _ in fh)
@@ -619,7 +610,7 @@ def load_dataset(path) -> GroundingDataset:
         number = [-1] * len(table)  # file id -> index id, numbered on first use
         trajectories = []
         for t, line in enumerate(fh):
-            record = _json_object(line, f"trajectory {t}")
+            record = json_object(line, f"trajectory {t}")
             _require(record, ("ids", "actions"), f"trajectory {t}")
             ids, actions = record["ids"], record["actions"]
             if len(ids) != len(actions) + 1:
@@ -645,14 +636,14 @@ def load_dataset(path) -> GroundingDataset:
     return GroundingDataset(vocab, index, trajectories, header.get("meta", {}))
 
 
-def _json_object(line: str, what: str) -> dict:
-    """One line of a dataset file parsed as a JSON object; what names the line in errors."""
+def json_object(text: str, what: str, error: type[InputError] = DatasetFormatError) -> dict:
+    """text parsed as a JSON object; raises error, naming what, if it is not JSON or no object."""
     try:
-        record = json.loads(line)
+        record = json.loads(text)
     except json.JSONDecodeError as e:
-        raise DatasetFormatError(f"{what} is not JSON: {e}") from None
+        raise error(f"{what} is not JSON: {e}") from None
     if not isinstance(record, dict):
-        raise DatasetFormatError(f"{what} is not a JSON object")
+        raise error(f"{what} is not a JSON object")
     return record
 
 
@@ -667,7 +658,7 @@ def encode_entry(shape: Sequence[int], raw: bytes) -> list:
     return [list(shape), raw.hex()]
 
 
-def decode_entry(k: int, entry, error: type[ValueError] = DatasetFormatError) -> tuple:
+def decode_entry(k: int, entry, error: type[InputError] = DatasetFormatError) -> tuple:
     """Observation table entry k, as encode_entry writes it, back as (shape, bytes).
 
     Raises error if the entry is no [shape, hex] pair, or its hex is not

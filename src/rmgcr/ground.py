@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .geogrid import GroundingDataset, OutOfRangeError, check_seed, decode_entry, encode_entry, obs_key
+from .errors import InputError, OutOfRangeError, check_count, check_open_unit, check_seed
+from .geogrid import GroundingDataset, decode_entry, encode_entry, json_object, obs_key
 from .logic import Literal
 
 N_ACTIONS = 4
@@ -34,7 +35,7 @@ LABEL_EPOCHS = 300
 FQI_TOL = 1e-9
 
 
-class DegenerateAtomError(ValueError):
+class DegenerateAtomError(InputError):
     def __init__(self, name: str):
         super().__init__(f"atom {name!r} is constant across the dataset")
         self.name = name
@@ -44,20 +45,8 @@ class NonConvergenceWarning(UserWarning):
     pass
 
 
-class ModelFormatError(ValueError):
-    """A saved model file this version cannot read: unknown estimator kind or feature map."""
-
-
-def check_open_unit(name: str, value: float) -> None:
-    """Raise OutOfRangeError unless 0 < value < 1, which NaN fails too."""
-    if not (0.0 < value < 1.0):
-        raise OutOfRangeError(f"{name} must lie in (0, 1), not {value!r}")
-
-
-def check_count(name: str, value: int) -> None:
-    """Raise OutOfRangeError unless value is at least 1."""
-    if not value >= 1:
-        raise OutOfRangeError(f"{name} must be at least 1, not {value!r}")
+class ModelFormatError(InputError):
+    """A model or policy file this version cannot read: no JSON object, or an unknown kind or feature map."""
 
 
 def observation_features(obs: np.ndarray) -> np.ndarray:
@@ -177,7 +166,7 @@ def train_label_model(
             b -= LABEL_LR * grad.sum(axis=0)
         model = LabelModel(ds.vocab, "linear", threshold=threshold, weights=w, bias=b)
     else:
-        raise ValueError(f"unknown backend {backend!r}")
+        raise InputError(f"unknown backend {backend!r}")
 
     correct = {a: 0 for a in ds.vocab}
     for i, count in Counter(eval_ids).items():
@@ -309,7 +298,7 @@ def train_pvfs_fqi(
     elif backend == "linear":
         feats = np.array([observation_features(obs) for obs in index.obs])
     else:
-        raise ValueError(f"unknown backend {backend!r}")
+        raise InputError(f"unknown backend {backend!r}")
 
     estimators = {}
     for atom in ds.vocab:
@@ -357,13 +346,12 @@ def train_pvfs_fqi(
     return PvfSet(ds.vocab, gamma, "fqi", estimators, obs_shape)
 
 
-def mc_targets(labels: list, lit: Literal, gamma: float) -> list[float]:
-    """Per-step Monte-Carlo targets: gamma^(k-t) for the first k > t satisfying lit."""
-    n = len(labels)
-    targets = [0.0] * n
+def mc_targets(ids: list[int], sat: list[bool], gamma: float) -> list[float]:
+    """Per-step Monte-Carlo targets of a walk by ids: gamma^(k-t) for the first k > t with sat[ids[k]]."""
+    targets = [0.0] * len(ids)
     nxt = 0.0
-    for t in range(n - 2, -1, -1):
-        nxt = gamma if literal_satisfied(lit, labels[t + 1]) else gamma * nxt
+    for t in range(len(ids) - 2, -1, -1):
+        nxt = gamma if sat[ids[t + 1]] else gamma * nxt
         targets[t] = nxt
     return targets
 
@@ -378,7 +366,8 @@ def train_pvfs_mc(ds: GroundingDataset, gamma: float) -> PvfSet:
     for atom in ds.vocab:
         for positive in (True, False):
             lit = (atom, positive)
-            targets = [g for tr in trajectories for g in mc_targets(tr.labels, lit, gamma)[:-1]]
+            sat = [literal_satisfied(lit, label) for label in ds.index.labels]
+            targets = [g for tr in trajectories for g in mc_targets(tr.ids, sat, gamma)[:-1]]
             # bincount adds each id's targets in dataset order, as a running sum would
             sums = np.bincount(src, weights=targets, minlength=len(keys)).tolist()
             v = {keys[i]: sums[i] / int(counts[i]) for i in dict.fromkeys(src)}
@@ -418,7 +407,7 @@ def _check_feature_version(data: dict, path) -> None:
 
 def load_label_model(path) -> LabelModel:
     with open(path) as fh:
-        data = json.load(fh)
+        data = json_object(fh.read(), str(path), ModelFormatError)
     _check_feature_version(data, path)
     model = LabelModel(tuple(data["vocab"]), data["backend"], threshold=data["threshold"])
     if model.backend == "linear":
@@ -481,13 +470,13 @@ def load_pvfs(path) -> PvfSet:
     """Read a format-2 PVF file; see save_pvfs.
 
     Each table entry is decoded once, and every tabular literal's dict
-    shares those keys. Raises ModelFormatError for a file of another
-    format or feature map, a table entry whose hex does not fit its shape
+    shares those keys. Raises ModelFormatError for a file that is no JSON
+    object or of another format or feature map, a table entry whose hex does not fit its shape
     or whose shape differs from the first entry's, a value list whose
     length is not the table's, or an unknown estimator kind.
     """
     with open(path) as fh:
-        data = json.load(fh)
+        data = json_object(fh.read(), str(path), ModelFormatError)
     version = data.get("format_version")
     if version is None:
         linear = any(e.get("kind") == "linear" for e in data.get("estimators", {}).values())

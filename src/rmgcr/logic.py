@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence, Union
 
+from .errors import InputError
+
 ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
 _KEYWORDS = {"true", "false"}
@@ -35,7 +37,7 @@ def check_vocab(vocab: Iterable[str]) -> tuple[str, ...]:
     return names
 
 
-class FormulaSyntaxError(ValueError):
+class FormulaSyntaxError(InputError):
     """Raised on malformed formula text; carries the offending position."""
 
     def __init__(self, position: int, message: str):
@@ -44,13 +46,13 @@ class FormulaSyntaxError(ValueError):
         self.message = message
 
 
-class UnknownAtomError(ValueError):
+class UnknownAtomError(InputError):
     def __init__(self, name: str):
         super().__init__(f"unknown atom: {name!r}")
         self.name = name
 
 
-class ClauseLimitExceeded(ValueError):
+class ClauseLimitExceeded(InputError):
     """DNF expansion exceeded the clause cap."""
 
 

@@ -22,19 +22,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+from .errors import InputError
 from .logic import Formula, check_vocab, evaluate, parse_formula, truth_table
 
 MAX_EXHAUSTIVE_VOCAB = 12  # determinism checked over all 2^|vocab| assignments
 
 
-class RmSyntaxError(ValueError):
+class RmSyntaxError(InputError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
         self.message = message
 
 
-class NondeterministicGuardError(ValueError):
+class NondeterministicGuardError(InputError):
     def __init__(self, state: int, assignment: frozenset, edges: tuple):
         super().__init__(
             f"state {state}: guards of edges {edges[0]} and {edges[1]} "
@@ -45,11 +46,11 @@ class NondeterministicGuardError(ValueError):
         self.edges = edges
 
 
-class DanglingStateError(ValueError):
+class DanglingStateError(InputError):
     pass
 
 
-class TransitionFromTerminalError(ValueError):
+class TransitionFromTerminalError(InputError):
     pass
 
 
@@ -105,11 +106,11 @@ def make_rm(
     terminals = frozenset(terminals)
     transitions = tuple(transitions)
     if num_states < 1:
-        raise ValueError("need at least one state")
+        raise InputError("need at least one state")
     if not (0 <= initial < num_states):
         raise DanglingStateError(f"initial state {initial} out of range")
     if initial in terminals:
-        raise ValueError("initial state cannot be terminal")
+        raise InputError("initial state cannot be terminal")
     for t in terminals:
         if not (0 <= t < num_states):
             raise DanglingStateError(f"terminal state {t} out of range")
@@ -265,18 +266,13 @@ class _StepRow(dict):
 class StepTable:
     """`rm_step` tabulated over assignment bitmasks (see `label_mask`).
 
-    Maps (u, mask) to (next_state, reward, terminated), filled from
+    `rows[u][mask]` is (next_state, reward, terminated), filled from
     `rm_step` on the first use of each pair, so it works for any
-    vocabulary size and steps exactly as `rm_step` does. `rows[u][mask]`
-    is the same as `step(u, mask)`, without a method call on a hot path.
+    vocabulary size and steps exactly as `rm_step` does.
     """
 
     def __init__(self, rm: RewardMachine):
-        self.rm = rm
         self.rows: list[_StepRow] = [_StepRow(rm, u) for u in range(rm.num_states)]
-
-    def step(self, u: int, mask: int) -> tuple[int, float, bool]:
-        return self.rows[u][mask]
 
 
 def run_rm(rm: RewardMachine, ws: Iterable[Iterable[str]]):

@@ -8,8 +8,11 @@ import sys
 
 import pytest
 
+from rmgcr import cli
 from rmgcr.cli import build_parser, main
+from rmgcr.errors import InputError
 from rmgcr.geogrid import DEFAULT_FIXED_CELLS, GridConfig, ObsIndex, config_to_dict
+from rmgcr.rm import StepFromTerminalError
 
 from test_ground import format_1_pvfs
 
@@ -293,6 +296,62 @@ def test_unreadable_pvf_file_is_validation_error(pipeline, tmp_path, capsys, tam
     (models / "pvfs.json").write_text(json.dumps(data))
     assert main(["oracle", "--rm", SEQUENCE, "--models", str(models)]) == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("policy.json", '{"00/0": [0, 0'),
+        ("policy.json", "[1, 2]"),
+        ("policy.json", '{"zz/1": [0, 0, 0, 0]}'),
+        ("policy.json", '{"00/x": [0, 0, 0, 0]}'),
+        ("policy.json", '{"00": [0, 0, 0, 0]}'),
+        ("pvfs.json", '{"format_version": 2'),
+        ("label_model.json", '{"vocab": ['),
+    ],
+    ids=["policy-not-json", "policy-list", "policy-bad-hex", "policy-bad-state", "policy-no-state",
+         "pvfs-not-json", "label-model-not-json"],
+)
+def test_malformed_model_or_policy_file_is_validation_error(pipeline, tmp_path, capsys, name, text):
+    models = tmp_path / "models"
+    shutil.copytree(pipeline["models"], models)
+    (models / name).write_text(text)
+    if name == "policy.json":
+        argv = ["eval", "--rm", SEQUENCE, "--policy", str(models / name), "--episodes", "1"]
+    elif name == "pvfs.json":
+        argv = ["oracle", "--rm", SEQUENCE, "--models", str(models)]
+    else:  # oracle --models reads no label model; train reads it first
+        argv = [arg.format(models=models, out=tmp_path / "out") for arg in TRAIN]
+    assert main(argv) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("vocab: red\nstates: 0\n", "need at least one state"),
+        ("vocab: red\nstates: 2\ninitial: 0\n", "initial state cannot be terminal"),
+    ],
+    ids=["no-states", "terminal-initial"],
+)
+def test_task_file_with_no_usable_initial_state_is_validation_error(tmp_path, capsys, text, message):
+    task = tmp_path / "bad.rm"
+    task.write_text(text)
+    assert main(["oracle", "--rm", str(task)]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_any_input_error_exits_3_and_a_caller_bug_exits_4(monkeypatch, capsys):
+    class FreshInputError(InputError):
+        pass
+
+    for error, code in ((FreshInputError("fresh"), 3), (StepFromTerminalError("state 0 is terminal"), 4)):
+        def load_rm(path, error=error):
+            raise error
+
+        monkeypatch.setattr(cli, "load_rm", load_rm)  # the first thing the oracle reads
+        assert main(["oracle", "--rm", SEQUENCE]) == code
+        assert f"error: {error}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from rmgcr import cli, geogrid
 from rmgcr.ground import save_pvfs, train_pvfs_fqi
+from rmgcr.errors import OutOfRangeError
 from rmgcr.geogrid import (
     ACTIONS,
     CHANNELS,
@@ -28,7 +29,6 @@ from rmgcr.geogrid import (
     InfeasibleConfigError,
     ObjectSpec,
     ObsIndex,
-    OutOfRangeError,
     StateSpaceTooLargeError,
     Trajectory,
     cell_states,

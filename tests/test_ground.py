@@ -281,19 +281,17 @@ class TestFqiExactness:
 
 
 class TestMonteCarloTargets:
+    # ids number the walk's observations; sat[i] says whether the literal holds at id i
     def test_definition(self):
-        labels = [frozenset(), frozenset(), frozenset({"x"}), frozenset()]
-        t = mc_targets(labels, ("x", True), GAMMA)
+        t = mc_targets([0, 0, 1, 0], [False, True], GAMMA)
         assert t == pytest.approx([GAMMA**2, GAMMA, 0.0, 0.0])
 
     def test_never_satisfied(self):
-        labels = [frozenset()] * 4
-        assert mc_targets(labels, ("x", True), GAMMA) == [0.0] * 4
+        assert mc_targets([0, 1, 0, 1], [False, False], GAMMA) == [0.0] * 4
 
     def test_satisfaction_counts_from_next_step(self):
         # the literal holding *now* does not award gamma^0
-        labels = [frozenset({"x"}), frozenset()]
-        assert mc_targets(labels, ("x", True), GAMMA) == [0.0, 0.0]
+        assert mc_targets([1, 0], [False, True], GAMMA) == [0.0, 0.0]
 
 
 def rightward_corridor_dataset(cfg):
@@ -601,8 +599,9 @@ class TestPvfProperties:
         mc = train_pvfs_mc(ds, GAMMA)
         for lit in mc.literals:
             sums, counts = {}, {}
+            sat = [ground.literal_satisfied(lit, label) for label in ds.index.labels]
             for tr in ds.trajectories:
-                targets = mc_targets(tr.labels, lit, GAMMA)
+                targets = mc_targets(tr.ids, sat, GAMMA)
                 for obs, target in zip(tr.observations[:-1], targets):
                     key = obs_key(obs)
                     sums[key] = sums.get(key, 0.0) + target

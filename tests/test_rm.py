@@ -175,20 +175,15 @@ class TestConstruction:
 
 
 def _assert_table_matches_rm_step(rm):
-    table = StepTable(rm)
     rows = StepTable(rm).rows  # filled by subscripts alone
     for u in range(rm.num_states):
         if rm.is_terminal(u):
-            with pytest.raises(StepFromTerminalError):
-                table.step(u, 0)
             with pytest.raises(StepFromTerminalError):
                 rows[u][0]
             continue
         for mask, w in enumerate(all_assignments(rm.vocab)):
             stp = rm_step(rm, u, w)
-            want = (stp.next_state, stp.reward, stp.terminated)
-            assert table.step(u, mask) == want
-            assert rows[u][mask] == want
+            assert rows[u][mask] == (stp.next_state, stp.reward, stp.terminated)
 
 
 @st.composite
@@ -238,9 +233,9 @@ class TestStepTable:
     def test_steps_beyond_the_exhaustive_vocab(self):
         vocab = tuple(f"a{i}" for i in range(MAX_EXHAUSTIVE_VOCAB + 1))
         rm = make_rm(vocab, 2, [RmTransition(1, 0, And((Var("a0"), Var(vocab[-1]))), 1.0)])
-        table = StepTable(rm)
-        assert table.step(1, label_mask(vocab, {"a0"})) == (1, 0.0, False)
-        assert table.step(1, label_mask(vocab, {"a0", vocab[-1]})) == (0, 1.0, True)
+        rows = StepTable(rm).rows
+        assert rows[1][label_mask(vocab, {"a0"})] == (1, 0.0, False)
+        assert rows[1][label_mask(vocab, {"a0", vocab[-1]})] == (0, 1.0, True)
 
 
 def _first_overlap(rm):
