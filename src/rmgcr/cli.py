@@ -237,7 +237,11 @@ def save_policy(policy: agent.GreedyPolicy, path) -> None:
 
 
 def load_policy(path) -> agent.GreedyPolicy:
-    """A policy save_policy wrote; ModelFormatError if it is no JSON object or a key is no <hex>/<int>."""
+    """A policy save_policy wrote.
+
+    Raises ModelFormatError if it is no JSON object, a key is no <hex>/<int>, a value is
+    no list of N_ACTIONS numbers, or two keys' observations differ in size.
+    """
     with open(path) as fh:
         data = geogrid.json_object(fh.read(), str(path), ground.ModelFormatError)
     q = {}
@@ -247,7 +251,14 @@ def load_policy(path) -> agent.GreedyPolicy:
             state = (bytes.fromhex(obs_hex), int(u))
         except ValueError:
             raise ground.ModelFormatError(f"{path}: policy key {key!r} is not <hex>/<int>") from None
+        numbers = isinstance(values, list) and all(type(v) in (int, float) for v in values)
+        if not (numbers and len(values) == agent.N_ACTIONS):
+            raise ground.ModelFormatError(
+                f"{path}: the values of policy key {key!r} are not a list of {agent.N_ACTIONS} numbers"
+            )
         q[state] = np.asarray(values)
+    if len({len(obs) for obs, _ in q}) > 1:
+        raise ground.ModelFormatError(f"{path}: the policy keys' observations differ in size")
     return agent.GreedyPolicy(q)
 
 

@@ -523,18 +523,9 @@ def config_from_dict(d: dict) -> GridConfig:
     ):
         if not ok(d[name]):
             raise GridConfigError(f"grid config field {name!r} must be {what}, not {d[name]!r}")
-    return GridConfig(
-        width=d["width"],
-        height=d["height"],
-        objects=tuple(
-            ObjectSpec(c, s, tuple(cell) if cell else None) for c, s, cell in d["objects"]
-        ),
-        layout_mode=d["layout_mode"],
-        episode_len=d["episode_len"],
-        seed=d["seed"],
-        agent_start=tuple(d["agent_start"]) if d["agent_start"] else None,
-        exclude_agent_from_objects=d["exclude_agent_from_objects"],
-    )
+    objects = tuple(ObjectSpec(c, s, tuple(cell) if cell else None) for c, s, cell in d["objects"])
+    start = tuple(d["agent_start"]) if d["agent_start"] else None
+    return GridConfig(**{**d, "objects": objects, "agent_start": start})
 
 
 def save_dataset(ds: GroundingDataset, path) -> None:
@@ -647,10 +638,11 @@ def json_object(text: str, what: str, error: type[InputError] = DatasetFormatErr
     return record
 
 
-def _require(record: dict, fields: tuple, what: str) -> None:
+def _require(record: dict, fields: tuple, what: str, error: type[InputError] = DatasetFormatError) -> None:
+    """Raise error, naming what, if record lacks any of fields."""
     missing = [f for f in fields if f not in record]
     if missing:
-        raise DatasetFormatError(f"{what} lacks {', '.join(missing)}")
+        raise error(f"{what} lacks {', '.join(missing)}")
 
 
 def encode_entry(shape: Sequence[int], raw: bytes) -> list:

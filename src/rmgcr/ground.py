@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, OutOfRangeError, check_count, check_open_unit, check_seed
-from .geogrid import GroundingDataset, decode_entry, encode_entry, json_object, obs_key
+from .geogrid import GroundingDataset, _require, decode_entry, encode_entry, json_object, obs_key
 from .logic import Literal
 
 N_ACTIONS = 4
@@ -46,7 +46,7 @@ class NonConvergenceWarning(UserWarning):
 
 
 class ModelFormatError(InputError):
-    """A model or policy file this version cannot read: no JSON object, or an unknown kind or feature map."""
+    """A model or policy file this version cannot read: no JSON object, a field missing or malformed."""
 
 
 def observation_features(obs: np.ndarray) -> np.ndarray:
@@ -54,22 +54,18 @@ def observation_features(obs: np.ndarray) -> np.ndarray:
 
     The product features make each grid proposition exactly linearly
     realizable: the product for channel i sums to 1 iff the agent stands
-    on a cell with property i.
+    on a cell with property i. obs may be one (height, width, channels)
+    observation or a stack of them; the features lie on the last axis.
     """
     o = obs.astype(np.float64)
-    agent = o[:, :, -1]
-    products = (o[:, :, :-1] * agent[:, :, None]).sum(axis=(0, 1))
-    return np.concatenate([products, o.reshape(-1)])
+    agent = o[..., -1]
+    products = (o[..., :-1] * agent[..., None]).sum(axis=(-3, -2))
+    return np.concatenate([products, o.reshape(*o.shape[:-3], -1)], axis=-1)
 
 
 def _sigmoid(z):
     # np.minimum/np.maximum give np.clip's values without its wrapper's overhead
     return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -60), 60)))
-
-
-def _linear_scores(weights: np.ndarray, bias: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Per-atom scores of the linear label model at one feature vector."""
-    return _sigmoid(weights @ f + bias)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +90,7 @@ class LabelModel:
 
     def scores(self, obs: np.ndarray) -> np.ndarray:
         if self.backend == "linear":
-            return _linear_scores(self.weights, self.bias, observation_features(obs))
+            return _sigmoid(self.weights @ observation_features(obs) + self.bias)
         if self.unseen(obs):
             return np.zeros(len(self.vocab))
         return np.asarray(self.table[obs_key(obs)], dtype=np.float64)
@@ -128,12 +124,16 @@ def train_label_model(
     Linear backend: full-batch gradient descent on binary cross-entropy,
     run on one row per distinct training observation whose gradient is
     weighted by its row count (the same objective and gradient as one row
-    per step). Tabular backend: memorize observation -> label. Held-out
-    accuracy is measured on a trailing trajectory split and stored on the
-    model; when the split holds out no trajectory (holdout_fraction 0, or
-    too few trajectories), it is training accuracy and accuracy_split says
-    "train". Features and scores are computed once per distinct
-    observation; the accuracy counts every row.
+    per step). It descends on the scores z = x w^T + b: a step g moves z by
+    -K g with K = x x^T + 1, formed once if it is the smaller matrix and
+    applied as x (g^T x)^T + sum(g) if not; w and b take the summed steps
+    at the end. This matches per-row descent up to summation order.
+    Tabular backend: memorize observation -> label. Held-out accuracy is
+    measured on a trailing trajectory split and stored on the model; when
+    the split holds out no trajectory (holdout_fraction 0, or too few
+    trajectories), it is training accuracy and accuracy_split says
+    "train". Features and scores are computed in one batch of distinct
+    observations; the accuracy counts every row.
     """
     check_seed("seed", seed)
     if not (0.0 <= holdout_fraction < 1.0):
@@ -150,33 +150,36 @@ def train_label_model(
         table = {index.keys[i]: y[i] for i in dict.fromkeys(train_ids)}
         model = LabelModel(ds.vocab, "tabular", threshold=threshold, table=table)
     elif backend == "linear":
-        features = np.array([observation_features(obs) for obs in index.obs])
+        features = observation_features(np.stack(index.obs))
         rows = Counter(train_ids)  # distinct ids in order of first appearance
         ids = list(rows)
         x, y_ids = features[ids], y[ids]
-        m = np.array(list(rows.values()), dtype=np.float64)[:, None]
-        n = len(train_ids)
+        c = LABEL_LR * np.array(list(rows.values()), dtype=np.float64)[:, None] / len(train_ids)
         rng = np.random.default_rng(seed)
         w = rng.normal(scale=0.01, size=(len(ds.vocab), x.shape[1]))
         b = np.zeros(len(ds.vocab))
+        z = x @ w.T + b  # (distinct ids, atoms)
+        steps = np.zeros_like(z)
+        gram = x @ x.T + 1.0 if len(x) <= x.shape[1] else None  # K, when no larger than x
         for _ in range(LABEL_EPOCHS):
-            p = _sigmoid(x @ w.T + b)  # (distinct ids, atoms)
-            grad = m * (p - y_ids) / n
-            w -= LABEL_LR * grad.T @ x
-            b -= LABEL_LR * grad.sum(axis=0)
+            g = (_sigmoid(z) - y_ids) * c
+            steps += g
+            z -= gram @ g if gram is not None else x @ (g.T @ x).T + g.sum(axis=0)
+        w -= steps.T @ x
+        b -= steps.sum(axis=0)
         model = LabelModel(ds.vocab, "linear", threshold=threshold, weights=w, bias=b)
     else:
         raise InputError(f"unknown backend {backend!r}")
 
-    correct = {a: 0 for a in ds.vocab}
-    for i, count in Counter(eval_ids).items():
-        if backend == "linear":
-            scores = _linear_scores(w, b, features[i])
-        else:
-            scores = model.scores(index.obs[i])
-        for a, s in zip(ds.vocab, scores.tolist()):
-            correct[a] += count * ((s >= threshold) == (a in index.labels[i]))
-    model.holdout_accuracy = {a: correct[a] / len(eval_ids) for a in ds.vocab}
+    eval_rows = Counter(eval_ids)
+    distinct = list(eval_rows)
+    if backend == "linear":
+        scores = _sigmoid(features[distinct] @ w.T + b)
+    else:
+        scores = np.array([model.scores(index.obs[i]) for i in distinct])
+    hits = (scores >= threshold) == (y[distinct] == 1.0)  # (distinct eval ids, atoms)
+    correct = (np.array(list(eval_rows.values()))[:, None] * hits).sum(axis=0).tolist()
+    model.holdout_accuracy = {a: k / len(eval_ids) for a, k in zip(ds.vocab, correct)}
     model.accuracy_split = "holdout" if n_holdout else "train"
     return model
 
@@ -296,7 +299,7 @@ def train_pvfs_fqi(
         counts = np.bincount(cells, minlength=size).reshape(n_states, N_ACTIONS)
         visited = counts > 0
     elif backend == "linear":
-        feats = np.array([observation_features(obs) for obs in index.obs])
+        feats = observation_features(np.stack(index.obs))
     else:
         raise InputError(f"unknown backend {backend!r}")
 
@@ -406,9 +409,15 @@ def _check_feature_version(data: dict, path) -> None:
 
 
 def load_label_model(path) -> LabelModel:
+    """A saved label model; ModelFormatError for a missing field or an unknown backend or feature map."""
     with open(path) as fh:
         data = json_object(fh.read(), str(path), ModelFormatError)
     _check_feature_version(data, path)
+    _require(data, ("vocab", "backend", "threshold"), str(path), ModelFormatError)
+    if data["backend"] not in ("linear", "tabular"):
+        raise ModelFormatError(f"{path}: unknown label backend {data['backend']!r}")
+    needs = ("weights", "bias") if data["backend"] == "linear" else ("table",)
+    _require(data, needs, str(path), ModelFormatError)
     model = LabelModel(tuple(data["vocab"]), data["backend"], threshold=data["threshold"])
     if model.backend == "linear":
         model.weights, model.bias = np.asarray(data["weights"]), np.asarray(data["bias"])
@@ -471,15 +480,18 @@ def load_pvfs(path) -> PvfSet:
 
     Each table entry is decoded once, and every tabular literal's dict
     shares those keys. Raises ModelFormatError for a file that is no JSON
-    object or of another format or feature map, a table entry whose hex does not fit its shape
-    or whose shape differs from the first entry's, a value list whose
-    length is not the table's, or an unknown estimator kind.
+    object or of another format or feature map, a file that lacks a field,
+    an estimator entry that is no JSON object or lacks its weights, a table
+    entry whose hex does not fit its shape or whose shape differs from the
+    first entry's, a value list whose length is not the table's, or an
+    unknown estimator kind.
     """
     with open(path) as fh:
         data = json_object(fh.read(), str(path), ModelFormatError)
     version = data.get("format_version")
     if version is None:
-        linear = any(e.get("kind") == "linear" for e in data.get("estimators", {}).values())
+        ests = data.get("estimators", {})
+        linear = any(isinstance(e, dict) and e.get("kind") == "linear" for e in ests.values())
         backend = " --pvf-backend linear" if linear else ""
         raise ModelFormatError(
             f"{path} is a format-1 PVF file, which this version no longer reads; regenerate it "
@@ -492,6 +504,8 @@ def load_pvfs(path) -> PvfSet:
             f"{path}: unsupported PVF file format {version!r}; expected {PVF_FORMAT_VERSION}"
         )
     _check_feature_version(data, path)
+    fields = ("vocab", "gamma", "method", "observations", "estimators")
+    _require(data, fields, str(path), ModelFormatError)
     gamma = data["gamma"]
     obs_shape = None
     keys = []
@@ -507,9 +521,11 @@ def load_pvfs(path) -> PvfSet:
     estimators = {}
     for key, entry in data["estimators"].items():
         lit = _lit_from_key(key)
+        if not isinstance(entry, dict):
+            raise ModelFormatError(f"{path}: the estimator of {key} is not a JSON object")
         kind = entry.get("kind")
         if kind == "tabular":
-            values = entry["v"]
+            values = entry.get("v")
             if not (isinstance(values, list) and len(values) == len(keys)):
                 raise ModelFormatError(
                     f"{path}: the values of {key} are not a list of one per table observation "
@@ -519,6 +535,7 @@ def load_pvfs(path) -> PvfSet:
                 gamma, {k: float(v) for k, v in zip(keys, values) if v is not None}
             )
         elif kind == "linear":
+            _require(entry, ("weights",), f"{path}: the estimator of {key}", ModelFormatError)
             estimators[lit] = LinearPvf(gamma, np.asarray(entry["weights"]))
         else:
             raise ModelFormatError(f"{path}: unknown estimator kind {kind!r} for {key}")

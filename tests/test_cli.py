@@ -298,6 +298,15 @@ def test_unreadable_pvf_file_is_validation_error(pipeline, tmp_path, capsys, tam
     assert message in capsys.readouterr().err
 
 
+# a format-2 pvfs.json up to its estimators
+PVFS_HEADER = (
+    '{"format_version": 2, "feature_version": 1, "vocab": ["red"], "gamma": 0.97, '
+    '"method": "fqi", "observations": [], '
+)
+# a label_model.json up to its backend, with no weights, bias or table
+LABEL_MODEL_HEADER = '{"feature_version": 1, "vocab": ["red"], "threshold": 0.5, '
+
+
 @pytest.mark.parametrize(
     "name, text",
     [
@@ -306,11 +315,27 @@ def test_unreadable_pvf_file_is_validation_error(pipeline, tmp_path, capsys, tam
         ("policy.json", '{"zz/1": [0, 0, 0, 0]}'),
         ("policy.json", '{"00/x": [0, 0, 0, 0]}'),
         ("policy.json", '{"00": [0, 0, 0, 0]}'),
+        ("policy.json", '{"00/0": "abc"}'),
+        ("policy.json", '{"00/0": [0, 0, 0]}'),
+        ("policy.json", '{"00/0": [0, 0, "1", 0]}'),
+        ("policy.json", '{"00/0": [0, 0, 0, 0], "0000/1": [0, 0, 0, 0]}'),
         ("pvfs.json", '{"format_version": 2'),
+        ("pvfs.json", '{"format_version": 2, "feature_version": 1}'),
+        ("pvfs.json", PVFS_HEADER + '"estimators": {"+red": 1, "-red": 1}}'),
+        ("pvfs.json", PVFS_HEADER + '"estimators": {"+red": {"kind": "linear"}}}'),
+        ("pvfs.json", PVFS_HEADER + '"estimators": {"+red": {"kind": "tabular"}}}'),
+        ("pvfs.json", '{"estimators": {"+red": 1}}'),
         ("label_model.json", '{"vocab": ['),
+        ("label_model.json", '{"feature_version": 1}'),
+        ("label_model.json", LABEL_MODEL_HEADER + '"backend": "linear"}'),
+        ("label_model.json", LABEL_MODEL_HEADER + '"backend": "forest"}'),
     ],
     ids=["policy-not-json", "policy-list", "policy-bad-hex", "policy-bad-state", "policy-no-state",
-         "pvfs-not-json", "label-model-not-json"],
+         "policy-values-not-a-list", "policy-short-values", "policy-string-value",
+         "policy-observations-differ", "pvfs-not-json", "pvfs-no-gamma", "pvfs-estimator-a-number",
+         "pvfs-linear-no-weights", "pvfs-tabular-no-values", "pvfs-format-1-estimator-a-number",
+         "label-model-not-json", "label-model-no-vocab", "label-model-no-weights",
+         "label-model-unknown-backend"],
 )
 def test_malformed_model_or_policy_file_is_validation_error(pipeline, tmp_path, capsys, name, text):
     models = tmp_path / "models"

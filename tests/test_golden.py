@@ -279,9 +279,9 @@ def test_oracle_output_matches_recorded_digests(case, oracle_models, tmp_path, c
 # (seed, label backend, method) -> digests of (label_model.json, pvfs.json, metrics.json,
 # the loaded PVF values)
 GROUND_GOLDEN = {
-    (3, "linear", "fqi"): ("126e43ced9936b7d", "f522452c5c9f574f", "d1761f9741dc39e9", "2d641826c40ec486"),
+    (3, "linear", "fqi"): ("0ec1a6974be61803", "f522452c5c9f574f", "d1761f9741dc39e9", "2d641826c40ec486"),
     (3, "tabular", "mc"): ("bd693129e0a50fdd", "2f3dfb832bd450ff", "036d0934004d85cf", "e4cfe445ddb867db"),
-    (17, "linear", "fqi"): ("4dcadb0eca4b6e46", "3a6c391bb95760a2", "d1761f9741dc39e9", "ba40eec855561935"),
+    (17, "linear", "fqi"): ("2aa717a6cac3f553", "3a6c391bb95760a2", "d1761f9741dc39e9", "ba40eec855561935"),
     (17, "tabular", "mc"): ("bd693129e0a50fdd", "1bc7a8d00b396330", "036d0934004d85cf", "5477afef4013f178"),
 }
 
@@ -384,7 +384,7 @@ def test_ground_on_a_randomized_layout_matches_recorded_digests(tmp_path):
     argv = ["gen-dataset", "--out", str(dataset), "--n", "50", "--seed", "9"]
     assert main(argv + ["--layout", "randomized"]) == 0
     assert _ground_digests(dataset, tmp_path / "models") == (
-        "22cb2e6725cb9c85",
+        "f92a91a559f8b11c",
         "be60e901e61486a4",
         "d1761f9741dc39e9",
         "a850c9242ce5e819",
@@ -415,7 +415,7 @@ def test_ground_averages_the_successors_of_a_repeated_pair(tmp_path):
     dataset = tmp_path / "data.jsonl"
     dataset.write_text("".join(json.dumps(r) + "\n" for r in (header, *records)))
     assert _ground_digests(dataset, tmp_path / "models") == (
-        "7656fd93e4b7d921",
+        "b6108475f0f32a8d",
         "bc61f01c422673f9",
         "5270055a30c2984b",
         "d443888a3c6dfa92",

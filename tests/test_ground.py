@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rmgcr import ground
 from rmgcr.geogrid import (
@@ -62,6 +63,12 @@ class TestFeatures:
     def test_feature_length(self, desk_cfg):
         obs = encode_obs(reset(desk_cfg))
         assert observation_features(obs).shape == (5 + obs.size,)
+
+    @given(arrays(np.uint8, st.tuples(*[st.integers(1, 4)] * 3, st.integers(2, 6))))
+    def test_a_stack_gives_each_observation_its_own_features(self, stack):
+        each = np.array([observation_features(obs) for obs in stack])
+        batched = observation_features(stack)
+        assert batched.dtype == each.dtype and np.array_equal(batched, each)
 
 
 class TestLabelModel:
@@ -122,24 +129,26 @@ class TestLabelModel:
         held_out = ds.trajectories[36:]  # the trailing 10 %
         rows = sum(len(tr.observations) for tr in held_out)
         distinct = len({obs_key(o) for tr in ds.trajectories for o in tr.observations})
+        distinct_train = len({obs_key(o) for tr in ds.trajectories[:36] for o in tr.observations})
         distinct_held_out = len({obs_key(o) for tr in held_out for o in tr.observations})
-        counts = {"observation_features": 0, "predict_labels": 0, "_linear_scores": 0}
-        for name in counts:
+        calls = {"observation_features": [], "predict_labels": [], "_sigmoid": []}
+        for name in calls:
             original = getattr(ground, name)
 
-            def counted(*args, _name=name, _original=original):
-                counts[_name] += 1
-                return _original(*args)
+            def recorded(arg, *args, _name=name, _original=original):
+                calls[_name].append(np.shape(arg))
+                return _original(arg, *args)
 
-            monkeypatch.setattr(ground, name, counted)
+            monkeypatch.setattr(ground, name, recorded)
         model = train_label_model(ds)
-        # the fit featurizes each observation once, and the accuracy pass
+        # the fit featurizes every observation in one batch, each descent
+        # step scores each training observation once, and the accuracy pass
         # scores each held-out observation once from those features
-        assert counts == {
-            "observation_features": distinct,
-            "predict_labels": 0,
-            "_linear_scores": distinct_held_out,
-        }
+        atoms = len(model.vocab)
+        assert calls["observation_features"] == [(distinct, *encode_obs(reset(desk_cfg)).shape)]
+        assert calls["predict_labels"] == []
+        descent = [(distinct_train, atoms)] * ground.LABEL_EPOCHS
+        assert calls["_sigmoid"] == descent + [(distinct_held_out, atoms)]
         assert distinct_held_out < rows
         assert model.accuracy_split == "holdout"
 
@@ -588,6 +597,21 @@ class TestWeightedLabelFit:
         assert np.abs(model.bias - reference.bias).max() <= 1e-12
         once = train_label_model(GroundingDataset.from_steps(VOCAB, walks), holdout_fraction=0.0)
         assert np.abs(model.weights - once.weights).max() > 1e-6
+
+    def test_more_observations_than_features_matches_per_row_descent(self):
+        # randomized layouts give more distinct observations than features, so
+        # the descent applies its step through x, not through x x^T + 1
+        ds = generate_dataset(GridConfig(layout_mode="randomized"), 20, seed=4)
+        n_features = observation_features(ds.index.obs[0]).shape[0]
+        assert len(ds.index.obs) > n_features
+        model = train_label_model(ds, holdout_fraction=0.1, seed=2)
+        reference = per_row_fit(ds, 0.1, 2)
+        assert np.abs(model.weights - reference.weights).max() <= 1e-12
+        assert np.abs(model.bias - reference.bias).max() <= 1e-12
+        for obs in ds.index.obs:
+            assert predict_labels(model, obs) == predict_labels(reference, obs)
+        n_train = len(ds.trajectories) - int(len(ds.trajectories) * 0.1)
+        assert model.holdout_accuracy == row_accuracy(reference, ds.trajectories[n_train:])
 
 
 class TestPvfProperties:
