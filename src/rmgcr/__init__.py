@@ -8,7 +8,7 @@ self-generated, potential-shaped rewards.
 
 from .logic import parse_formula, evaluate, to_dnf
 from .rm import RewardMachine, parse_rm, load_rm, rm_step, run_rm
-from .geogrid import GridConfig, generate_dataset, save_dataset, load_dataset
+from .geogrid import GridConfig, generate_dataset
 from .ground import train_label_model, predict_labels, train_pvfs_fqi, train_pvfs_mc
 from .compose import (
     rm_value_iteration,
@@ -17,6 +17,7 @@ from .compose import (
     exact_product_values,
 )
 from .agent import AgentConfig, train, evaluate as evaluate_policy
+from .files import save_dataset, load_dataset
 
 __all__ = [
     "parse_formula",

@@ -2,8 +2,8 @@
 
 Subcommands: gen-dataset, ground, train, eval, oracle.
 Exit codes: 0 success, 2 usage, 3 validation (any rmgcr.errors.InputError:
-bad task files, datasets, model files or policies, mismatched models,
-out-of-range settings), 4 runtime failures. The RMGCR_OUT_DIR
+bad task files, grid configs, datasets, model files or policies,
+mismatched models, out-of-range settings), 4 runtime failures. The RMGCR_OUT_DIR
 environment variable overrides directory-valued --out arguments.
 """
 
@@ -17,11 +17,8 @@ import os
 import pathlib
 import sys
 
-import numpy as np
-
-from . import agent, compose, geogrid, ground
+from . import agent, compose, files, geogrid, ground
 from .errors import InputError, check_open_unit, check_seed
-from .geogrid import GridConfig
 from .rm import load_rm
 
 EXIT_USAGE = 2
@@ -36,20 +33,6 @@ def out_dir(flag_value) -> pathlib.Path:
     return path
 
 
-def load_grid_config(path, overrides: dict) -> GridConfig:
-    """The grid config file at path, if any, with the overrides that are not None put over it."""
-    data = {}
-    if path is not None:
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise geogrid.GridConfigError(f"grid config {path} is not JSON: {e}") from None
-    fields = {k: v for k, v in overrides.items() if v is not None}
-    # the merged config is checked as a whole; config_from_dict rejects a file that is no object
-    return geogrid.config_from_dict({**data, **fields} if isinstance(data, dict) else data)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -62,9 +45,9 @@ def cmd_gen_dataset(args) -> int:
         "layout_mode": args.layout,
         "seed": args.seed,
     }
-    cfg = load_grid_config(args.config, overrides)
+    cfg = files.load_grid_config(args.config, overrides)
     ds = geogrid.generate_dataset(cfg, args.n, seed=cfg.seed)
-    geogrid.save_dataset(ds, args.out)
+    files.save_dataset(ds, args.out)
     print(f"wrote {len(ds.trajectories)} trajectories to {args.out}")
     freqs = geogrid.label_frequencies(ds)
     print(f"{'atom':<10} {'frequency':>9}")
@@ -74,7 +57,7 @@ def cmd_gen_dataset(args) -> int:
 
 
 def cmd_ground(args) -> int:
-    ds = geogrid.load_dataset(args.dataset)
+    ds = files.load_dataset(args.dataset)
     models = out_dir(args.out)
     label_model = ground.train_label_model(
         ds, backend=args.label_backend, threshold=args.threshold, seed=args.seed
@@ -83,8 +66,8 @@ def cmd_ground(args) -> int:
         pvfs = ground.train_pvfs_fqi(ds, args.gamma, iters=args.iters, backend=args.pvf_backend)
     else:
         pvfs = ground.train_pvfs_mc(ds, args.gamma)
-    ground.save_label_model(label_model, models / "label_model.json")
-    ground.save_pvfs(pvfs, models / "pvfs.json")
+    files.save_label_model(label_model, models / "label_model.json")
+    files.save_pvfs(pvfs, models / "pvfs.json")
     metrics = {
         "holdout_accuracy": label_model.holdout_accuracy,
         "accuracy_split": label_model.accuracy_split,
@@ -104,13 +87,13 @@ def cmd_ground(args) -> int:
 def cmd_oracle(args) -> int:
     check_open_unit("gamma_rm", args.gamma_rm)
     rm = load_rm(args.rm)
-    cfg = load_grid_config(args.env, {})
+    cfg = files.load_grid_config(args.env, {})
     oracle = compose.exact_product_values(cfg, rm, args.gamma, max_states=args.max_states)
     graph = oracle.graph  # the layout, compiled once for every check below
     exact = oracle.values.tolist()
     composed = None
     if args.models:  # composed values need only the PVFs, not the label model
-        pvfs = ground.load_pvfs(pathlib.Path(args.models) / "pvfs.json")
+        pvfs = files.load_pvfs(pathlib.Path(args.models) / "pvfs.json")
         cvf = compose.make_composed_value_fn(rm, pvfs, args.gamma_rm, gamma=args.gamma)
         composed = compose.composed_table(cvf, geogrid.encode_layout(graph.states[0])).tolist()
     # one CSV line per (cell, u), row-major; terminal RM states get no composed value
@@ -147,9 +130,9 @@ def cmd_train(args) -> int:
     check_seed("eval_seed", args.eval_seed)
     rm = load_rm(args.rm)
     models = pathlib.Path(args.models)
-    label_model = ground.load_label_model(models / "label_model.json")
-    pvfs = ground.load_pvfs(models / "pvfs.json")
-    cfg = load_grid_config(args.env, {})
+    label_model = files.load_label_model(models / "label_model.json")
+    pvfs = files.load_pvfs(models / "pvfs.json")
+    cfg = files.load_grid_config(args.env, {})
     out = out_dir(args.out)
 
     cvf = None
@@ -197,7 +180,7 @@ def cmd_train(args) -> int:
                 writer.writerow(["episode", "perceived_return", "actual_return", "steps"])
                 for i, ep in enumerate(report.episodes):
                     writer.writerow([i, ep.perceived_return, ep.actual_return, ep.steps])
-            save_policy(policy, out / f"policy_{shaping}_seed{seed}.json")
+            files.save_policy(policy, out / f"policy_{shaping}_seed{seed}.json")
             stats = agent.evaluate(
                 policy, cfg, rm, args.eval_episodes, seed=args.eval_seed, max_steps=args.max_steps
             )
@@ -230,42 +213,10 @@ def _warn_unseen_policy_states(stats: dict, prefix: str = "") -> None:
         )
 
 
-def save_policy(policy: agent.GreedyPolicy, path) -> None:
-    data = {f"{key.hex()}/{u}": q.tolist() for (key, u), q in sorted(policy.q.items())}
-    with open(path, "w") as fh:
-        fh.write(json.dumps(data, sort_keys=True))
-
-
-def load_policy(path) -> agent.GreedyPolicy:
-    """A policy save_policy wrote.
-
-    Raises ModelFormatError if it is no JSON object, a key is no <hex>/<int>, a value is
-    no list of N_ACTIONS numbers, or two keys' observations differ in size.
-    """
-    with open(path) as fh:
-        data = geogrid.json_object(fh.read(), str(path), ground.ModelFormatError)
-    q = {}
-    for key, values in data.items():
-        try:
-            obs_hex, u = key.split("/")
-            state = (bytes.fromhex(obs_hex), int(u))
-        except ValueError:
-            raise ground.ModelFormatError(f"{path}: policy key {key!r} is not <hex>/<int>") from None
-        numbers = isinstance(values, list) and all(type(v) in (int, float) for v in values)
-        if not (numbers and len(values) == agent.N_ACTIONS):
-            raise ground.ModelFormatError(
-                f"{path}: the values of policy key {key!r} are not a list of {agent.N_ACTIONS} numbers"
-            )
-        q[state] = np.asarray(values)
-    if len({len(obs) for obs, _ in q}) > 1:
-        raise ground.ModelFormatError(f"{path}: the policy keys' observations differ in size")
-    return agent.GreedyPolicy(q)
-
-
 def cmd_eval(args) -> int:
     rm = load_rm(args.rm)
-    cfg = load_grid_config(args.env, {})
-    policy = agent.RandomPolicy() if args.random else load_policy(args.policy)
+    cfg = files.load_grid_config(args.env, {})
+    policy = agent.RandomPolicy() if args.random else files.load_policy(args.policy)
     stats = agent.evaluate(policy, cfg, rm, args.episodes, seed=args.seed, max_steps=args.max_steps)
     _warn_unseen_policy_states(stats)
     print(json.dumps({"mean": stats["mean"], "stderr": stats["stderr"]}, sort_keys=True))

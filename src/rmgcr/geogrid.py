@@ -9,10 +9,8 @@ generator produces labelled trajectories for offline grounding.
 from __future__ import annotations
 
 import functools
-import json
-import math
-from dataclasses import dataclass, field, fields
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -26,8 +24,6 @@ CHANNELS = VOCAB + ("agent",)
 ACTIONS = ("up", "down", "left", "right")
 _MOVES = {0: (-1, 0), 1: (1, 0), 2: (0, -1), 3: (0, 1)}
 
-DATASET_FORMAT_VERSION = 2
-
 Cell = tuple[int, int]
 
 
@@ -36,15 +32,11 @@ class InfeasibleConfigError(InputError):
 
 
 class GridConfigError(InputError):
-    """A grid config has an unknown field, or a field of the wrong type or value."""
+    """A grid config field has a value GridConfig cannot use."""
 
 
 class InconsistentLabelError(InputError):
     """A dataset gives one observation two different labels."""
-
-
-class DatasetFormatError(InputError):
-    """A dataset file is of another format version, or its records do not fit together."""
 
 
 class StateSpaceTooLargeError(InputError):
@@ -465,10 +457,6 @@ def full_coverage_dataset(cfg: GridConfig) -> GroundingDataset:
     return GroundingDataset(VOCAB, index, trajectories, meta)
 
 
-# ---------------------------------------------------------------------------
-# Serialization (line-delimited JSON; header record then one per trajectory)
-
-
 def config_to_dict(cfg: GridConfig) -> dict:
     return {
         "width": cfg.width,
@@ -482,197 +470,16 @@ def config_to_dict(cfg: GridConfig) -> dict:
     }
 
 
-def config_from_dict(d: dict) -> GridConfig:
-    """The GridConfig of a mapping shaped as config_to_dict writes it; missing fields take defaults.
-
-    Raises GridConfigError if d is not a dict, names a field GridConfig
-    lacks, or gives a field a value of the wrong JSON type.
-    """
-    if not isinstance(d, dict):
-        raise GridConfigError(f"a grid config must be a JSON object, not {type(d).__name__}")
-    unknown = set(d) - {f.name for f in fields(GridConfig)}
-    if unknown:
-        raise GridConfigError(f"unknown grid config fields {sorted(unknown)}")
-    d = {**config_to_dict(GridConfig()), **d}
-
-    def is_int(v):
-        return type(v) is int
-
-    def is_cell(v):
-        return v is None or (isinstance(v, list) and len(v) == 2 and all(map(is_int, v)))
-
-    def is_object(v):
-        return (
-            isinstance(v, list)
-            and len(v) == 3
-            and isinstance(v[0], str)
-            and isinstance(v[1], str)
-            and is_cell(v[2])
-        )
-
-    for name, ok, what in (
-        ("width", is_int, "an integer"),
-        ("height", is_int, "an integer"),
-        ("objects", lambda v: isinstance(v, list) and all(map(is_object, v)),
-         "a list of [colour, shape, [row, col] or null]"),
-        ("layout_mode", lambda v: isinstance(v, str), "a string"),
-        ("episode_len", is_int, "an integer"),
-        ("seed", is_int, "an integer"),
-        ("agent_start", is_cell, "a [row, col] pair of integers or null"),
-        ("exclude_agent_from_objects", lambda v: isinstance(v, bool), "true or false"),
-    ):
-        if not ok(d[name]):
-            raise GridConfigError(f"grid config field {name!r} must be {what}, not {d[name]!r}")
-    objects = tuple(ObjectSpec(c, s, tuple(cell) if cell else None) for c, s, cell in d["objects"])
-    start = tuple(d["agent_start"]) if d["agent_start"] else None
-    return GridConfig(**{**d, "objects": objects, "agent_start": start})
-
-
-def save_dataset(ds: GroundingDataset, path) -> None:
-    """Write ds in format 2: a header with each distinct observation once, then ids per trajectory.
-
-    The header holds vocab, meta, the table of distinct observations as
-    [shape, hex of the uint8 bytes] and one sorted label per table entry.
-    Each following line is one trajectory: {"actions": [...], "ids": [...]}.
-    """
-    index = ds.index
-    header = {
-        "format_version": DATASET_FORMAT_VERSION,
-        "vocab": list(ds.vocab),
-        "meta": ds.meta,
-        "observations": [
-            encode_entry(o.shape, o.astype(np.uint8, copy=False).tobytes()) for o in index.obs
-        ],
-        "labels": [sorted(l) for l in index.labels],
-    }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for tr in ds.trajectories:
-            fh.write(json.dumps({"actions": tr.actions, "ids": tr.ids}, sort_keys=True) + "\n")
-
-
-def load_dataset(path) -> GroundingDataset:
-    """Read a format-2 dataset; see save_dataset.
-
-    The table entries the trajectories use are numbered into one ObsIndex
-    in order of first use, so an unused entry drops, a duplicate merges with
-    its first copy and raises InconsistentLabelError if labelled otherwise,
-    and a file saved in that order keeps its ids. Raises DatasetFormatError on
-    an empty file, a line that is not a JSON object or lacks a field, a
-    file of another format version, an observation whose hex length does
-    not match its shape, a table label outside vocab, an id or an action
-    out of range, or a trajectory whose ids and actions do not line up.
-    """
-    with open(path) as fh:
-        first = fh.readline()
-        if not first:
-            raise DatasetFormatError(f"{path} is empty")
-        header = json_object(first, "the header")
-        version = header.get("format_version")
-        if version == 1:
-            n = sum(1 for _ in fh)
-            seed = header.get("meta", {}).get("seed", "<seed>")
-            raise DatasetFormatError(
-                f"{path} is a format-1 dataset, which this version no longer reads; regenerate "
-                f"it with `rmgcr gen-dataset --out {path} --n {n} --seed {seed}` and the grid "
-                f"options it was made with"
-            )
-        if version != DATASET_FORMAT_VERSION:
-            raise DatasetFormatError(
-                f"unsupported dataset format {version!r}; expected {DATASET_FORMAT_VERSION}"
-            )
-        _require(header, ("vocab", "observations", "labels"), "the header")
-        vocab = tuple(header["vocab"])
-        table = []
-        for k, entry in enumerate(header["observations"]):
-            shape, raw = decode_entry(k, entry)
-            table.append(np.frombuffer(raw, dtype=np.uint8).reshape(shape))
-        labels = [frozenset(l) for l in header["labels"]]
-        if len(labels) != len(table):
-            raise DatasetFormatError(
-                f"the table has {len(table)} observations but {len(labels)} labels"
-            )
-        for k, label in enumerate(labels):
-            if not label <= set(vocab):
-                raise DatasetFormatError(
-                    f"table entry {k} has atoms {sorted(label - set(vocab))} outside the vocabulary"
-                )
-        index = ObsIndex()
-        number = [-1] * len(table)  # file id -> index id, numbered on first use
-        trajectories = []
-        for t, line in enumerate(fh):
-            record = json_object(line, f"trajectory {t}")
-            _require(record, ("ids", "actions"), f"trajectory {t}")
-            ids, actions = record["ids"], record["actions"]
-            if len(ids) != len(actions) + 1:
-                raise DatasetFormatError(
-                    f"trajectory {t} has {len(ids)} ids for {len(actions)} actions; "
-                    f"it needs one more id than actions"
-                )
-            if min(ids) < 0 or max(ids) >= len(table):
-                raise DatasetFormatError(
-                    f"trajectory {t} names an observation id outside 0..{len(table) - 1}"
-                )
-            if min(actions, default=0) < 0 or max(actions, default=0) >= len(ACTIONS):
-                raise DatasetFormatError(
-                    f"trajectory {t} has an action outside 0..{len(ACTIONS) - 1}"
-                )
-            for k in dict.fromkeys(ids):  # each distinct file id in order of first use
-                if number[k] < 0:
-                    number[k] = index.add(table[k], labels[k])
-            trajectories.append(Trajectory(index, ids, actions))
-    if any(n >= 0 and n != k for k, n in enumerate(number)):  # not saved in first-use order
-        for tr in trajectories:
-            tr.ids = [number[k] for k in tr.ids]
-    return GroundingDataset(vocab, index, trajectories, header.get("meta", {}))
-
-
-def json_object(text: str, what: str, error: type[InputError] = DatasetFormatError) -> dict:
-    """text parsed as a JSON object; raises error, naming what, if it is not JSON or no object."""
-    try:
-        record = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise error(f"{what} is not JSON: {e}") from None
-    if not isinstance(record, dict):
-        raise error(f"{what} is not a JSON object")
-    return record
-
-
-def _require(record: dict, fields: tuple, what: str, error: type[InputError] = DatasetFormatError) -> None:
-    """Raise error, naming what, if record lacks any of fields."""
-    missing = [f for f in fields if f not in record]
-    if missing:
-        raise error(f"{what} lacks {', '.join(missing)}")
-
-
-def encode_entry(shape: Sequence[int], raw: bytes) -> list:
-    """An observation table entry: [shape, hex of the observation's uint8 bytes]."""
-    return [list(shape), raw.hex()]
-
-
-def decode_entry(k: int, entry, error: type[InputError] = DatasetFormatError) -> tuple:
-    """Observation table entry k, as encode_entry writes it, back as (shape, bytes).
-
-    Raises error if the entry is no [shape, hex] pair, or its hex is not
-    the size its shape needs.
-    """
-    if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], str)):
-        raise error(f"table entry {k} is not a [shape, hex] pair")
-    shape, data = entry
-    if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
-        raise error(f"table entry {k} has shape {shape}, not a list of sizes")
-    size = math.prod(shape)
-    if len(data) != 2 * size:
-        raise error(f"table entry {k} has {len(data)} hex digits; shape {shape} needs {2 * size}")
-    try:
-        raw = bytes.fromhex(data)
-    except ValueError as e:
-        raise error(f"table entry {k} is not hex: {e}") from None
-    return tuple(shape), raw
-
-
 def label_frequencies(ds: GroundingDataset) -> dict[str, float]:
     """Fraction of dataset steps at which each atom holds."""
     steps = np.bincount(np.concatenate([tr.ids for tr in ds.trajectories])).tolist()  # per id
     total = sum(steps)
     return {a: sum(n for n, lab in zip(steps, ds.index.labels) if a in lab) / total for a in ds.vocab}
+
+
+def __getattr__(name: str):
+    """The dataset-file functions the benchmark calls by this module, which rmgcr.files holds."""
+    if name in ("save_dataset", "load_dataset"):
+        from . import files
+        return getattr(files, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

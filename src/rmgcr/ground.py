@@ -9,8 +9,6 @@ k steps away is worth gamma^k.
 
 from __future__ import annotations
 
-import json
-import pathlib
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -19,14 +17,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, OutOfRangeError, check_count, check_open_unit, check_seed
-from .geogrid import GroundingDataset, _require, decode_entry, encode_entry, json_object, obs_key
+from .geogrid import GroundingDataset, obs_key
 from .logic import Literal
 
 N_ACTIONS = 4
 
+# the version of observation_features, which model files record
 FEATURE_MAP_VERSION = 1
-# pvfs.json layout: 2 writes the observation table once and a value list per tabular literal
-PVF_FORMAT_VERSION = 2
 
 # full-batch gradient descent of the linear label fit
 LABEL_LR = 1.0
@@ -43,10 +40,6 @@ class DegenerateAtomError(InputError):
 
 class NonConvergenceWarning(UserWarning):
     pass
-
-
-class ModelFormatError(InputError):
-    """A model or policy file this version cannot read: no JSON object, a field missing or malformed."""
 
 
 def observation_features(obs: np.ndarray) -> np.ndarray:
@@ -378,165 +371,9 @@ def train_pvfs_mc(ds: GroundingDataset, gamma: float) -> PvfSet:
     return PvfSet(ds.vocab, gamma, "mc", estimators, ds.index.obs[0].shape)
 
 
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def save_label_model(model: LabelModel, path) -> None:
-    data = {
-        "vocab": list(model.vocab),
-        "backend": model.backend,
-        "threshold": model.threshold,
-        "feature_version": FEATURE_MAP_VERSION,
-        "holdout_accuracy": model.holdout_accuracy,
-        "accuracy_split": model.accuracy_split,
-    }
-    if model.backend == "linear":
-        data["weights"] = model.weights.tolist()
-        data["bias"] = model.bias.tolist()
-    else:
-        data["table"] = {k.hex(): v.tolist() for k, v in model.table.items()}
-    with open(path, "w") as fh:
-        fh.write(json.dumps(data, sort_keys=True))  # the C encoder; json.dump is pure Python
-
-
-def _check_feature_version(data: dict, path) -> None:
-    if data.get("feature_version") != FEATURE_MAP_VERSION:
-        raise ModelFormatError(
-            f"{path}: feature_version {data.get('feature_version')!r} is not "
-            f"{FEATURE_MAP_VERSION}; ground the models again"
-        )
-
-
-def load_label_model(path) -> LabelModel:
-    """A saved label model; ModelFormatError for a missing field or an unknown backend or feature map."""
-    with open(path) as fh:
-        data = json_object(fh.read(), str(path), ModelFormatError)
-    _check_feature_version(data, path)
-    _require(data, ("vocab", "backend", "threshold"), str(path), ModelFormatError)
-    if data["backend"] not in ("linear", "tabular"):
-        raise ModelFormatError(f"{path}: unknown label backend {data['backend']!r}")
-    needs = ("weights", "bias") if data["backend"] == "linear" else ("table",)
-    _require(data, needs, str(path), ModelFormatError)
-    model = LabelModel(tuple(data["vocab"]), data["backend"], threshold=data["threshold"])
-    if model.backend == "linear":
-        model.weights, model.bias = np.asarray(data["weights"]), np.asarray(data["bias"])
-    else:
-        model.table = {bytes.fromhex(k): np.asarray(v) for k, v in data["table"].items()}
-    model.holdout_accuracy = data.get("holdout_accuracy", {})
-    model.accuracy_split = data.get("accuracy_split", "holdout")
-    return model
-
-
-def _lit_key(lit: Literal) -> str:
-    return ("+" if lit[1] else "-") + lit[0]
-
-
-def _lit_from_key(s: str) -> Literal:
-    return (s[1:], s[0] == "+")
-
-
-def save_pvfs(pvfs: PvfSet, path) -> None:
-    """Write pvfs in format 2: the observation table once, then each literal's estimator.
-
-    The table holds every observation a tabular estimator has an entry
-    for, in order of first sight, as [shape, hex] like a dataset header.
-    A tabular literal stores one value per table entry, null where it has
-    none; a linear one its weights.
-    """
-    table: dict = {}  # obs key -> position in the table
-    for est in pvfs.estimators.values():
-        if isinstance(est, TabularPvf):
-            for k in est.v:
-                table.setdefault(k, len(table))
-    if table and pvfs.obs_shape is None:
-        raise ValueError("saving tabular PVFs needs the PvfSet's obs_shape")
-    ests = {}
-    for lit, est in pvfs.estimators.items():
-        if isinstance(est, TabularPvf):
-            values = [None] * len(table)
-            for k, v in est.v.items():
-                values[table[k]] = v
-            ests[_lit_key(lit)] = {"kind": "tabular", "v": values}
-        elif isinstance(est, LinearPvf):
-            ests[_lit_key(lit)] = {"kind": "linear", "weights": est.weights.tolist()}
-        else:
-            raise TypeError(f"cannot serialize {type(est)}")
-    data = {
-        "format_version": PVF_FORMAT_VERSION,
-        "vocab": list(pvfs.vocab),
-        "gamma": pvfs.gamma,
-        "method": pvfs.method,
-        "feature_version": FEATURE_MAP_VERSION,
-        "observations": [encode_entry(pvfs.obs_shape, k) for k in table],
-        "estimators": ests,
-    }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(data, sort_keys=True))
-
-
-def load_pvfs(path) -> PvfSet:
-    """Read a format-2 PVF file; see save_pvfs.
-
-    Each table entry is decoded once, and every tabular literal's dict
-    shares those keys. Raises ModelFormatError for a file that is no JSON
-    object or of another format or feature map, a file that lacks a field,
-    an estimator entry that is no JSON object or lacks its weights, a table
-    entry whose hex does not fit its shape or whose shape differs from the
-    first entry's, a value list whose length is not the table's, or an
-    unknown estimator kind.
-    """
-    with open(path) as fh:
-        data = json_object(fh.read(), str(path), ModelFormatError)
-    version = data.get("format_version")
-    if version is None:
-        ests = data.get("estimators", {})
-        linear = any(isinstance(e, dict) and e.get("kind") == "linear" for e in ests.values())
-        backend = " --pvf-backend linear" if linear else ""
-        raise ModelFormatError(
-            f"{path} is a format-1 PVF file, which this version no longer reads; regenerate it "
-            f"with `rmgcr ground --dataset <dataset> --out {pathlib.Path(path).parent} --method "
-            f"{data.get('method')} --gamma {data.get('gamma')}{backend}` and the options it was "
-            f"grounded with"
-        )
-    if version != PVF_FORMAT_VERSION:
-        raise ModelFormatError(
-            f"{path}: unsupported PVF file format {version!r}; expected {PVF_FORMAT_VERSION}"
-        )
-    _check_feature_version(data, path)
-    fields = ("vocab", "gamma", "method", "observations", "estimators")
-    _require(data, fields, str(path), ModelFormatError)
-    gamma = data["gamma"]
-    obs_shape = None
-    keys = []
-    for k, entry in enumerate(data["observations"]):
-        shape, raw = decode_entry(k, entry, ModelFormatError)
-        if obs_shape is None:
-            obs_shape = shape
-        elif shape != obs_shape:
-            raise ModelFormatError(
-                f"{path}: table entry {k} has shape {list(shape)}, not {list(obs_shape)}"
-            )
-        keys.append(raw)
-    estimators = {}
-    for key, entry in data["estimators"].items():
-        lit = _lit_from_key(key)
-        if not isinstance(entry, dict):
-            raise ModelFormatError(f"{path}: the estimator of {key} is not a JSON object")
-        kind = entry.get("kind")
-        if kind == "tabular":
-            values = entry.get("v")
-            if not (isinstance(values, list) and len(values) == len(keys)):
-                raise ModelFormatError(
-                    f"{path}: the values of {key} are not a list of one per table observation "
-                    f"({len(keys)})"
-                )
-            estimators[lit] = TabularPvf(
-                gamma, {k: float(v) for k, v in zip(keys, values) if v is not None}
-            )
-        elif kind == "linear":
-            _require(entry, ("weights",), f"{path}: the estimator of {key}", ModelFormatError)
-            estimators[lit] = LinearPvf(gamma, np.asarray(entry["weights"]))
-        else:
-            raise ModelFormatError(f"{path}: unknown estimator kind {kind!r} for {key}")
-    return PvfSet(tuple(data["vocab"]), gamma, data["method"], estimators, obs_shape)
+def __getattr__(name: str):
+    """The model-file functions the benchmark calls by this module, which rmgcr.files holds."""
+    if name in ("save_pvfs", "load_pvfs", "save_label_model"):
+        from . import files
+        return getattr(files, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -307,37 +307,58 @@ PVFS_HEADER = (
 LABEL_MODEL_HEADER = '{"feature_version": 1, "vocab": ["red"], "threshold": 0.5, '
 
 
+# a label_model.json with every field but one, which each case puts first
+LABEL_MODEL_REST = '"feature_version": 1, "backend": "linear", "weights": [], "bias": []}'
+
+
 @pytest.mark.parametrize(
-    "name, text",
+    "name, text, message",
     [
-        ("policy.json", '{"00/0": [0, 0'),
-        ("policy.json", "[1, 2]"),
-        ("policy.json", '{"zz/1": [0, 0, 0, 0]}'),
-        ("policy.json", '{"00/x": [0, 0, 0, 0]}'),
-        ("policy.json", '{"00": [0, 0, 0, 0]}'),
-        ("policy.json", '{"00/0": "abc"}'),
-        ("policy.json", '{"00/0": [0, 0, 0]}'),
-        ("policy.json", '{"00/0": [0, 0, "1", 0]}'),
-        ("policy.json", '{"00/0": [0, 0, 0, 0], "0000/1": [0, 0, 0, 0]}'),
-        ("pvfs.json", '{"format_version": 2'),
-        ("pvfs.json", '{"format_version": 2, "feature_version": 1}'),
-        ("pvfs.json", PVFS_HEADER + '"estimators": {"+red": 1, "-red": 1}}'),
-        ("pvfs.json", PVFS_HEADER + '"estimators": {"+red": {"kind": "linear"}}}'),
-        ("pvfs.json", PVFS_HEADER + '"estimators": {"+red": {"kind": "tabular"}}}'),
-        ("pvfs.json", '{"estimators": {"+red": 1}}'),
-        ("label_model.json", '{"vocab": ['),
-        ("label_model.json", '{"feature_version": 1}'),
-        ("label_model.json", LABEL_MODEL_HEADER + '"backend": "linear"}'),
-        ("label_model.json", LABEL_MODEL_HEADER + '"backend": "forest"}'),
+        ("policy.json", '{"00/0": [0, 0', " is not JSON"),
+        ("policy.json", "[1, 2]", " is not a JSON object"),
+        ("policy.json", '{"zz/1": [0, 0, 0, 0]}', ": policy key 'zz/1' is not <hex>/<int>"),
+        ("policy.json", '{"00/x": [0, 0, 0, 0]}', ": policy key '00/x' is not <hex>/<int>"),
+        ("policy.json", '{"00": [0, 0, 0, 0]}', ": policy key '00' is not <hex>/<int>"),
+        ("policy.json", '{"00/0": "abc"}', ": the values of policy key '00/0' are not a list of 4"),
+        ("policy.json", '{"00/0": [0, 0, 0]}', ": the values of policy key '00/0' are not a list of 4"),
+        ("policy.json", '{"00/0": [0, 0, "1", 0]}', ": the values of policy key '00/0' are not a list"),
+        ("policy.json", '{"00/0": [0, 0, 0, 0], "0000/1": [0, 0, 0, 0]}', ": the policy keys' observations"),
+        ("pvfs.json", '{"format_version": 2', " is not JSON"),
+        ("pvfs.json", '{"format_version": 2, "feature_version": 1}', " lacks vocab, gamma, method"),
+        ("pvfs.json", PVFS_HEADER + '"estimators": {"+red": 1, "-red": 1}}', ": the estimator of +red is not"),
+        ("pvfs.json", PVFS_HEADER + '"estimators": {"+red": {"kind": "linear"}}}', ": the estimator of +red lacks"),
+        ("pvfs.json", PVFS_HEADER + '"estimators": {"+red": {"kind": "tabular"}}}', ": the values of +red are not"),
+        ("pvfs.json", '{"estimators": {"+red": 1}}', " is a format-1 PVF file"),
+        ("label_model.json", '{"vocab": [', " is not JSON"),
+        ("label_model.json", '{"feature_version": 1}', " lacks vocab, backend, threshold"),
+        ("label_model.json", LABEL_MODEL_HEADER + '"backend": "linear"}', " lacks weights, bias"),
+        ("label_model.json", LABEL_MODEL_HEADER + '"backend": "forest"}', ": unknown label backend 'forest'"),
+        ("label_model.json", '{"vocab": 5, "threshold": 0.5, ' + LABEL_MODEL_REST,
+         " field 'vocab' must be a list of strings, not 5"),
+        ("label_model.json", '{"threshold": "x", "vocab": ["red"], ' + LABEL_MODEL_REST,
+         " field 'threshold' must be a number, not 'x'"),
+        ("label_model.json", LABEL_MODEL_HEADER + '"backend": "linear", "weights": "x", "bias": []}',
+         " field 'weights' must be a list, not 'x'"),
+        ("pvfs.json", PVFS_HEADER.replace('["red"]', "5") + '"estimators": {}}',
+         " field 'vocab' must be a list of strings, not 5"),
+        ("pvfs.json", PVFS_HEADER + '"estimators": []}', " field 'estimators' must be a JSON object, not []"),
+        ("pvfs.json", PVFS_HEADER + '"estimators": {"": {"kind": "linear", "weights": []}}}',
+         ": estimator key '' names no literal of the vocabulary ['red']"),
+        ("pvfs.json", PVFS_HEADER.replace("0.97", '"x"') + '"estimators": {}}',
+         " field 'gamma' must be a number, not 'x'"),
+        ("pvfs.json", PVFS_HEADER + '"estimators": {"+red": {"kind": "linear", "weights": [[0]]}}}',
+         ": the estimators are not one per literal of the vocabulary ['red']"),
     ],
     ids=["policy-not-json", "policy-list", "policy-bad-hex", "policy-bad-state", "policy-no-state",
          "policy-values-not-a-list", "policy-short-values", "policy-string-value",
          "policy-observations-differ", "pvfs-not-json", "pvfs-no-gamma", "pvfs-estimator-a-number",
          "pvfs-linear-no-weights", "pvfs-tabular-no-values", "pvfs-format-1-estimator-a-number",
          "label-model-not-json", "label-model-no-vocab", "label-model-no-weights",
-         "label-model-unknown-backend"],
+         "label-model-unknown-backend", "label-model-vocab-a-number", "label-model-threshold-a-string",
+         "label-model-weights-a-string", "pvfs-vocab-a-number", "pvfs-estimators-a-list",
+         "pvfs-empty-estimator-key", "pvfs-gamma-a-string", "pvfs-literal-without-estimator"],
 )
-def test_malformed_model_or_policy_file_is_validation_error(pipeline, tmp_path, capsys, name, text):
+def test_malformed_model_or_policy_file_is_validation_error(pipeline, tmp_path, capsys, name, text, message):
     models = tmp_path / "models"
     shutil.copytree(pipeline["models"], models)
     (models / name).write_text(text)
@@ -348,7 +369,8 @@ def test_malformed_model_or_policy_file_is_validation_error(pipeline, tmp_path, 
     else:  # oracle --models reads no label model; train reads it first
         argv = [arg.format(models=models, out=tmp_path / "out") for arg in TRAIN]
     assert main(argv) == 3
-    assert "error:" in capsys.readouterr().err
+    # every message names the file, then what in it is at fault
+    assert f"error: {models / name}{message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

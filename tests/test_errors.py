@@ -2,11 +2,11 @@ import inspect
 
 import pytest
 
-from rmgcr import compose, errors, geogrid, ground, logic, rm
+from rmgcr import compose, errors, files, geogrid, ground, logic, rm
 from rmgcr.errors import InputError
 
 
-@pytest.mark.parametrize("module", [logic, rm, geogrid, ground, compose, errors], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [logic, rm, geogrid, ground, compose, files, errors], ids=lambda m: m.__name__)
 def test_every_error_a_module_defines_is_an_input_error(module):
     # a new error class subclasses InputError, or the CLI would exit 4 on it, not 3
     defined = [

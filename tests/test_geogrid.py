@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rmgcr import cli, geogrid
-from rmgcr.ground import save_pvfs, train_pvfs_fqi
+from rmgcr.files import FormatError, load_dataset, save_dataset, save_pvfs
+from rmgcr.ground import train_pvfs_fqi
 from rmgcr.errors import OutOfRangeError
 from rmgcr.geogrid import (
     ACTIONS,
@@ -20,7 +21,6 @@ from rmgcr.geogrid import (
     SHAPES,
     VOCAB,
     CellGraph,
-    DatasetFormatError,
     GridConfig,
     GridConfigError,
     GridState,
@@ -38,11 +38,9 @@ from rmgcr.geogrid import (
     full_coverage_dataset,
     generate_dataset,
     label_frequencies,
-    load_dataset,
     move_table,
     obs_key,
     reset,
-    save_dataset,
     seeded_index,
     step,
     true_label,
@@ -497,6 +495,11 @@ class TestDatasetFile:
             outputs.append([(models / f).read_bytes() for f in files])
         assert outputs[0] == outputs[1]
 
+    def test_observations_of_two_shapes_are_not_saved(self, tmp_path):
+        steps = [([np.zeros((1, 2, 6), np.uint8), np.ones((2, 1, 6), np.uint8)], [0], [frozenset()] * 2)]
+        with pytest.raises(ValueError, match="one shape"):
+            save_dataset(GroundingDataset.from_steps(VOCAB, steps), tmp_path / "ds.jsonl")
+
     def test_loading_a_table_that_labels_an_observation_two_ways_is_rejected(self, desk_cfg, tmp_path):
         # the same observation bytes twice in the table with two labels, both used; the CLI
         # turns this into exit 3 (tests/test_cli.py::TestGround)
@@ -585,6 +588,10 @@ def _drop(path):
         (lambda h, r: [json.dumps(h), json.dumps(r[0]), "7"], "trajectory 1 is not a JSON object"),
         (_drop(("record", "ids")), "trajectory 0 lacks ids"),
         (_drop(("record", "actions")), "trajectory 0 lacks actions"),
+        (_set(("header", "vocab"), 5), "the header field 'vocab' must be a list of strings, not 5"),
+        (_set(("header", "labels"), 5), "the header field 'labels' must be a list of lists of strings"),
+        (_set(("record", "ids"), "ab"), "trajectory 0 field 'ids' must be a list, not 'ab'"),
+        (_set(("header", "observations", 1, 0), [36, 6]), "table entry 1 has shape [36, 6], not [6, 6, 6]"),
     ],
     ids=[
         "unknown-version",
@@ -609,6 +616,10 @@ def _drop(path):
         "record-not-object",
         "record-without-ids",
         "record-without-actions",
+        "vocab-a-number",
+        "labels-a-number",
+        "ids-a-string",
+        "other-shape",
     ],
 )
 def test_malformed_dataset_is_a_format_error(desk_cfg, tmp_path, tamper, message):
@@ -620,7 +631,7 @@ def test_malformed_dataset_is_a_format_error(desk_cfg, tmp_path, tamper, message
     if lines is None:
         lines = [json.dumps(r) for r in (header, *records)]
     path.write_text("".join(line + "\n" for line in lines))
-    with pytest.raises(DatasetFormatError, match=re.escape(message)):
+    with pytest.raises(FormatError, match=re.escape(message)):
         load_dataset(path)
 
 

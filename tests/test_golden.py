@@ -29,8 +29,9 @@ import warnings
 import pytest
 
 from rmgcr.agent import AgentConfig, evaluate, train
-from rmgcr.cli import main, save_policy
+from rmgcr.cli import main
 from rmgcr.compose import make_composed_value_fn, rm_value_iteration
+from rmgcr.files import load_pvfs, save_policy, save_pvfs
 from rmgcr.geogrid import (
     VOCAB,
     GridConfig,
@@ -41,7 +42,7 @@ from rmgcr.geogrid import (
     reset,
     true_label,
 )
-from rmgcr.ground import NonConvergenceWarning, load_pvfs, save_pvfs, train_pvfs_fqi
+from rmgcr.ground import NonConvergenceWarning, train_pvfs_fqi
 from rmgcr.rm import load_rm
 
 from conftest import GAMMA, GAMMA_RM, TASKS_DIR

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rmgcr import ground
+from rmgcr import files, ground
 from rmgcr.geogrid import (
     COLORS,
     SHAPES,
@@ -31,20 +31,16 @@ from rmgcr.geogrid import (
 from rmgcr.ground import (
     DegenerateAtomError,
     LabelModel,
-    ModelFormatError,
     NonConvergenceWarning,
-    load_label_model,
-    load_pvfs,
     mc_targets,
     observation_features,
     predict_labels,
-    save_label_model,
-    save_pvfs,
     train_label_model,
     train_pvfs_fqi,
     train_pvfs_mc,
 )
 from rmgcr.logic import Not, Var
+from rmgcr.files import FormatError, load_label_model, load_pvfs, save_label_model, save_pvfs
 from rmgcr.rm import reachability_rm
 from rmgcr.compose import exact_product_values
 
@@ -363,7 +359,7 @@ class TestSerialization:
         data = json.loads(path.read_text())
         data["estimators"]["+red"]["kind"] = "tabular_q"
         path.write_text(json.dumps(data))
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(FormatError):
             load_pvfs(path)
 
     @pytest.mark.parametrize("which", ["pvfs", "label_model"])
@@ -379,7 +375,7 @@ class TestSerialization:
         data = json.loads(path.read_text())
         data["feature_version"] += 1
         path.write_text(json.dumps(data))
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(FormatError):
             load(path)
 
 
@@ -429,7 +425,7 @@ class TestPvfFile:
         path = tmp_path / "pvfs.json"
         save_pvfs(desk_pvfs, path)
         data = json.loads(path.read_text())
-        assert data["format_version"] == ground.PVF_FORMAT_VERSION
+        assert data["format_version"] == files.PVF_FORMAT_VERSION
         assert [shape for shape, _ in data["observations"]] == [[6, 6, 6]] * 36
         assert len({raw for _, raw in data["observations"]}) == 36
         back = load_pvfs(path)
@@ -444,7 +440,7 @@ class TestPvfFile:
         format_1_pvfs(data)
         path.write_text(json.dumps(data, sort_keys=True))
         want = "format-1 PVF file, which this version no longer reads; regenerate it with `rmgcr ground"
-        with pytest.raises(ModelFormatError, match=re.escape(want)):
+        with pytest.raises(FormatError, match=re.escape(want)):
             load_pvfs(path)
 
     @pytest.mark.parametrize(
@@ -457,10 +453,11 @@ class TestPvfFile:
             (lambda d: d["observations"][0][0].insert(0, -1), "table entry 0 has shape [-1, 1, 4, 6]"),
             (lambda d: d["estimators"]["+red"]["v"].pop(), "the values of +red are not a list of one"),
             (lambda d: d["estimators"]["-red"].update(v={}), "the values of -red are not a list of one"),
+            (lambda d: d["estimators"]["+red"]["v"].__setitem__(0, "x"), "the values of +red are not a list"),
             (lambda d: d.update(format_version=3), "unsupported PVF file format 3"),
         ],
         ids=["short-entry", "long-entry", "hex-too-short", "other-shape", "bad-shape",
-             "short-values", "values-dict", "format-3"],
+             "short-values", "values-dict", "string-value", "format-3"],
     )
     def test_a_table_that_does_not_fit_is_rejected(self, corridor_pvfs, tmp_path, tamper, message):
         path = tmp_path / "pvfs.json"
@@ -468,7 +465,7 @@ class TestPvfFile:
         data = json.loads(path.read_text())
         tamper(data)
         path.write_text(json.dumps(data))
-        with pytest.raises(ModelFormatError, match=re.escape(message)):
+        with pytest.raises(FormatError, match=re.escape(message)):
             load_pvfs(path)
 
     def test_tabular_pvfs_without_an_obs_shape_are_not_saved(self, corridor_pvfs, tmp_path):
