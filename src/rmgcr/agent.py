@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import chain
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -33,7 +34,7 @@ EPSILON_START = 1.0
 EPSILON_END = 0.05
 EPSILON_DECAY_FRACTION = 0.5
 THRESHOLD_WINDOW = 20  # trailing episodes averaged by episodes_to_threshold
-_RAW_BLOCK = 1024  # PCG64 outputs RawDraws reads per random_raw call
+_RAW_BLOCK = 1024  # PCG64 outputs raw_words reads per random_raw call
 
 
 @dataclass
@@ -75,64 +76,34 @@ class TrainReport:
         return [e.actual_return for e in self.episodes]
 
 
-class RawDraws:
-    """The draws of a fresh PCG64 `np.random.Generator`, read from raw output blocks.
+def raw_words(bit_generator: np.random.PCG64) -> Iterator[int]:
+    """The 64-bit outputs x of a PCG64 bit generator, read `_RAW_BLOCK` per `random_raw` call.
 
     A Generator call for one scalar costs far more than the draw itself.
-    These methods return what the same calls on the Generator would, by
-    numpy's own rules for PCG64 over its 64-bit outputs x:
+    The same calls on a fresh Generator over this bit generator give, by
+    numpy's own rules for PCG64:
 
-    - `random()` is `(x >> 11) * 2**-53`.
+    - `random()` is `(x >> 11) * 2**-53`, so `random() < epsilon` is
+      `x < explore_threshold(epsilon)`.
     - A 32-bit draw is the low half of a fresh x and buffers the high half
       for the next 32-bit draw; 64-bit draws leave that buffer alone.
     - `integers(4)` is a 32-bit draw shifted right by 30 (Lemire's method
       never rejects for a power-of-two range).
     - `integers(2**63)` is `x >> 1`.
 
-    The bit generator must be fresh and drawn from through this object
-    only. `_RAW_BLOCK` outputs are read per `random_raw` call.
+    The bit generator must be fresh and drawn from through this iterator only.
     """
+    assert isinstance(bit_generator, np.random.PCG64)
+    return chain.from_iterable(iter(lambda: bit_generator.random_raw(_RAW_BLOCK).tolist(), None))
 
-    def __init__(self, bit_generator: np.random.PCG64):
-        assert isinstance(bit_generator, np.random.PCG64)
-        self._bits = bit_generator
-        self._words: list[int] = []
-        self._uniform: list[float] = []  # random() of each word
-        self._pos = _RAW_BLOCK  # next unread word; _RAW_BLOCK means the block is used up
-        self._half = -1  # the buffered high half's integers(4) draw, or -1
 
-    def _refill(self) -> None:
-        raw = self._bits.random_raw(_RAW_BLOCK)
-        self._words = raw.tolist()
-        self._uniform = ((raw >> 11) * 2.0**-53).tolist()
-        self._pos = 0
+def explore_threshold(epsilon: float) -> int:
+    """The T with `x < T` exactly when `(x >> 11) * 2**-53 < epsilon`, for 0 <= epsilon <= 1.
 
-    def _word(self) -> int:
-        if self._pos == _RAW_BLOCK:
-            self._refill()
-        self._pos += 1
-        return self._words[self._pos - 1]
-
-    def random(self) -> float:
-        pos = self._pos
-        if pos == _RAW_BLOCK:
-            self._refill()
-            pos = 0
-        self._pos = pos + 1
-        return self._uniform[pos]
-
-    def integers4(self) -> int:
-        half = self._half
-        if half >= 0:
-            self._half = -1
-            return half
-        x = self._word()
-        self._half = x >> 62
-        return (x & 0xFFFFFFFF) >> 30
-
-    def integers63(self) -> int:
-        """`integers(2**63)`."""
-        return self._word() >> 1
+    For the integer n = x >> 11, n * 2**-53 < epsilon iff n < ceil(epsilon * 2**53)
+    (both scalings by 2**53 are exact) iff x < ceil(epsilon * 2**53) * 2**11.
+    """
+    return math.ceil(epsilon * 2**53) << 11
 
 
 class GreedyPolicy:
@@ -217,25 +188,25 @@ def train(
 
     index = ObsIndex()
     moves = geogrid.move_table(cfg.height, cfg.width).tolist()
-    # per id, filled when the id is first numbered: label masks (see rm.label_mask)
-    true_masks: list[int] = []
-    predicted: list[int] = []  # predict_labels is a pure function of the observation
+    table = StepTable(rm)
+    # per id, filled when the id is first numbered: the StepTable columns of
+    # its true and predicted label masks (predict_labels is a pure function
+    # of the observation), and n_u Q rows, each None until first written
+    true, pred = [], []
+    n_u = rm.num_states
+    q: list[Optional[list[float]]] = []  # Q rows by the product index id * n_u + u
     unseen_label_obs = 0  # ids the tabular label model has no entry for
 
     def visit(start, cell) -> int:
         nonlocal unseen_label_obs
         i = index.visit(start, cell)
-        if i == len(true_masks):
+        if i == len(true):
             obs = index.obs[i]
-            true_masks.append(label_mask(rm.vocab, index.labels[i]))
-            predicted.append(label_mask(rm.vocab, predict_labels(label_model, obs)))
+            true.append(table.column(label_mask(rm.vocab, index.labels[i])))
+            pred.append(table.column(label_mask(rm.vocab, predict_labels(label_model, obs))))
+            q.extend([None] * n_u)
             unseen_label_obs += label_model.unseen(obs)
         return i
-
-    rows = StepTable(rm).rows
-    n_u = rm.num_states
-    terminal = [rm.is_terminal(u) for u in range(n_u)]
-    q: dict[int, list[float]] = {}  # Q rows keyed by the product index id * n_u + u
 
     report = TrainReport(
         meta={
@@ -249,8 +220,8 @@ def train(
     )
     decay_span = max(1, int(agent_cfg.episodes * EPSILON_DECAY_FRACTION))
     assert N_ACTIONS == 4  # exploration draws integers(4)
-    draws = RawDraws(np.random.default_rng((agent_cfg.seed, 0xA6E47)).bit_generator)
-    random, integers4 = draws.random, draws.integers4
+    words = raw_words(np.random.default_rng((agent_cfg.seed, 0xA6E47)).bit_generator)
+    half = -1  # the buffered high half's integers(4) draw, or -1
     gamma, lam, mode = agent_cfg.gamma, agent_cfg.lam, agent_cfg.shaping_mode
     max_steps = agent_cfg.max_steps
     shaped = agent_cfg.shaping != "none"
@@ -260,36 +231,36 @@ def train(
 
     for episode in range(agent_cfg.episodes):
         frac = min(1.0, episode / decay_span)
-        epsilon = EPSILON_START + frac * (EPSILON_END - EPSILON_START)
-        start, ids, cell = starts(draws.integers63())
+        explore = explore_threshold(EPSILON_START + frac * (EPSILON_END - EPSILON_START))
+        start, ids, cell = starts(next(words) >> 1)
         if shaped and ids is not layout:  # a layout the last episode did not use
             obs_at = (lambda cell, ids=ids: index.obs[ids[cell]]) if lazy else None  # read once visited
             layout, pot = ids, potential_table(agent_cfg.shaping, start, rm, cvf, rm_values, obs_at)
         i = ids[cell]
         if i < 0:
             i = visit(start, cell)
-        u = rm.initial
-        u_true = rm.initial
-        true_done = terminal[u_true]
+        u = u_true = rm.initial  # make_rm refuses a terminal initial state
+        true_done = False
         v = pot[u][cell] if shaped else 0.0  # carried: the potential of (cell, u)
-        perceived = 0.0
-        actual = 0.0
-        steps = 0
+        perceived = actual = 0.0
         p = i * n_u + u
-        row = q.get(p)  # carried: the Q row of p
-        while not terminal[u] and steps < max_steps:
+        row = q[p]  # carried: the Q row of p
+        for steps in range(1, max_steps + 1):
             if row is None:
                 row = q[p] = [0.0] * N_ACTIONS
-            if random() < epsilon:
-                a = integers4()
+            if next(words) < explore:  # random() < epsilon
+                if half < 0:  # integers(4)
+                    x = next(words)
+                    a, half = (x & 0xFFFFFFFF) >> 30, x >> 62
+                else:
+                    a, half = half, -1
             else:
                 a = row.index(max(row))  # first maximum, as np.argmax
             cell = moves[cell][a]
             j = ids[cell]
             if j < 0:
                 j = visit(start, cell)
-            mask = predicted[j]
-            u2, r, terminated = rows[u][mask]
+            u2, r, terminated = pred[j][u]
             perceived += r
 
             p = j * n_u + u2
@@ -299,22 +270,22 @@ def train(
                 shaping = shaping_term(v, v2, lam, mode, gamma)
                 v = v2
 
-            nxt = None if terminated else q.get(p)
+            nxt = None if terminated else q[p]
             bootstrap = max(nxt) if nxt is not None else 0.0
             target = r + shaping + gamma * bootstrap
             row[a] += ALPHA * (target - row[a])
 
             if not true_done:
-                mask = true_masks[j]
-                u_true, true_r, true_done = rows[u_true][mask]
+                u_true, true_r, true_done = true[j][u_true]
                 actual += true_r
 
+            if terminated:
+                break
             u, row = u2, nxt
-            steps += 1
         report.episodes.append(EpisodeRecord(perceived, actual, steps))
     report.meta["unseen_label_obs"] = unseen_label_obs
     keys = index.keys
-    policy_q = {(keys[p // n_u], p % n_u): np.array(row) for p, row in q.items()}
+    policy_q = {(keys[p // n_u], p % n_u): np.array(row) for p, row in enumerate(q) if row is not None}
     return GreedyPolicy(policy_q), report
 
 
@@ -337,16 +308,15 @@ def evaluate(
     check_seed("seed", seed)
     index = ObsIndex()
     moves = geogrid.move_table(cfg.height, cfg.width).tolist()
-    true_masks: list[int] = []  # per id, filled when the id is first numbered
+    table = StepTable(rm)
+    true = []  # per id, filled when the id is first numbered: the StepTable column of its true label
 
     def visit(start, cell) -> int:
         i = index.visit(start, cell)
-        if i == len(true_masks):
-            true_masks.append(label_mask(rm.vocab, index.labels[i]))
+        if i == len(true):
+            true.append(table.column(label_mask(rm.vocab, index.labels[i])))
         return i
 
-    rows = StepTable(rm).rows
-    terminal = [rm.is_terminal(u) for u in range(rm.num_states)]
     rng = np.random.default_rng((seed, 0xE7A1))
     starts = geogrid.episode_starts(cfg, index)
     returns = []
@@ -359,16 +329,15 @@ def evaluate(
         u = rm.initial
         total = 0.0
         for _ in range(max_steps):
-            if terminal[u]:
-                break
             a = policy.action(index.keys[i], u, rng, unseen)
             cell = moves[cell][a]
             i = ids[cell]
             if i < 0:
                 i = visit(start, cell)
-            mask = true_masks[i]
-            u, r, _ = rows[u][mask]
+            u, r, terminated = true[i][u]
             total += r
+            if terminated:
+                break
         returns.append(total)
     mean, stderr = mean_stderr(returns)
     return {

@@ -79,6 +79,17 @@ def fields(record: dict, what: str, path=None, **kinds) -> list:
     return values
 
 
+def numbers(value, n: int) -> bool:
+    """Whether value is a list of n numbers."""
+    return isinstance(value, list) and len(value) == n and all(map(NUMBER.test, value))
+
+
+def rows_of_numbers(value, n: int) -> bool:
+    """Whether value is a list of n lists of numbers, all of one length."""
+    width = len(value[0]) if isinstance(value, list) and value and isinstance(value[0], list) else -1
+    return isinstance(value, list) and len(value) == n and all(numbers(row, width) for row in value)
+
+
 def json_object(text: str, what: str) -> dict:
     """text parsed as a JSON object; raises FormatError, naming what, if it is not JSON or no object."""
     try:
@@ -269,7 +280,14 @@ def save_label_model(model: LabelModel, path) -> None:
 
 
 def load_label_model(path) -> LabelModel:
-    """A saved label model; FormatError for what read_header rejects or an unknown backend."""
+    """A saved label model.
+
+    Raises FormatError for what read_header rejects, an unknown backend,
+    linear weights that are not one equally long row of numbers per atom or
+    a bias that is not one number per atom, and a table key that is not hex
+    or whose value is not one number per atom. The weights' width is not
+    checked against the feature map.
+    """
     data = json_object(pathlib.Path(path).read_text(), str(path))
     # the backend is checked against the known ones below, whatever its type
     (vocab, backend, threshold), _, _ = read_header(
@@ -278,11 +296,25 @@ def load_label_model(path) -> LabelModel:
     if backend not in ("linear", "tabular"):
         raise FormatError(f"{path}: unknown label backend {backend!r}")
     model = LabelModel(tuple(vocab), backend, threshold=threshold)
+    n = len(vocab)
     if backend == "linear":
-        model.weights, model.bias = map(np.asarray, fields(data, str(path), weights=LIST, bias=LIST))
+        weights, bias = fields(data, str(path), weights=LIST, bias=LIST)
+        if not rows_of_numbers(weights, n):
+            raise FormatError(f"{path}: the weights are not {n} equally long lists of numbers, one per atom")
+        if not numbers(bias, n):
+            raise FormatError(f"{path}: the bias is not a list of {n} numbers, one per atom")
+        model.weights, model.bias = np.asarray(weights), np.asarray(bias)
     else:
         (table,) = fields(data, str(path), table=OBJECT)
-        model.table = {bytes.fromhex(k): np.asarray(v) for k, v in table.items()}
+        model.table = {}
+        for k, v in table.items():
+            try:
+                key = bytes.fromhex(k)
+            except ValueError:
+                raise FormatError(f"{path}: table key {k!r} is not hex") from None
+            if not numbers(v, n):
+                raise FormatError(f"{path}: the value of table key {k!r} is not a list of {n} numbers")
+            model.table[key] = np.asarray(v)
     model.holdout_accuracy = data.get("holdout_accuracy", {})
     model.accuracy_split = data.get("accuracy_split", "holdout")
     return model
@@ -327,8 +359,9 @@ def load_pvfs(path) -> PvfSet:
     shares those keys. Raises FormatError for a file that is no JSON object,
     what read_header rejects, an estimator key that names no literal of the
     vocabulary or a literal with no estimator, an estimator entry that is no
-    JSON object or lacks its weights, a value list that is not one number or
-    null per table entry, or an unknown estimator kind.
+    JSON object or lacks its weights, linear weights that are not one
+    equally long row of numbers per action, a value list that is not one
+    number or null per table entry, or an unknown estimator kind.
     """
     data = json_object(pathlib.Path(path).read_text(), str(path))
 
@@ -364,6 +397,10 @@ def load_pvfs(path) -> PvfSet:
             )
         elif kind == "linear":
             (weights,) = fields(entry, f"{path}: the estimator of {key}", weights=LIST)
+            if not rows_of_numbers(weights, N_ACTIONS):
+                raise FormatError(
+                    f"{path}: the weights of {key} are not {N_ACTIONS} equally long lists of numbers"
+                )
             estimators[lits[key]] = LinearPvf(gamma, np.asarray(weights))
         else:
             raise FormatError(f"{path}: unknown estimator kind {kind!r} for {key}")
@@ -392,7 +429,7 @@ def load_policy(path) -> GreedyPolicy:
             state = (bytes.fromhex(obs_hex), int(u))
         except ValueError:
             raise FormatError(f"{path}: policy key {key!r} is not <hex>/<int>") from None
-        if not (isinstance(values, list) and len(values) == N_ACTIONS and all(map(NUMBER.test, values))):
+        if not numbers(values, N_ACTIONS):
             raise FormatError(
                 f"{path}: the values of policy key {key!r} are not a list of {N_ACTIONS} numbers"
             )

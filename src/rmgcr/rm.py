@@ -245,34 +245,28 @@ def label_mask(vocab: Sequence[str], w: Iterable[str]) -> int:
     return sum(1 << i for i, atom in enumerate(vocab) if atom in w)
 
 
-class _StepRow(dict):
-    """One RM state's {mask: (next_state, reward, terminated)}, filled from
-    `rm_step` on the first read of each mask."""
-
-    __slots__ = ("rm", "u")
-
-    def __init__(self, rm: RewardMachine, u: int):
-        super().__init__()
-        self.rm = rm
-        self.u = u
-
-    def __missing__(self, mask: int) -> tuple[int, float, bool]:
-        w = [atom for i, atom in enumerate(self.rm.vocab) if mask >> i & 1]
-        stp = rm_step(self.rm, self.u, w)
-        entry = self[mask] = (stp.next_state, stp.reward, stp.terminated)
-        return entry
-
-
 class StepTable:
     """`rm_step` tabulated over assignment bitmasks (see `label_mask`).
 
-    `rows[u][mask]` is (next_state, reward, terminated), filled from
-    `rm_step` on the first use of each pair, so it works for any
-    vocabulary size and steps exactly as `rm_step` does.
+    `column(mask)[u]` is (next_state, reward, terminated) for each RM state
+    u, and None at a terminal u. A mask's column is filled from `rm_step`
+    on its first use, so it works for any vocabulary size and steps exactly
+    as `rm_step` does.
     """
 
     def __init__(self, rm: RewardMachine):
-        self.rows: list[_StepRow] = [_StepRow(rm, u) for u in range(rm.num_states)]
+        self.rm = rm
+        self._columns: dict[int, list[Optional[tuple[int, float, bool]]]] = {}
+
+    def column(self, mask: int) -> list[Optional[tuple[int, float, bool]]]:
+        col = self._columns.get(mask)
+        if col is None:
+            rm = self.rm
+            w = [atom for i, atom in enumerate(rm.vocab) if mask >> i & 1]
+            steps = [None if rm.is_terminal(u) else rm_step(rm, u, w) for u in range(rm.num_states)]
+            col = [None if s is None else (s.next_state, s.reward, s.terminated) for s in steps]
+            self._columns[mask] = col
+        return col
 
 
 def run_rm(rm: RewardMachine, ws: Iterable[Iterable[str]]):

@@ -12,7 +12,6 @@ from rmgcr.agent import (
     EpisodeRecord,
     GreedyPolicy,
     RandomPolicy,
-    RawDraws,
     TrainReport,
     episodes_to_threshold,
     evaluate,
@@ -401,16 +400,37 @@ DRAWS = {
 }
 
 
-def _assert_draws_match_generator(seed, ops):
+def _assert_draws_match_generator(seed, ops, epsilons):
+    """Read `ops` from `raw_words` by the rules in its docstring, as `train` does,
+    against the same calls on the Generator; each "random" op also checks the
+    decisions `x < explore_threshold(e)` against `random() < e` for the next
+    epsilon of `epsilons` and for the drawn value and its two float neighbours."""
     rng = np.random.default_rng((seed, 0xA6E47))
-    draws = RawDraws(np.random.default_rng((seed, 0xA6E47)).bit_generator)
+    words = agent.raw_words(np.random.default_rng((seed, 0xA6E47)).bit_generator)
+    epsilons = iter(epsilons)
+    half = -1  # the buffered high half's integers(4) draw, or -1
     for op in ops:
-        got, want = getattr(draws, op)(), DRAWS[op](rng)
+        want = DRAWS[op](rng)
+        if op == "random":
+            x = next(words)
+            got = (x >> 11) * 2**-53
+            near = [float(np.nextafter(want, 0.0)), want, float(np.nextafter(want, 1.0))]
+            for e in [next(epsilons, 0.5), *near]:
+                assert (x < agent.explore_threshold(e)) == (want < e), (x, e)
+        elif op == "integers4":
+            if half < 0:
+                x = next(words)
+                got, half = (x & 0xFFFFFFFF) >> 30, x >> 62
+            else:
+                got, half = half, -1
+        else:
+            got = next(words) >> 1
         assert got == want and type(got) is type(want), (op, got, want)
 
 
 class TestRawDraws:
-    """`RawDraws` against the `np.random.Generator` calls it stands in for.
+    """The draws and exploration decisions read from `raw_words` against the
+    `np.random.Generator` calls they stand in for.
 
     A lead of `random()` draws stops 0-8 words short of the end of the
     first raw block, so the interleaving under test crosses a refill at
@@ -423,18 +443,25 @@ class TestRawDraws:
         st.integers(0, 2**64 - 1),
         st.integers(0, 8),
         st.lists(st.sampled_from(sorted(DRAWS)), max_size=40),
+        st.lists(st.floats(0.0, 1.0), max_size=40),
     )
-    @example(0, 1, ["integers4", "random", "integers4", "integers4", "integers63", "integers4"])
-    @example(1, 2, ["integers4", "integers4", "integers4", "random", "integers4", "random"])
-    def test_interleavings_across_a_refill_match_the_generator(self, seed, short, ops):
+    @example(0, 1, ["integers4", "random", "integers4", "integers4", "integers63", "integers4"], [0.0, 1.0])
+    @example(1, 2, ["integers4", "integers4", "integers4", "random", "integers4", "random"], [5e-324, 0.05])
+    def test_interleavings_across_a_refill_match_the_generator(self, seed, short, ops, epsilons):
         lead = ["random"] * (agent._RAW_BLOCK - short)
-        _assert_draws_match_generator(seed, lead + ops)
+        _assert_draws_match_generator(seed, lead + ops, [0.5] * len(lead) + epsilons)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1))
     def test_training_mixes_match_the_generator(self, seed, order):
         # the mix of a training run: random() per step, integers(4) on a
-        # share of them, integers(2**63) per episode; 2,500 draws cross
-        # two refills
+        # share of them, integers(2**63) per episode, with epsilon falling
+        # from 1 to 0.05; 2,500 draws cross two refills
         ops = random.Random(order).choices(list(DRAWS), weights=(10, 3, 1), k=2500)
-        _assert_draws_match_generator(seed, ops)
+        _assert_draws_match_generator(seed, ops, np.linspace(1.0, 0.05, 2500).tolist())
+
+    def test_thresholds_at_the_ends_of_the_epsilon_range(self):
+        # epsilon 1 explores on every 64-bit word, epsilon 0 on none
+        assert agent.explore_threshold(1.0) == 2**64
+        assert agent.explore_threshold(0.0) == 0
+        assert agent.explore_threshold(2**-53) == 2**11

@@ -346,8 +346,28 @@ LABEL_MODEL_REST = '"feature_version": 1, "backend": "linear", "weights": [], "b
          ": estimator key '' names no literal of the vocabulary ['red']"),
         ("pvfs.json", PVFS_HEADER.replace("0.97", '"x"') + '"estimators": {}}',
          " field 'gamma' must be a number, not 'x'"),
-        ("pvfs.json", PVFS_HEADER + '"estimators": {"+red": {"kind": "linear", "weights": [[0]]}}}',
+        ("pvfs.json", PVFS_HEADER + '"estimators": {"+red": {"kind": "linear", "weights": [[0], [0], [0], [0]]}}}',
          ": the estimators are not one per literal of the vocabulary ['red']"),
+        ("label_model.json", LABEL_MODEL_HEADER + '"backend": "tabular", "table": {"zz": [1]}}',
+         ": table key 'zz' is not hex"),
+        ("label_model.json", LABEL_MODEL_HEADER + '"backend": "tabular", "table": {"00": [1, 0]}}',
+         ": the value of table key '00' is not a list of 1 numbers"),
+        ("label_model.json", LABEL_MODEL_HEADER + '"backend": "tabular", "table": {"00": ["1"]}}',
+         ": the value of table key '00' is not a list of 1 numbers"),
+        ("label_model.json", LABEL_MODEL_HEADER + '"backend": "linear", "weights": [[0], [0]], "bias": [0]}',
+         ": the weights are not 1 equally long lists of numbers, one per atom"),
+        ("label_model.json", LABEL_MODEL_HEADER + '"backend": "linear", "weights": [0], "bias": [0]}',
+         ": the weights are not 1 equally long lists of numbers, one per atom"),
+        ("label_model.json", LABEL_MODEL_HEADER + '"backend": "linear", "weights": [["a"]], "bias": [0]}',
+         ": the weights are not 1 equally long lists of numbers, one per atom"),
+        ("label_model.json", LABEL_MODEL_HEADER + '"backend": "linear", "weights": [[0]], "bias": [0, 0]}',
+         ": the bias is not a list of 1 numbers, one per atom"),
+        ("pvfs.json", PVFS_HEADER + '"estimators": {"+red": {"kind": "linear", "weights": [["a"]]}}}',
+         ": the weights of +red are not 4 equally long lists of numbers"),
+        ("pvfs.json", PVFS_HEADER + '"estimators": {"+red": {"kind": "linear", "weights": [[0], [0], [0]]}}}',
+         ": the weights of +red are not 4 equally long lists of numbers"),
+        ("pvfs.json", PVFS_HEADER + '"estimators": {"+red": {"kind": "linear", "weights": [[0], [0], [0], [0, 1]]}}}',
+         ": the weights of +red are not 4 equally long lists of numbers"),
     ],
     ids=["policy-not-json", "policy-list", "policy-bad-hex", "policy-bad-state", "policy-no-state",
          "policy-values-not-a-list", "policy-short-values", "policy-string-value",
@@ -356,7 +376,12 @@ LABEL_MODEL_REST = '"feature_version": 1, "backend": "linear", "weights": [], "b
          "label-model-not-json", "label-model-no-vocab", "label-model-no-weights",
          "label-model-unknown-backend", "label-model-vocab-a-number", "label-model-threshold-a-string",
          "label-model-weights-a-string", "pvfs-vocab-a-number", "pvfs-estimators-a-list",
-         "pvfs-empty-estimator-key", "pvfs-gamma-a-string", "pvfs-literal-without-estimator"],
+         "pvfs-empty-estimator-key", "pvfs-gamma-a-string", "pvfs-literal-without-estimator",
+         "label-model-table-key-not-hex", "label-model-table-value-too-long",
+         "label-model-table-value-a-string", "label-model-weights-too-many-rows",
+         "label-model-weights-row-a-number", "label-model-weights-a-string-entry",
+         "label-model-bias-too-long", "pvfs-weights-a-string-entry", "pvfs-weights-too-few-rows",
+         "pvfs-weights-ragged"],
 )
 def test_malformed_model_or_policy_file_is_validation_error(pipeline, tmp_path, capsys, name, text, message):
     models = tmp_path / "models"

@@ -20,6 +20,13 @@ and Q row from step to step, and before `GreedyPolicy` kept each greedy
 action. A change to the RNG draw order, to a tie-break, to the update
 arithmetic or to a signed zero shows up here as a changed digest, even
 when every behavioural test still passes.
+
+Every training pin (`GOLDEN`, `LONG_GOLDEN`, the randomized one under
+linear PVFs and the episode-loop edge cases of `EDGE_GOLDEN`) was recorded
+before the training step read its draws from one stream of raw words
+compared against a per-episode exploration threshold, its RM steps from
+per-label `StepTable` columns and its Q rows from a list indexed by
+product state, and before each episode became a bounded `for` loop.
 """
 
 import hashlib
@@ -33,6 +40,7 @@ from rmgcr.cli import main
 from rmgcr.compose import make_composed_value_fn, rm_value_iteration
 from rmgcr.files import load_pvfs, save_policy, save_pvfs
 from rmgcr.geogrid import (
+    COLORS,
     VOCAB,
     GridConfig,
     ObjectSpec,
@@ -43,7 +51,8 @@ from rmgcr.geogrid import (
     true_label,
 )
 from rmgcr.ground import NonConvergenceWarning, train_pvfs_fqi
-from rmgcr.rm import load_rm
+from rmgcr.logic import Or, Var
+from rmgcr.rm import load_rm, reachability_rm
 
 from conftest import GAMMA, GAMMA_RM, TASKS_DIR
 
@@ -155,26 +164,32 @@ def _digest(data) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _run_digests(case, episodes, request, desk_pvfs, tmp_path):
-    layout, task, shaping, mode, label_fixture = case
-    cfg = GridConfig(layout_mode=layout)
-    rm = load_rm(TASKS_DIR / task)
-    label_model = request.getfixturevalue(label_fixture)
+def _train_digests(cfg, rm, label_model, agent_cfg, pvfs, tmp_path, eval_steps=100):
+    """The TrainReport of one run and the digests of (its episodes, evaluate returns, save_policy bytes)."""
+    shaping = agent_cfg.shaping
     policy, report = train(
         cfg,
         rm,
         label_model,
-        AgentConfig(shaping=shaping, shaping_mode=mode, episodes=episodes, seed=7),
-        cvf=make_composed_value_fn(rm, desk_pvfs, GAMMA_RM) if shaping == "composed" else None,
+        agent_cfg,
+        cvf=make_composed_value_fn(rm, pvfs, GAMMA_RM) if shaping == "composed" else None,
         rm_values=rm_value_iteration(rm, GAMMA_RM, GAMMA) if shaping == "high-level" else None,
     )
-    returns = evaluate(policy, cfg, rm, EVAL_EPISODES, seed=3)["returns"]
+    returns = evaluate(policy, cfg, rm, EVAL_EPISODES, seed=3, max_steps=eval_steps)["returns"]
     save_policy(policy, tmp_path / "policy.json")
-    return (
+    return report, (
         _digest([[e.perceived_return, e.actual_return, e.steps] for e in report.episodes]),
         _digest(returns),
         _digest((tmp_path / "policy.json").read_bytes()),
     )
+
+
+def _run_digests(case, episodes, request, pvfs, tmp_path):
+    layout, task, shaping, mode, label_fixture = case
+    agent_cfg = AgentConfig(shaping=shaping, shaping_mode=mode, episodes=episodes, seed=7)
+    label_model = request.getfixturevalue(label_fixture)
+    cfg, rm = GridConfig(layout_mode=layout), load_rm(TASKS_DIR / task)
+    return _train_digests(cfg, rm, label_model, agent_cfg, pvfs, tmp_path)[1]
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: "-".join(c[:4]))
@@ -202,6 +217,78 @@ def test_randomized_run_under_linear_pvfs_matches_recorded_digests(request, desk
         pvfs = train_pvfs_fqi(full_coverage_dataset(desk_cfg), GAMMA, iters=5, backend="linear")
     case = ("randomized", "logic.rm", "composed", "undiscounted", "exact_label_model")
     assert _run_digests(case, EPISODES, request, pvfs, tmp_path) == RANDOMIZED_LINEAR_GOLDEN
+
+
+# Edge cases of the episode loop, recorded before the training step read its
+# draws from one stream of raw words, its RM steps from per-label columns and
+# its Q rows from a list: a cap of one step; one episode, whose epsilon of 1
+# explores on every step; a machine that can terminate on the first step;
+# and a cap that some episodes hit and others do not. Evaluation runs under
+# the same step cap. name -> (layout, task, AgentConfig fields, digests as GOLDEN's)
+REACH_ANY_OBJECT = "any object"
+EDGE_GOLDEN = {
+    "max-steps-1": (
+        "fixed",
+        "logic.rm",
+        dict(shaping="composed", max_steps=1),
+        (
+            "585a60e1f034a15d",
+            "1c3982f0c3d2f96a",
+            "f3b51c8bb1e9a260",
+        ),
+    ),
+    "one-episode": (
+        "fixed",
+        "sequence.rm",
+        dict(episodes=1, max_steps=300),
+        (
+            "ab8874ab4a4376a0",
+            "1c3982f0c3d2f96a",
+            "2e48d91644598c63",
+        ),
+    ),
+    "first-step-terminates": (
+        "fixed",
+        REACH_ANY_OBJECT,
+        dict(shaping="high-level"),
+        (
+            "f698daafecfa52e7",
+            "70c1e5257dda7ce7",
+            "c249a159cc55ccd6",
+        ),
+    ),
+    "step-cap": (
+        "randomized",
+        "sequence.rm",
+        dict(max_steps=12, episodes=80),
+        (
+            "2c419f7d61a69a3b",
+            "1c3982f0c3d2f96a",
+            "6bb5e16af464f5e8",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_GOLDEN))
+def test_episode_loop_edge_cases_match_recorded_digests(case, desk_label_model, desk_pvfs, tmp_path):
+    layout, task, fields, digests = EDGE_GOLDEN[case]
+    if task == REACH_ANY_OBJECT:
+        rm = reachability_rm(VOCAB, Or(tuple(Var(c) for c in COLORS)))
+    else:
+        rm = load_rm(TASKS_DIR / task)
+    agent_cfg = AgentConfig(**{"episodes": EPISODES, "seed": 7, **fields})
+    cfg = GridConfig(layout_mode=layout)
+    report, got = _train_digests(
+        cfg, rm, desk_label_model, agent_cfg, desk_pvfs, tmp_path, eval_steps=agent_cfg.max_steps
+    )
+    steps = [e.steps for e in report.episodes]
+    assert len(steps) == agent_cfg.episodes and all(1 <= s <= agent_cfg.max_steps for s in steps)
+    if case == "first-step-terminates":
+        assert any(e.steps == 1 and e.perceived_return == 1.0 for e in report.episodes)
+    if case == "step-cap":
+        assert min(steps) < agent_cfg.max_steps == max(steps)
+    assert got == digests
 
 
 # `rmgcr oracle` on every task file the grid can label and on two fixed

@@ -175,15 +175,16 @@ class TestConstruction:
 
 
 def _assert_table_matches_rm_step(rm):
-    rows = StepTable(rm).rows  # filled by subscripts alone
-    for u in range(rm.num_states):
-        if rm.is_terminal(u):
-            with pytest.raises(StepFromTerminalError):
-                rows[u][0]
-            continue
-        for mask, w in enumerate(all_assignments(rm.vocab)):
+    table = StepTable(rm)
+    for mask, w in enumerate(all_assignments(rm.vocab)):
+        column = table.column(mask)
+        assert len(column) == rm.num_states and table.column(mask) is column
+        for u in range(rm.num_states):
+            if rm.is_terminal(u):
+                assert column[u] is None  # where rm_step raises StepFromTerminalError
+                continue
             stp = rm_step(rm, u, w)
-            assert rows[u][mask] == (stp.next_state, stp.reward, stp.terminated)
+            assert column[u] == (stp.next_state, stp.reward, stp.terminated)
 
 
 @st.composite
@@ -233,9 +234,9 @@ class TestStepTable:
     def test_steps_beyond_the_exhaustive_vocab(self):
         vocab = tuple(f"a{i}" for i in range(MAX_EXHAUSTIVE_VOCAB + 1))
         rm = make_rm(vocab, 2, [RmTransition(1, 0, And((Var("a0"), Var(vocab[-1]))), 1.0)])
-        rows = StepTable(rm).rows
-        assert rows[1][label_mask(vocab, {"a0"})] == (1, 0.0, False)
-        assert rows[1][label_mask(vocab, {"a0", vocab[-1]})] == (0, 1.0, True)
+        table = StepTable(rm)
+        assert table.column(label_mask(vocab, {"a0"})) == [None, (1, 0.0, False)]
+        assert table.column(label_mask(vocab, {"a0", vocab[-1]})) == [None, (0, 1.0, True)]
 
 
 def _first_overlap(rm):
