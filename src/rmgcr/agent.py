@@ -9,8 +9,9 @@ used only for reporting and evaluation.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterator, Optional
 
 import numpy as np
@@ -20,8 +21,8 @@ from .compose import ComposedValueFn, ConfigMismatchError, RmStateValues, check_
 from .compose import UnsatisfiableGuardError, composed_table, composed_value, shaping_term
 from .errors import InputError, check_count, check_open_unit, check_seed
 from .geogrid import GridConfig, ObsIndex
-from .ground import LabelModel, predict_labels
-from .rm import RewardMachine, StepTable, label_mask
+from .ground import LabelModel
+from .rm import RewardMachine, label_mask
 
 N_ACTIONS = len(geogrid.ACTIONS)
 
@@ -137,29 +138,27 @@ class RandomPolicy:
 
 
 class LazyPotentials(dict):
-    """One RM state's composed potentials by row-major cell, each valued by composed_value on first read."""
+    """One RM state's composed potentials on a layout encoded as obs, by row-major cell, each valued by
+    composed_value on first read."""
 
-    def __init__(self, cvf: ComposedValueFn, u: int, obs_at):
-        self.cvf, self.u, self.obs_at = cvf, u, obs_at
+    def __init__(self, cvf: ComposedValueFn, u: int, obs: np.ndarray):
+        self.cvf, self.u, self.obs = cvf, u, obs
 
     def __missing__(self, cell: int) -> float:
-        value = self[cell] = composed_value(self.cvf, self.obs_at(cell), self.u)
+        value = self[cell] = composed_value(self.cvf, self.obs[cell], self.u)
         return value
 
 
-def potential_table(shaping: str, start: geogrid.GridState, rm: RewardMachine, cvf, rm_values, obs_at=None):
-    """Rows [u][cell] of the shaping potential on start's layout, 0 at terminal u: rm_values[u], one
-    composed_table, or, given obs_at(cell) -> observation or on a false guard, LazyPotentials."""
-    n = start.width * start.height
+def potential_table(shaping: str, obs: np.ndarray, rm: RewardMachine, cvf, rm_values, lazy: bool = False):
+    """Rows [u][cell] of the shaping potential on a layout encoded as obs (see encode_layout), 0 at
+    terminal u: rm_values[u], one composed_table, or, if lazy or on a false guard, LazyPotentials."""
+    n = len(obs)
     if shaping == "high-level":
         return [[0.0 if rm.is_terminal(u) else rm_values[u]] * n for u in range(rm.num_states)]
-    if obs_at is None:
-        obs = geogrid.encode_layout(start)
-        try:
+    if not lazy:
+        with suppress(UnsatisfiableGuardError):  # raise only if an episode enters the guard's RM state
             return composed_table(cvf, obs).tolist()
-        except UnsatisfiableGuardError:  # raise only if an episode enters the guard's RM state
-            obs_at = obs.__getitem__
-    return [[0.0] * n if rm.is_terminal(u) else LazyPotentials(cvf, u, obs_at) for u in range(rm.num_states)]
+    return [[0.0] * n if rm.is_terminal(u) else LazyPotentials(cvf, u, obs) for u in range(rm.num_states)]
 
 
 def train(
@@ -174,7 +173,8 @@ def train(
 
     The perceived return per episode sums the agent's own RM rewards
     (shaping terms excluded); the actual return replays the same states
-    through the ground-truth labelling and true RM. Shaping reads a potential_table per layout.
+    through the ground-truth labelling and true RM. Shaping reads a potential_table per layout,
+    and the label model scores each layout's cells in one call.
     """
     if tuple(rm.vocab) != tuple(label_model.vocab):
         raise ConfigMismatchError("RM and label model vocabularies differ")
@@ -188,24 +188,28 @@ def train(
 
     index = ObsIndex()
     moves = geogrid.move_table(cfg.height, cfg.width).tolist()
-    table = StepTable(rm)
-    # per id, filled when the id is first numbered: the StepTable columns of
-    # its true and predicted label masks (predict_labels is a pure function
-    # of the observation), and n_u Q rows, each None until first written
+    # per id, filled when the id is first numbered: the rm.column of its
+    # true and of its predicted label mask (a pure function of the
+    # observation), and n_u Q rows, each None until first written
     true, pred = [], []
     n_u = rm.num_states
     q: list[Optional[list[float]]] = []  # Q rows by the product index id * n_u + u
     unseen_label_obs = 0  # ids the tabular label model has no entry for
+    predicted = masks = None  # the layout array last scored, and the label_mask predicted per cell
+    bits = [1 << k for k in range(len(rm.vocab))]  # label_mask's bit of each atom, any vocabulary size
 
     def visit(start, cell) -> int:
-        nonlocal unseen_label_obs
+        nonlocal unseen_label_obs, predicted, masks
         i = index.visit(start, cell)
         if i == len(true):
-            obs = index.obs[i]
-            true.append(table.column(label_mask(rm.vocab, index.labels[i])))
-            pred.append(table.column(label_mask(rm.vocab, predict_labels(label_model, obs))))
+            obs, labels = index.layout(start)
+            if obs is not predicted:  # predict_labels of every cell, from one scores call
+                hits = (label_model.scores(obs) >= label_model.threshold).tolist()
+                predicted, masks = obs, [sum(compress(bits, row)) for row in hits]
+            true.append(rm.column(label_mask(rm.vocab, labels[cell])))
+            pred.append(rm.column(masks[cell]))
             q.extend([None] * n_u)
-            unseen_label_obs += label_model.unseen(obs)
+            unseen_label_obs += label_model.unseen(obs[cell])
         return i
 
     report = TrainReport(
@@ -234,8 +238,8 @@ def train(
         explore = explore_threshold(EPSILON_START + frac * (EPSILON_END - EPSILON_START))
         start, ids, cell = starts(next(words) >> 1)
         if shaped and ids is not layout:  # a layout the last episode did not use
-            obs_at = (lambda cell, ids=ids: index.obs[ids[cell]]) if lazy else None  # read once visited
-            layout, pot = ids, potential_table(agent_cfg.shaping, start, rm, cvf, rm_values, obs_at)
+            obs = index.layout(start)[0]
+            layout, pot = ids, potential_table(agent_cfg.shaping, obs, rm, cvf, rm_values, lazy)
         i = ids[cell]
         if i < 0:
             i = visit(start, cell)
@@ -244,7 +248,8 @@ def train(
         v = pot[u][cell] if shaped else 0.0  # carried: the potential of (cell, u)
         perceived = actual = 0.0
         p = i * n_u + u
-        row = q[p]  # carried: the Q row of p
+        row = q[p]  # carried: the Q row of p, and its max
+        best = 0.0 if row is None else max(row)
         for steps in range(1, max_steps + 1):
             if row is None:
                 row = q[p] = [0.0] * N_ACTIONS
@@ -255,7 +260,7 @@ def train(
                 else:
                     a, half = half, -1
             else:
-                a = row.index(max(row))  # first maximum, as np.argmax
+                a = row.index(best)  # first maximum, as np.argmax
             cell = moves[cell][a]
             j = ids[cell]
             if j < 0:
@@ -271,9 +276,11 @@ def train(
                 v = v2
 
             nxt = None if terminated else q[p]
-            bootstrap = max(nxt) if nxt is not None else 0.0
-            target = r + shaping + gamma * bootstrap
+            best = max(nxt) if nxt is not None else 0.0
+            target = r + shaping + gamma * best
             row[a] += ALPHA * (target - row[a])
+            if nxt is row:  # a self-transition: the update may have moved its max
+                best = max(row)
 
             if not true_done:
                 u_true, true_r, true_done = true[j][u_true]
@@ -308,13 +315,12 @@ def evaluate(
     check_seed("seed", seed)
     index = ObsIndex()
     moves = geogrid.move_table(cfg.height, cfg.width).tolist()
-    table = StepTable(rm)
-    true = []  # per id, filled when the id is first numbered: the StepTable column of its true label
+    true = []  # per id, filled when the id is first numbered: the rm.column of its true label
 
     def visit(start, cell) -> int:
         i = index.visit(start, cell)
         if i == len(true):
-            true.append(table.column(label_mask(rm.vocab, index.labels[i])))
+            true.append(rm.column(label_mask(rm.vocab, index.labels[i])))
         return i
 
     rng = np.random.default_rng((seed, 0xE7A1))

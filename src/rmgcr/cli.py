@@ -135,12 +135,9 @@ def cmd_train(args) -> int:
     cfg = files.load_grid_config(args.env, {})
     out = out_dir(args.out)
 
-    cvf = None
-    rm_values = None
-    if "composed" in args.shaping:
-        cvf = compose.make_composed_value_fn(rm, pvfs, args.gamma_rm, gamma=args.gamma)
-    if "high-level" in args.shaping:
-        rm_values = compose.rm_value_iteration(rm, args.gamma_rm, args.gamma)
+    composed, high_level = "composed" in args.shaping, "high-level" in args.shaping
+    cvf = compose.make_composed_value_fn(rm, pvfs, args.gamma_rm, gamma=args.gamma) if composed else None
+    rm_values = compose.rm_value_iteration(rm, args.gamma_rm, args.gamma) if high_level else None
 
     summary = {
         "task": str(args.rm),
@@ -156,17 +153,10 @@ def cmd_train(args) -> int:
         per_seed = []
         for seed in args.seeds:
             agent_cfg = agent.AgentConfig(
-                gamma=args.gamma,
-                shaping=shaping,
-                lam=args.lam,
-                shaping_mode=args.shaping_mode,
-                episodes=args.episodes,
-                max_steps=args.max_steps,
-                seed=seed,
+                gamma=args.gamma, shaping=shaping, lam=args.lam, shaping_mode=args.shaping_mode,
+                episodes=args.episodes, max_steps=args.max_steps, seed=seed,
             )
-            policy, report = agent.train(
-                cfg, rm, label_model, agent_cfg, cvf=cvf, rm_values=rm_values
-            )
+            policy, report = agent.train(cfg, rm, label_model, agent_cfg, cvf=cvf, rm_values=rm_values)
             unseen = report.meta["unseen_label_obs"]
             if unseen:
                 print(
@@ -185,14 +175,8 @@ def cmd_train(args) -> int:
                 policy, cfg, rm, args.eval_episodes, seed=args.eval_seed, max_steps=args.max_steps
             )
             _warn_unseen_policy_states(stats, f"{shaping} seed {seed}: ")
-            per_seed.append(
-                {
-                    "seed": seed,
-                    "eval_mean": stats["mean"],
-                    "eval_stderr": stats["stderr"],
-                    "episodes_to_threshold": agent.episodes_to_threshold(report, args.threshold),
-                }
-            )
+            per_seed.append({"seed": seed, "eval_mean": stats["mean"], "eval_stderr": stats["stderr"],
+                             "episodes_to_threshold": agent.episodes_to_threshold(report, args.threshold)})
         mean, stderr = agent.mean_stderr([r["eval_mean"] for r in per_seed])
         summary["results"][shaping] = {"per_seed": per_seed, "mean": mean, "stderr": stderr}
         print(f"{shaping:<11} eval mean {mean:.3f} +/- {stderr:.3f} over {len(per_seed)} seeds")

@@ -227,6 +227,14 @@ def true_label(s: GridState) -> frozenset[str]:
     return frozenset()
 
 
+def layout_labels(state: GridState) -> list[frozenset[str]]:
+    """true_label of state's layout with the agent on each row-major cell in turn, in one pass."""
+    labels = [frozenset()] * (state.width * state.height)
+    for color, shape, (r, c) in reversed(state.placements):  # the first placement on a cell wins
+        labels[r * state.width + c] = frozenset((color, shape))
+    return labels
+
+
 def encode_obs(s: GridState) -> np.ndarray:
     """height x width x 6 binary tensor, channels (red, green, blue, triangle, circle, agent)."""
     obs = np.zeros((s.height, s.width, len(CHANNELS)), dtype=np.uint8)
@@ -299,7 +307,7 @@ class CellGraph:
         by_cell = cell_states(cfg)
         self.cells: list[Cell] = list(by_cell)
         self.states: list[GridState] = list(by_cell.values())
-        self.labels = [true_label(s) for s in self.states]
+        self.labels = layout_labels(self.states[0])
         self.distinct_labels = sorted(set(self.labels), key=sorted)
         self.label_ids = np.array([self.distinct_labels.index(l) for l in self.labels])
         self.index = {cell: i for i, cell in enumerate(self.cells)}
@@ -318,8 +326,9 @@ class ObsIndex:
     Per id: keys[i], the observation's bytes; obs[i], the observation as a
     read-only array; labels[i], its label. add numbers an observation by its
     bytes. cells(state) is the list of ids of state's layout by row-major
-    cell, -1 until visit(state, cell) encodes and labels the cell; a walk
+    cell, -1 until visit(state, cell) reads the cell off layout(state); a walk
     fetches that list once per trajectory and visits only cells that hold -1.
+    layout(state) encodes and labels a layout once, and keeps only the latest.
     """
 
     def __init__(self):
@@ -328,6 +337,7 @@ class ObsIndex:
         self.labels: list[frozenset[str]] = []
         self._by_key: dict[bytes, int] = {}
         self._by_layout: dict[tuple, list[int]] = {}  # placements -> id per cell
+        self._layout: tuple = (None, None, None)  # the latest layout's placements, array and labels
 
     def add(self, obs: np.ndarray, label: frozenset[str]) -> int:
         """The id of obs, added on first sight; raises InconsistentLabelError on a second label."""
@@ -351,12 +361,18 @@ class ObsIndex:
             ids = self._by_layout[state.placements] = [-1] * (state.width * state.height)
         return ids
 
+    def layout(self, state: GridState) -> tuple[np.ndarray, list[frozenset[str]]]:
+        """encode_layout(state) and layout_labels(state), made once while state's layout is the latest."""
+        if self._layout[0] != state.placements:
+            self._layout = (state.placements, encode_layout(state), layout_labels(state))
+        return self._layout[1:]
+
     def visit(self, state: GridState, cell: int) -> int:
-        """The id of state's layout with the agent on row-major cell, encoded and labelled once."""
+        """The id of state's layout with the agent on row-major cell, read off layout(state)."""
         ids = self.cells(state)
         if ids[cell] < 0:
-            at = GridState(state.width, state.height, divmod(cell, state.width), state.placements)
-            ids[cell] = self.add(encode_obs(at), true_label(at))
+            obs, labels = self.layout(state)
+            ids[cell] = self.add(obs[cell], labels[cell])
         return ids[cell]
 
 
@@ -414,9 +430,9 @@ def generate_dataset(
     Reproducible: trajectory i uses the RNG stream (seed, i), drawing its
     start's seed (for episode_starts) and then all its actions in one call,
     the same stream as one draw per step. The walk follows move_table by
-    cell id and numbers its cells through one ObsIndex, so each distinct
-    state is encoded and labelled on its first visit; the dataset keeps
-    that index, and each trajectory the ids of its steps.
+    cell id and numbers its cells through one ObsIndex, so each layout is
+    encoded and labelled once, on its first visit; the dataset keeps that
+    index, and each trajectory the ids of its steps.
     """
     check_count("n_trajectories", n_trajectories)
     root = cfg.seed if seed is None else seed

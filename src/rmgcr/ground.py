@@ -82,8 +82,11 @@ class LabelModel:
         check_open_unit("threshold", self.threshold)
 
     def scores(self, obs: np.ndarray) -> np.ndarray:
+        """Per-atom scores of one observation, or of each of a stack of them by row."""
         if self.backend == "linear":
-            return _sigmoid(self.weights @ observation_features(obs) + self.bias)
+            return _sigmoid(observation_features(obs) @ self.weights.T + self.bias)
+        if obs.ndim > 3:
+            return np.array([self.scores(o) for o in obs])
         if self.unseen(obs):
             return np.zeros(len(self.vocab))
         return np.asarray(self.table[obs_key(obs)], dtype=np.float64)

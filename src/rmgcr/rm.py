@@ -15,6 +15,9 @@ Text format (one transition per line, `#` starts a comment):
 
 By convention state 1 is initial and state 0 is terminal when terminals
 exist; `terminals:` with no ids declares a machine that never terminates.
+
+`rm_step` defines a step; `RewardMachine.column` keeps a machine's steps by
+assignment bitmask, filled once per machine and mask and shared by its callers.
 """
 
 from __future__ import annotations
@@ -81,6 +84,7 @@ class RewardMachine:
     terminals: frozenset[int]
     transitions: tuple[RmTransition, ...]
     _outgoing: dict = field(default_factory=dict, repr=False, compare=False)
+    _columns: dict = field(default_factory=dict, repr=False, compare=False)  # mask -> column
 
     def __post_init__(self):
         for u in range(self.num_states):
@@ -91,6 +95,17 @@ class RewardMachine:
 
     def is_terminal(self, u: int) -> bool:
         return u in self.terminals
+
+    def column(self, mask: int) -> tuple[Optional[tuple[int, float, bool]], ...]:
+        """`rm_step` of each state u on assignment bitmask mask (see `label_mask`): (next_state, reward,
+        terminated), or None at a terminal u. Filled on the mask's first use and kept on the machine."""
+        col = self._columns.get(mask)
+        if col is None:
+            w = [atom for i, atom in enumerate(self.vocab) if mask >> i & 1]
+            steps = [None if self.is_terminal(u) else rm_step(self, u, w) for u in range(self.num_states)]
+            col = tuple(None if s is None else (s.next_state, s.reward, s.terminated) for s in steps)
+            self._columns[mask] = col
+        return col
 
 
 def make_rm(
@@ -243,30 +258,6 @@ def label_mask(vocab: Sequence[str], w: Iterable[str]) -> int:
     """
     w = frozenset(w)
     return sum(1 << i for i, atom in enumerate(vocab) if atom in w)
-
-
-class StepTable:
-    """`rm_step` tabulated over assignment bitmasks (see `label_mask`).
-
-    `column(mask)[u]` is (next_state, reward, terminated) for each RM state
-    u, and None at a terminal u. A mask's column is filled from `rm_step`
-    on its first use, so it works for any vocabulary size and steps exactly
-    as `rm_step` does.
-    """
-
-    def __init__(self, rm: RewardMachine):
-        self.rm = rm
-        self._columns: dict[int, list[Optional[tuple[int, float, bool]]]] = {}
-
-    def column(self, mask: int) -> list[Optional[tuple[int, float, bool]]]:
-        col = self._columns.get(mask)
-        if col is None:
-            rm = self.rm
-            w = [atom for i, atom in enumerate(rm.vocab) if mask >> i & 1]
-            steps = [None if rm.is_terminal(u) else rm_step(rm, u, w) for u in range(rm.num_states)]
-            col = [None if s is None else (s.next_state, s.reward, s.terminated) for s in steps]
-            self._columns[mask] = col
-        return col
 
 
 def run_rm(rm: RewardMachine, ws: Iterable[Iterable[str]]):

@@ -22,8 +22,9 @@ from rmgcr.compose import UnsatisfiableGuardError, composed_value, make_composed
 from rmgcr.geogrid import VOCAB, GridConfig, cell_states, encode_obs, obs_key, step, reset, true_label
 from rmgcr.ground import LabelModel, LinearPvf, PvfSet, TabularPvf, observation_features, predict_labels
 from rmgcr.logic import FALSE
-from rmgcr.rm import MAX_EXHAUSTIVE_VOCAB, RmTransition, make_rm, run_rm
+from rmgcr.rm import MAX_EXHAUSTIVE_VOCAB, RmTransition, load_rm, make_rm, run_rm
 
+from conftest import TASKS_DIR
 from test_compose import small_machines
 from test_geogrid import grid_configs
 
@@ -159,26 +160,38 @@ class TestHotPath:
 
         monkeypatch.setattr(module, name, counted)
 
-    def test_per_observation_work_runs_once(self, monkeypatch, desk_cfg, logic_rm, desk_label_model):
+    def _count_layout_work(self, monkeypatch) -> dict:
         counts: dict = {}
         for module, name in (
+            (geogrid, "encode_layout"),
+            (geogrid, "layout_labels"),
+            (LabelModel, "scores"),
             (geogrid, "encode_obs"),
-            (agent, "predict_labels"),
             (geogrid, "true_label"),
             (geogrid, "step"),
-            (rm_module, "rm_step"),
         ):
             self._counting(monkeypatch, module, name, counts)
-        _, report = train(desk_cfg, logic_rm, desk_label_model, AgentConfig(episodes=200, seed=3))
-        steps = sum(e.steps for e in report.episodes)
-        n_cells = desk_cfg.width * desk_cfg.height
-        assert steps > 5000
-        # once per observation, per (observation, action) and per (RM state, assignment)
-        assert counts["encode_obs"] <= n_cells
-        assert counts["predict_labels"] <= n_cells
-        assert counts["true_label"] <= n_cells
-        assert counts.get("step", 0) <= n_cells * 4
-        assert counts["rm_step"] <= logic_rm.num_states * 2 ** len(logic_rm.vocab)
+        return counts
+
+    def test_per_observation_work_runs_once(self, monkeypatch, desk_cfg, desk_label_model):
+        machine = load_rm(TASKS_DIR / "logic.rm")  # fresh, so that its columns are filled here
+        counts = self._count_layout_work(monkeypatch)
+        self._counting(monkeypatch, rm_module, "rm_step", counts)
+        _, report = train(desk_cfg, machine, desk_label_model, AgentConfig(episodes=200, seed=3))
+        assert sum(e.steps for e in report.episodes) > 5000
+        # the layout is encoded, labelled and scored once, and each (RM state, assignment) stepped once
+        assert counts.pop("rm_step") <= machine.num_states * 2 ** len(machine.vocab)
+        assert counts == {"encode_layout": 1, "layout_labels": 1, "scores": 1}
+
+    def test_a_randomized_walk_encodes_and_scores_each_layout_once(
+        self, monkeypatch, logic_rm, desk_label_model, desk_pvfs
+    ):
+        counts = self._count_layout_work(monkeypatch)
+        cvf = make_composed_value_fn(logic_rm, desk_pvfs, GAMMA_RM)
+        agent_cfg = AgentConfig(shaping="composed", episodes=30)
+        train(GridConfig(layout_mode="randomized"), logic_rm, desk_label_model, agent_cfg, cvf=cvf)
+        # every episode starts on a new layout, which its potentials and its start cell share
+        assert counts == {"encode_layout": 30, "layout_labels": 30, "scores": 30}
 
     def test_composed_shaping_values_a_fixed_layout_in_one_table(
         self, monkeypatch, logic_rm, desk_label_model, desk_pvfs
@@ -186,10 +199,11 @@ class TestHotPath:
         counts: dict = {}
         self._counting(monkeypatch, agent, "composed_table", counts)
         self._counting(monkeypatch, agent, "composed_value", counts)
+        self._counting(monkeypatch, geogrid, "encode_layout", counts)
         cvf = make_composed_value_fn(logic_rm, desk_pvfs, GAMMA_RM)
         agent_cfg = AgentConfig(shaping="composed", episodes=30, seed=3)
         train(GridConfig(), logic_rm, desk_label_model, agent_cfg, cvf=cvf)
-        assert counts == {"composed_table": 1}
+        assert counts == {"composed_table": 1, "encode_layout": 1}  # the table reads the walk's array
 
     def test_composed_shaping_values_only_the_cells_a_randomized_layout_reads(
         self, monkeypatch, logic_rm, desk_label_model, desk_pvfs
@@ -229,12 +243,15 @@ class TestHotPath:
             train(cfg, machine, desk_label_model, agent_cfg, cvf=cvf)
 
     def test_machine_beyond_the_exhaustive_vocab_trains_and_evaluates(self, desk_cfg, sequence_rm):
-        # sequence.rm plus atoms the grid never labels: the same episodes,
-        # Q values and returns as over the five grid atoms
+        # sequence.rm plus atoms the grid never labels, after the grid atoms or
+        # before them, past a 64-bit label mask: the same episodes, Q values and
+        # returns as over the five grid atoms
         extra = tuple(f"x{i}" for i in range(MAX_EXHAUSTIVE_VOCAB + 1 - len(sequence_rm.vocab)))
         vocab = sequence_rm.vocab + extra
         wide_rm = make_rm(vocab, sequence_rm.num_states, sequence_rm.transitions)
         assert len(vocab) > MAX_EXHAUSTIVE_VOCAB
+        first = tuple(f"y{i}" for i in range(64)) + sequence_rm.vocab
+        late_rm = make_rm(first, sequence_rm.num_states, sequence_rm.transitions)
 
         def exact_labels(vocab):
             table = {}
@@ -244,14 +261,46 @@ class TestHotPath:
             return LabelModel(vocab, "tabular", table=table)
 
         runs = []
-        for machine in (sequence_rm, wide_rm):
+        for machine in (sequence_rm, wide_rm, late_rm):
             policy, report = train(
                 desk_cfg, machine, exact_labels(machine.vocab), AgentConfig(episodes=80, seed=2)
             )
             stats = evaluate(policy, desk_cfg, machine, n_episodes=10, seed=1)
             q = {k: v.tolist() for k, v in policy.q.items()}
             runs.append((report.episodes, q, stats["returns"]))
-        assert runs[0] == runs[1]
+        assert runs[0] == runs[1] == runs[2]
+
+
+class TestSharedColumns:
+    def test_calls_on_one_machine_match_fresh_machines_and_step_it_once(
+        self, monkeypatch, desk_cfg, desk_label_model
+    ):
+        def run(machines):  # two trains and an evaluate, each on the next machine
+            out = []
+            for seed in (1, 2):
+                agent_cfg = AgentConfig(episodes=60, seed=seed)
+                policy, report = train(desk_cfg, next(machines), desk_label_model, agent_cfg)
+                out.append((report.episodes, {k: v.tolist() for k, v in policy.q.items()}))
+            out.append(evaluate(policy, desk_cfg, next(machines), n_episodes=20, seed=3))
+            return out
+
+        path = TASKS_DIR / "logic.rm"
+        fresh = run(load_rm(path) for _ in range(3))
+        calls = []
+        step = rm_module.rm_step
+        monkeypatch.setattr(rm_module, "rm_step", lambda *args: calls.append(args) or step(*args))
+        machine = load_rm(path)
+        per_call = []
+
+        def shared():
+            while True:
+                per_call.append(len(calls))
+                yield machine
+
+        assert run(shared()) == fresh
+        per_call.append(len(calls))
+        # the first train fills the columns; the second train and the evaluate step no RM state again
+        assert per_call[1] > 0 and per_call[1:] == [per_call[1]] * 3
 
 
 class TestPotentialTable:
@@ -273,13 +322,13 @@ class TestPotentialTable:
                 for lit in LITERALS
             }
         cvf = make_composed_value_fn(machine, PvfSet(VOCAB, GAMMA, "fqi", estimators), GAMMA_RM)
-        table = potential_table("composed", start, machine, cvf, None)
-        lazy = potential_table("composed", start, machine, cvf, None, observations.__getitem__)
+        table = potential_table("composed", np.stack(observations), machine, cvf, None)
+        lazy = potential_table("composed", np.stack(observations), machine, cvf, None, lazy=True)
         for i, obs in enumerate(observations):
             for u in range(machine.num_states):
                 assert table[u][i].hex() == lazy[u][i].hex() == composed_value(cvf, obs, u).hex()
         rm_values = rm_value_iteration(machine, GAMMA_RM, GAMMA)
-        table = potential_table("high-level", start, machine, None, rm_values)
+        table = potential_table("high-level", np.stack(observations), machine, None, rm_values)
         for u in range(machine.num_states):
             assert [x.hex() for x in table[u]] == [rm_values[u].hex()] * len(observations)
 

@@ -38,6 +38,7 @@ from rmgcr.geogrid import (
     full_coverage_dataset,
     generate_dataset,
     label_frequencies,
+    layout_labels,
     move_table,
     obs_key,
     reset,
@@ -679,7 +680,7 @@ class TestGenerateOncePerState:
                 assert divmod(int(moves[cell, a]), width) == step(state, a).agent
 
     def test_each_distinct_state_is_encoded_once_and_shared(self, desk_cfg, monkeypatch):
-        counts = {"encode_obs": 0, "true_label": 0}
+        counts = {"encode_layout": 0, "layout_labels": 0, "encode_obs": 0, "true_label": 0}
         for name in counts:
             original = getattr(geogrid, name)
 
@@ -692,7 +693,8 @@ class TestGenerateOncePerState:
         steps = [o for tr in ds.trajectories for o in tr.observations]
         distinct = {obs_key(o) for o in steps}
         assert len(steps) == 30 * 61 and len(distinct) <= 36
-        assert counts == {"encode_obs": len(distinct), "true_label": len(distinct)}
+        # the one layout is encoded and labelled in one call each
+        assert counts == {"encode_layout": 1, "layout_labels": 1, "encode_obs": 0, "true_label": 0}
         assert len({id(o) for o in steps}) == len(distinct)
         assert not any(o.flags.writeable for o in steps)
 
@@ -706,6 +708,17 @@ class TestLayoutEncoding:
         got = encode_layout(start)
         assert got.dtype == want[0].dtype and got.shape == (len(want), *want[0].shape)
         assert [o.tobytes() for o in got] == [o.tobytes() for o in want]
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=grid_configs(), seed=st.integers(0, 99), data=st.data())
+    def test_layout_labels_equal_true_label_on_every_cell(self, cfg, seed, data):
+        start = reset(cfg, seed=seed)
+        # extra placements may share a cell, where the first one wins
+        cell = st.tuples(st.integers(0, cfg.height - 1), st.integers(0, cfg.width - 1))
+        extra = data.draw(st.lists(st.tuples(st.sampled_from(COLORS), st.sampled_from(SHAPES), cell), max_size=4))
+        for state in (start, replace(start, placements=start.placements + tuple(extra))):
+            cells = range(cfg.width * cfg.height)
+            assert layout_labels(state) == [true_label(replace(state, agent=divmod(i, cfg.width))) for i in cells]
 
     @settings(max_examples=60, deadline=None)
     @given(grid_configs())

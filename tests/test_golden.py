@@ -25,8 +25,12 @@ Every training pin (`GOLDEN`, `LONG_GOLDEN`, the randomized one under
 linear PVFs and the episode-loop edge cases of `EDGE_GOLDEN`) was recorded
 before the training step read its draws from one stream of raw words
 compared against a per-episode exploration threshold, its RM steps from
-per-label `StepTable` columns and its Q rows from a list indexed by
-product state, and before each episode became a bounded `for` loop.
+per-label step columns and its Q rows from a list indexed by product
+state, and before each episode became a bounded `for` loop. They were
+also recorded before the step columns moved onto the reward machine
+(`RewardMachine.column`), before each layout was encoded, labelled and
+scored by the label model in one call, and before the greedy step took
+the bootstrap's maximum.
 """
 
 import hashlib

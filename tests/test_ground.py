@@ -20,6 +20,7 @@ from rmgcr.geogrid import (
     InconsistentLabelError,
     ObjectSpec,
     cell_states,
+    encode_layout,
     encode_obs,
     full_coverage_dataset,
     generate_dataset,
@@ -45,6 +46,7 @@ from rmgcr.rm import reachability_rm
 from rmgcr.compose import exact_product_values
 
 from test_compose import const_pvfs, linear_pvfs, tabular_pvfs
+from test_geogrid import grid_configs
 
 GAMMA = 0.97
 
@@ -331,6 +333,42 @@ class TestMonteCarloRegression:
         mc = train_pvfs_mc(ds, GAMMA)
         obs = encode_obs(cell_states(corridor_cfg)[(0, 0)])
         assert mc.value(("red", True), obs) <= corridor_pvfs.value(("red", True), obs) + 1e-9
+
+
+def batched_labels(model, observations):
+    """The labels a model predicts on a stack of observations, from one scores call, as agent.train reads them."""
+    hits = model.scores(observations) >= model.threshold
+    return [frozenset(a for a, hit in zip(model.vocab, row) if hit) for row in hits]
+
+
+class TestBatchedPredictions:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cfg=grid_configs(),
+        seed=st.integers(0, 2**31 - 1),
+        tabular=st.booleans(),
+        threshold=st.sampled_from([0.5, 0.25, 0.9]),
+    )
+    def test_one_call_per_layout_equals_predict_labels_per_observation(self, cfg, seed, tabular, threshold):
+        layout = encode_layout(reset(cfg, seed=seed))
+        rng = np.random.default_rng(seed)
+        if tabular:  # entries for some cells, with scores on the threshold
+            scores = [0.0, 0.25, 0.5, 0.9, 1.0]
+            table = {obs_key(o): rng.choice(scores, len(VOCAB)) for o in layout if rng.random() < 0.7}
+            model = LabelModel(VOCAB, "tabular", threshold=threshold, table=table)
+        else:
+            n_features = observation_features(layout[0]).shape[0]
+            weights = rng.normal(0.0, 1.0, (len(VOCAB), n_features))
+            model = LabelModel(VOCAB, "linear", threshold, weights=weights, bias=rng.normal(0.0, 1.0, len(VOCAB)))
+        assert batched_labels(model, layout) == [predict_labels(model, o) for o in layout]
+        singles = np.array([model.scores(o) for o in layout])
+        assert np.abs(model.scores(layout) - singles).max() <= 1e-15  # summation order only
+
+    def test_the_fitted_model_scores_a_layout_as_its_cells(self, desk_cfg, desk_label_model):
+        layout = encode_layout(reset(desk_cfg))
+        singles = np.array([desk_label_model.scores(o) for o in layout])
+        assert np.abs(desk_label_model.scores(layout) - singles).max() <= 2**-52
+        assert batched_labels(desk_label_model, layout) == [predict_labels(desk_label_model, o) for o in layout]
 
 
 class TestSerialization:

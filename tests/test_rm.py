@@ -10,7 +10,6 @@ from rmgcr.rm import (
     RmSyntaxError,
     RmTransition,
     StepFromTerminalError,
-    StepTable,
     TransitionFromTerminalError,
     check_determinism,
     label_mask,
@@ -175,10 +174,9 @@ class TestConstruction:
 
 
 def _assert_table_matches_rm_step(rm):
-    table = StepTable(rm)
     for mask, w in enumerate(all_assignments(rm.vocab)):
-        column = table.column(mask)
-        assert len(column) == rm.num_states and table.column(mask) is column
+        column = rm.column(mask)
+        assert len(column) == rm.num_states and rm.column(mask) is column
         for u in range(rm.num_states):
             if rm.is_terminal(u):
                 assert column[u] is None  # where rm_step raises StepFromTerminalError
@@ -217,6 +215,8 @@ def random_machines(draw):
 
 
 class TestStepTable:
+    """The machine's table of steps by assignment bitmask: RewardMachine.column."""
+
     def test_label_mask_bits_and_foreign_atoms(self):
         assert label_mask(GEO, ()) == 0
         assert label_mask(GEO, {"red", "circle"}) == 0b10001
@@ -234,9 +234,15 @@ class TestStepTable:
     def test_steps_beyond_the_exhaustive_vocab(self):
         vocab = tuple(f"a{i}" for i in range(MAX_EXHAUSTIVE_VOCAB + 1))
         rm = make_rm(vocab, 2, [RmTransition(1, 0, And((Var("a0"), Var(vocab[-1]))), 1.0)])
-        table = StepTable(rm)
-        assert table.column(label_mask(vocab, {"a0"})) == [None, (1, 0.0, False)]
-        assert table.column(label_mask(vocab, {"a0", vocab[-1]})) == [None, (0, 1.0, True)]
+        assert rm.column(label_mask(vocab, {"a0"})) == (None, (1, 0.0, False))
+        assert rm.column(label_mask(vocab, {"a0", vocab[-1]})) == (None, (0, 1.0, True))
+
+    def test_a_machine_keeps_its_columns_and_compares_without_them(self):
+        rm = load_rm(TASKS_DIR / "logic.rm")
+        twin = load_rm(TASKS_DIR / "logic.rm")
+        column = rm.column(0b101)
+        assert rm == twin and hash(rm) == hash(twin)
+        assert rm.column(0b101) is column and twin.column(0b101) == column
 
 
 def _first_overlap(rm):
