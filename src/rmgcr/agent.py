@@ -173,8 +173,15 @@ def train(
 
     The perceived return per episode sums the agent's own RM rewards
     (shaping terms excluded); the actual return replays the same states
-    through the ground-truth labelling and true RM. Shaping reads a potential_table per layout,
-    and the label model scores each layout's cells in one call.
+    through the ground-truth labelling and true RM.
+
+    The hot path knows a state only by its product index p = id * n_u + u.
+    An observation fixes its layout and its agent cell, so each (p, action)
+    has one successor, one perceived RM step and one shaping term. A step
+    cache keeps them, filled the first time (p, action) is taken: the move,
+    the id of the new cell (visiting it if new), the predicted label's RM
+    step, and shaping_term over the potential_table of the episode's
+    layout. A layout's cells are scored by the label model in one call.
     """
     if tuple(rm.vocab) != tuple(label_model.vocab):
         raise ConfigMismatchError("RM and label model vocabularies differ")
@@ -188,15 +195,19 @@ def train(
 
     index = ObsIndex()
     moves = geogrid.move_table(cfg.height, cfg.width).tolist()
-    # per id, filled when the id is first numbered: the rm.column of its
-    # true and of its predicted label mask (a pure function of the
-    # observation), and n_u Q rows, each None until first written
-    true, pred = [], []
+    # per id, filled when the id is first numbered: its row-major cell, the
+    # rm.column of its true and of its predicted label mask (a pure function
+    # of the observation), n_u Q rows and n_u * N_ACTIONS step cache slots,
+    # each None until first written
+    cell_of, true, pred = [], [], []
     n_u = rm.num_states
-    q: list[Optional[list[float]]] = []  # Q rows by the product index id * n_u + u
+    q: list[Optional[list[float]]] = []  # Q rows by the product index p = id * n_u + u
+    # the step cache by p * N_ACTIONS + a: (p2, p2 * N_ACTIONS, id2, r, terminated, shaping term)
+    cache: list[Optional[tuple]] = []
     unseen_label_obs = 0  # ids the tabular label model has no entry for
     predicted = masks = None  # the layout array last scored, and the label_mask predicted per cell
     bits = [1 << k for k in range(len(rm.vocab))]  # label_mask's bit of each atom, any vocabulary size
+    true_of: dict = {}  # the rm.column of each distinct true label met, as randomized layouts repeat them
 
     def visit(start, cell) -> int:
         nonlocal unseen_label_obs, predicted, masks
@@ -206,9 +217,14 @@ def train(
             if obs is not predicted:  # predict_labels of every cell, from one scores call
                 hits = (label_model.scores(obs) >= label_model.threshold).tolist()
                 predicted, masks = obs, [sum(compress(bits, row)) for row in hits]
-            true.append(rm.column(label_mask(rm.vocab, labels[cell])))
+            cell_of.append(cell)
+            col = true_of.get(labels[cell])
+            if col is None:
+                col = true_of[labels[cell]] = rm.column(label_mask(rm.vocab, labels[cell]))
+            true.append(col)
             pred.append(rm.column(masks[cell]))
             q.extend([None] * n_u)
+            cache.extend([None] * (n_u * N_ACTIONS))
             unseen_label_obs += label_model.unseen(obs[cell])
         return i
 
@@ -226,7 +242,7 @@ def train(
     assert N_ACTIONS == 4  # exploration draws integers(4)
     words = raw_words(np.random.default_rng((agent_cfg.seed, 0xA6E47)).bit_generator)
     half = -1  # the buffered high half's integers(4) draw, or -1
-    gamma, lam, mode = agent_cfg.gamma, agent_cfg.lam, agent_cfg.shaping_mode
+    gamma, lam, mode, alpha = agent_cfg.gamma, agent_cfg.lam, agent_cfg.shaping_mode, ALPHA
     max_steps = agent_cfg.max_steps
     shaped = agent_cfg.shaping != "none"
     starts = geogrid.episode_starts(cfg, index)
@@ -243,11 +259,11 @@ def train(
         i = ids[cell]
         if i < 0:
             i = visit(start, cell)
-        u = u_true = rm.initial  # make_rm refuses a terminal initial state
+        u_true = rm.initial  # make_rm refuses a terminal initial state
         true_done = False
-        v = pot[u][cell] if shaped else 0.0  # carried: the potential of (cell, u)
         perceived = actual = 0.0
-        p = i * n_u + u
+        p = i * n_u + rm.initial
+        pa = p * N_ACTIONS
         row = q[p]  # carried: the Q row of p, and its max
         best = 0.0 if row is None else max(row)
         for steps in range(1, max_steps + 1):
@@ -261,24 +277,24 @@ def train(
                     a, half = half, -1
             else:
                 a = row.index(best)  # first maximum, as np.argmax
-            cell = moves[cell][a]
-            j = ids[cell]
-            if j < 0:
-                j = visit(start, cell)
-            u2, r, terminated = pred[j][u]
+            step = cache[pa + a]
+            if step is None:  # (p, a) taken for the first time
+                u, cell = p % n_u, cell_of[p // n_u]
+                cell2 = moves[cell][a]
+                j = ids[cell2]
+                if j < 0:
+                    j = visit(start, cell2)
+                u2, r, terminated = pred[j][u]
+                p2 = j * n_u + u2
+                shaping = shaping_term(pot[u][cell], pot[u2][cell2], lam, mode, gamma) if shaped else 0.0
+                step = cache[pa + a] = (p2, p2 * N_ACTIONS, j, r, terminated, shaping)
+            p, pa, j, r, terminated, shaping = step
             perceived += r
 
-            p = j * n_u + u2
-            shaping = 0.0
-            if shaped:
-                v2 = pot[u2][cell]
-                shaping = shaping_term(v, v2, lam, mode, gamma)
-                v = v2
-
-            nxt = None if terminated else q[p]
-            best = max(nxt) if nxt is not None else 0.0
+            nxt = q[p]  # None at a terminal RM state, whose rows are never written
+            best = 0.0 if nxt is None else max(nxt)
             target = r + shaping + gamma * best
-            row[a] += ALPHA * (target - row[a])
+            row[a] += alpha * (target - row[a])
             if nxt is row:  # a self-transition: the update may have moved its max
                 best = max(row)
 
@@ -288,7 +304,7 @@ def train(
 
             if terminated:
                 break
-            u, row = u2, nxt
+            row = nxt
         report.episodes.append(EpisodeRecord(perceived, actual, steps))
     report.meta["unseen_label_obs"] = unseen_label_obs
     keys = index.keys

@@ -18,7 +18,7 @@ from collections import namedtuple
 import numpy as np
 
 from .agent import N_ACTIONS, GreedyPolicy
-from .errors import InputError
+from .errors import InputError, check_open_unit
 from .geogrid import GridConfig, GroundingDataset, ObjectSpec, ObsIndex, Trajectory, config_to_dict
 from .ground import FEATURE_MAP_VERSION, LabelModel, LinearPvf, PvfSet, TabularPvf
 
@@ -361,7 +361,8 @@ def load_pvfs(path) -> PvfSet:
     vocabulary or a literal with no estimator, an estimator entry that is no
     JSON object or lacks its weights, linear weights that are not one
     equally long row of numbers per action, a value list that is not one
-    number or null per table entry, or an unknown estimator kind.
+    number or null per table entry, or an unknown estimator kind, and
+    OutOfRangeError for a gamma outside (0, 1), NaN among them.
     """
     data = json_object(pathlib.Path(path).read_text(), str(path))
 
@@ -376,6 +377,7 @@ def load_pvfs(path) -> PvfSet:
         "PVF file", data, path, old,
         vocab=TEXTS, gamma=NUMBER, method=TEXT, observations=LIST, estimators=OBJECT,
     )
+    check_open_unit(f"{path}: gamma", gamma)
     lits = {("+" if positive else "-") + a: (a, positive) for a in vocab for positive in (True, False)}
     estimators = {}
     for key, entry in entries.items():

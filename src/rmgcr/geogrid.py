@@ -129,35 +129,44 @@ def _start_options(cfg: GridConfig, placements) -> tuple[int, ...]:
     return options
 
 
-# for seeded_index: PCG64's multiplier, and the (pool word, xor, multiplier) of the eight hashmix
-# calls of SeedSequence.generate_state(4, uint64), whose constants never depend on the data
+# for seeded_index: PCG64's multiplier M, and M**2 mod 2**128 for seeding and the first step in one
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_STATE_CONSTS = [
-    (k % 4, 0x8B51F9DD * 0x58F38DED**k & _M32, 0x8B51F9DD * 0x58F38DED ** (k + 1) & _M32) for k in range(8)
-]
+_PCG64_MULT_SQ = _PCG64_MULT * _PCG64_MULT & _M128
 
 
 def seeded_index(seed: int, n: int) -> int:
-    """int(np.random.default_rng(seed).integers(n)) for 1 <= n <= 2**32 at two thirds of its cost: after
+    """int(np.random.default_rng(seed).integers(n)) for 1 <= n <= 2**32 at about half its cost: after
     SeedSequence(seed), numpy's rules run here. generate_state(4, uint64) seeds PCG64, and Lemire's method
     draws on the 32-bit halves of its XSL-RR outputs, low half first. Raises OutOfRangeError if seed < 0."""
     check_seed("seed", seed)
-    pool = np.random.SeedSequence(seed).pool.tolist()
-    w = [(h := (pool[src] ^ x) * m & _M32) ^ h >> 16 for src, x, m in _STATE_CONSTS]
-    # the state's 64-bit words seed PCG64, high first, then its stream: step from 0, add, step
-    inc = ((w[4] | w[5] << 32) << 64 | w[6] | w[7] << 32) << 1 & _M128 | 1
-    state = ((inc + ((w[0] | w[1] << 32) << 64 | w[2] | w[3] << 32)) * _PCG64_MULT + inc) & _M128
-    threshold, halves = (1 << 32) % n, []
-    while True:
-        if not halves:  # the next output: step, then xor-shift low and rotate right
-            state = (state * _PCG64_MULT + inc) & _M128
-            x, rot = (state >> 64 ^ state) & _M64, state >> 122
-            x = (x >> rot | x << (64 - rot)) & _M64
-            halves = [x >> 32, x & _M32]
-        m = halves.pop() * n
+    p0, p1, p2, p3 = np.random.SeedSequence(seed).pool.tolist()
+    # generate_state(4, uint64)'s eight hashmix calls, unrolled: word k mixes pool[k % 4] with c[k], then
+    # multiplies by c[k + 1], for the data-free constants c[k] = 0x8B51F9DD * 0x58F38DED**k mod 2**32
+    w0 = (h := (p0 ^ 0x8B51F9DD) * 0x464A0A99 & 0xFFFFFFFF) ^ h >> 16
+    w1 = (h := (p1 ^ 0x464A0A99) * 0x819D14A5 & 0xFFFFFFFF) ^ h >> 16
+    w2 = (h := (p2 ^ 0x819D14A5) * 0xD369FDC1 & 0xFFFFFFFF) ^ h >> 16
+    w3 = (h := (p3 ^ 0xD369FDC1) * 0x501638AD & 0xFFFFFFFF) ^ h >> 16
+    w4 = (h := (p0 ^ 0x501638AD) * 0xA600C129 & 0xFFFFFFFF) ^ h >> 16
+    w5 = (h := (p1 ^ 0xA600C129) * 0x8B0167F5 & 0xFFFFFFFF) ^ h >> 16
+    w6 = (h := (p2 ^ 0x8B0167F5) * 0x5C1E2ED1 & 0xFFFFFFFF) ^ h >> 16
+    w7 = (h := (p3 ^ 0x5C1E2ED1) * 0x301D747D & 0xFFFFFFFF) ^ h >> 16
+    # the state's 64-bit words seed PCG64, high first, then its stream: step from 0, add s, step. With the
+    # first output's step that is (inc + s) * M**2 + inc * (M + 1)
+    inc = ((w4 | w5 << 32) << 64 | w6 | w7 << 32) << 1 & _M128 | 1
+    s = (w0 | w1 << 32) << 64 | w2 | w3 << 32
+    state = ((inc + s) * _PCG64_MULT_SQ + inc * (_PCG64_MULT + 1)) & _M128
+    threshold = (1 << 32) % n
+    while True:  # the output of state: xor-shift low and rotate right
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & _M64
+        m = (x & _M32) * n
         if m & _M32 >= threshold:
             return m >> 32
+        m = (x >> 32) * n  # Lemire rejected the low half: draw on the high half, then on fresh outputs
+        if m & _M32 >= threshold:
+            return m >> 32
+        state = (state * _PCG64_MULT + inc) & _M128
 
 
 def reset(cfg: GridConfig, seed: Optional[int] = None) -> GridState:

@@ -205,6 +205,19 @@ class TestHotPath:
         train(GridConfig(), logic_rm, desk_label_model, agent_cfg, cvf=cvf)
         assert counts == {"composed_table": 1, "encode_layout": 1}  # the table reads the walk's array
 
+    def test_composed_shaping_computes_one_term_per_product_state_and_action(
+        self, monkeypatch, logic_rm, desk_label_model, desk_pvfs
+    ):
+        counts: dict = {}
+        self._counting(monkeypatch, agent, "shaping_term", counts)
+        cfg = GridConfig()
+        cvf = make_composed_value_fn(logic_rm, desk_pvfs, GAMMA_RM)
+        agent_cfg = AgentConfig(shaping="composed", episodes=200, seed=2)
+        _, report = train(cfg, logic_rm, desk_label_model, agent_cfg, cvf=cvf)
+        assert sum(e.steps for e in report.episodes) > 5000
+        # one observation per cell of the fixed layout, and one term per (observation, RM state, action)
+        assert counts["shaping_term"] <= agent.N_ACTIONS * cfg.width * cfg.height * logic_rm.num_states
+
     def test_composed_shaping_values_only_the_cells_a_randomized_layout_reads(
         self, monkeypatch, logic_rm, desk_label_model, desk_pvfs
     ):

@@ -285,8 +285,9 @@ def test_tampered_model_file_is_validation_error(pipeline, tmp_path, command, mo
         (format_1_pvfs, "regenerate it with `rmgcr ground --dataset <dataset> --out "),
         (lambda d: d["observations"][0].pop(), "table entry 0 is not a [shape, hex] pair"),
         (lambda d: d["estimators"]["+red"]["v"].pop(), "the values of +red are not a list of one"),
+        (lambda d: d.update(gamma=float("nan")), "pvfs.json: gamma must lie in (0, 1), not nan"),
     ],
-    ids=["format-1", "short-entry", "short-values"],
+    ids=["format-1", "short-entry", "short-values", "gamma-nan"],
 )
 def test_unreadable_pvf_file_is_validation_error(pipeline, tmp_path, capsys, tamper, message):
     models = tmp_path / "models"

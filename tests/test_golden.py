@@ -30,7 +30,10 @@ state, and before each episode became a bounded `for` loop. They were
 also recorded before the step columns moved onto the reward machine
 (`RewardMachine.column`), before each layout was encoded, labelled and
 scored by the label model in one call, and before the greedy step took
-the bootstrap's maximum.
+the bootstrap's maximum. The last three `EDGE_GOLDEN` pins (composed and
+high-level shaping at lam = 2.5, and a pinned agent start) were recorded
+before each (product state, action) kept its successor, rewards and
+shaping term in a step cache filled on first use.
 """
 
 import hashlib
@@ -227,8 +230,10 @@ def test_randomized_run_under_linear_pvfs_matches_recorded_digests(request, desk
 # draws from one stream of raw words, its RM steps from per-label columns and
 # its Q rows from a list: a cap of one step; one episode, whose epsilon of 1
 # explores on every step; a machine that can terminate on the first step;
-# and a cap that some episodes hit and others do not. Evaluation runs under
-# the same step cap. name -> (layout, task, AgentConfig fields, digests as GOLDEN's)
+# and a cap that some episodes hit and others do not. Then shaping at a
+# lam other than 1, on a fixed and on a randomized layout, and a fixed layout
+# with a pinned agent start. Evaluation runs under the same step cap.
+# name -> (layout mode or GridConfig, task, AgentConfig fields, digests as GOLDEN's)
 REACH_ANY_OBJECT = "any object"
 EDGE_GOLDEN = {
     "max-steps-1": (
@@ -271,6 +276,36 @@ EDGE_GOLDEN = {
             "6bb5e16af464f5e8",
         ),
     ),
+    "composed-lam": (
+        "fixed",
+        "logic.rm",
+        dict(shaping="composed", shaping_mode="discounted", lam=2.5),
+        (
+            "8e32597253f14694",
+            "1c3982f0c3d2f96a",
+            "053b9670111a58ed",
+        ),
+    ),
+    "high-level-lam-randomized": (
+        "randomized",
+        "sequence.rm",
+        dict(shaping="high-level", shaping_mode="discounted", lam=2.5),
+        (
+            "31036e05fd9df8c2",
+            "1c3982f0c3d2f96a",
+            "96b283b75931fe12",
+        ),
+    ),
+    "pinned-start": (
+        GridConfig(agent_start=(2, 3)),
+        "sequence.rm",
+        dict(shaping="composed"),
+        (
+            "d4eaaaa8c7cb3672",
+            "70c1e5257dda7ce7",
+            "64a25458a0db6af1",
+        ),
+    ),
 }
 
 
@@ -282,7 +317,7 @@ def test_episode_loop_edge_cases_match_recorded_digests(case, desk_label_model, 
     else:
         rm = load_rm(TASKS_DIR / task)
     agent_cfg = AgentConfig(**{"episodes": EPISODES, "seed": 7, **fields})
-    cfg = GridConfig(layout_mode=layout)
+    cfg = layout if isinstance(layout, GridConfig) else GridConfig(layout_mode=layout)
     report, got = _train_digests(
         cfg, rm, desk_label_model, agent_cfg, desk_pvfs, tmp_path, eval_steps=agent_cfg.max_steps
     )
