@@ -205,7 +205,7 @@ def train(
     # the step cache by p * N_ACTIONS + a: (p2, p2 * N_ACTIONS, id2, r, terminated, shaping term)
     cache: list[Optional[tuple]] = []
     unseen_label_obs = 0  # ids the tabular label model has no entry for
-    predicted = masks = None  # the layout array last scored, and the label_mask predicted per cell
+    predicted = masks = None  # the Layout last scored, and the label_mask predicted per cell
     bits = [1 << k for k in range(len(rm.vocab))]  # label_mask's bit of each atom, any vocabulary size
     true_of: dict = {}  # the rm.column of each distinct true label met, as randomized layouts repeat them
 
@@ -213,19 +213,19 @@ def train(
         nonlocal unseen_label_obs, predicted, masks
         i = index.visit(start, cell)
         if i == len(true):
-            obs, labels = index.layout(start)
-            if obs is not predicted:  # predict_labels of every cell, from one scores call
-                hits = (label_model.scores(obs) >= label_model.threshold).tolist()
-                predicted, masks = obs, [sum(compress(bits, row)) for row in hits]
+            if start is not predicted:  # predict_labels of every cell, from one scores call
+                hits = (label_model.scores(start.obs) >= label_model.threshold).tolist()
+                predicted, masks = start, [sum(compress(bits, row)) for row in hits]
             cell_of.append(cell)
-            col = true_of.get(labels[cell])
+            label = start.labels[cell]
+            col = true_of.get(label)
             if col is None:
-                col = true_of[labels[cell]] = rm.column(label_mask(rm.vocab, labels[cell]))
+                col = true_of[label] = rm.column(label_mask(rm.vocab, label))
             true.append(col)
             pred.append(rm.column(masks[cell]))
             q.extend([None] * n_u)
             cache.extend([None] * (n_u * N_ACTIONS))
-            unseen_label_obs += label_model.unseen(obs[cell])
+            unseen_label_obs += label_model.unseen(start.obs[cell])
         return i
 
     report = TrainReport(
@@ -246,16 +246,15 @@ def train(
     max_steps = agent_cfg.max_steps
     shaped = agent_cfg.shaping != "none"
     starts = geogrid.episode_starts(cfg, index)
-    layout = None  # the id list of the layout that pot values
+    layout = None  # the Layout that pot values
     lazy = cfg.layout_mode == "randomized"  # a new layout per episode, which reads few of its cells
 
     for episode in range(agent_cfg.episodes):
         frac = min(1.0, episode / decay_span)
         explore = explore_threshold(EPSILON_START + frac * (EPSILON_END - EPSILON_START))
         start, ids, cell = starts(next(words) >> 1)
-        if shaped and ids is not layout:  # a layout the last episode did not use
-            obs = index.layout(start)[0]
-            layout, pot = ids, potential_table(agent_cfg.shaping, obs, rm, cvf, rm_values, lazy)
+        if shaped and start is not layout:  # a layout the last episode did not use
+            layout, pot = start, potential_table(agent_cfg.shaping, start.obs, rm, cvf, rm_values, lazy)
         i = ids[cell]
         if i < 0:
             i = visit(start, cell)

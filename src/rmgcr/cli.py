@@ -89,18 +89,19 @@ def cmd_oracle(args) -> int:
     rm = load_rm(args.rm)
     cfg = files.load_grid_config(args.env, {})
     oracle = compose.exact_product_values(cfg, rm, args.gamma, max_states=args.max_states)
-    graph = oracle.graph  # the layout, compiled once for every check below
+    layout = oracle.layout  # compiled once for every check below
     exact = oracle.values.tolist()
     composed = None
     if args.models:  # composed values need only the PVFs, not the label model
         pvfs = files.load_pvfs(pathlib.Path(args.models) / "pvfs.json")
         cvf = compose.make_composed_value_fn(rm, pvfs, args.gamma_rm, gamma=args.gamma)
-        composed = compose.composed_table(cvf, geogrid.encode_layout(graph.states[0])).tolist()
+        composed = compose.composed_table(cvf, layout.obs).tolist()
     # one CSV line per (cell, u), row-major; terminal RM states get no composed value
     compared = [composed is not None and not rm.is_terminal(u) for u in range(rm.num_states)]
     lines = ["row,col,rm_state,exact" + (",composed,abs_deviation" if composed is not None else "")]
     devs = []
-    for i, (r, c) in enumerate(graph.cells):
+    for i in range(len(layout.labels)):
+        r, c = divmod(i, layout.width)
         for u, both in enumerate(compared):
             want = exact[u][i]
             line = f"{r},{c},{u},{want:.10f}"
@@ -117,7 +118,7 @@ def cmd_oracle(args) -> int:
     if composed is not None:
         print(f"max absolute deviation from the exact oracle: {max(devs, default=0.0):.6f}")
     guards = [t.guard for t in rm.transitions if t.src != t.dst]
-    checks = compose.composition_bounds(graph, guards, args.gamma)
+    checks = compose.composition_bounds(layout, guards, args.gamma)
     for check in checks:
         print(f"{check.kind} {check.guard!r}: {'PASS' if check.ok else 'FAIL'}")
     ok = all(check.ok for check in checks)

@@ -12,9 +12,10 @@ yield different composed values; this module values whatever DNF the
 normalizer produces.
 
 The brute-force checks (the exact product-MDP oracle and the composition
-bounds) read a fixed layout through a `geogrid.CellGraph`: its cells,
-their successors and their true labels, computed once and then only read.
-`composed_table` values many observations, such as a layout's, at once.
+bounds) read a fixed layout through its `geogrid.Layout`: the successors
+and the distinct true labels of its cells, computed once and then only
+read. `composed_table` values many observations, such as a layout's
+`obs`, at once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import geogrid
-from .geogrid import CellGraph, GridConfig, StateSpaceTooLargeError
+from .geogrid import GridConfig, Layout, StateSpaceTooLargeError
 from .errors import InputError, OutOfRangeError, check_open_unit
 from .ground import PvfSet
 from .logic import Clause, DnfFormula, FalseConst, TrueConst, to_dnf
@@ -312,7 +313,7 @@ def shaping_term(v: float, v2: float, lam: float, mode: str, gamma: float) -> fl
 # ---------------------------------------------------------------------------
 # Brute-force oracle: exact values of the product MDP
 #
-# The transition arrays are gathered from the layout's CellGraph: the RM
+# The transition arrays are gathered from the fixed Layout: the RM
 # step into a cell depends only on the RM state and that cell's label, so
 # each guard's truth is taken once on all distinct labels together, as the
 # bits of one logic.truth_bits int, and solve_product maps those steps
@@ -322,21 +323,21 @@ def shaping_term(v: float, v2: float, lam: float, mode: str, gamma: float) -> fl
 
 @dataclass
 class ProductValueTable:
-    values: np.ndarray  # [u, cell] -> value, cells in graph order
-    graph: CellGraph
+    values: np.ndarray  # [u, cell] -> value, cells in row-major order
+    layout: Layout
     gamma: float
     residual: float
 
     def value_at(self, cell, u: int) -> float:
-        return float(self.values[u, self.graph.index[tuple(cell)]])
-
-
-def _cell_graph(layout: GridConfig | CellGraph) -> CellGraph:
-    return layout if isinstance(layout, CellGraph) else CellGraph(layout)
+        """The value at (row, col) cell and RM state u; KeyError for a cell off the grid."""
+        r, c = cell
+        if not (0 <= r < self.layout.height and 0 <= c < self.layout.width):
+            raise KeyError(f"cell {tuple(cell)} is off the {self.layout.height} x {self.layout.width} grid")
+        return float(self.values[u, r * self.layout.width + c])
 
 
 def exact_product_values(
-    layout: GridConfig | CellGraph,
+    cfg: GridConfig,
     rm: RewardMachine,
     gamma: float,
     max_states: int = MAX_PRODUCT_STATES,
@@ -344,18 +345,17 @@ def exact_product_values(
     """Exact optimal values of the product MDP under the ground-truth labelling.
 
     Fixed layouts only (the reachable state space must be enumerable as
-    agent cell x RM state), given as a GridConfig or as its CellGraph; the
-    table keeps the graph for later checks on the same layout. Terminal RM
-    states step to themselves with reward 0, so they are worth +0.0.
+    agent cell x RM state); the table keeps cfg's Layout for later checks
+    on the same layout. Terminal RM states step to themselves with reward
+    0, so they are worth +0.0.
     """
     check_open_unit("gamma", gamma)
-    cfg = layout.cfg if isinstance(layout, CellGraph) else layout
     n = cfg.width * cfg.height * rm.num_states
     if n > max_states:
         raise StateSpaceTooLargeError(f"{n} product states exceeds cap {max_states}")
-    graph = _cell_graph(layout)
-    n_labels = len(graph.distinct_labels)
-    columns, full = assignment_columns(graph.distinct_labels), (1 << n_labels) - 1
+    layout = Layout.fixed(cfg)
+    n_labels = len(layout.distinct_labels)
+    columns, full = assignment_columns(layout.distinct_labels), (1 << n_labels) - 1
     # the RM step on each distinct label: the first edge that fires, as in rm_step, else
     # the implicit self-loop; a terminal state has no edges, so it stays with reward 0
     dst, reward = np.indices((rm.num_states, n_labels))[0], np.zeros((rm.num_states, n_labels))
@@ -364,30 +364,30 @@ def exact_product_values(
             bits = truth_bits(t.guard, columns, full)
             fires = [j for j in range(n_labels) if bits >> j & 1]
             dst[u, fires], reward[u, fires] = t.dst, t.reward
-    values, residual = solve_product(graph, dst, reward, gamma)
-    return ProductValueTable(values, graph, gamma, residual)
+    values, residual = solve_product(layout, dst, reward, gamma)
+    return ProductValueTable(values, layout, gamma, residual)
 
 
-def solve_product(graph: CellGraph, dst: np.ndarray, reward: np.ndarray, gamma: float) -> tuple:
-    """Exact optimal values [u, cell], and the final residual, of a product MDP on graph's layout.
+def solve_product(layout: Layout, dst: np.ndarray, reward: np.ndarray, gamma: float) -> tuple:
+    """Exact optimal values [u, cell], and the final residual, of a product MDP on a fixed layout.
 
-    Entering a cell of label graph.distinct_labels[j] from RM state u steps
+    Entering a cell of label layout.distinct_labels[j] from RM state u steps
     the RM to dst[u, j] with reward reward[u, j]. Value iteration sweeps
     from 0 to a residual of ORACLE_TOL, within as many sweeps as product
     states if no cycle is rewarded and rewards share a sign. Past that many,
     or MAX_ORACLE_SWEEPS, evaluate_policy values each sweep's greedy policy
     exactly: policy iteration, to the tolerance or a repeat.
     """
-    n_cells = len(graph.cells)
+    n_cells = len(layout.labels)
     n_total = dst.shape[0] * n_cells  # flat index: u * n_cells + cell
-    moves = graph.next_cell.T  # [action, cell] -> cell
+    moves = layout.next_cell.T  # [action, cell] -> cell
 
     def action_major(per_cell):  # [u, cell entered] -> [action, flat product state]
         return per_cell[:, moves].transpose(1, 0, 2).reshape(len(geogrid.ACTIONS), n_total)
 
     # action-major, so the max over actions is a max of contiguous rows
-    nxt = action_major(dst[:, graph.label_ids] * n_cells + np.arange(n_cells))
-    rew = action_major(reward[:, graph.label_ids])
+    nxt = action_major(dst[:, layout.label_ids] * n_cells + np.arange(n_cells))
+    rew = action_major(reward[:, layout.label_ids])
     v = np.zeros(n_total)
     policies = set()
     for sweep in itertools.count(1):
@@ -428,10 +428,10 @@ class BoundCheck:
     ok: bool
 
 
-def _reachability_tables(graph: CellGraph, keys: list, gamma: float) -> list:
+def _reachability_tables(layout: Layout, keys: list, gamma: float) -> list:
     """Exact value of reaching each set of labels, at every cell, in as few solves as fit MAX_PRODUCT_STATES.
 
-    keys[k] has bit j where a clause set holds on graph.distinct_labels[j] (see
+    keys[k] has bit j where a clause set holds on layout.distinct_labels[j] (see
     label_bits). One solve values a batch: its state k + 1 steps to the terminal
     state 0 with reward 1 on those labels, so its row k + 1 is row 1 of
     exact_product_values on reachability_rm of that set. The rows do not
@@ -441,14 +441,14 @@ def _reachability_tables(graph: CellGraph, keys: list, gamma: float) -> list:
     longer changes, the batch stops no sooner, and in between the row does
     not change: the rows equal the separate solves bit for bit.
     """
-    per_solve = max(1, MAX_PRODUCT_STATES // (graph.cfg.width * graph.cfg.height) - 1)
-    labels = range(len(graph.distinct_labels))
+    per_solve = max(1, MAX_PRODUCT_STATES // len(layout.labels) - 1)
+    labels = range(len(layout.distinct_labels))
     tables = []
     for start in range(0, len(keys), per_solve):
         batch = [0, *keys[start : start + per_solve]]  # the terminal state 0 holds nowhere
         holds = np.array([[key >> j & 1 for j in labels] for key in batch], dtype=bool)
         dst = np.where(holds, 0, np.arange(len(batch))[:, None])
-        tables.extend(solve_product(graph, dst, holds.astype(float), gamma)[0][1:])
+        tables.extend(solve_product(layout, dst, holds.astype(float), gamma)[0][1:])
     return tables
 
 
@@ -462,7 +462,7 @@ def label_bits(labels: Sequence[frozenset]) -> Callable[[tuple], int]:
     return lambda clauses: truth_bits(DnfFormula(clauses), columns, full)
 
 
-def composition_bounds(layout: GridConfig | CellGraph, guards: Iterable, gamma: float) -> list[BoundCheck]:
+def composition_bounds(layout: GridConfig | Layout, guards: Iterable, gamma: float) -> list[BoundCheck]:
     """Check the composition bounds on each guard, in order, up to BOUND_TOL.
 
     A guard (Formula or DnfFormula) of two or more clauses gets a
@@ -472,8 +472,8 @@ def composition_bounds(layout: GridConfig | CellGraph, guards: Iterable, gamma: 
     on the cell labels it holds on: each distinct set of such labels is
     valued once, and all of them together (see _reachability_tables).
     """
-    graph = _cell_graph(layout)
-    bits = label_bits(graph.distinct_labels)
+    layout = layout if isinstance(layout, Layout) else Layout.fixed(layout)
+    bits = label_bits(layout.distinct_labels)
     planned = []  # (kind, guard, label bits of the clause set checked, those of the sets bounding it)
     for guard in guards:
         dnf = guard if isinstance(guard, DnfFormula) else to_dnf(guard)
@@ -488,7 +488,7 @@ def composition_bounds(layout: GridConfig | CellGraph, guards: Iterable, gamma: 
                 planned.append(("conjunction overestimation", DnfFormula((clause,)), bits((clause,)), parts))
 
     keys = list(dict.fromkeys(k for *_, whole, parts in planned for k in (*parts, whole)))
-    exact = dict(zip(keys, _reachability_tables(graph, keys, gamma)))
+    exact = dict(zip(keys, _reachability_tables(layout, keys, gamma)))
     checks = []
     for kind, dnf, whole, parts in planned:
         if kind == "disjunction underestimation":

@@ -45,7 +45,8 @@ class FormatError(InputError):
 Kind = namedtuple("Kind", "test noun")
 ANY = Kind(lambda v: True, "anything")
 INT = Kind(lambda v: type(v) is int, "an integer")
-NUMBER = Kind(lambda v: type(v) in (int, float), "a number")
+# json reads NaN and Infinity as floats; an int is always finite
+NUMBER = Kind(lambda v: type(v) is int or type(v) is float and math.isfinite(v), "a number")
 TEXT = Kind(lambda v: isinstance(v, str), "a string")
 TEXTS = Kind(lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v), "a list of strings")
 LIST = Kind(lambda v: isinstance(v, list), "a list")
@@ -80,12 +81,12 @@ def fields(record: dict, what: str, path=None, **kinds) -> list:
 
 
 def numbers(value, n: int) -> bool:
-    """Whether value is a list of n numbers."""
+    """Whether value is a list of n finite numbers."""
     return isinstance(value, list) and len(value) == n and all(map(NUMBER.test, value))
 
 
 def rows_of_numbers(value, n: int) -> bool:
-    """Whether value is a list of n lists of numbers, all of one length."""
+    """Whether value is a list of n lists of finite numbers, all of one length."""
     width = len(value[0]) if isinstance(value, list) and value and isinstance(value[0], list) else -1
     return isinstance(value, list) and len(value) == n and all(numbers(row, width) for row in value)
 
@@ -361,8 +362,8 @@ def load_pvfs(path) -> PvfSet:
     vocabulary or a literal with no estimator, an estimator entry that is no
     JSON object or lacks its weights, linear weights that are not one
     equally long row of numbers per action, a value list that is not one
-    number or null per table entry, or an unknown estimator kind, and
-    OutOfRangeError for a gamma outside (0, 1), NaN among them.
+    finite number or null per table entry, or an unknown estimator kind, and
+    OutOfRangeError for a gamma outside (0, 1).
     """
     data = json_object(pathlib.Path(path).read_text(), str(path))
 
@@ -389,10 +390,10 @@ def load_pvfs(path) -> PvfSet:
         if kind == "tabular":
             values = entry.get("v")
             if not (isinstance(values, list) and len(values) == len(keys)
-                    and set(map(type, values)) <= {int, float, type(None)}):
+                    and all(v is None or NUMBER.test(v) for v in values)):
                 raise FormatError(
-                    f"{path}: the values of {key} are not a list of one per table observation "
-                    f"({len(keys)})"
+                    f"{path}: the values of {key} are not a list of one finite number or null per "
+                    f"table observation ({len(keys)})"
                 )
             estimators[lits[key]] = TabularPvf(
                 gamma, {k: float(v) for k, v in zip(keys, values) if v is not None}

@@ -196,19 +196,20 @@ def reset(cfg: GridConfig, seed: Optional[int] = None) -> GridState:
     return GridState(cfg.width, cfg.height, agent, placements)
 
 
-def episode_starts(cfg: GridConfig, index: ObsIndex) -> Callable[[int], tuple[GridState, list[int], int]]:
-    """A function from seed to (state, index.cells(state), cell) of reset(cfg, seed): state has the
-    start's layout, not always its agent, and cell is the agent's row-major cell. A fixed layout with
-    a random start builds state and ids once, and then costs one seeded_index per start."""
-    def start(seed):
-        state = reset(cfg, seed)
-        return state, index.cells(state), state.agent[0] * cfg.width + state.agent[1]
+def episode_starts(cfg: GridConfig, index: ObsIndex) -> Callable[[int], tuple[Layout, list[int], int]]:
+    """A function from seed to (layout, index.cells(layout), cell) of reset(cfg, seed): the start's
+    layout and the agent's row-major cell. A fixed layout is built once, with its ids, and then costs
+    one seeded_index per start: reset draws its agent from the same start options, and none when pinned."""
+    if cfg.layout_mode == "randomized":
+        def start(seed):
+            state = reset(cfg, seed)
+            layout = Layout(cfg, state.placements)
+            return layout, index.cells(layout), state.agent[0] * cfg.width + state.agent[1]
 
-    if cfg.layout_mode == "randomized" or cfg.agent_start is not None:
         return start
-    state, ids, _ = start(cfg.seed)
-    options = _start_options(cfg, state.placements)
-    return lambda seed: (state, ids, options[seeded_index(seed, len(options))])
+    layout = Layout.fixed(cfg)
+    ids, options = index.cells(layout), layout.start_options
+    return lambda seed: (layout, ids, options[seeded_index(seed, len(options))])
 
 
 def move(cell: int, action: int, height: int, width: int) -> int:
@@ -265,20 +266,11 @@ def encode_layout(state: GridState) -> np.ndarray:
 
 
 def cell_states(cfg: GridConfig) -> dict[Cell, GridState]:
-    """reset(cfg) with the agent moved to each cell in turn, keyed by cell in row-major order.
-
-    On a fixed layout these are all the states the grid can be in, placed
-    from cfg with no start draw; encode_layout of one is their observations.
-    """
-    fixed = cfg.layout_mode == "fixed"
-    placements = tuple((o.color, o.shape, o.cell) for o in cfg.objects) if fixed else reset(cfg).placements
-    if fixed and cfg.agent_start is None:
-        _start_options(cfg, placements)  # raises where reset would: no cell to start on
-    return {
-        (r, c): GridState(cfg.width, cfg.height, (r, c), placements)
-        for r in range(cfg.height)
-        for c in range(cfg.width)
-    }
+    """reset(cfg) with the agent moved to each cell in turn, keyed by cell in row-major order: the
+    one-state reference that tests and demos check a Layout against."""
+    placements = reset(cfg).placements
+    return {(r, c): GridState(cfg.width, cfg.height, (r, c), placements)
+            for r in range(cfg.height) for c in range(cfg.width)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -297,31 +289,43 @@ def move_table(height: int, width: int) -> np.ndarray:
     return table
 
 
-class CellGraph:
-    """A fixed layout compiled once: its cells, their moves and their true labels.
+class Layout:
+    """One placement of cfg's objects on its grid, compiled once and then only read.
 
-    Cell i is the i-th cell in row-major order, as in cell_states: cells[i]
-    is its (row, col), states[i] its state and labels[i] its true label with
-    the agent there, and next_cell[i, a] is the cell that action a leads to.
-    The few distinct labels are distinct_labels, and labels[i] is
-    distinct_labels[label_ids[i]]. Observations are left to
-    encode_layout(states[0]), whose one array takes cells^2 * 6 bytes.
-    Built once per layout and then only read.
+    Cell i is the i-th cell in row-major order, (row, col) = divmod(i, width).
+    labels[i] is its true label with the agent there and next_cell[i, a] the
+    cell that action a leads to. obs[i] is its encode_obs, from one
+    encode_layout array of cells^2 * 6 bytes made on first read. Layout.fixed
+    adds what only a fixed layout needs: start_options, the cells an episode
+    may start on, and the few distinct labels, with labels[i] equal to
+    distinct_labels[label_ids[i]].
     """
 
-    def __init__(self, cfg: GridConfig):
+    def __init__(self, cfg: GridConfig, placements: tuple[tuple[str, str, Cell], ...]):
+        self.placements, self.width, self.height = placements, cfg.width, cfg.height
+        self.labels = layout_labels(GridState(cfg.width, cfg.height, (0, 0), placements))
+        self.next_cell = move_table(cfg.height, cfg.width)
+
+    @functools.cached_property
+    def obs(self) -> np.ndarray:
+        return encode_layout(GridState(self.width, self.height, (0, 0), self.placements))
+
+    @classmethod
+    def fixed(cls, cfg: GridConfig) -> Layout:
+        """cfg's one layout; StateSpaceTooLargeError if it is randomized, InfeasibleConfigError where reset
+        finds no cell to start on."""
         if cfg.layout_mode != "fixed":
             raise StateSpaceTooLargeError("randomized layouts are not enumerable")
-        self.cfg = cfg
-        by_cell = cell_states(cfg)
-        self.cells: list[Cell] = list(by_cell)
-        self.states: list[GridState] = list(by_cell.values())
-        self.labels = layout_labels(self.states[0])
-        self.distinct_labels = sorted(set(self.labels), key=sorted)
-        self.label_ids = np.array([self.distinct_labels.index(l) for l in self.labels])
-        self.index = {cell: i for i, cell in enumerate(self.cells)}
-        self.next_cell = move_table(cfg.height, cfg.width)
-        self.label_ids.flags.writeable = False
+        layout = cls(cfg, tuple((o.color, o.shape, o.cell) for o in cfg.objects))
+        if cfg.agent_start is None:
+            layout.start_options = _start_options(cfg, layout.placements)
+        else:
+            layout.start_options = (cfg.agent_start[0] * cfg.width + cfg.agent_start[1],)
+        layout.distinct_labels = sorted(set(layout.labels), key=sorted)
+        label_id = {label: j for j, label in enumerate(layout.distinct_labels)}
+        layout.label_ids = np.array([label_id[label] for label in layout.labels])
+        layout.label_ids.flags.writeable = False
+        return layout
 
 
 def obs_key(obs: np.ndarray) -> bytes:
@@ -334,10 +338,10 @@ class ObsIndex:
 
     Per id: keys[i], the observation's bytes; obs[i], the observation as a
     read-only array; labels[i], its label. add numbers an observation by its
-    bytes. cells(state) is the list of ids of state's layout by row-major
-    cell, -1 until visit(state, cell) reads the cell off layout(state); a walk
-    fetches that list once per trajectory and visits only cells that hold -1.
-    layout(state) encodes and labels a layout once, and keeps only the latest.
+    bytes. cells(layout) is the list of ids of a Layout by row-major cell, -1
+    until visit(layout, cell) reads the cell's obs and label off the layout;
+    a walk fetches that list once per trajectory and visits only cells that
+    hold -1.
     """
 
     def __init__(self):
@@ -346,7 +350,6 @@ class ObsIndex:
         self.labels: list[frozenset[str]] = []
         self._by_key: dict[bytes, int] = {}
         self._by_layout: dict[tuple, list[int]] = {}  # placements -> id per cell
-        self._layout: tuple = (None, None, None)  # the latest layout's placements, array and labels
 
     def add(self, obs: np.ndarray, label: frozenset[str]) -> int:
         """The id of obs, added on first sight; raises InconsistentLabelError on a second label."""
@@ -363,25 +366,18 @@ class ObsIndex:
             )
         return i
 
-    def cells(self, state: GridState) -> list[int]:
-        """The id of each row-major cell of state's layout, -1 for a cell not yet visited."""
-        ids = self._by_layout.get(state.placements)
+    def cells(self, layout: Layout) -> list[int]:
+        """The id of each row-major cell of layout, -1 for a cell not yet visited."""
+        ids = self._by_layout.get(layout.placements)
         if ids is None:
-            ids = self._by_layout[state.placements] = [-1] * (state.width * state.height)
+            ids = self._by_layout[layout.placements] = [-1] * len(layout.labels)
         return ids
 
-    def layout(self, state: GridState) -> tuple[np.ndarray, list[frozenset[str]]]:
-        """encode_layout(state) and layout_labels(state), made once while state's layout is the latest."""
-        if self._layout[0] != state.placements:
-            self._layout = (state.placements, encode_layout(state), layout_labels(state))
-        return self._layout[1:]
-
-    def visit(self, state: GridState, cell: int) -> int:
-        """The id of state's layout with the agent on row-major cell, read off layout(state)."""
-        ids = self.cells(state)
+    def visit(self, layout: Layout, cell: int) -> int:
+        """The id of layout with the agent on row-major cell."""
+        ids = self.cells(layout)
         if ids[cell] < 0:
-            obs, labels = self.layout(state)
-            ids[cell] = self.add(obs[cell], labels[cell])
+            ids[cell] = self.add(layout.obs[cell], layout.labels[cell])
         return ids[cell]
 
 
@@ -439,9 +435,9 @@ def generate_dataset(
     Reproducible: trajectory i uses the RNG stream (seed, i), drawing its
     start's seed (for episode_starts) and then all its actions in one call,
     the same stream as one draw per step. The walk follows move_table by
-    cell id and numbers its cells through one ObsIndex, so each layout is
-    encoded and labelled once, on its first visit; the dataset keeps that
-    index, and each trajectory the ids of its steps.
+    cell id on the start's Layout and numbers its cells through one
+    ObsIndex, so each layout is encoded and labelled once; the dataset
+    keeps that index, and each trajectory the ids of its steps.
     """
     check_count("n_trajectories", n_trajectories)
     root = cfg.seed if seed is None else seed
@@ -452,13 +448,13 @@ def generate_dataset(
     starts = episode_starts(cfg, index)
     for i in range(n_trajectories):
         rng = np.random.default_rng((root, i))
-        start, ids, cell = starts(int(rng.integers(2**63)))
+        layout, ids, cell = starts(int(rng.integers(2**63)))
         actions = rng.integers(len(ACTIONS), size=cfg.episode_len).tolist()
-        steps = [index.visit(start, cell)]
+        steps = [index.visit(layout, cell)]
         for a in actions:
             cell = moves[cell][a]
             k = ids[cell]
-            steps.append(k if k >= 0 else index.visit(start, cell))
+            steps.append(k if k >= 0 else index.visit(layout, cell))
         trajectories.append(Trajectory(index, steps, actions))
     meta = {"seed": root, "policy": "random", "config": config_to_dict(cfg)}
     return GroundingDataset(VOCAB, index, trajectories, meta)
@@ -470,12 +466,11 @@ def full_coverage_dataset(cfg: GridConfig) -> GroundingDataset:
     Gives tabular offline training an exact view of the deterministic
     dynamics, so fitted values can match exact value iteration.
     """
-    graph = CellGraph(cfg)
+    layout = Layout.fixed(cfg)
     index = ObsIndex()
-    start = graph.states[0]
     trajectories = [
-        Trajectory(index, [index.visit(start, i), index.visit(start, j)], [a])
-        for i, row in enumerate(graph.next_cell.tolist())
+        Trajectory(index, [index.visit(layout, i), index.visit(layout, j)], [a])
+        for i, row in enumerate(layout.next_cell.tolist())
         for a, j in enumerate(row)
     ]
     meta = {"seed": cfg.seed, "policy": "exhaustive", "config": config_to_dict(cfg)}

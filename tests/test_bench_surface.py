@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from rmgcr import agent, cli, compose, geogrid, ground, logic, rm
-from rmgcr.geogrid import VOCAB, CellGraph, GridConfig
+from rmgcr.geogrid import VOCAB, GridConfig, Layout
 from rmgcr.logic import DnfFormula, Not, Var
 
 from conftest import TASKS_DIR
@@ -82,9 +82,8 @@ def test_exact_product_values_and_its_gamma_check():
 
 
 def test_composition_bounds_fields():
-    graph = CellGraph(GridConfig())
     guards = [logic.Or((Var("red"), Not(Var("blue")))), DnfFormula(((("blue", True), ("circle", True)),))]
-    checks = compose.composition_bounds(graph, guards, GAMMA)
+    checks = compose.composition_bounds(Layout.fixed(GridConfig()), guards, GAMMA)
     assert [c.kind for c in checks] == ["disjunction underestimation", "conjunction overestimation"]
     assert all(isinstance(c.guard, DnfFormula) and c.ok for c in checks)
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from rmgcr import cli
+from rmgcr import cli, geogrid
 from rmgcr.cli import build_parser, main
 from rmgcr.errors import InputError
 from rmgcr.geogrid import DEFAULT_FIXED_CELLS, GridConfig, ObsIndex, config_to_dict
@@ -204,6 +204,16 @@ class TestOracle:
         assert main(["oracle", "--rm", SEQUENCE]) == 0
         assert "deviation" not in capsys.readouterr().out
 
+    def test_only_models_encode_the_layout(self, pipeline, monkeypatch):
+        # the encoded layout takes cells^2 * 6 bytes, 48.6 GB on a 300 x 300 grid the oracle solves
+        calls = []
+        encode_layout = geogrid.encode_layout
+        monkeypatch.setattr(geogrid, "encode_layout", lambda state: calls.append(state) or encode_layout(state))
+        assert main(["oracle", "--rm", SEQUENCE]) == 0
+        assert len(calls) == 0
+        assert main(["oracle", "--rm", SEQUENCE, "--models", str(pipeline["models"])]) == 0
+        assert len(calls) == 1
+
     def test_loop_at_a_gamma_the_sweeps_could_not_reach(self, capsys):
         # about 23 / (1 - gamma) = 230,000 sweeps, over the cap, so policy iteration values it
         assert main(["oracle", "--rm", "tasks/loop.rm", "--gamma", "0.9999"]) == 0
@@ -285,9 +295,10 @@ def test_tampered_model_file_is_validation_error(pipeline, tmp_path, command, mo
         (format_1_pvfs, "regenerate it with `rmgcr ground --dataset <dataset> --out "),
         (lambda d: d["observations"][0].pop(), "table entry 0 is not a [shape, hex] pair"),
         (lambda d: d["estimators"]["+red"]["v"].pop(), "the values of +red are not a list of one"),
-        (lambda d: d.update(gamma=float("nan")), "pvfs.json: gamma must lie in (0, 1), not nan"),
+        (lambda d: d.update(gamma=float("nan")), "pvfs.json field 'gamma' must be a number, not nan"),
+        (lambda d: d["estimators"]["+red"]["v"].__setitem__(0, float("nan")), "the values of +red are not a list"),
     ],
-    ids=["format-1", "short-entry", "short-values", "gamma-nan"],
+    ids=["format-1", "short-entry", "short-values", "gamma-nan", "tabular-value-nan"],
 )
 def test_unreadable_pvf_file_is_validation_error(pipeline, tmp_path, capsys, tamper, message):
     models = tmp_path / "models"
@@ -323,6 +334,7 @@ LABEL_MODEL_REST = '"feature_version": 1, "backend": "linear", "weights": [], "b
         ("policy.json", '{"00/0": "abc"}', ": the values of policy key '00/0' are not a list of 4"),
         ("policy.json", '{"00/0": [0, 0, 0]}', ": the values of policy key '00/0' are not a list of 4"),
         ("policy.json", '{"00/0": [0, 0, "1", 0]}', ": the values of policy key '00/0' are not a list"),
+        ("policy.json", '{"00/0": [0, 0, NaN, 0]}', ": the values of policy key '00/0' are not a list"),
         ("policy.json", '{"00/0": [0, 0, 0, 0], "0000/1": [0, 0, 0, 0]}', ": the policy keys' observations"),
         ("pvfs.json", '{"format_version": 2', " is not JSON"),
         ("pvfs.json", '{"format_version": 2, "feature_version": 1}', " lacks vocab, gamma, method"),
@@ -338,6 +350,8 @@ LABEL_MODEL_REST = '"feature_version": 1, "backend": "linear", "weights": [], "b
          " field 'vocab' must be a list of strings, not 5"),
         ("label_model.json", '{"threshold": "x", "vocab": ["red"], ' + LABEL_MODEL_REST,
          " field 'threshold' must be a number, not 'x'"),
+        ("label_model.json", '{"threshold": Infinity, "vocab": ["red"], ' + LABEL_MODEL_REST,
+         " field 'threshold' must be a number, not inf"),
         ("label_model.json", LABEL_MODEL_HEADER + '"backend": "linear", "weights": "x", "bias": []}',
          " field 'weights' must be a list, not 'x'"),
         ("pvfs.json", PVFS_HEADER.replace('["red"]', "5") + '"estimators": {}}',
@@ -361,6 +375,8 @@ LABEL_MODEL_REST = '"feature_version": 1, "backend": "linear", "weights": [], "b
          ": the weights are not 1 equally long lists of numbers, one per atom"),
         ("label_model.json", LABEL_MODEL_HEADER + '"backend": "linear", "weights": [["a"]], "bias": [0]}',
          ": the weights are not 1 equally long lists of numbers, one per atom"),
+        ("label_model.json", LABEL_MODEL_HEADER + '"backend": "linear", "weights": [[NaN]], "bias": [0]}',
+         ": the weights are not 1 equally long lists of numbers, one per atom"),
         ("label_model.json", LABEL_MODEL_HEADER + '"backend": "linear", "weights": [[0]], "bias": [0, 0]}',
          ": the bias is not a list of 1 numbers, one per atom"),
         ("pvfs.json", PVFS_HEADER + '"estimators": {"+red": {"kind": "linear", "weights": [["a"]]}}}',
@@ -371,16 +387,17 @@ LABEL_MODEL_REST = '"feature_version": 1, "backend": "linear", "weights": [], "b
          ": the weights of +red are not 4 equally long lists of numbers"),
     ],
     ids=["policy-not-json", "policy-list", "policy-bad-hex", "policy-bad-state", "policy-no-state",
-         "policy-values-not-a-list", "policy-short-values", "policy-string-value",
+         "policy-values-not-a-list", "policy-short-values", "policy-string-value", "policy-nan-value",
          "policy-observations-differ", "pvfs-not-json", "pvfs-no-gamma", "pvfs-estimator-a-number",
          "pvfs-linear-no-weights", "pvfs-tabular-no-values", "pvfs-format-1-estimator-a-number",
          "label-model-not-json", "label-model-no-vocab", "label-model-no-weights",
          "label-model-unknown-backend", "label-model-vocab-a-number", "label-model-threshold-a-string",
+         "label-model-threshold-infinite",
          "label-model-weights-a-string", "pvfs-vocab-a-number", "pvfs-estimators-a-list",
          "pvfs-empty-estimator-key", "pvfs-gamma-a-string", "pvfs-literal-without-estimator",
          "label-model-table-key-not-hex", "label-model-table-value-too-long",
          "label-model-table-value-a-string", "label-model-weights-too-many-rows",
-         "label-model-weights-row-a-number", "label-model-weights-a-string-entry",
+         "label-model-weights-row-a-number", "label-model-weights-a-string-entry", "label-model-weight-nan",
          "label-model-bias-too-long", "pvfs-weights-a-string-entry", "pvfs-weights-too-few-rows",
          "pvfs-weights-ragged"],
 )

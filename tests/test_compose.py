@@ -25,8 +25,9 @@ from rmgcr.compose import (
 from rmgcr import cli, compose
 from rmgcr.geogrid import (
     VOCAB,
-    CellGraph,
     GridConfig,
+    GridState,
+    Layout,
     cell_states,
     encode_obs,
     obs_key,
@@ -424,6 +425,13 @@ class TestExactProductValues:
         with pytest.raises(StateSpaceTooLargeError):
             exact_product_values(desk_cfg, sequence_rm, GAMMA, max_states=10)
 
+    @pytest.mark.parametrize("cell", [(-1, 0), (0, 6)], ids=["row-above", "column-past"])
+    def test_off_grid_cell_is_refused(self, sequence_rm, desk_cfg, cell):
+        # a row-major index would read (5, 0) or (1, 0)
+        oracle = exact_product_values(desk_cfg, sequence_rm, GAMMA)
+        with pytest.raises(KeyError):
+            oracle.value_at(cell, 1)
+
     def test_gamma_one_raises_instead_of_hanging(self, loop_rm):
         with pytest.raises(ValueError):
             exact_product_values(GridConfig(), loop_rm, 1.0)
@@ -468,7 +476,7 @@ class TestExactProductValues:
         rm = make_rm(rm.vocab, n + 1, edges, terminals=rm.terminals, check=False)
         oracle, evaluations = solve_counting_evaluations(cfg, rm)
         assert evaluations
-        assert oracle.values[n].tolist() == pytest.approx([GAMMA * reward / (1 - GAMMA)] * len(oracle.graph.cells))
+        assert oracle.values[n].tolist() == pytest.approx([GAMMA * reward / (1 - GAMMA)] * len(oracle.layout.labels))
         assert_bellman(oracle, rm, lambda v: 1e-12 * max(1.0, abs(v)))
 
     def test_rewards_of_both_signs_may_need_the_exact_evaluation(self, desk_cfg):
@@ -506,7 +514,10 @@ def solve_counting_evaluations(cfg, rm):
 def assert_bellman(oracle, rm, within):
     """Check the oracle's table against one Bellman backup at every cell and RM state,
     stepping the RM with rm_step on true_label; within(v) bounds the gap at value v."""
-    for cell, s in cell_states(oracle.graph.cfg).items():
+    layout = oracle.layout
+    for i in range(len(layout.labels)):
+        cell = divmod(i, layout.width)
+        s = GridState(layout.width, layout.height, cell, layout.placements)
         for u in range(rm.num_states):
             v = oracle.value_at(cell, u)
             if rm.is_terminal(u):
@@ -591,7 +602,7 @@ class TestCellGraphPaths:
     @given(small_machines(), st.one_of(tabular_pvfs(), linear_pvfs()))
     def test_composed_table_equals_composed_value_bit_for_bit(self, rm, pvfs):
         cvf = make_composed_value_fn(rm, pvfs, GAMMA_RM)
-        observations = [encode_obs(s) for s in CellGraph(GridConfig()).states]
+        observations = [encode_obs(s) for s in cell_states(GridConfig()).values()]
         table = composed_table(cvf, observations)
         for i, obs in enumerate(observations):
             for u in range(rm.num_states):
@@ -610,7 +621,7 @@ class TestCellGraphPaths:
         edges = [RmTransition(1, 1, Var("blue"), -0.0), RmTransition(1, 0, guard, 1.0)]
         rm = make_rm(GEO, 2, edges, check=False)
         cvf = make_composed_value_fn(rm, const_pvfs(GEO, values), GAMMA_RM)
-        observations = [encode_obs(s) for s in CellGraph(GridConfig()).states]
+        observations = [encode_obs(s) for s in cell_states(GridConfig()).values()]
         assert composed_value(cvf, observations[0], 1).hex() == want
         assert {x.hex() for x in composed_table(cvf, observations)[1]} == {want}
 
@@ -625,7 +636,7 @@ class TestLabelBits:
     @settings(max_examples=60, deadline=None)
     @given(cfg=grid_configs(layouts=("fixed",)), guards=st.lists(dnf_guards(), min_size=1, max_size=5))
     def test_keys_partition_clause_sets_as_clauses_hold_does(self, cfg, guards):
-        labels = CellGraph(cfg).distinct_labels
+        labels = Layout.fixed(cfg).distinct_labels
         bits = label_bits(labels)
         sets = needed_clause_sets(guards) + [g.clauses for g in guards]
         by_bits, by_holds = {}, {}
@@ -656,8 +667,8 @@ def capture_solves(monkeypatch):
     solves = []
     real = compose.solve_product
 
-    def wrapped(graph, dst, reward, gamma):
-        values, residual = real(graph, dst, reward, gamma)
+    def wrapped(layout, dst, reward, gamma):
+        values, residual = real(layout, dst, reward, gamma)
         solves.append((dst, reward, values))
         return values, residual
 
@@ -673,15 +684,15 @@ class TestBoundSolves:
         gamma=st.sampled_from([0.5, 0.9, GAMMA]),
     )
     def test_one_stacked_solve_equals_the_per_table_solves(self, cfg, guards, gamma):
-        graph = CellGraph(cfg)
+        layout = Layout.fixed(cfg)
         needed = needed_clause_sets(guards)
         with pytest.MonkeyPatch.context() as mp:
             solves = capture_solves(mp)
-            composition_bounds(graph, guards, gamma)
+            composition_bounds(layout, guards, gamma)
         assert len(solves) == (1 if needed else 0)
 
         def holds(clauses):
-            return tuple(clauses_hold(clauses, label) for label in graph.distinct_labels)
+            return tuple(clauses_hold(clauses, label) for label in layout.distinct_labels)
 
         by_holds = {holds(c): c for c in needed}
         for dst, reward, values in solves:
@@ -694,7 +705,7 @@ class TestBoundSolves:
                 assert np.array_equal(reward[k], np.array(row, dtype=float))
                 clauses = by_holds[row]
                 want = exact_product_values(
-                    graph, reachability_rm(VOCAB, dnf_to_formula(DnfFormula(clauses))), gamma
+                    cfg, reachability_rm(VOCAB, dnf_to_formula(DnfFormula(clauses))), gamma
                 ).values[1]
                 assert values[k].tobytes() == want.tobytes()
                 row_sets.append(row)

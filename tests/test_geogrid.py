@@ -20,13 +20,13 @@ from rmgcr.geogrid import (
     COLORS,
     SHAPES,
     VOCAB,
-    CellGraph,
     GridConfig,
     GridConfigError,
     GridState,
     GroundingDataset,
     InconsistentLabelError,
     InfeasibleConfigError,
+    Layout,
     ObjectSpec,
     ObsIndex,
     StateSpaceTooLargeError,
@@ -170,8 +170,7 @@ class TestObservations:
 
 class TestDataset:
     def test_label_soundness(self, desk_cfg):
-        graph = CellGraph(desk_cfg)
-        label_of = {obs_key(encode_obs(s)): l for s, l in zip(graph.states, graph.labels)}
+        label_of = {obs_key(encode_obs(s)): true_label(s) for s in cell_states(desk_cfg).values()}
         ds = generate_dataset(desk_cfg, 5, seed=11)
         for tr in ds.trajectories:
             for obs, lab in zip(tr.observations, tr.labels):
@@ -222,24 +221,9 @@ class TestDataset:
     def test_full_coverage_counts(self, desk_cfg):
         ds = full_coverage_dataset(desk_cfg)
         assert len(ds.trajectories) == 6 * 6 * len(ACTIONS)
-        graph = CellGraph(desk_cfg)
-        cell_of = {obs_key(encode_obs(s)): cell for cell, s in zip(graph.cells, graph.states)}
+        cell_of = {obs_key(encode_obs(s)): cell for cell, s in cell_states(desk_cfg).items()}
         seen = {(cell_of[obs_key(tr.observations[0])], tr.actions[0]) for tr in ds.trajectories}
         assert len(seen) == 6 * 6 * len(ACTIONS)
-
-    def test_cell_graph_matches_step_and_true_label(self, desk_cfg, corridor_cfg):
-        for cfg in (desk_cfg, corridor_cfg):
-            graph = CellGraph(cfg)
-            assert graph.cells == list(cell_states(cfg))
-            for i, s in enumerate(graph.states):
-                assert graph.labels[i] == true_label(s)
-                assert graph.distinct_labels[graph.label_ids[i]] == graph.labels[i]
-                for a in range(len(ACTIONS)):
-                    assert graph.cells[graph.next_cell[i, a]] == step(s, a).agent
-
-    def test_cell_graph_needs_fixed_layout(self):
-        with pytest.raises(StateSpaceTooLargeError):
-            CellGraph(GridConfig(layout_mode="randomized"))
 
     def test_full_coverage_needs_fixed_layout(self):
         with pytest.raises(ValueError):
@@ -314,29 +298,31 @@ class TestObsIndex:
         # the walks number a cell by visiting it, the dataset view by the observation's bytes
         seeds = data.draw(st.lists(st.integers(0, 99), min_size=1, max_size=3))
         starts = [reset(cfg, seed=s) for s in seeds]
+        layouts = [Layout(cfg, start.placements) for start in starts]
         cells = st.integers(0, cfg.width * cfg.height - 1)
         visits = data.draw(st.lists(st.tuples(st.integers(0, len(starts) - 1), cells)))
         visited, added = ObsIndex(), ObsIndex()
         for k, cell in visits:
             state = replace(starts[k], agent=divmod(cell, cfg.width))
-            i = visited.visit(starts[k], cell)
+            i = visited.visit(layouts[k], cell)
             assert i == added.add(encode_obs(state), true_label(state))
-            assert visited.cells(starts[k])[cell] == i
+            assert visited.cells(layouts[k])[cell] == i
         assert visited.keys == added.keys and visited.labels == added.labels
-        for start in starts:
-            seen = {cell for j, cell in visits if starts[j].placements == start.placements}
-            assert [c for c, i in enumerate(visited.cells(start)) if i >= 0] == sorted(seen)
+        for layout in layouts:
+            seen = {cell for j, cell in visits if layouts[j].placements == layout.placements}
+            assert [c for c, i in enumerate(visited.cells(layout)) if i >= 0] == sorted(seen)
 
     @settings(max_examples=40, deadline=None)
     @given(cfg=grid_configs(), seed=st.integers(0, 99))
     def test_the_cell_a_move_leads_to_holds_the_stepped_observation(self, cfg, seed):
         start = reset(cfg, seed=seed)
+        layout = Layout(cfg, start.placements)
         moves = move_table(cfg.height, cfg.width)
         index = ObsIndex()
         for cell in range(cfg.width * cfg.height):
             state = replace(start, agent=divmod(cell, cfg.width))
             for a in range(len(ACTIONS)):
-                i = index.visit(start, int(moves[cell, a]))
+                i = index.visit(layout, int(moves[cell, a]))
                 assert np.array_equal(index.obs[i], encode_obs(step(state, a)))
                 assert index.labels[i] == true_label(step(state, a))
 
@@ -408,13 +394,25 @@ class TestEpisodeStarts:
         starts = episode_starts(cfg, index)
         seeds = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=5))
         for seed in seeds:
-            state, ids, cell = starts(seed)
+            layout, ids, cell = starts(seed)
             want = reset(cfg, seed)
-            assert state.placements == want.placements
+            assert layout.placements == want.placements
             assert divmod(cell, cfg.width) == want.agent
-            assert ids is index.cells(state)
+            assert ids is index.cells(layout)
         if cfg.layout_mode == "fixed":
             assert len({id(starts(seed)[1]) for seed in seeds}) == 1
+
+    @pytest.mark.parametrize("agent_start", [None, (2, 3)])
+    def test_a_fixed_layout_starts_without_reset(self, monkeypatch, agent_start):
+        calls = []
+        monkeypatch.setattr(geogrid, "reset", lambda *args: calls.append(args))
+        starts = episode_starts(GridConfig(agent_start=agent_start), ObsIndex())
+        cells = {starts(seed)[2] for seed in range(50)}
+        assert calls == []
+        if agent_start:
+            assert cells == {2 * 6 + 3}
+        else:
+            assert len(cells) > 1
 
     def test_negative_config_seed_is_a_config_error(self):
         with pytest.raises(GridConfigError, match="seed must be non-negative, not -5"):
@@ -668,7 +666,7 @@ class TestGenerateOncePerState:
             for a in range(len(ACTIONS)):
                 assert cells[moves[i, a]] == step(state, a).agent
         if cfg.layout_mode == "fixed":
-            assert np.array_equal(CellGraph(cfg).next_cell, moves)
+            assert Layout.fixed(cfg).next_cell is moves
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 6))
@@ -719,6 +717,50 @@ class TestLayoutEncoding:
         for state in (start, replace(start, placements=start.placements + tuple(extra))):
             cells = range(cfg.width * cfg.height)
             assert layout_labels(state) == [true_label(replace(state, agent=divmod(i, cfg.width))) for i in cells]
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=grid_configs(), data=st.data())
+    def test_a_layout_is_encode_obs_true_label_and_step_of_reset(self, cfg, data):
+        cell = st.tuples(st.integers(0, cfg.height - 1), st.integers(0, cfg.width - 1))
+        cfg = replace(
+            cfg,
+            exclude_agent_from_objects=data.draw(st.booleans()),
+            agent_start=data.draw(st.one_of(st.none(), cell)),
+        )
+        seed = data.draw(st.integers(0, 2**63 - 1))
+        fixed = cfg.layout_mode == "fixed"
+        if not fixed:
+            with pytest.raises(StateSpaceTooLargeError):
+                Layout.fixed(cfg)
+        full = len(cfg.objects) == cfg.width * cfg.height
+        if full and cfg.exclude_agent_from_objects and cfg.agent_start is None:
+            with pytest.raises(InfeasibleConfigError):  # no free cell, as reset finds too
+                Layout.fixed(cfg) if fixed else reset(cfg, seed)
+            return
+        start = reset(cfg, seed)
+        layout = Layout.fixed(cfg) if fixed else Layout(cfg, start.placements)
+        assert layout.placements == start.placements
+        assert (layout.width, layout.height) == (cfg.width, cfg.height)
+        n = cfg.width * cfg.height
+        for i in range(n):
+            state = replace(start, agent=divmod(i, cfg.width))
+            assert layout.obs[i].tobytes() == encode_obs(state).tobytes()
+            assert layout.labels[i] == true_label(state)
+            for a in range(len(ACTIONS)):
+                assert divmod(int(layout.next_cell[i, a]), cfg.width) == step(state, a).agent
+        if not fixed:
+            return
+        for i in range(n):
+            assert layout.distinct_labels[layout.label_ids[i]] == layout.labels[i]
+        assert len(set(layout.distinct_labels)) == len(layout.distinct_labels)
+        # reset draws its agent from start_options, by the seeded_index episode_starts takes
+        options = layout.start_options
+        assert divmod(options[seeded_index(seed, len(options))], cfg.width) == start.agent
+        if cfg.agent_start is None:
+            assert options == tuple(i for i in range(n) if not (cfg.exclude_agent_from_objects and layout.labels[i]))
+        else:  # a pinned start yields exactly that cell
+            assert options == (cfg.agent_start[0] * cfg.width + cfg.agent_start[1],)
+            assert divmod(episode_starts(cfg, ObsIndex())(seed)[2], cfg.width) == cfg.agent_start
 
     @settings(max_examples=60, deadline=None)
     @given(grid_configs())
