@@ -225,6 +225,22 @@ class TestDataset:
         seen = {(cell_of[obs_key(tr.observations[0])], tr.actions[0]) for tr in ds.trajectories}
         assert len(seen) == 6 * 6 * len(ACTIONS)
 
+    def test_cell_graph_matches_step_and_true_label(self, desk_cfg, corridor_cfg):
+        for cfg in (desk_cfg, corridor_cfg):
+            layout = Layout.fixed(cfg)
+            states = cell_states(cfg)
+            assert [divmod(i, cfg.width) for i in range(len(layout.labels))] == list(states)
+            for i, s in enumerate(states.values()):
+                assert layout.obs[i].tobytes() == encode_obs(s).tobytes()
+                assert layout.labels[i] == true_label(s)
+                assert layout.distinct_labels[layout.label_ids[i]] == layout.labels[i]
+                for a in range(len(ACTIONS)):
+                    assert divmod(int(layout.next_cell[i, a]), cfg.width) == step(s, a).agent
+
+    def test_cell_graph_needs_fixed_layout(self):
+        with pytest.raises(StateSpaceTooLargeError):
+            Layout.fixed(GridConfig(layout_mode="randomized"))
+
     def test_full_coverage_needs_fixed_layout(self):
         with pytest.raises(ValueError):
             full_coverage_dataset(GridConfig(layout_mode="randomized"))
