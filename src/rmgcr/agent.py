@@ -20,7 +20,7 @@ from . import geogrid
 from .compose import ComposedValueFn, ConfigMismatchError, RmStateValues, check_shaping
 from .compose import UnsatisfiableGuardError, composed_table, composed_value, shaping_term
 from .errors import InputError, check_count, check_open_unit, check_seed
-from .geogrid import GridConfig, ObsIndex
+from .geogrid import GridConfig, ObsIndex, obs_key
 from .ground import LabelModel
 from .rm import RewardMachine, label_mask
 
@@ -111,24 +111,21 @@ class GreedyPolicy:
     """Greedy readout of a Q-table; unseen states fall back to action 0.
 
     Given a set `unseen`, `action` adds to it each (key, u) it falls back on.
-    Each entry's greedy action (the first maximum, as `np.argmax`) is
-    computed on its first use and kept, so `q` must not change afterwards.
+    Every entry's greedy action (the first maximum, as `np.argmax`) is
+    computed here, by one `np.argmax(axis=1)` over the stacked rows of `q`.
     """
 
     def __init__(self, q: dict):
         self.q = q
-        self._greedy: dict = {}
+        rows = np.array(list(q.values())).reshape(len(q), N_ACTIONS)
+        self._greedy = dict(zip(q, rows.argmax(axis=1).tolist()))
 
     def action(self, key, u: int, rng=None, unseen: Optional[set] = None) -> int:
-        pair = (key, u)
-        a = self._greedy.get(pair)
+        a = self._greedy.get((key, u))
         if a is None:
-            entry = self.q.get(pair)
-            if entry is None:
-                if unseen is not None:
-                    unseen.add(pair)
-                return 0
-            a = self._greedy[pair] = int(np.argmax(entry))
+            if unseen is not None:
+                unseen.add((key, u))
+            return 0
         return a
 
 
@@ -139,26 +136,48 @@ class RandomPolicy:
 
 class LazyPotentials(dict):
     """One RM state's composed potentials on a layout encoded as obs, by row-major cell, each valued by
-    composed_value on first read."""
+    composed_value on first read, which adds its obs_key to unseen if a PVF the guards read has none."""
 
-    def __init__(self, cvf: ComposedValueFn, u: int, obs: np.ndarray):
-        self.cvf, self.u, self.obs = cvf, u, obs
+    def __init__(self, cvf: ComposedValueFn, u: int, obs: np.ndarray, unseen: set):
+        self.cvf, self.u, self.obs, self.unseen = cvf, u, obs, unseen
 
     def __missing__(self, cell: int) -> float:
-        value = self[cell] = composed_value(self.cvf, self.obs[cell], self.u)
+        obs = self.obs[cell]
+        value = self[cell] = composed_value(self.cvf, obs, self.u)
+        seen = self.cvf._seen  # None when no guard literal has a tabular PVF
+        if seen is not None and (key := obs_key(obs)) not in seen:
+            self.unseen.add(key)
         return value
 
 
-def potential_table(shaping: str, obs: np.ndarray, rm: RewardMachine, cvf, rm_values, lazy: bool = False):
+def potential_table(
+    shaping: str, obs: np.ndarray, rm: RewardMachine, cvf, rm_values, lazy: bool = False, unseen=None
+):
     """Rows [u][cell] of the shaping potential on a layout encoded as obs (see encode_layout), 0 at
-    terminal u: rm_values[u], one composed_table, or, if lazy or on a false guard, LazyPotentials."""
+    terminal u: rm_values[u], composed_table rows, or, if lazy or on a false guard, LazyPotentials.
+
+    Callers only read the rows, which calls share. A layout's composed_table rows are built once per
+    value function: cvf keeps them, keyed by obs's bytes, with the obs_key of each observation at which
+    a PVF the guards read has no entry (PvfSet.unseen). Given a set unseen, those keys are added to it,
+    at once for kept rows and on first read for LazyPotentials.
+    """
     n = len(obs)
+    unseen = set() if unseen is None else unseen
     if shaping == "high-level":
         return [[0.0 if rm.is_terminal(u) else rm_values[u]] * n for u in range(rm.num_states)]
     if not lazy:
-        with suppress(UnsatisfiableGuardError):  # raise only if an episode enters the guard's RM state
-            return composed_table(cvf, obs).tolist()
-    return [[0.0] * n if rm.is_terminal(u) else LazyPotentials(cvf, u, obs) for u in range(rm.num_states)]
+        kept = cvf._tables.get(key := obs.tobytes())
+        if kept is None:
+            flags: list = []
+            with suppress(UnsatisfiableGuardError):  # raise only if an episode enters the guard's RM state
+                rows = composed_table(cvf, obs, flags).tolist()
+                kept = cvf._tables[key] = rows, [obs_key(o) for o, missing in zip(obs, flags) if missing]
+        if kept is not None:
+            unseen.update(kept[1])
+            return kept[0]
+    return [
+        [0.0] * n if rm.is_terminal(u) else LazyPotentials(cvf, u, obs, unseen) for u in range(rm.num_states)
+    ]
 
 
 def train(
@@ -182,6 +201,9 @@ def train(
     the id of the new cell (visiting it if new), the predicted label's RM
     step, and shaping_term over the potential_table of the episode's
     layout. A layout's cells are scored by the label model in one call.
+    The report's meta counts the observations the tabular label model
+    (unseen_label_obs) and the PVFs of composed shaping (unseen_pvf_obs,
+    see potential_table) have no entry for.
     """
     if tuple(rm.vocab) != tuple(label_model.vocab):
         raise ConfigMismatchError("RM and label model vocabularies differ")
@@ -248,13 +270,16 @@ def train(
     starts = geogrid.episode_starts(cfg, index)
     layout = None  # the Layout that pot values
     lazy = cfg.layout_mode == "randomized"  # a new layout per episode, which reads few of its cells
+    unseen_pvf_obs: set = set()
 
     for episode in range(agent_cfg.episodes):
-        frac = min(1.0, episode / decay_span)
-        explore = explore_threshold(EPSILON_START + frac * (EPSILON_END - EPSILON_START))
+        if episode <= decay_span:  # epsilon reaches EPSILON_END at decay_span and stays there
+            frac = episode / decay_span
+            explore = explore_threshold(EPSILON_START + frac * (EPSILON_END - EPSILON_START))
         start, ids, cell = starts(next(words) >> 1)
         if shaped and start is not layout:  # a layout the last episode did not use
-            layout, pot = start, potential_table(agent_cfg.shaping, start.obs, rm, cvf, rm_values, lazy)
+            pot = potential_table(agent_cfg.shaping, start.obs, rm, cvf, rm_values, lazy, unseen_pvf_obs)
+            layout = start
         i = ids[cell]
         if i < 0:
             i = visit(start, cell)
@@ -306,9 +331,10 @@ def train(
             row = nxt
         report.episodes.append(EpisodeRecord(perceived, actual, steps))
     report.meta["unseen_label_obs"] = unseen_label_obs
-    keys = index.keys
-    policy_q = {(keys[p // n_u], p % n_u): np.array(row) for p, row in enumerate(q) if row is not None}
-    return GreedyPolicy(policy_q), report
+    report.meta["unseen_pvf_obs"] = len(unseen_pvf_obs)
+    keys, written = index.keys, [p for p, row in enumerate(q) if row is not None]
+    rows = np.array([q[p] for p in written]).reshape(len(written), N_ACTIONS)  # one row view per entry
+    return GreedyPolicy(dict(zip([(keys[p // n_u], p % n_u) for p in written], rows))), report
 
 
 def evaluate(

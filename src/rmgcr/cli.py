@@ -92,11 +92,18 @@ def cmd_oracle(args) -> int:
     layout = oracle.layout  # compiled once for every check below
     exact = oracle.values.tolist()
     composed = None
+    unseen: list = []  # per cell, whether a PVF the guards read has no entry there
     if args.models:  # composed values need only the PVFs, not the label model
         pvfs = files.load_pvfs(pathlib.Path(args.models) / "pvfs.json")
         cvf = compose.make_composed_value_fn(rm, pvfs, args.gamma_rm, gamma=args.gamma)
-        composed = compose.composed_table(cvf, layout.obs).tolist()
-    # one CSV line per (cell, u), row-major; terminal RM states get no composed value
+        composed = compose.composed_table(cvf, layout.obs, unseen).tolist()
+        if any(unseen):
+            print(
+                f"warning: the PVFs have no entry for {sum(unseen)} of the {len(unseen)} cells and value "
+                f"them 0.0; their composed values are left out of the table and the deviation",
+                file=sys.stderr,
+            )
+    # one CSV line per (cell, u), row-major; terminal RM states and unseen cells get no composed value
     compared = [composed is not None and not rm.is_terminal(u) for u in range(rm.num_states)]
     lines = ["row,col,rm_state,exact" + (",composed,abs_deviation" if composed is not None else "")]
     devs = []
@@ -105,7 +112,7 @@ def cmd_oracle(args) -> int:
         for u, both in enumerate(compared):
             want = exact[u][i]
             line = f"{r},{c},{u},{want:.10f}"
-            if both:
+            if both and not unseen[i]:
                 got = composed[u][i]
                 devs.append(abs(got - want))
                 line = f"{line},{got:.10f},{devs[-1]:.10f}"
@@ -163,6 +170,13 @@ def cmd_train(args) -> int:
                 print(
                     f"warning: {shaping} seed {seed}: the tabular label model has no entry for "
                     f"{unseen} observations met in training and predicted no atoms there",
+                    file=sys.stderr,
+                )
+            unseen = report.meta["unseen_pvf_obs"]
+            if unseen:
+                print(
+                    f"warning: {shaping} seed {seed}: the PVFs have no entry for {unseen} "
+                    f"observations whose shaping potential training read, and value them 0.0 there",
                     file=sys.stderr,
                 )
             csv_path = out / f"train_{shaping}_seed{seed}.csv"

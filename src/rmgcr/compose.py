@@ -20,6 +20,7 @@ read. `composed_table` values many observations, such as a layout's
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
@@ -189,12 +190,17 @@ def formula_value(pvfs: PvfSet, f, obs: np.ndarray) -> float:
 
 @dataclass
 class ComposedValueFn:
+    """The composed value of rm from pvfs. Its fields are read as fixed once it is made: _tables keeps the
+    composed_table rows of each layout that agent.potential_table is asked for."""
+
     rm: RewardMachine
     pvfs: PvfSet
     rm_values: RmStateValues
     gamma: float
     _edge_dnfs: dict = field(default_factory=dict, repr=False)
     _r_self: dict = field(default_factory=dict, repr=False)
+    _lits: list = field(default_factory=list, repr=False)  # the literals of the guards, sorted
+    _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if tuple(self.rm.vocab) != tuple(self.pvfs.vocab):
@@ -203,6 +209,13 @@ class ComposedValueFn:
         for u in range(self.rm.num_states):
             for t in _non_self_edges(self.rm, u):
                 self._edge_dnfs[t] = to_dnf(t.guard)
+        dnfs = [dnf for dnf in self._edge_dnfs.values() if isinstance(dnf, DnfFormula)]
+        self._lits = sorted({lit for dnf in dnfs for clause in dnf.clauses for lit in clause})
+
+    @functools.cached_property
+    def _seen(self) -> Optional[set]:
+        """pvfs.seen of the guards' literals, taken on first use."""
+        return self.pvfs.seen(self._lits)
 
 
 def make_composed_value_fn(
@@ -254,18 +267,20 @@ def _first_best(better, rows: list):
     return out
 
 
-def composed_table(cvf: ComposedValueFn, observations: Sequence[np.ndarray]) -> np.ndarray:
+def composed_table(
+    cvf: ComposedValueFn, observations: Sequence[np.ndarray], unseen: Optional[list] = None
+) -> np.ndarray:
     """composed_value at every (RM state, observation), as an array indexed [u, observation].
 
     Bit for bit equal to composed_value, signed zeros included: each
     literal is valued once per observation, in one PvfSet.values call, then
     the min over each clause, the max over clauses and the best edge make
     the same comparisons, in the same order, on whole rows of observations.
+    Given a list unseen, it is extended with one bool per observation: True
+    if a PVF the guards read has no entry there (PvfSet.unseen).
     """
     rm = cvf.rm
-    dnfs = [dnf for dnf in cvf._edge_dnfs.values() if isinstance(dnf, DnfFormula)]
-    lits = sorted({lit for dnf in dnfs for clause in dnf.clauses for lit in clause})
-    lit_rows = dict(zip(lits, cvf.pvfs.values(lits, observations)))
+    lit_rows = dict(zip(cvf._lits, cvf.pvfs.values(cvf._lits, observations, unseen)))
 
     def guard_value(dnf):
         if isinstance(dnf, TrueConst):

@@ -138,9 +138,14 @@ _PCG64_MULT_SQ = _PCG64_MULT * _PCG64_MULT & _M128
 def seeded_index(seed: int, n: int) -> int:
     """int(np.random.default_rng(seed).integers(n)) for 1 <= n <= 2**32 at about half its cost: after
     SeedSequence(seed), numpy's rules run here. generate_state(4, uint64) seeds PCG64, and Lemire's method
-    draws on the 32-bit halves of its XSL-RR outputs, low half first. Raises OutOfRangeError if seed < 0."""
+    draws on the 32-bit halves of its XSL-RR outputs, low half first. Raises OutOfRangeError if seed < 0.
+
+    SeedSequence is handed seed's 32-bit words as a uint32 array, in the form numpy's own conversion of
+    an int gives them: low word first, one word for seed < 2**32, and inner zero words kept. An array
+    skips that Python-level conversion."""
     check_seed("seed", seed)
-    p0, p1, p2, p3 = np.random.SeedSequence(seed).pool.tolist()
+    words = np.frombuffer(seed.to_bytes(4 * max(1, -(-seed.bit_length() // 32)), "little"), "<u4")
+    p0, p1, p2, p3 = np.random.SeedSequence(words).pool.tolist()
     # generate_state(4, uint64)'s eight hashmix calls, unrolled: word k mixes pool[k % 4] with c[k], then
     # multiplies by c[k + 1], for the data-free constants c[k] = 0x8B51F9DD * 0x58F38DED**k mod 2**32
     w0 = (h := (p0 ^ 0x8B51F9DD) * 0x464A0A99 & 0xFFFFFFFF) ^ h >> 16
@@ -199,7 +204,8 @@ def reset(cfg: GridConfig, seed: Optional[int] = None) -> GridState:
 def episode_starts(cfg: GridConfig, index: ObsIndex) -> Callable[[int], tuple[Layout, list[int], int]]:
     """A function from seed to (layout, index.cells(layout), cell) of reset(cfg, seed): the start's
     layout and the agent's row-major cell. A fixed layout is built once, with its ids, and then costs
-    one seeded_index per start: reset draws its agent from the same start options, and none when pinned."""
+    one seeded_index per start: reset draws its agent from the same start options. With one option, as
+    when pinned, the start is that cell and draws nothing, since integers(1) is always 0."""
     if cfg.layout_mode == "randomized":
         def start(seed):
             state = reset(cfg, seed)
@@ -209,6 +215,8 @@ def episode_starts(cfg: GridConfig, index: ObsIndex) -> Callable[[int], tuple[La
         return start
     layout = Layout.fixed(cfg)
     ids, options = index.cells(layout), layout.start_options
+    if len(options) == 1:
+        return lambda seed: (layout, ids, options[0])
     return lambda seed: (layout, ids, options[seeded_index(seed, len(options))])
 
 

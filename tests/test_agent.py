@@ -204,6 +204,9 @@ class TestHotPath:
         agent_cfg = AgentConfig(shaping="composed", episodes=30, seed=3)
         train(GridConfig(), logic_rm, desk_label_model, agent_cfg, cvf=cvf)
         assert counts == {"composed_table": 1, "encode_layout": 1}  # the table reads the walk's array
+        # a second train on the same value function and layout encodes it again but reads the kept table
+        train(GridConfig(), logic_rm, desk_label_model, replace(agent_cfg, seed=4), cvf=cvf)
+        assert counts == {"composed_table": 1, "encode_layout": 2}
 
     def test_composed_shaping_computes_one_term_per_product_state_and_action(
         self, monkeypatch, logic_rm, desk_label_model, desk_pvfs
@@ -254,6 +257,7 @@ class TestHotPath:
         machine, cvf = with_false_edge(sequence_rm.initial)
         with pytest.raises(UnsatisfiableGuardError):
             train(cfg, machine, desk_label_model, agent_cfg, cvf=cvf)
+        assert cvf._tables == {}  # only a table built in full is kept
 
     def test_machine_beyond_the_exhaustive_vocab_trains_and_evaluates(self, desk_cfg, sequence_rm):
         # sequence.rm plus atoms the grid never labels, after the grid atoms or
@@ -334,12 +338,24 @@ class TestPotentialTable:
                 lit: TabularPvf(GAMMA, {k: values[rng.integers(6)] for k in keys if rng.random() < 0.7})
                 for lit in LITERALS
             }
-        cvf = make_composed_value_fn(machine, PvfSet(VOCAB, GAMMA, "fqi", estimators), GAMMA_RM)
-        table = potential_table("composed", np.stack(observations), machine, cvf, None)
-        lazy = potential_table("composed", np.stack(observations), machine, cvf, None, lazy=True)
+        pvfs = PvfSet(VOCAB, GAMMA, "fqi", estimators)
+        cvf = make_composed_value_fn(machine, pvfs, GAMMA_RM)
+        unseen_table, unseen_lazy = set(), set()
+        stacked = np.stack(observations)
+        table = potential_table("composed", stacked, machine, cvf, None, unseen=unseen_table)
+        lazy = potential_table("composed", stacked, machine, cvf, None, lazy=True, unseen=unseen_lazy)
         for i, obs in enumerate(observations):
             for u in range(machine.num_states):
                 assert table[u][i].hex() == lazy[u][i].hex() == composed_value(cvf, obs, u).hex()
+        # every cell was read at a non-terminal RM state: both count the cells a guard's PVF has no entry for
+        flagged = {obs_key(o) for o, f in zip(observations, pvfs.unseen(observations)) if f}
+        assert unseen_table == unseen_lazy <= flagged
+        if linear:
+            assert not unseen_table
+        # the rows are kept on the value function: a second call on the layout builds no table
+        again = set()
+        assert potential_table("composed", stacked, machine, cvf, None, unseen=again) is table
+        assert again == unseen_table
         rm_values = rm_value_iteration(machine, GAMMA_RM, GAMMA)
         table = potential_table("high-level", np.stack(observations), machine, None, rm_values)
         for u in range(machine.num_states):
@@ -448,6 +464,36 @@ class TestPolicies:
     def test_greedy_takes_the_first_maximum_on_every_call(self):
         policy = GreedyPolicy({(b"k", 1): np.array([0.0, 2.0, 2.0, 1.0])})
         assert [policy.action(b"k", 1) for _ in range(3)] == [1, 1, 1]
+
+    class PerEntryArgmax:
+        """The greedy readout entry by entry: np.argmax of the entry, or action 0 where there is none."""
+
+        def __init__(self, q):
+            self.q = q
+
+        def action(self, key, u, rng=None, unseen=None):
+            entry = self.q.get((key, u))
+            if entry is None:
+                if unseen is not None:
+                    unseen.add((key, u))
+                return 0
+            return int(np.argmax(entry))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_greedy_table_equals_a_per_entry_argmax(self, desk_cfg, sequence_rm, data, seed):
+        # few distinct values, both zeros among them: rows with ties, and ties between -0.0 and 0.0
+        states = range(sequence_rm.num_states)
+        pairs = [(obs_key(encode_obs(s)), u) for s in cell_states(desk_cfg).values() for u in states]
+        entry = st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), min_size=4, max_size=4)
+        q = {pair: np.array(data.draw(entry)) for pair in pairs if data.draw(st.booleans())}
+        greedy, reference = GreedyPolicy(q), self.PerEntryArgmax(q)
+        got, want = set(), set()
+        for pair in pairs:
+            assert greedy.action(*pair, unseen=got) == reference.action(*pair, unseen=want)
+        assert got == want == set(pairs) - set(q)
+        want = evaluate(reference, desk_cfg, sequence_rm, 5, seed)
+        assert evaluate(greedy, desk_cfg, sequence_rm, 5, seed) == want
 
     def test_random_policy_seeded(self):
         rng = np.random.default_rng(0)

@@ -29,8 +29,8 @@ TRACED = {
     geogrid: ("step", "encode_obs", "true_label", "generate_dataset", "save_dataset", "load_dataset"),
     ground: ("predict_labels", "train_label_model", "train_pvfs_fqi", "PvfSet.value", "save_pvfs"),
     # on a fixed layout, as in every workload, the agent no longer calls composed_value (it reads
-    # one composed_table per run), but the tracer still patches it, and bench/run.py reads its
-    # calls inside agent.train
+    # one composed_table per value function and layout), but the tracer still patches it, and
+    # bench/run.py reads its calls inside agent.train
     compose: ("composed_value", "exact_product_values", "make_composed_value_fn", "rm_value_iteration"),
     agent: ("train", "evaluate"),
     cli: ("main",),

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from rmgcr import cli, geogrid
+from rmgcr import cli, files, geogrid
 from rmgcr.cli import build_parser, main
 from rmgcr.errors import InputError
 from rmgcr.geogrid import DEFAULT_FIXED_CELLS, GridConfig, ObsIndex, config_to_dict
@@ -29,6 +29,19 @@ def pipeline(tmp_path_factory):
     assert main(["gen-dataset", "--out", str(dataset), "--n", "60", "--seed", "1"]) == 0
     assert main(["ground", "--dataset", str(dataset), "--out", str(models)]) == 0
     return {"root": root, "dataset": dataset, "models": models}
+
+
+@pytest.fixture(scope="module")
+def sparse_models(tmp_path_factory):
+    """Models grounded on two 20-step walks: the PVFs have no entry for most cells of the layout."""
+    root = tmp_path_factory.mktemp("sparse")
+    dataset = root / "data.jsonl"
+    assert main(["gen-dataset", "--out", str(dataset), "--n", "2", "--seed", "4", "--episode-len", "20"]) == 0
+    assert main(["ground", "--dataset", str(dataset), "--out", str(root / "models")]) == 0
+    pvfs = files.load_pvfs(root / "models" / "pvfs.json")
+    unseen = pvfs.unseen(geogrid.Layout.fixed(GridConfig()).obs)
+    assert 0 < sum(unseen) < len(unseen)
+    return root / "models", unseen
 
 
 class TestGenDataset:
@@ -199,6 +212,30 @@ class TestOracle:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == f"max absolute deviation from the exact oracle: {worst:.6f}"
         assert lines[-1] == "bounds PASS"
+
+    def test_cells_the_pvfs_have_no_entry_for_are_left_empty_with_a_warning(
+        self, sparse_models, tmp_path, capsys
+    ):
+        models, unseen = sparse_models
+        out = tmp_path / "oracle.csv"
+        capsys.readouterr()
+        assert main(["oracle", "--rm", SEQUENCE, "--models", str(models), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"warning: the PVFs have no entry for {sum(unseen)} of the 36 cells and value them 0.0; "
+            "their composed values are left out of the table and the deviation"
+        ]
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        # sequence.rm has one terminal state of four: unseen cells are left empty, as terminal rows are
+        for row in rows:
+            i = int(row["row"]) * 6 + int(row["col"])
+            compared = not unseen[i] and row["rm_state"] != "0"
+            assert bool(row["composed"]) == bool(row["abs_deviation"]) == compared
+        compared = [row for row in rows if row["composed"]]
+        assert len(compared) == 3 * (36 - sum(unseen))
+        worst = max(float(row["abs_deviation"]) for row in compared)
+        assert f"max absolute deviation from the exact oracle: {worst:.6f}" in captured.out.splitlines()
 
     def test_no_models_no_deviation(self, capsys):
         assert main(["oracle", "--rm", SEQUENCE]) == 0
@@ -609,6 +646,25 @@ class TestTrainEval:
         # the linear label model scores every observation: no label warning
         assert main(train + ["--models", str(pipeline["models"])]) == 0
         assert "label model" not in capsys.readouterr().err
+
+    def test_potentials_the_pvfs_have_no_entry_for_warn_once_per_seed(
+        self, pipeline, sparse_models, tmp_path, capsys
+    ):
+        models, unseen = sparse_models
+        train = ["train", "--rm", SEQUENCE, "--out", str(tmp_path / "runs"), "--seeds", "0", "1"]
+        train += ["--shaping", "none", "composed", "--episodes", "5", "--eval-episodes", "1"]
+        capsys.readouterr()
+        assert main(train + ["--models", str(models)]) == 0
+        warnings = [l for l in capsys.readouterr().err.splitlines() if "PVFs" in l]
+        # a fixed layout's potentials are one table, which reads every cell: the count is the layout's
+        assert warnings == [
+            f"warning: composed seed {seed}: the PVFs have no entry for {sum(unseen)} observations "
+            "whose shaping potential training read, and value them 0.0 there"
+            for seed in (0, 1)
+        ]
+        # PVFs grounded on 60 walks have an entry at every cell
+        assert main(train + ["--models", str(pipeline["models"])]) == 0
+        assert "PVFs" not in capsys.readouterr().err
 
     def test_policy_fallbacks_warn_on_stderr_only(self, pipeline, tmp_path, capsys):
         out = tmp_path / "runs"

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rmgcr import cli, geogrid
 from rmgcr.files import FormatError, load_dataset, save_dataset, save_pvfs
@@ -365,6 +365,12 @@ class TestSeededIndex:
             st.sampled_from([1, 2, 36, 2**31 + 1, 3 * 2**30 + 1, 2**32 - 1, 2**32]), st.integers(1, 2**32)
         ),
     )
+    # the word boundaries of the seed's uint32 words: one word, the first two-word seed, a zero inner word
+    @example(seed=0, n=36)
+    @example(seed=2**32 - 1, n=36)
+    @example(seed=2**32, n=36)
+    @example(seed=2**64 + 5, n=36)
+    @example(seed=2**96, n=36)
     def test_equals_a_fresh_generator(self, seed, n):
         assert seeded_index(seed, n) == int(np.random.default_rng(seed).integers(n))
 
@@ -429,6 +435,17 @@ class TestEpisodeStarts:
             assert cells == {2 * 6 + 3}
         else:
             assert len(cells) > 1
+
+    def test_a_pinned_start_draws_nothing(self, monkeypatch):
+        calls = []
+        drawn = geogrid.seeded_index
+        monkeypatch.setattr(geogrid, "seeded_index", lambda *args: calls.append(args) or drawn(*args))
+        cfg = GridConfig(agent_start=(2, 3))
+        starts = episode_starts(cfg, ObsIndex())
+        assert {starts(seed)[2] for seed in range(50)} == {2 * 6 + 3}
+        assert calls == []
+        assert {episode_starts(GridConfig(), ObsIndex())(seed)[2] for seed in range(50)} != {2 * 6 + 3}
+        assert len(calls) == 50
 
     def test_negative_config_seed_is_a_config_error(self):
         with pytest.raises(GridConfigError, match="seed must be non-negative, not -5"):

@@ -33,6 +33,7 @@ from rmgcr.ground import (
     DegenerateAtomError,
     LabelModel,
     NonConvergenceWarning,
+    TabularPvf,
     mc_targets,
     observation_features,
     predict_labels,
@@ -527,6 +528,21 @@ class TestPvfFile:
         observations.append(np.zeros_like(observations[0]))  # seen by no estimator
         assert_values_match(pvfs, observations)
         assert pvfs.values([], observations).shape == (0, len(observations))
+
+    @settings(max_examples=60, deadline=None)
+    @given(pvfs=st.one_of(tabular_pvfs(), linear_pvfs(), const_pvf_sets()), data=st.data())
+    def test_unseen_marks_where_a_tabular_literal_has_no_entry(self, pvfs, data):
+        observations = [encode_obs(s) for s in cell_states(GridConfig()).values()]
+        observations.append(np.zeros_like(observations[0]))  # seen by no estimator
+        lits = data.draw(st.lists(st.sampled_from(sorted(pvfs.literals)), unique=True))
+        tables = [est.v for est in map(pvfs.estimators.get, lits) if isinstance(est, TabularPvf)]
+        want = [any(obs_key(obs) not in v for v in tables) for obs in observations]
+        assert pvfs.unseen(observations, lits) == want
+        assert want[-1] == bool(tables) == (pvfs.seen(lits) is not None)
+        flags = []  # values reports the same on the keys it takes
+        pvfs.values(lits, observations, flags)
+        assert flags == want
+        assert pvfs.unseen(observations) == pvfs.unseen(observations, pvfs.literals)
 
 
 @st.composite
