@@ -8,6 +8,7 @@ used only for reporting and evaluation.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -157,16 +158,17 @@ def potential_table(
     terminal u: rm_values[u], composed_table rows, or, if lazy or on a false guard, LazyPotentials.
 
     Callers only read the rows, which calls share. A layout's composed_table rows are built once per
-    value function: cvf keeps them, keyed by obs's bytes, with the obs_key of each observation at which
-    a PVF the guards read has no entry (PvfSet.unseen). Given a set unseen, those keys are added to it,
-    at once for kept rows and on first read for LazyPotentials.
+    value function: cvf keeps them, keyed by obs's shape and a blake2b digest of its bytes, with the
+    obs_key of each observation at which a PVF the guards read has no entry (PvfSet.unseen). Given a set
+    unseen, those keys are added to it: for kept rows, those of every cell of the layout, as the table
+    values them all; for LazyPotentials, those of the cells a row values, on first read.
     """
     n = len(obs)
     unseen = set() if unseen is None else unseen
     if shaping == "high-level":
         return [[0.0 if rm.is_terminal(u) else rm_values[u]] * n for u in range(rm.num_states)]
     if not lazy:
-        kept = cvf._tables.get(key := obs.tobytes())
+        kept = cvf._tables.get(key := (obs.shape, hashlib.blake2b(np.ascontiguousarray(obs)).digest()))
         if kept is None:
             flags: list = []
             with suppress(UnsatisfiableGuardError):  # raise only if an episode enters the guard's RM state
@@ -202,8 +204,10 @@ def train(
     step, and shaping_term over the potential_table of the episode's
     layout. A layout's cells are scored by the label model in one call.
     The report's meta counts the observations the tabular label model
-    (unseen_label_obs) and the PVFs of composed shaping (unseen_pvf_obs,
-    see potential_table) have no entry for.
+    (unseen_label_obs, at the cells episodes visit) and the PVFs of composed
+    shaping (unseen_pvf_obs, see potential_table: on a fixed layout, at every
+    cell of its table; on randomized layouts, at the cells training valued)
+    have no entry for.
     """
     if tuple(rm.vocab) != tuple(label_model.vocab):
         raise ConfigMismatchError("RM and label model vocabularies differ")

@@ -175,8 +175,9 @@ def cmd_train(args) -> int:
             unseen = report.meta["unseen_pvf_obs"]
             if unseen:
                 print(
-                    f"warning: {shaping} seed {seed}: the PVFs have no entry for {unseen} "
-                    f"observations whose shaping potential training read, and value them 0.0 there",
+                    f"warning: {shaping} seed {seed}: the PVFs have no entry for {unseen} observations "
+                    "at which training valued the shaping potential (on a fixed layout, every cell of the "
+                    "layout), and value them 0.0 there",
                     file=sys.stderr,
                 )
             csv_path = out / f"train_{shaping}_seed{seed}.csv"

@@ -200,7 +200,7 @@ class ComposedValueFn:
     _edge_dnfs: dict = field(default_factory=dict, repr=False)
     _r_self: dict = field(default_factory=dict, repr=False)
     _lits: list = field(default_factory=list, repr=False)  # the literals of the guards, sorted
-    _tables: dict = field(default_factory=dict, repr=False, compare=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if tuple(self.rm.vocab) != tuple(self.pvfs.vocab):

@@ -204,8 +204,7 @@ def reset(cfg: GridConfig, seed: Optional[int] = None) -> GridState:
 def episode_starts(cfg: GridConfig, index: ObsIndex) -> Callable[[int], tuple[Layout, list[int], int]]:
     """A function from seed to (layout, index.cells(layout), cell) of reset(cfg, seed): the start's
     layout and the agent's row-major cell. A fixed layout is built once, with its ids, and then costs
-    one seeded_index per start: reset draws its agent from the same start options. With one option, as
-    when pinned, the start is that cell and draws nothing, since integers(1) is always 0."""
+    one seeded_index per start: reset draws its agent from the same start options, and none when pinned."""
     if cfg.layout_mode == "randomized":
         def start(seed):
             state = reset(cfg, seed)
@@ -215,8 +214,6 @@ def episode_starts(cfg: GridConfig, index: ObsIndex) -> Callable[[int], tuple[La
         return start
     layout = Layout.fixed(cfg)
     ids, options = index.cells(layout), layout.start_options
-    if len(options) == 1:
-        return lambda seed: (layout, ids, options[0])
     return lambda seed: (layout, ids, options[seeded_index(seed, len(options))])
 
 

@@ -356,6 +356,10 @@ class TestPotentialTable:
         again = set()
         assert potential_table("composed", stacked, machine, cvf, None, unseen=again) is table
         assert again == unseen_table
+        assert potential_table("composed", stacked.copy(), machine, cvf, None) is table  # keyed by content
+        # a value function made by replace keeps no rows of the one it was made from
+        other = replace(cvf, gamma=cvf.gamma)
+        assert other._tables == {} and potential_table("composed", stacked, machine, other, None) is not table
         rm_values = rm_value_iteration(machine, GAMMA_RM, GAMMA)
         table = potential_table("high-level", np.stack(observations), machine, None, rm_values)
         for u in range(machine.num_states):

@@ -656,10 +656,11 @@ class TestTrainEval:
         capsys.readouterr()
         assert main(train + ["--models", str(models)]) == 0
         warnings = [l for l in capsys.readouterr().err.splitlines() if "PVFs" in l]
-        # a fixed layout's potentials are one table, which reads every cell: the count is the layout's
+        # a fixed layout's potentials are one table, which values every cell: the count is the layout's
         assert warnings == [
-            f"warning: composed seed {seed}: the PVFs have no entry for {sum(unseen)} observations "
-            "whose shaping potential training read, and value them 0.0 there"
+            f"warning: composed seed {seed}: the PVFs have no entry for {sum(unseen)} observations at "
+            "which training valued the shaping potential (on a fixed layout, every cell of the layout), "
+            "and value them 0.0 there"
             for seed in (0, 1)
         ]
         # PVFs grounded on 60 walks have an entry at every cell

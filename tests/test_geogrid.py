@@ -436,17 +436,6 @@ class TestEpisodeStarts:
         else:
             assert len(cells) > 1
 
-    def test_a_pinned_start_draws_nothing(self, monkeypatch):
-        calls = []
-        drawn = geogrid.seeded_index
-        monkeypatch.setattr(geogrid, "seeded_index", lambda *args: calls.append(args) or drawn(*args))
-        cfg = GridConfig(agent_start=(2, 3))
-        starts = episode_starts(cfg, ObsIndex())
-        assert {starts(seed)[2] for seed in range(50)} == {2 * 6 + 3}
-        assert calls == []
-        assert {episode_starts(GridConfig(), ObsIndex())(seed)[2] for seed in range(50)} != {2 * 6 + 3}
-        assert len(calls) == 50
-
     def test_negative_config_seed_is_a_config_error(self):
         with pytest.raises(GridConfigError, match="seed must be non-negative, not -5"):
             GridConfig(seed=-5)
