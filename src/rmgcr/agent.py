@@ -8,7 +8,6 @@ used only for reporting and evaluation.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -19,13 +18,11 @@ import numpy as np
 
 from . import geogrid
 from .compose import ComposedValueFn, ConfigMismatchError, RmStateValues, check_shaping
-from .compose import UnsatisfiableGuardError, composed_table, composed_value, shaping_term
+from .compose import UnsatisfiableGuardError, composed_value, shaping_term
 from .errors import InputError, check_count, check_open_unit, check_seed
-from .geogrid import GridConfig, ObsIndex, obs_key
+from .geogrid import N_ACTIONS, GridConfig, ObsIndex, obs_key
 from .ground import LabelModel
 from .rm import RewardMachine, label_mask
-
-N_ACTIONS = len(geogrid.ACTIONS)
 
 SHAPING_MODES = ("none", "composed", "high-level")
 
@@ -145,7 +142,7 @@ class LazyPotentials(dict):
     def __missing__(self, cell: int) -> float:
         obs = self.obs[cell]
         value = self[cell] = composed_value(self.cvf, obs, self.u)
-        seen = self.cvf._seen  # None when no guard literal has a tabular PVF
+        seen = self.cvf.seen  # None when no guard literal has a tabular PVF
         if seen is not None and (key := obs_key(obs)) not in seen:
             self.unseen.add(key)
         return value
@@ -155,28 +152,23 @@ def potential_table(
     shaping: str, obs: np.ndarray, rm: RewardMachine, cvf, rm_values, lazy: bool = False, unseen=None
 ):
     """Rows [u][cell] of the shaping potential on a layout encoded as obs (see encode_layout), 0 at
-    terminal u: rm_values[u], composed_table rows, or, if lazy or on a false guard, LazyPotentials.
+    terminal u: rm_values[u], the rows of cvf.table, or, if lazy or on a false guard, LazyPotentials.
 
-    Callers only read the rows, which calls share. A layout's composed_table rows are built once per
-    value function: cvf keeps them, keyed by obs's shape and a blake2b digest of its bytes, with the
-    obs_key of each observation at which a PVF the guards read has no entry (PvfSet.unseen). Given a set
-    unseen, those keys are added to it: for kept rows, those of every cell of the layout, as the table
-    values them all; for LazyPotentials, those of the cells a row values, on first read.
+    Callers only read the rows, which calls on one value function and layout share (see
+    ComposedValueFn.table). Given a set unseen, the obs_key of each observation at which a PVF the
+    guards read has no entry (PvfSet.unseen) is added to it: for the rows of cvf.table, those of every
+    cell of the layout, as the table values them all; for LazyPotentials, those of the cells a row
+    values, on first read.
     """
     n = len(obs)
     unseen = set() if unseen is None else unseen
     if shaping == "high-level":
         return [[0.0 if rm.is_terminal(u) else rm_values[u]] * n for u in range(rm.num_states)]
     if not lazy:
-        kept = cvf._tables.get(key := (obs.shape, hashlib.blake2b(np.ascontiguousarray(obs)).digest()))
-        if kept is None:
-            flags: list = []
-            with suppress(UnsatisfiableGuardError):  # raise only if an episode enters the guard's RM state
-                rows = composed_table(cvf, obs, flags).tolist()
-                kept = cvf._tables[key] = rows, [obs_key(o) for o, missing in zip(obs, flags) if missing]
-        if kept is not None:
-            unseen.update(kept[1])
-            return kept[0]
+        with suppress(UnsatisfiableGuardError):  # raise only if an episode enters the guard's RM state
+            rows, flags = cvf.table(obs)
+            unseen.update(obs_key(o) for o, missing in zip(obs, flags) if missing)
+            return rows
     return [
         [0.0] * n if rm.is_terminal(u) else LazyPotentials(cvf, u, obs, unseen) for u in range(rm.num_states)
     ]
@@ -194,7 +186,8 @@ def train(
 
     The perceived return per episode sums the agent's own RM rewards
     (shaping terms excluded); the actual return replays the same states
-    through the ground-truth labelling and true RM.
+    through the ground-truth labelling and true RM. A value function or RM
+    state values made for another machine raise ConfigMismatchError.
 
     The hot path knows a state only by its product index p = id * n_u + u.
     An observation fixes its layout and its agent cell, so each (p, action)
@@ -214,10 +207,15 @@ def train(
     if agent_cfg.shaping == "composed":
         if cvf is None:
             raise ConfigMismatchError("composed shaping requires a composed value function")
+        if cvf.rm != rm:
+            raise ConfigMismatchError("the composed value function is of another reward machine")
         if not math.isclose(cvf.gamma, agent_cfg.gamma):
             raise ConfigMismatchError("composed value gamma differs from agent gamma")
-    if agent_cfg.shaping == "high-level" and rm_values is None:
-        raise ConfigMismatchError("high-level shaping requires RM state values")
+    if agent_cfg.shaping == "high-level":
+        if rm_values is None:
+            raise ConfigMismatchError("high-level shaping requires RM state values")
+        if rm_values.values.keys() != set(range(rm.num_states)):
+            raise ConfigMismatchError("the RM state values are not those of the machine's states")
 
     index = ObsIndex()
     moves = geogrid.move_table(cfg.height, cfg.width).tolist()

@@ -91,12 +91,11 @@ def cmd_oracle(args) -> int:
     oracle = compose.exact_product_values(cfg, rm, args.gamma, max_states=args.max_states)
     layout = oracle.layout  # compiled once for every check below
     exact = oracle.values.tolist()
-    composed = None
-    unseen: list = []  # per cell, whether a PVF the guards read has no entry there
+    composed = unseen = None  # unseen: per cell, whether a PVF the guards read has no entry there
     if args.models:  # composed values need only the PVFs, not the label model
         pvfs = files.load_pvfs(pathlib.Path(args.models) / "pvfs.json")
         cvf = compose.make_composed_value_fn(rm, pvfs, args.gamma_rm, gamma=args.gamma)
-        composed = compose.composed_table(cvf, layout.obs, unseen).tolist()
+        composed, unseen = cvf.table(layout.obs)
         if any(unseen):
             print(
                 f"warning: the PVFs have no entry for {sum(unseen)} of the {len(unseen)} cells and value "

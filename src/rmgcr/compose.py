@@ -21,6 +21,7 @@ read. `composed_table` values many observations, such as a layout's
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
@@ -190,16 +191,17 @@ def formula_value(pvfs: PvfSet, f, obs: np.ndarray) -> float:
 
 @dataclass
 class ComposedValueFn:
-    """The composed value of rm from pvfs. Its fields are read as fixed once it is made: _tables keeps the
-    composed_table rows of each layout that agent.potential_table is asked for."""
+    """The composed value of rm from pvfs. Its fields are read as fixed once it is made, and it alone
+    derives from them: each guard's DNF, the guards' literals and their seen keys, and, through table,
+    the composed_table rows and unseen flags of each batch of observations it is asked for."""
 
     rm: RewardMachine
     pvfs: PvfSet
     rm_values: RmStateValues
     gamma: float
-    _edge_dnfs: dict = field(default_factory=dict, repr=False)
-    _r_self: dict = field(default_factory=dict, repr=False)
-    _lits: list = field(default_factory=list, repr=False)  # the literals of the guards, sorted
+    _edge_dnfs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _r_self: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _lits: list = field(default_factory=list, init=False, repr=False, compare=False)  # sorted
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -213,9 +215,19 @@ class ComposedValueFn:
         self._lits = sorted({lit for dnf in dnfs for clause in dnf.clauses for lit in clause})
 
     @functools.cached_property
-    def _seen(self) -> Optional[set]:
+    def seen(self) -> Optional[set]:
         """pvfs.seen of the guards' literals, taken on first use."""
         return self.pvfs.seen(self._lits)
+
+    def table(self, obs: np.ndarray) -> tuple[list, list]:
+        """(rows, flags): composed_table(self, obs) as lists [u][observation], and pvfs.unseen of obs on
+        the guards' literals. Callers only read them. They are kept by obs's shape and a blake2b digest
+        of its bytes, so a layout is valued once per value function; a false guard keeps nothing."""
+        key = (obs.shape, hashlib.blake2b(np.ascontiguousarray(obs)).digest())
+        kept = self._tables.get(key)
+        if kept is None:
+            kept = self._tables[key] = composed_table(self, obs).tolist(), self.pvfs.unseen(obs, self._lits)
+        return kept
 
 
 def make_composed_value_fn(
@@ -267,20 +279,17 @@ def _first_best(better, rows: list):
     return out
 
 
-def composed_table(
-    cvf: ComposedValueFn, observations: Sequence[np.ndarray], unseen: Optional[list] = None
-) -> np.ndarray:
+def composed_table(cvf: ComposedValueFn, observations: Sequence[np.ndarray]) -> np.ndarray:
     """composed_value at every (RM state, observation), as an array indexed [u, observation].
 
     Bit for bit equal to composed_value, signed zeros included: each
     literal is valued once per observation, in one PvfSet.values call, then
     the min over each clause, the max over clauses and the best edge make
     the same comparisons, in the same order, on whole rows of observations.
-    Given a list unseen, it is extended with one bool per observation: True
-    if a PVF the guards read has no entry there (PvfSet.unseen).
+    ComposedValueFn.table keeps its rows.
     """
     rm = cvf.rm
-    lit_rows = dict(zip(cvf._lits, cvf.pvfs.values(cvf._lits, observations, unseen)))
+    lit_rows = dict(zip(cvf._lits, cvf.pvfs.values(cvf._lits, observations)))
 
     def guard_value(dnf):
         if isinstance(dnf, TrueConst):
@@ -398,7 +407,7 @@ def solve_product(layout: Layout, dst: np.ndarray, reward: np.ndarray, gamma: fl
     moves = layout.next_cell.T  # [action, cell] -> cell
 
     def action_major(per_cell):  # [u, cell entered] -> [action, flat product state]
-        return per_cell[:, moves].transpose(1, 0, 2).reshape(len(geogrid.ACTIONS), n_total)
+        return per_cell[:, moves].transpose(1, 0, 2).reshape(geogrid.N_ACTIONS, n_total)
 
     # action-major, so the max over actions is a max of contiguous rows
     nxt = action_major(dst[:, layout.label_ids] * n_cells + np.arange(n_cells))

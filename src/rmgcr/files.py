@@ -17,9 +17,9 @@ from collections import namedtuple
 
 import numpy as np
 
-from .agent import N_ACTIONS, GreedyPolicy
+from .agent import GreedyPolicy
 from .errors import InputError, check_open_unit
-from .geogrid import GridConfig, GroundingDataset, ObjectSpec, ObsIndex, Trajectory, config_to_dict
+from .geogrid import N_ACTIONS, GridConfig, GroundingDataset, ObjectSpec, ObsIndex, Trajectory, config_to_dict
 from .ground import FEATURE_MAP_VERSION, LabelModel, LinearPvf, PvfSet, TabularPvf
 
 DATASET_FORMAT_VERSION = 2

@@ -22,6 +22,7 @@ VOCAB = COLORS + SHAPES
 CHANNELS = VOCAB + ("agent",)
 
 ACTIONS = ("up", "down", "left", "right")
+N_ACTIONS = len(ACTIONS)
 _MOVES = {0: (-1, 0), 1: (1, 0), 2: (0, -1), 3: (0, 1)}
 
 Cell = tuple[int, int]
@@ -285,9 +286,8 @@ def move_table(height: int, width: int) -> np.ndarray:
     Placements do not affect a move, so one table, built once per grid
     size and shared, serves every layout of the grid.
     """
-    n_actions = len(ACTIONS)
     table = np.array(
-        [[move(i, a, height, width) for a in range(n_actions)] for i in range(height * width)],
+        [[move(i, a, height, width) for a in range(N_ACTIONS)] for i in range(height * width)],
         dtype=np.int64,
     )
     table.flags.writeable = False
@@ -454,7 +454,7 @@ def generate_dataset(
     for i in range(n_trajectories):
         rng = np.random.default_rng((root, i))
         layout, ids, cell = starts(int(rng.integers(2**63)))
-        actions = rng.integers(len(ACTIONS), size=cfg.episode_len).tolist()
+        actions = rng.integers(N_ACTIONS, size=cfg.episode_len).tolist()
         steps = [index.visit(layout, cell)]
         for a in actions:
             cell = moves[cell][a]

@@ -17,10 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, OutOfRangeError, check_count, check_open_unit, check_seed
-from .geogrid import GroundingDataset, obs_key
+from .geogrid import N_ACTIONS, GroundingDataset, obs_key
 from .logic import Literal
-
-N_ACTIONS = 4
 
 # the version of observation_features, which model files record
 FEATURE_MAP_VERSION = 1
@@ -238,19 +236,16 @@ class PvfSet:
         """The literal's estimated value at obs, clipped to [0, 1]."""
         return min(max(self.estimators[lit].value(obs), 0.0), 1.0)
 
-    def values(self, lits, observations, unseen: Optional[list] = None) -> np.ndarray:
+    def values(self, lits, observations) -> np.ndarray:
         """value(lit, obs) for each literal and observation, as an array indexed [lit, obs].
 
         Each observation is keyed once, and a tabular estimator answers by
         dict lookups on those keys; any other estimator through its own
         value. The same clip as value keeps every entry equal to it bit for
-        bit, signed zeros included. Given a list unseen, values extends it
-        with unseen(observations, lits) on the same keys.
+        bit, signed zeros included.
         """
         out = np.empty((len(lits), len(observations)))
         keys = [obs_key(obs) for obs in observations]
-        if unseen is not None:
-            unseen.extend(self.unseen(observations, lits, keys))
         for row, lit in zip(out, lits):
             est = self.estimators[lit]
             if isinstance(est, TabularPvf):
@@ -268,13 +263,11 @@ class PvfSet:
         tables = [est.v for est in map(self.estimators.get, lits) if isinstance(est, TabularPvf)]
         return set(tables[0]).intersection(*tables[1:]) if tables else None
 
-    def unseen(self, observations, lits=None, keys=None) -> list[bool]:
+    def unseen(self, observations, lits=None) -> list[bool]:
         """Per observation, True if a tabular estimator of lits has no entry for it, and so values it
-        0.0 (see seen): the mirror of LabelModel.unseen. keys, if given, are the observations' obs_key,
-        as values computes them."""
-        keys = [obs_key(obs) for obs in observations] if keys is None else keys
+        0.0 (see seen): the mirror of LabelModel.unseen."""
         seen = self.seen(lits)
-        return [seen is not None and k not in seen for k in keys]
+        return [seen is not None and obs_key(obs) not in seen for obs in observations]
 
     @property
     def literals(self):

@@ -83,8 +83,8 @@ class RewardMachine:
     initial: int
     terminals: frozenset[int]
     transitions: tuple[RmTransition, ...]
-    _outgoing: dict = field(default_factory=dict, repr=False, compare=False)
-    _columns: dict = field(default_factory=dict, repr=False, compare=False)  # mask -> column
+    _outgoing: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # mask -> column
 
     def __post_init__(self):
         for u in range(self.num_states):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rmgcr import agent, geogrid, rm as rm_module
+from rmgcr import agent, compose, geogrid, rm as rm_module
 from rmgcr.agent import (
     AgentConfig,
     ConfigMismatchError,
@@ -74,6 +74,24 @@ class TestTrainValidation:
     def test_high_level_requires_rm_values(self, desk_cfg, sequence_rm, desk_label_model):
         with pytest.raises(ConfigMismatchError):
             train(desk_cfg, sequence_rm, desk_label_model, AgentConfig(shaping="high-level", episodes=1))
+
+    def test_composed_value_fn_of_another_machine(
+        self, desk_cfg, sequence_rm, logic_rm, safety_rm, desk_label_model, desk_pvfs
+    ):
+        agent_cfg = AgentConfig(shaping="composed", episodes=1)
+        cvf = make_composed_value_fn(sequence_rm, desk_pvfs, GAMMA_RM)
+        for machine in (logic_rm, safety_rm):  # more states than sequence.rm, and as many
+            with pytest.raises(ConfigMismatchError):
+                train(desk_cfg, machine, desk_label_model, agent_cfg, cvf=cvf)
+        # an equal machine loaded apart is the same machine
+        train(desk_cfg, load_rm(TASKS_DIR / "sequence.rm"), desk_label_model, agent_cfg, cvf=cvf)
+
+    def test_rm_values_of_another_machine(self, desk_cfg, sequence_rm, logic_rm, desk_label_model):
+        agent_cfg = AgentConfig(shaping="high-level", episodes=1)
+        for made_for, machine in ((sequence_rm, logic_rm), (logic_rm, sequence_rm)):  # too few states, too many
+            rm_values = rm_value_iteration(made_for, GAMMA_RM, GAMMA)
+            with pytest.raises(ConfigMismatchError):
+                train(desk_cfg, machine, desk_label_model, agent_cfg, rm_values=rm_values)
 
 
 class TestTraining:
@@ -197,7 +215,7 @@ class TestHotPath:
         self, monkeypatch, logic_rm, desk_label_model, desk_pvfs
     ):
         counts: dict = {}
-        self._counting(monkeypatch, agent, "composed_table", counts)
+        self._counting(monkeypatch, compose, "composed_table", counts)
         self._counting(monkeypatch, agent, "composed_value", counts)
         self._counting(monkeypatch, geogrid, "encode_layout", counts)
         cvf = make_composed_value_fn(logic_rm, desk_pvfs, GAMMA_RM)
@@ -225,7 +243,7 @@ class TestHotPath:
         self, monkeypatch, logic_rm, desk_label_model, desk_pvfs
     ):
         counts: dict = {}
-        self._counting(monkeypatch, agent, "composed_table", counts)
+        self._counting(monkeypatch, compose, "composed_table", counts)
         valued = []  # the (observation, RM state) of each composed_value call
         scalar = agent.composed_value
 

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -307,6 +308,13 @@ class TestComposedValue:
     def test_vocab_mismatch(self, lava_rm, desk_pvfs):
         with pytest.raises(ValueError):
             make_composed_value_fn(lava_rm, desk_pvfs, GAMMA_RM)
+
+    def test_a_copy_by_replace_derives_its_own_dnfs(self, sequence_rm, logic_rm, desk_pvfs):
+        cvf = make_composed_value_fn(sequence_rm, desk_pvfs, GAMMA_RM)
+        derived = dict(cvf._edge_dnfs), list(cvf._lits), dict(cvf._r_self)
+        other = replace(cvf, rm=logic_rm, rm_values=rm_value_iteration(logic_rm, GAMMA_RM, GAMMA))
+        assert (cvf._edge_dnfs, cvf._lits, cvf._r_self) == derived
+        assert set(other._edge_dnfs) == {t for t in logic_rm.transitions if t.src != t.dst}
 
     def test_unsatisfiable_guard_surfaces(self):
         rm = make_rm(GEO, 2, [RmTransition(1, 0, FALSE, 1.0)])

@@ -539,9 +539,6 @@ class TestPvfFile:
         want = [any(obs_key(obs) not in v for v in tables) for obs in observations]
         assert pvfs.unseen(observations, lits) == want
         assert want[-1] == bool(tables) == (pvfs.seen(lits) is not None)
-        flags = []  # values reports the same on the keys it takes
-        pvfs.values(lits, observations, flags)
-        assert flags == want
         assert pvfs.unseen(observations) == pvfs.unseen(observations, pvfs.literals)
 
 

@@ -1,6 +1,9 @@
-"""rmgcr.files is the one home of every file format: the import rules that keep it so."""
+"""rmgcr.files is the one home of every file format: the import rules that keep it so. Each model
+derives its own caches: the dataclass rule that keeps it so."""
 
 import ast
+import dataclasses
+import importlib
 import pathlib
 
 import pytest
@@ -57,3 +60,18 @@ def test_forwarders_serve_exactly_the_bench_names(module):
     for gone in ("DatasetFormatError", "ModelFormatError", "json_object", "decode_entry", "no_such_name"):
         with pytest.raises(AttributeError):
             getattr(module, gone)
+
+
+def test_derived_dataclass_fields_are_not_constructor_arguments():
+    # dataclasses.replace passes every init field on to the copy, so a derived cache that is one would
+    # be shared with the copy and filled by it from the copy's own fields
+    private = {
+        (cls.__qualname__, f.name): f.init
+        for module in (importlib.import_module(f"rmgcr.{p.stem}") for p in SRC.glob("[!_]*.py"))
+        for cls in vars(module).values()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+        for f in dataclasses.fields(cls)
+        if f.name.startswith("_")
+    }
+    assert {("RewardMachine", "_columns"), ("ComposedValueFn", "_tables")} <= set(private)
+    assert [field for field, init in private.items() if init] == []

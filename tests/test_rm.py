@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -243,6 +245,18 @@ class TestStepTable:
         column = rm.column(0b101)
         assert rm == twin and hash(rm) == hash(twin)
         assert rm.column(0b101) is column and twin.column(0b101) == column
+
+    def test_a_copy_by_replace_derives_its_own_edges_and_columns(self):
+        rm = load_rm(TASKS_DIR / "sequence.rm")
+        green = label_mask(rm.vocab, {"green"})
+        column = rm.column(green)
+        copy = replace(rm, transitions=rm.transitions[:1])
+        assert [len(rm.outgoing(u)) for u in range(rm.num_states)] == [0, 1, 1, 1]
+        assert [len(copy.outgoing(u)) for u in range(copy.num_states)] == [0, 1, 0, 0]
+        assert copy._columns == {} and rm._columns == {green: column}
+        # green moves sequence.rm from state 2 to 3; the copy has no edge out of 2
+        assert column[2] == (3, 0.0, False) and copy.column(green)[2] == (2, 0.0, False)
+        assert rm.column(green) is column and copy._columns == {green: copy.column(green)}
 
 
 def _first_overlap(rm):
