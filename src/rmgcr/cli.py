@@ -110,20 +110,22 @@ def cmd_oracle(args) -> int:
         r, c = divmod(i, layout.width)
         for u, both in enumerate(compared):
             want = exact[u][i]
-            line = f"{r},{c},{u},{want:.10f}"
             if both and not unseen[i]:
                 got = composed[u][i]
-                devs.append(abs(got - want))
-                line = f"{line},{got:.10f},{devs[-1]:.10f}"
-            lines.append(line)
+                devs.append(dev := abs(got - want))
+                lines.append("%d,%d,%d,%.10f,%.10f,%.10f" % (r, c, u, want, got, dev))
+            else:
+                lines.append("%d,%d,%d,%.10f" % (r, c, u, want))
     if args.out:
         # the bytes csv.writer gives: no field needs quoting, and lines end in \r\n
         with open(args.out, "w", newline="") as fh:
             fh.write("\r\n".join(lines) + "\r\n")
         print(f"wrote oracle table to {args.out}")
-    if composed is not None:
-        print(f"max absolute deviation from the exact oracle: {max(devs, default=0.0):.6f}")
-    guards = [t.guard for t in rm.transitions if t.src != t.dst]
+    if devs:
+        print(f"max absolute deviation from the exact oracle: {max(devs):.6f}")
+    elif composed is not None:
+        print("max absolute deviation from the exact oracle: none (no cell was compared)")
+    guards = [rm.dnf(t) for t in rm.transitions if t.src != t.dst]
     checks = compose.composition_bounds(layout, guards, args.gamma)
     for check in checks:
         print(f"{check.kind} {check.guard!r}: {'PASS' if check.ok else 'FAIL'}")

@@ -192,14 +192,13 @@ def formula_value(pvfs: PvfSet, f, obs: np.ndarray) -> float:
 @dataclass
 class ComposedValueFn:
     """The composed value of rm from pvfs. Its fields are read as fixed once it is made, and it alone
-    derives from them: each guard's DNF, the guards' literals and their seen keys, and, through table,
-    the composed_table rows and unseen flags of each batch of observations it is asked for."""
+    derives from them: the guards' literals and their seen keys, and, through table, the composed_table
+    rows and unseen flags of each batch of observations it is asked for. Each guard's DNF is rm.dnf."""
 
     rm: RewardMachine
     pvfs: PvfSet
     rm_values: RmStateValues
     gamma: float
-    _edge_dnfs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _r_self: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _lits: list = field(default_factory=list, init=False, repr=False, compare=False)  # sorted
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -208,10 +207,8 @@ class ComposedValueFn:
         if tuple(self.rm.vocab) != tuple(self.pvfs.vocab):
             raise ConfigMismatchError("RM and PVF vocabularies differ")
         self._r_self = max_self_loop_rewards(self.rm)
-        for u in range(self.rm.num_states):
-            for t in _non_self_edges(self.rm, u):
-                self._edge_dnfs[t] = to_dnf(t.guard)
-        dnfs = [dnf for dnf in self._edge_dnfs.values() if isinstance(dnf, DnfFormula)]
+        dnfs = [self.rm.dnf(t) for t in self.rm.transitions if t.src != t.dst]
+        dnfs = [dnf for dnf in dnfs if isinstance(dnf, DnfFormula)]
         self._lits = sorted({lit for dnf in dnfs for clause in dnf.clauses for lit in clause})
 
     @functools.cached_property
@@ -256,8 +253,7 @@ def composed_value(cvf: ComposedValueFn, obs: np.ndarray, u: int) -> float:
         if not rm.outgoing(u):
             raise NoOutgoingEdgeError(u)
         return r_self / (1.0 - cvf.gamma)
-    dnfs = cvf._edge_dnfs
-    return float(max(_option_value(cvf, r_self, formula_value(cvf.pvfs, dnfs[t], obs), t) for t in edges))
+    return float(max(_option_value(cvf, r_self, formula_value(cvf.pvfs, rm.dnf(t), obs), t) for t in edges))
 
 
 def _option_value(cvf: ComposedValueFn, r_self: float, fv, t: RmTransition):
@@ -310,7 +306,7 @@ def composed_table(cvf: ComposedValueFn, observations: Sequence[np.ndarray]) -> 
                 raise NoOutgoingEdgeError(u)
             table[u] = r_self / (1.0 - cvf.gamma)
             continue
-        options = [_option_value(cvf, r_self, guard_value(cvf._edge_dnfs[t]), t) for t in edges]
+        options = [_option_value(cvf, r_self, guard_value(rm.dnf(t)), t) for t in edges]
         table[u] = _first_best(np.greater, options)
     return table
 

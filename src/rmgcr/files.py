@@ -45,8 +45,7 @@ class FormatError(InputError):
 Kind = namedtuple("Kind", "test noun")
 ANY = Kind(lambda v: True, "anything")
 INT = Kind(lambda v: type(v) is int, "an integer")
-# json reads NaN and Infinity as floats; an int is always finite
-NUMBER = Kind(lambda v: type(v) is int or type(v) is float and math.isfinite(v), "a number")
+NUMBER = Kind(lambda v: finite_numbers([v]), "a number")
 TEXT = Kind(lambda v: isinstance(v, str), "a string")
 TEXTS = Kind(lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v), "a list of strings")
 LIST = Kind(lambda v: isinstance(v, list), "a list")
@@ -80,9 +79,24 @@ def fields(record: dict, what: str, path=None, **kinds) -> list:
     return values
 
 
+def finite_numbers(values: list, null: bool = False) -> bool:
+    """Whether each of values is an int or float that float() holds as a finite number, or, with null,
+    None: one C-level scan of their types, then one of the numbers' finiteness.
+
+    json reads NaN and Infinity as floats, and a bool is no number; an int
+    beyond float range is none either, as math.isfinite cannot convert it.
+    """
+    if not set(map(type, values)) <= ({int, float, type(None)} if null else {int, float}):
+        return False
+    try:  # filter(None, ...) drops None and the zeros, which are finite
+        return all(map(math.isfinite, filter(None, values)))
+    except OverflowError:
+        return False
+
+
 def numbers(value, n: int) -> bool:
     """Whether value is a list of n finite numbers."""
-    return isinstance(value, list) and len(value) == n and all(map(NUMBER.test, value))
+    return isinstance(value, list) and len(value) == n and finite_numbers(value)
 
 
 def rows_of_numbers(value, n: int) -> bool:
@@ -390,7 +404,7 @@ def load_pvfs(path) -> PvfSet:
         if kind == "tabular":
             values = entry.get("v")
             if not (isinstance(values, list) and len(values) == len(keys)
-                    and all(v is None or NUMBER.test(v) for v in values)):
+                    and finite_numbers(values, null=True)):
                 raise FormatError(
                     f"{path}: the values of {key} are not a list of one finite number or null per "
                     f"table observation ({len(keys)})"

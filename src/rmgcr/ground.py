@@ -241,20 +241,21 @@ class PvfSet:
 
         Each observation is keyed once, and a tabular estimator answers by
         dict lookups on those keys; any other estimator through its own
-        value. The same clip as value keeps every entry equal to it bit for
-        bit, signed zeros included.
+        value. The raw rows are clipped as one array, with the comparisons of
+        value's min(max(x, 0.0), 1.0), so every entry equals it bit for bit,
+        signed zeros and NaN included (np.maximum(-0.0, 0.0) would be +0.0).
         """
-        out = np.empty((len(lits), len(observations)))
         keys = [obs_key(obs) for obs in observations]
-        for row, lit in zip(out, lits):
+        raw = []
+        for lit in lits:
             est = self.estimators[lit]
             if isinstance(est, TabularPvf):
                 get = est.v.get
-                raw = [get(k, 0.0) for k in keys]
+                raw.append([get(k, 0.0) for k in keys])
             else:
-                raw = [est.value(obs) for obs in observations]
-            row[:] = [min(max(x, 0.0), 1.0) for x in raw]
-        return out
+                raw.append([est.value(obs) for obs in observations])
+        a = np.array(raw, dtype=float).reshape(len(lits), len(observations))
+        return np.where(a < 0.0, 0.0, np.where(a > 1.0, 1.0, a))
 
     def seen(self, lits=None) -> Optional[set]:
         """The obs keys at which every tabular estimator of lits (default: every literal) has an entry,

@@ -17,7 +17,8 @@ By convention state 1 is initial and state 0 is terminal when terminals
 exist; `terminals:` with no ids declares a machine that never terminates.
 
 `rm_step` defines a step; `RewardMachine.column` keeps a machine's steps by
-assignment bitmask, filled once per machine and mask and shared by its callers.
+assignment bitmask, filled once per machine and mask and shared by its callers,
+and `RewardMachine.dnf` keeps each transition's guard in DNF the same way.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
-from .logic import Formula, check_vocab, evaluate, parse_formula, truth_table
+from .logic import Formula, check_vocab, evaluate, parse_formula, to_dnf, truth_table
 
 MAX_EXHAUSTIVE_VOCAB = 12  # determinism checked over all 2^|vocab| assignments
 
@@ -85,6 +86,7 @@ class RewardMachine:
     transitions: tuple[RmTransition, ...]
     _outgoing: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # mask -> column
+    _dnfs: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # transition -> DNF
 
     def __post_init__(self):
         for u in range(self.num_states):
@@ -106,6 +108,13 @@ class RewardMachine:
             col = tuple(None if s is None else (s.next_state, s.reward, s.terminated) for s in steps)
             self._columns[mask] = col
         return col
+
+    def dnf(self, t: RmTransition):
+        """to_dnf of transition t's guard, normalized on its first use and kept on the machine."""
+        dnf = self._dnfs.get(t)
+        if dnf is None:
+            dnf = self._dnfs[t] = to_dnf(t.guard)
+        return dnf
 
 
 def make_rm(

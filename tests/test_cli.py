@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from rmgcr import cli, files, geogrid
+from rmgcr import cli, files, geogrid, ground
 from rmgcr.cli import build_parser, main
 from rmgcr.errors import InputError
 from rmgcr.geogrid import DEFAULT_FIXED_CELLS, GridConfig, ObsIndex, config_to_dict
@@ -237,6 +237,21 @@ class TestOracle:
         worst = max(float(row["abs_deviation"]) for row in compared)
         assert f"max absolute deviation from the exact oracle: {worst:.6f}" in captured.out.splitlines()
 
+    def test_no_cell_compared_prints_no_deviation(self, tmp_path, capsys):
+        # PVFs grounded on a 5 x 5 grid have no entry for any cell of the 6 x 6 default layout
+        models = tmp_path / "models"
+        models.mkdir()
+        coverage = geogrid.full_coverage_dataset(GridConfig(width=5, height=5))
+        files.save_pvfs(ground.train_pvfs_fqi(coverage, 0.97), models / "pvfs.json")
+        out = tmp_path / "oracle.csv"
+        assert main(["oracle", "--rm", SEQUENCE, "--models", str(models), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("warning: the PVFs have no entry for 36 of the 36 cells")
+        assert "max absolute deviation from the exact oracle: none (no cell was compared)" in captured.out
+        assert "0.000000" not in captured.out
+        with open(out) as fh:
+            assert not any(row["composed"] or row["abs_deviation"] for row in csv.DictReader(fh))
+
     def test_no_models_no_deviation(self, capsys):
         assert main(["oracle", "--rm", SEQUENCE]) == 0
         assert "deviation" not in capsys.readouterr().out
@@ -451,6 +466,38 @@ def test_malformed_model_or_policy_file_is_validation_error(pipeline, tmp_path, 
     assert main(argv) == 3
     # every message names the file, then what in it is at fault
     assert f"error: {models / name}{message}" in capsys.readouterr().err
+
+
+def _huge_pvf_value(models):
+    data = json.loads((models / "pvfs.json").read_text())
+    data["estimators"]["+red"]["v"][0] = 10**400
+    (models / "pvfs.json").write_text(json.dumps(data))
+    return ["oracle", "--rm", SEQUENCE, "--models", str(models)], "the values of +red are not a list of one"
+
+
+def _huge_label_bias(models):
+    data = json.loads((models / "label_model.json").read_text())
+    data["bias"][0] = 10**400
+    (models / "label_model.json").write_text(json.dumps(data))
+    argv = [arg.format(models=models, out=models.parent / "out") for arg in TRAIN]
+    return argv, "the bias is not a list of 5 numbers, one per atom"
+
+
+def _huge_policy_value(models):
+    (models / "policy.json").write_text('{"00/0": [0, 0, 0, 1%s]}' % ("0" * 400))
+    argv = ["eval", "--rm", SEQUENCE, "--policy", str(models / "policy.json"), "--episodes", "1"]
+    return argv, "the values of policy key '00/0' are not a list of 4 numbers"
+
+
+@pytest.mark.parametrize("tamper", [_huge_pvf_value, _huge_label_bias, _huge_policy_value],
+                         ids=["pvfs", "label-model-bias", "policy"])
+def test_an_int_beyond_float_range_is_validation_error(pipeline, tmp_path, capsys, tamper):
+    # before, oracle and train failed converting it (exit 4) and eval loaded an object-dtype row (exit 0)
+    models = tmp_path / "models"
+    shutil.copytree(pipeline["models"], models)
+    argv, message = tamper(models)
+    assert main(argv) == 3
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

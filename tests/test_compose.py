@@ -1,5 +1,6 @@
 import hashlib
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -48,8 +49,9 @@ from rmgcr.logic import (
     clauses_hold,
     dnf_to_formula,
     evaluate,
+    to_dnf,
 )
-from rmgcr.rm import RmTransition, load_rm, make_rm, reachability_rm, rm_step
+from rmgcr.rm import RewardMachine, RmTransition, load_rm, make_rm, reachability_rm, rm_step
 
 from conftest import TASKS_DIR, all_assignments
 from test_geogrid import grid_configs
@@ -311,10 +313,14 @@ class TestComposedValue:
 
     def test_a_copy_by_replace_derives_its_own_dnfs(self, sequence_rm, logic_rm, desk_pvfs):
         cvf = make_composed_value_fn(sequence_rm, desk_pvfs, GAMMA_RM)
-        derived = dict(cvf._edge_dnfs), list(cvf._lits), dict(cvf._r_self)
+        derived = list(cvf._lits), dict(cvf._r_self)
         other = replace(cvf, rm=logic_rm, rm_values=rm_value_iteration(logic_rm, GAMMA_RM, GAMMA))
-        assert (cvf._edge_dnfs, cvf._lits, cvf._r_self) == derived
-        assert set(other._edge_dnfs) == {t for t in logic_rm.transitions if t.src != t.dst}
+        assert (cvf._lits, cvf._r_self) == derived
+        # each machine keeps the DNFs of its own guards, and each value function reads its machine's
+        for machine in (sequence_rm, logic_rm):
+            assert set(machine._dnfs) == {t for t in machine.transitions if t.src != t.dst}
+        dnfs = [logic_rm.dnf(t) for t in logic_rm.transitions if t.src != t.dst]
+        assert other._lits == sorted({lit for dnf in dnfs for c in dnf.clauses for lit in c}) != cvf._lits
 
     def test_unsatisfiable_guard_surfaces(self):
         rm = make_rm(GEO, 2, [RmTransition(1, 0, FALSE, 1.0)])
@@ -638,6 +644,23 @@ class TestCellGraphPaths:
     def test_composition_bounds_hold_on_random_guards(self, desk_cfg, guard):
         checks = composition_bounds(desk_cfg, [guard], GAMMA)
         assert all(check.ok for check in checks), checks
+
+
+class TestKeptDnfs:
+    @settings(max_examples=40, deadline=None)
+    @given(small_machines(), st.one_of(tabular_pvfs(), linear_pvfs()))
+    def test_kept_dnfs_move_no_bound_and_no_table_entry(self, desk_cfg, rm, pvfs):
+        layout = Layout.fixed(desk_cfg)
+        edges = [t for t in rm.transitions if t.src != t.dst]
+        raw = composition_bounds(layout, [t.guard for t in edges], GAMMA)
+        # before: every caller normalized each guard itself
+        with mock.patch.object(RewardMachine, "dnf", lambda machine, t: to_dnf(t.guard)):
+            before = composed_table(make_composed_value_fn(rm, pvfs, GAMMA_RM), layout.obs)
+        assert rm._dnfs == {}
+        after = composed_table(make_composed_value_fn(rm, pvfs, GAMMA_RM), layout.obs)
+        assert composition_bounds(layout, [rm.dnf(t) for t in edges], GAMMA) == raw
+        assert [x.hex() for x in after.flat] == [x.hex() for x in before.flat]
+        assert set(rm._dnfs) == set(edges)
 
 
 class TestLabelBits:

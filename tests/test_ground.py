@@ -507,6 +507,36 @@ class TestPvfFile:
         with pytest.raises(FormatError, match=re.escape(message)):
             load_pvfs(path)
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_a_value_list_loads_iff_each_entry_is_a_finite_number_or_null(self, corridor_pvfs, data):
+        # the largest float is 2**1024 - 2**971; float() holds every int up to it and none from 2**1024
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pvfs.json"
+            save_pvfs(corridor_pvfs, path)
+            saved = json.loads(path.read_text())
+            n = len(saved["observations"])
+            number = st.one_of(
+                st.none(), st.integers(-(2**64), 2**64), st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from([2**1024 - 2**971, -(2**1024 - 2**971), -0.0]),
+            )
+            values = data.draw(st.lists(number, min_size=n, max_size=n))
+            bad = [True, False, "0.5", [0.5], {"v": 0.5}, float("nan"), float("inf"), -float("inf"),
+                   10**400, 2**1024, -(2**1024)]
+            leaf = data.draw(st.none() | st.tuples(st.integers(0, n - 1), st.sampled_from(bad)))
+            if leaf is not None:
+                values[leaf[0]] = leaf[1]
+            saved["estimators"]["+red"]["v"] = values
+            path.write_text(json.dumps(saved))
+            if leaf is not None:
+                with pytest.raises(FormatError, match=re.escape("the values of +red are not a list of one")):
+                    load_pvfs(path)
+                return
+            keys = [bytes.fromhex(raw) for _, raw in saved["observations"]]
+            want = {k: float(v).hex() for k, v in zip(keys, values) if v is not None}
+            got = load_pvfs(path).estimators["red", True].v
+            assert {k: v.hex() for k, v in got.items()} == want
+
     def test_tabular_pvfs_without_an_obs_shape_are_not_saved(self, corridor_pvfs, tmp_path):
         pvfs = replace(corridor_pvfs, obs_shape=None)
         with pytest.raises(ValueError, match="obs_shape"):

@@ -1,5 +1,6 @@
 """rmgcr.files is the one home of every file format: the import rules that keep it so. Each model
-derives its own caches: the dataclass rule that keeps it so."""
+derives its own caches: the dataclass rule that keeps it so, and the attribute rule that keeps other
+modules out of them."""
 
 import ast
 import dataclasses
@@ -75,3 +76,20 @@ def test_derived_dataclass_fields_are_not_constructor_arguments():
     }
     assert {("RewardMachine", "_columns"), ("ComposedValueFn", "_tables")} <= set(private)
     assert [field for field, init in private.items() if init] == []
+
+
+def attribute_names(path: pathlib.Path) -> set:
+    """The names of every attribute path reads or writes, as in obj.name."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Attribute)}
+
+
+def test_only_rm_touches_kept_dnfs_and_only_compose_the_value_functions_privates():
+    privates = {f.name for f in dataclasses.fields(compose.ComposedValueFn) if f.name.startswith("_")}
+    assert {"_r_self", "_lits", "_tables"} <= privates
+    # per module: whether it touches RewardMachine._dnfs, and whether ComposedValueFn's privates
+    touching = {}
+    for path in SRC.glob("*.py"):
+        names = attribute_names(path)
+        touching[path.name] = ("_dnfs" in names, bool(names & privates))
+    assert touching.pop("rm.py") == (True, False) and touching.pop("compose.py") == (False, True)
+    assert [name for name, touches in touching.items() if any(touches)] == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmgcr.logic import FALSE, TRUE, And, Not, Or, Var, evaluate
+from rmgcr.logic import FALSE, TRUE, And, Not, Or, Var, evaluate, to_dnf
 from rmgcr.rm import (
     MAX_EXHAUSTIVE_VOCAB,
     DanglingStateError,
@@ -245,6 +245,15 @@ class TestStepTable:
         column = rm.column(0b101)
         assert rm == twin and hash(rm) == hash(twin)
         assert rm.column(0b101) is column and twin.column(0b101) == column
+
+    def test_a_machine_keeps_each_guards_dnf_and_a_copy_by_replace_its_own(self):
+        rm = load_rm(TASKS_DIR / "logic.rm")
+        dnfs = [rm.dnf(t) for t in rm.transitions]
+        assert dnfs == [to_dnf(t.guard) for t in rm.transitions]
+        assert all(rm.dnf(t) is dnf for t, dnf in zip(rm.transitions, dnfs))
+        copy = replace(rm, transitions=rm.transitions[:1])
+        assert copy._dnfs == {} and copy == replace(rm, transitions=rm.transitions[:1])
+        assert copy.dnf(rm.transitions[0]) == dnfs[0] and list(copy._dnfs) == [rm.transitions[0]]
 
     def test_a_copy_by_replace_derives_its_own_edges_and_columns(self):
         rm = load_rm(TASKS_DIR / "sequence.rm")
