@@ -60,6 +60,8 @@ BOOL = Kind(lambda v: isinstance(v, bool), "true or false")
 # each grid config field as config_to_dict writes it, in GridConfig's order
 CONFIG = {"width": INT, "height": INT, "objects": OBJECTS, "layout_mode": TEXT, "episode_len": INT,
           "seed": INT, "agent_start": CELL, "exclude_agent_from_objects": BOOL}
+# the default GridConfig as config_to_dict writes it, read by config_from_dict for missing fields
+CONFIG_DEFAULTS = config_to_dict(GridConfig())
 
 
 def fields(record: dict, what: str, path=None, **kinds) -> list:
@@ -198,7 +200,7 @@ def config_from_dict(d: dict) -> GridConfig:
     unknown = set(d) - set(CONFIG)
     if unknown:
         raise FormatError(f"unknown grid config fields {sorted(unknown)}")
-    d = dict(zip(CONFIG, fields({**config_to_dict(GridConfig()), **d}, "grid config", **CONFIG)))
+    d = dict(zip(CONFIG, fields({**CONFIG_DEFAULTS, **d}, "grid config", **CONFIG)))
     objects = tuple(ObjectSpec(c, s, tuple(cell) if cell else None) for c, s, cell in d["objects"])
     start = tuple(d["agent_start"]) if d["agent_start"] else None
     return GridConfig(**{**d, "objects": objects, "agent_start": start})

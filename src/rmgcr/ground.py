@@ -12,6 +12,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -54,9 +55,22 @@ def observation_features(obs: np.ndarray) -> np.ndarray:
     return np.concatenate([products, o.reshape(*o.shape[:-3], -1)], axis=-1)
 
 
-def _sigmoid(z):
-    # np.minimum/np.maximum give np.clip's values without its wrapper's overhead
-    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -60), 60)))
+# 0-d float64 operands of _sigmoid: a ufunc takes them faster than Python floats, with the same values
+_LOWER_CLAMP, _ONE = np.array(-60.0), np.array(1.0)
+
+
+def _sigmoid(z, out=None):
+    """1 / (1 + exp(-z)) elementwise over a float64 array, written into out when given.
+
+    z is clamped below at -60 so that exp cannot overflow. It needs no upper
+    clamp: for z >= 60, exp(-z) <= exp(-60) < 2**-53, so 1 + exp(-z) rounds
+    to 1.0 exactly as 1 + exp(-60) does.
+    """
+    out = np.maximum(z, _LOWER_CLAMP, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.add(out, _ONE, out=out)
+    return np.divide(_ONE, out, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -149,16 +163,20 @@ def train_label_model(
         ids = list(rows)
         x, y_ids = features[ids], y[ids]
         c = LABEL_LR * np.array(list(rows.values()), dtype=np.float64)[:, None] / len(train_ids)
+        c = np.repeat(c, len(ds.vocab), axis=1)  # one per score: a same-shape multiply is cheaper
         rng = np.random.default_rng(seed)
         w = rng.normal(scale=0.01, size=(len(ds.vocab), x.shape[1]))
         b = np.zeros(len(ds.vocab))
         z = x @ w.T + b  # (distinct ids, atoms)
         steps = np.zeros_like(z)
         gram = x @ x.T + 1.0 if len(x) <= x.shape[1] else None  # K, when no larger than x
+        g, kg = np.empty_like(z), np.empty_like(z)  # each epoch's step and K g, in place
         for _ in range(LABEL_EPOCHS):
-            g = (_sigmoid(z) - y_ids) * c
+            _sigmoid(z, g)
+            np.subtract(g, y_ids, out=g)
+            np.multiply(g, c, out=g)
             steps += g
-            z -= gram @ g if gram is not None else x @ (g.T @ x).T + g.sum(axis=0)
+            z -= np.matmul(gram, g, out=kg) if gram is not None else x @ (g.T @ x).T + g.sum(axis=0)
         w -= steps.T @ x
         b -= steps.sum(axis=0)
         model = LabelModel(ds.vocab, "linear", threshold=threshold, weights=w, bias=b)
@@ -286,26 +304,27 @@ def train_pvfs_fqi(
     The one-step target for a transition whose next label satisfies the
     literal is gamma (reward and termination both fire on the next
     label); otherwise gamma times the bootstrapped next value. Missing
-    entries read as 0; observations met in no transition get no tabular
-    entry.
+    entries read as 0; observations no action was taken from (met in no
+    transition, or only as a trajectory's last step) get no tabular entry.
+    The tabular sweeps run on two preallocated Q tables.
     """
     check_open_unit("gamma", gamma)
     check_count("iters", iters)
-    index = ds.index
+    index, trajectories = ds.index, ds.trajectories
     n_states = len(index.keys)
-    src, act, dst = [], [], []
-    for tr in ds.trajectories:
-        src += tr.ids[:-1]
-        act += tr.actions
-        dst += tr.ids[1:]
-    src, act, dst = (np.array(c, dtype=np.int64) for c in (src, act, dst))
-    in_transition = np.flatnonzero(np.bincount(np.concatenate([src, dst]), minlength=n_states))
+    # every trajectory holds at least one id: src drops each one's last, dst its first
+    ids = np.fromiter(chain.from_iterable(tr.ids for tr in trajectories), np.int64)
+    lengths = np.fromiter((len(tr.ids) for tr in trajectories), np.int64)
+    ends = np.cumsum(lengths)
+    src, dst = np.delete(ids, ends - 1), np.delete(ids, ends - lengths)
+    act = np.fromiter(chain.from_iterable(tr.actions for tr in trajectories), np.int64, len(src))
 
     if backend == "tabular":
         cells = src * N_ACTIONS + act  # flat (state, action) index of each transition
         size = n_states * N_ACTIONS
         counts = np.bincount(cells, minlength=size).reshape(n_states, N_ACTIONS)
         visited = counts > 0
+        acted = np.flatnonzero(visited.any(axis=1)).tolist()  # the ids some action was taken from
     elif backend == "linear":
         feats = observation_features(np.stack(index.obs))
     else:
@@ -318,19 +337,20 @@ def train_pvfs_fqi(
             sat = np.array([literal_satisfied(lit, label) for label in index.labels], dtype=bool)
             residual = np.inf
             if backend == "tabular":
-                q = np.zeros((n_states, N_ACTIONS))
+                # sweeps alternate two tables; divide writes only visited
+                # entries, so the unvisited ones of both stay 0
+                q, q_new, diff = (np.zeros((n_states, N_ACTIONS)) for _ in range(3))
                 for it in range(iters):
                     # the target of a transition depends only on its next state
                     target = (gamma * np.where(sat, 1.0, q.max(axis=1)))[dst]
                     sums = np.bincount(cells, weights=target, minlength=size)
-                    sums = sums.reshape(n_states, N_ACTIONS)
-                    q_new = np.divide(sums, counts, out=np.zeros_like(q), where=visited)
-                    residual = float(np.abs(q_new - q).max())
-                    q = q_new
+                    np.divide(sums.reshape(n_states, N_ACTIONS), counts, out=q_new, where=visited)
+                    residual = float(np.abs(np.subtract(q_new, q, out=diff), out=diff).max())
+                    q, q_new = q_new, q
                     if residual < FQI_TOL:
                         break
                 v = q.max(axis=1).tolist()
-                est = TabularPvf(gamma, {index.keys[i]: v[i] for i in in_transition.tolist()})
+                est = TabularPvf(gamma, {index.keys[i]: v[i] for i in acted})
             else:
                 sat_next = sat[dst]
                 w = np.zeros((N_ACTIONS, feats.shape[1]))

@@ -184,7 +184,16 @@ def parse_formula(text: str, vocab: Sequence[str]) -> Formula:
     """
     if not text.strip():
         raise FormulaSyntaxError(0, "empty formula")
-    vocab_set = set(check_vocab(vocab))
+    return parse_checked_formula(text, frozenset(check_vocab(vocab)))
+
+
+def parse_checked_formula(text: str, vocab_set: frozenset[str]) -> Formula:
+    """parse_formula against atom names already passed through check_vocab.
+
+    Lets a caller that parses many formulas over one vocabulary check it once.
+    """
+    if not text.strip():
+        raise FormulaSyntaxError(0, "empty formula")
     tokens = _tokenize(text)
     idx = 0
 

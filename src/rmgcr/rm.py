@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
-from .logic import Formula, check_vocab, evaluate, parse_formula, to_dnf, truth_table
+from .logic import Formula, check_vocab, evaluate, parse_checked_formula, to_dnf, truth_table
 
 MAX_EXHAUSTIVE_VOCAB = 12  # determinism checked over all 2^|vocab| assignments
 
@@ -234,9 +234,10 @@ def parse_rm(text: str) -> RewardMachine:
         terminals = frozenset({0})
 
     transitions = []
+    vocab_set = frozenset(vocab)  # checked once above, not once per guard
     for line_no, i, j, formula_text, reward in raw_edges:
         try:
-            guard = parse_formula(formula_text, vocab)
+            guard = parse_checked_formula(formula_text, vocab_set)
         except ValueError as e:
             raise RmSyntaxError(line_no, f"bad guard: {e}")
         transitions.append(RmTransition(i, j, guard, reward))

@@ -528,6 +528,18 @@ def test_any_input_error_exits_3_and_a_caller_bug_exits_4(monkeypatch, capsys):
         assert f"error: {error}" in capsys.readouterr().err
 
 
+def test_a_grid_config_builds_one_grid_config(monkeypatch):
+    built = []
+
+    def counted(*args, _real=files.GridConfig, **kwargs):
+        built.append(kwargs)
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(files, "GridConfig", counted)
+    assert files.load_grid_config(None, {"width": 7}) == GridConfig(width=7)
+    assert len(built) == 1  # the defaults were read once, when files was imported
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -34,6 +34,10 @@ the bootstrap's maximum. The last three `EDGE_GOLDEN` pins (composed and
 high-level shaping at lam = 2.5, and a pinned agent start) were recorded
 before each (product state, action) kept its successor, rewards and
 shaping term in a step cache filled on first use.
+
+The partial tabular FQI pins (`FQI_PARTIAL_GOLDEN`) were recorded before
+the sweeps alternated two preallocated Q tables, so they catch a fit that
+stops on the wrong one of the two.
 """
 
 import hashlib
@@ -54,6 +58,7 @@ from rmgcr.geogrid import (
     cell_states,
     encode_obs,
     full_coverage_dataset,
+    generate_dataset,
     reset,
     true_label,
 )
@@ -547,3 +552,24 @@ def test_ground_averages_the_successors_of_a_repeated_pair(tmp_path):
         "5270055a30c2984b",
         "d443888a3c6dfa92",
     )
+
+
+# tabular `train_pvfs_fqi` on `generate_dataset(GridConfig(), 50, seed=3)`, stopped after
+# iters sweeps, short of convergence: iters -> digest of float.hex of every literal's entries
+FQI_PARTIAL_GOLDEN = {
+    1: "0e233e1a8fab5af9",
+    2: "bf2b12be16f859ef",
+    5: "5083775b80917e7e",
+}
+
+
+@pytest.mark.parametrize("iters", sorted(FQI_PARTIAL_GOLDEN))
+def test_fqi_stopped_before_convergence_matches_recorded_digest(iters):
+    ds = generate_dataset(GridConfig(), 50, seed=3)
+    with pytest.warns(NonConvergenceWarning):
+        pvfs = train_pvfs_fqi(ds, GAMMA, iters=iters)
+    values = [
+        [list(lit), [est.v[k].hex() for k in sorted(est.v)]]
+        for lit, est in sorted(pvfs.estimators.items())
+    ]
+    assert _digest(values) == FQI_PARTIAL_GOLDEN[iters]

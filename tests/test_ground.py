@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rmgcr import files, ground
@@ -68,6 +68,45 @@ class TestFeatures:
         each = np.array([observation_features(obs) for obs in stack])
         batched = observation_features(stack)
         assert batched.dtype == each.dtype and np.array_equal(batched, each)
+
+
+def _reference_sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -60), 60)))
+
+
+SIGMOID_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan] + [
+    sign * (edge + d) for edge in (37.0, 60.0, 745.0) for d in (-1e-9, 0.0, 1e-9) for sign in (1, -1)
+]
+
+
+class TestSigmoid:
+    @settings(max_examples=200)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(),
+                st.sampled_from(SIGMOID_EDGES),
+                st.sampled_from((37.0, 60.0, 745.0)).flatmap(
+                    lambda edge: st.floats(-edge - 1.0, -edge + 1.0) | st.floats(edge - 1.0, edge + 1.0)
+                ),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+        st.booleans(),
+    )
+    @example(SIGMOID_EDGES, False)
+    @example(SIGMOID_EDGES, True)
+    def test_equals_the_clamped_formula_bit_for_bit(self, values, into_out):
+        # the upper clamp at 60 is gone: there 1 + exp(-z) already rounds to 1.0
+        z = np.array(values, dtype=np.float64)
+        want = [v.hex() for v in _reference_sigmoid(z).tolist()]
+        out = np.full_like(z, 7.0) if into_out else None
+        got = ground._sigmoid(z, out)
+        assert [v.hex() for v in got.tolist()] == want
+        np.testing.assert_array_equal(z, values)  # z is left as it was
+        if into_out:
+            assert got is out
 
 
 class TestLabelModel:
@@ -272,12 +311,19 @@ class TestFqiExactness:
             train_pvfs_fqi(full_coverage_dataset(corridor_cfg), GAMMA, backend="quadratic")
 
     def test_observations_outside_transitions_get_no_entry(self, corridor_cfg):
-        alone = encode_obs(cell_states(corridor_cfg)[(0, 0)])
+        # no action is taken from an observation no transition reaches, nor from a
+        # walk's last step, so nothing estimates their values
+        states = cell_states(corridor_cfg)
+        alone, last = encode_obs(states[(0, 0)]), encode_obs(states[(0, 1)])
         alone[0, 0, -1] = 0  # no agent: an observation no transition reaches
+        last[0, 0, -1] = 1  # two agents: an observation met only as a walk's last step
         steps = steps_of(full_coverage_dataset(corridor_cfg).trajectories)
-        ds = GroundingDataset.from_steps(VOCAB, steps + [([alone], [], [frozenset()])])
+        walk = ([encode_obs(states[(0, 0)]), last], [3], [true_label(states[(0, 0)]), frozenset()])
+        ds = GroundingDataset.from_steps(VOCAB, steps + [([alone], [], [frozenset()]), walk])
         for pvfs in (train_pvfs_fqi(ds, GAMMA), train_pvfs_mc(ds, GAMMA)):
-            assert all(obs_key(alone) not in est.v for est in pvfs.estimators.values())
+            for obs in (alone, last):
+                assert all(obs_key(obs) not in est.v for est in pvfs.estimators.values())
+            assert pvfs.unseen([alone, last]) == [True, True]
 
     def test_linear_backend_runs(self, corridor_cfg):
         ds = full_coverage_dataset(corridor_cfg)
@@ -732,6 +778,14 @@ class TestPvfProperties:
         observations = [encode_obs(s) for s in cell_states(cfg).values()]
         for pvfs in (train_pvfs_fqi(ds, GAMMA), train_pvfs_mc(ds, GAMMA), linear):
             assert_values_match(pvfs, observations)
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_layouts(), st.integers(1, 4), st.integers(0, 2**31 - 1))
+    def test_fqi_and_mc_key_the_observations_acted_from(self, cfg, n, seed):
+        ds = generate_dataset(replace(cfg, episode_len=4), n, seed=seed)
+        acted = {ds.index.keys[i] for tr in ds.trajectories for i in tr.ids[:-1]}
+        for pvfs in (train_pvfs_fqi(ds, GAMMA), train_pvfs_mc(ds, GAMMA)):
+            assert all(set(est.v) == acted for est in pvfs.estimators.values())
 
     @settings(max_examples=50, deadline=None)
     @given(small_layouts(), st.integers(0, 2**31 - 1))

@@ -90,6 +90,10 @@ class TestParse:
         assert e.value.position == 5
         assert "$" in e.value.message
 
+    def test_checks_the_vocabulary(self):
+        with pytest.raises(ValueError, match="duplicate atom name: 'red'"):
+            parse_formula("red", ["red", "red"])
+
     def test_appending_garbage_fails(self):
         # no silent truncation: a valid formula plus trailing tokens is an error
         for suffix in [") red", "red", "(", "!"]:

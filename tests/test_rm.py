@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rmgcr import logic, rm as rm_module
 from rmgcr.logic import FALSE, TRUE, And, Not, Or, Var, evaluate, to_dnf
 from rmgcr.rm import (
     MAX_EXHAUSTIVE_VOCAB,
@@ -73,6 +74,15 @@ class TestParse:
     def test_transition_from_terminal(self):
         with pytest.raises(TransitionFromTerminalError):
             parse_rm("vocab: a\nstates: 2\n(0, 1, a, 1)\n")
+
+    def test_vocabulary_checked_per_machine_not_per_guard(self, monkeypatch):
+        calls = []
+        for module in (logic, rm_module):
+            original = module.check_vocab
+            monkeypatch.setattr(module, "check_vocab", lambda v, _o=original: calls.append(v) or _o(v))
+        rm = load_rm(TASKS_DIR / "logic.rm")
+        assert len(rm.transitions) > 2
+        assert len(calls) == 2  # the vocab: line and make_rm
 
     def test_formula_may_contain_commas_never(self):
         # parentheses inside guards survive the transition-line split
