@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -173,6 +174,76 @@ def seeded_index(seed: int, n: int) -> int:
         if m & _M32 >= threshold:
             return m >> 32
         state = (state * _PCG64_MULT + inc) & _M128
+
+
+# numpy's SeedSequence constants: mix_entropy's hashmix constants run from INIT_A by powers of MULT_A,
+# generate_state's from INIT_B by powers of MULT_B, and mix weighs its two words by MIX_L and MIX_R.
+# Every operand is a uint32 or uint64 array or scalar, so no product is of two scalars (which warns on
+# overflow) and numpy 1.x never promotes a uint64 operand to float64
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _U16 = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_U1, _U32, _LOW32 = np.uint64(1), np.uint64(32), np.uint64(_M32)
+_POOL = 4  # SeedSequence's pool size in words
+_OTHERS = [[d for d in range(_POOL) if d != src] for src in range(_POOL)]
+
+
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """The (n, 1) uint32 column init * mult**t mod 2**32 for t < n: hashmix call t xors with row t and
+    multiplies by row t + 1."""
+    return np.array([init * pow(mult, t, 1 << 32) & _M32 for t in range(n)], np.uint32)[:, None]
+
+
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL + 1)  # generate_state(4, uint64)'s eight words
+
+
+def _hashmix(v: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """numpy's hashmix of each row of v, row j under consts[j] and consts[j + 1]."""
+    v = (v ^ consts[:-1]) * consts[1:]
+    return v ^ v >> _U16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """numpy's mix of pool words x with hashed words y."""
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ r >> _U16
+
+
+def _raw_outputs(root: int, first: int, n: int, k: int) -> np.ndarray:
+    """The (n, k) uint64 array whose row j is np.random.default_rng((root, first + j)).bit_generator's
+    first k raw outputs, for first + n <= 2**64.
+
+    Entropy word w of every seed sits in row w of one (words, n) uint32 array: root's words, then the low
+    and, from 2**32 on, the high word of i. SeedSequence's mix and generate_state(4, uint64) run on those
+    columns, and seeded_index's rule turns each row's state words into PCG64's (state, inc), from which
+    one reused PCG64 reads the row."""
+    i = np.arange(first, first + n, dtype=np.uint64)
+    root_words = np.frombuffer(root.to_bytes(4 * max(1, -(-root.bit_length() // 32)), "little"), "<u4")
+    r = len(root_words)
+    entropy = np.zeros((max(_POOL, r + 1 + bool(i[-1] >> _U32)), n), np.uint32)
+    entropy[:r] = root_words[:, None]
+    entropy[r] = i & _LOW32
+    entropy[r + 1 : r + 2] = i >> _U32  # a row below 2**32 reads 0 here, as hashmix reads a missing word
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * len(entropy) + 1)
+    pool = _hashmix(entropy[:_POOL], consts[: _POOL + 1])
+    t = _POOL
+    for src, dst in enumerate(_OTHERS):  # every pool word into every other
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[t : t + _POOL]))
+        t += _POOL - 1
+    for w in range(_POOL, len(entropy)):  # each word past the pool into every pool word
+        mixed = _mix(pool, _hashmix(entropy[w], consts[t : t + _POOL + 1]))
+        # only i's high word, at row r + 1, is missing from some rows: those below 2**32 keep their pool
+        pool = mixed if w <= r else np.where(i >> _U32 > 0, mixed, pool)
+        t += _POOL
+    words = _hashmix(np.tile(pool, (2, 1)), _STATE_CONSTS).astype(np.uint64)
+    out = np.empty((n, k), np.uint64)
+    bits = np.random.PCG64(0)
+    for row, (s_hi, s_lo, inc_hi, inc_lo) in enumerate((words[0::2] | words[1::2] << _U32).T.tolist()):
+        inc = (inc_hi << 65 | inc_lo << 1 | 1) & _M128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _M128  # seeded, before the first step
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        out[row] = bits.random_raw(k)
+    return out
 
 
 def reset(cfg: GridConfig, seed: Optional[int] = None) -> GridState:
@@ -430,6 +501,11 @@ class GroundingDataset:
         return cls(tuple(vocab), index, trajectories, dict(meta or {}))
 
 
+# generate_dataset seeds its walks in blocks of at most this many raw words (512 KiB), at least one walk
+_BLOCK_WORDS = 1 << 16
+_ACTION_SHIFTS, _ACTION_MASK = np.array([30, 62], np.uint64), np.uint64(3)  # N_ACTIONS = 4 takes 2 bits
+
+
 def generate_dataset(
     cfg: GridConfig,
     n_trajectories: int,
@@ -437,12 +513,16 @@ def generate_dataset(
 ) -> GroundingDataset:
     """Random-walk trajectories of length cfg.episode_len with ground-truth labels.
 
-    Reproducible: trajectory i uses the RNG stream (seed, i), drawing its
-    start's seed (for episode_starts) and then all its actions in one call,
-    the same stream as one draw per step. The walk follows move_table by
-    cell id on the start's Layout and numbers its cells through one
-    ObsIndex, so each layout is encoded and labelled once; the dataset
-    keeps that index, and each trajectory the ids of its steps.
+    Reproducible: trajectory i draws from the RNG stream (seed, i) what
+    np.random.default_rng((seed, i)) would give it, its start's seed (for
+    episode_starts) by integers(2**63) and then its actions by
+    integers(4, size=cfg.episode_len). Those draws are read off the
+    stream's raw PCG64 words, which _raw_outputs seeds for a block of
+    trajectories at a time in one vectorized SeedSequence mix. The walk
+    follows move_table by cell id on the start's Layout and numbers its
+    cells through one ObsIndex, so each layout is encoded and labelled
+    once; the dataset keeps that index, and each trajectory the ids of its
+    steps.
     """
     check_count("n_trajectories", n_trajectories)
     root = cfg.seed if seed is None else seed
@@ -451,16 +531,24 @@ def generate_dataset(
     index = ObsIndex()
     trajectories = []
     starts = episode_starts(cfg, index)
-    for i in range(n_trajectories):
-        rng = np.random.default_rng((root, i))
-        layout, ids, cell = starts(int(rng.integers(2**63)))
-        actions = rng.integers(N_ACTIONS, size=cfg.episode_len).tolist()
-        steps = [index.visit(layout, cell)]
-        for a in actions:
-            cell = moves[cell][a]
-            k = ids[cell]
-            steps.append(k if k >= 0 else index.visit(layout, cell))
-        trajectories.append(Trajectory(index, steps, actions))
+    length = cfg.episode_len
+    n_words = 1 + (length + 1) // 2  # the start's word, then two actions a word
+    block = max(1, _BLOCK_WORDS // n_words)
+    for first in range(0, n_trajectories, block):
+        raw = _raw_outputs(root, first, min(block, n_trajectories - first), n_words)
+        # integers(2**63) is a word's top 63 bits; integers(4) the top 2 bits of a word's low 32-bit half,
+        # then of its high half
+        seeds = (raw[:, 0] >> _U1).tolist()
+        halves = raw[:, 1:, None] >> _ACTION_SHIFTS & _ACTION_MASK
+        actions = halves.reshape(len(raw), -1)[:, :length].tolist()
+        for start_seed, acts in zip(seeds, actions):
+            layout, ids, cell = starts(start_seed)
+            steps = [index.visit(layout, cell)]
+            for a in acts:
+                cell = moves[cell][a]
+                k = ids[cell]
+                steps.append(k if k >= 0 else index.visit(layout, cell))
+            trajectories.append(Trajectory(index, steps, acts))
     meta = {"seed": root, "policy": "random", "config": config_to_dict(cfg)}
     return GroundingDataset(VOCAB, index, trajectories, meta)
 
@@ -497,7 +585,8 @@ def config_to_dict(cfg: GridConfig) -> dict:
 
 def label_frequencies(ds: GroundingDataset) -> dict[str, float]:
     """Fraction of dataset steps at which each atom holds."""
-    steps = np.bincount(np.concatenate([tr.ids for tr in ds.trajectories])).tolist()  # per id
+    ids = np.fromiter(chain.from_iterable(tr.ids for tr in ds.trajectories), np.int64)
+    steps = np.bincount(ids).tolist()  # per id
     total = sum(steps)
     return {a: sum(n for n, lab in zip(steps, ds.index.labels) if a in lab) / total for a in ds.vocab}
 

@@ -37,6 +37,15 @@ class DegenerateAtomError(InputError):
         self.name = name
 
 
+class EmptyDatasetError(InputError):
+    """A PVF fit was handed a dataset with no trajectories."""
+
+
+def _check_nonempty(ds: GroundingDataset) -> None:
+    if not ds.trajectories:
+        raise EmptyDatasetError("the dataset has no trajectories to fit PVFs on")
+
+
 class NonConvergenceWarning(UserWarning):
     pass
 
@@ -306,10 +315,12 @@ def train_pvfs_fqi(
     label); otherwise gamma times the bootstrapped next value. Missing
     entries read as 0; observations no action was taken from (met in no
     transition, or only as a trajectory's last step) get no tabular entry.
-    The tabular sweeps run on two preallocated Q tables.
+    The tabular sweeps run on two preallocated Q tables. Raises
+    EmptyDatasetError on a dataset with no trajectories.
     """
     check_open_unit("gamma", gamma)
     check_count("iters", iters)
+    _check_nonempty(ds)
     index, trajectories = ds.index, ds.trajectories
     n_states = len(index.keys)
     # every trajectory holds at least one id: src drops each one's last, dst its first
@@ -388,8 +399,10 @@ def mc_targets(ids: list[int], sat: list[bool], gamma: float) -> list[float]:
 
 
 def train_pvfs_mc(ds: GroundingDataset, gamma: float) -> PvfSet:
-    """Monte-Carlo regression of discounted first-satisfaction returns (tabular)."""
+    """Monte-Carlo regression of discounted first-satisfaction returns (tabular); EmptyDatasetError on a
+    dataset with no trajectories."""
     check_open_unit("gamma", gamma)
+    _check_nonempty(ds)
     keys, trajectories = ds.index.keys, ds.trajectories
     src = [i for tr in trajectories for i in tr.ids[:-1]]  # the id of each step with a successor
     counts = np.bincount(src, minlength=len(keys))

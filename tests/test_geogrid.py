@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import random
@@ -395,6 +396,45 @@ class TestSeededIndex:
             seeded_index(-1, 36)
         with pytest.raises(OutOfRangeError, match="seed must be non-negative, not -1"):
             generate_dataset(GridConfig(), 1, seed=-1)
+
+
+class TestBatchSeeding:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        root=st.one_of(
+            st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 5, 2**96, 2**128 + 3]), st.integers(0, 2**300)
+        ),
+        # an i of 2**32 or more adds an entropy word, so a block may hold seeds of two lengths
+        first=st.one_of(st.integers(0, 50), st.integers(2**32 - 45, 2**32 + 5)),
+        n=st.integers(1, 40),
+        k=st.integers(1, 40),
+    )
+    def test_rows_equal_fresh_generators(self, root, first, n, k):
+        raw = geogrid._raw_outputs(root, first, n, k)
+        assert raw.dtype == np.uint64 and raw.shape == (n, k)
+        for j, row in enumerate(raw):
+            want = np.random.default_rng((root, first + j)).bit_generator.random_raw(k)
+            assert np.array_equal(row, want)
+
+    def test_seeded_index_unrolls_the_state_constants(self):
+        # seeded_index spells generate_state's hashmix constants as literals; the batch holds them as a table
+        unrolled = re.findall(r"\(p(\d) \^ (0x[0-9A-F]+)\) \* (0x[0-9A-F]+)", inspect.getsource(seeded_index))
+        consts = geogrid._STATE_CONSTS.ravel().tolist()
+        assert [(int(p), int(x, 16), int(m, 16)) for p, x, m in unrolled] == [
+            (w % 4, consts[w], consts[w + 1]) for w in range(8)
+        ]
+
+    @pytest.mark.parametrize("layout", ["fixed", "randomized"])
+    @pytest.mark.parametrize("episode_len", [0, 1, 6])
+    def test_walks_do_not_depend_on_the_block_size(self, layout, episode_len, monkeypatch):
+        cfg = GridConfig(layout_mode=layout, episode_len=episode_len)
+        whole = generate_dataset(cfg, 9, seed=2**40 + 3)
+        monkeypatch.setattr(geogrid, "_BLOCK_WORDS", 5)  # one or two walks a block
+        blocks = generate_dataset(cfg, 9, seed=2**40 + 3)
+        assert [(tr.ids, tr.actions) for tr in blocks.trajectories] == [
+            (tr.ids, tr.actions) for tr in whole.trajectories
+        ]
+        assert blocks.index.keys == whole.index.keys
 
 
 class TestEpisodeStarts:

@@ -38,11 +38,17 @@ shaping term in a step cache filled on first use.
 The partial tabular FQI pins (`FQI_PARTIAL_GOLDEN`) were recorded before
 the sweeps alternated two preallocated Q tables, so they catch a fit that
 stops on the wrong one of the two.
+
+The `generate_dataset` pins at the seed's 32-bit word boundaries
+(`GEN_DATASET_WORDS_GOLDEN`) were recorded while each walk still drew its
+start and actions from its own `np.random.default_rng((seed, i))`, before
+a dataset's walks were seeded in one batch.
 """
 
 import hashlib
 import json
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -504,6 +510,34 @@ def test_gen_dataset_file_matches_recorded_digest(case, tmp_path):
     argv = ["gen-dataset", "--out", str(dataset), "--n", "50", "--seed", str(seed)]
     assert main(argv + ["--layout", layout]) == 0
     assert _digest(dataset.read_bytes()) == GEN_DATASET_GOLDEN[case]
+
+
+# `generate_dataset` at roots on the 32-bit word boundaries of the seed (with the walk's index, 2**96 and
+# 2**128 + 3 give 5 and 6 entropy words, past SeedSequence's 4-word pool), for 1 and 3 walks of 1, 7 and
+# 60 steps: config -> digest of (root, walks, steps, each walk's ids and actions) over all 36 datasets
+GEN_DATASET_WORD_ROOTS = [0, 2**32 - 1, 2**32, 2**64 + 5, 2**96, 2**128 + 3]
+GEN_DATASET_WORD_CONFIGS = {
+    "default": GridConfig(),
+    "agent_start": GridConfig(agent_start=(2, 3)),
+    "randomized": GridConfig(layout_mode="randomized"),
+}
+GEN_DATASET_WORDS_GOLDEN = {
+    "agent_start": "daf0948d90cb0f9a",
+    "default": "b7298f6e11e82773",
+    "randomized": "71df52fc07161d4d",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GEN_DATASET_WORDS_GOLDEN))
+def test_generate_dataset_at_seed_word_boundaries_matches_recorded_digest(case):
+    walks = []
+    for root in GEN_DATASET_WORD_ROOTS:
+        for n in (1, 3):
+            for length in (1, 7, 60):
+                cfg = replace(GEN_DATASET_WORD_CONFIGS[case], episode_len=length)
+                ds = generate_dataset(cfg, n, seed=root)
+                walks.append([root, n, length, [[tr.ids, tr.actions] for tr in ds.trajectories]])
+    assert _digest(walks) == GEN_DATASET_WORDS_GOLDEN[case]
 
 
 def _ground_digests(dataset, models) -> tuple:

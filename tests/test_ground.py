@@ -29,8 +29,10 @@ from rmgcr.geogrid import (
     step,
     true_label,
 )
+from rmgcr.errors import InputError
 from rmgcr.ground import (
     DegenerateAtomError,
+    EmptyDatasetError,
     LabelModel,
     NonConvergenceWarning,
     TabularPvf,
@@ -310,6 +312,12 @@ class TestFqiExactness:
         with pytest.raises(ValueError):
             train_pvfs_fqi(full_coverage_dataset(corridor_cfg), GAMMA, backend="quadratic")
 
+    @pytest.mark.parametrize("backend", ["tabular", "linear"])
+    def test_a_dataset_without_trajectories_is_a_typed_error(self, backend):
+        assert issubclass(EmptyDatasetError, InputError)
+        with pytest.raises(EmptyDatasetError, match="the dataset has no trajectories"):
+            train_pvfs_fqi(GroundingDataset.from_steps(VOCAB, []), GAMMA, backend=backend)
+
     def test_observations_outside_transitions_get_no_entry(self, corridor_cfg):
         # no action is taken from an observation no transition reaches, nor from a
         # walk's last step, so nothing estimates their values
@@ -374,6 +382,10 @@ class TestMonteCarloRegression:
             assert mc.value(("red", True), obs) == pytest.approx(
                 corridor_pvfs.value(("red", True), obs), abs=1e-9
             )
+
+    def test_a_dataset_without_trajectories_is_a_typed_error(self):
+        with pytest.raises(EmptyDatasetError, match="the dataset has no trajectories"):
+            train_pvfs_mc(GroundingDataset.from_steps(VOCAB, []), GAMMA)
 
     def test_random_walk_mc_underestimates_optimum(self, corridor_cfg, corridor_pvfs):
         ds = generate_dataset(replace(corridor_cfg, episode_len=8), 200, seed=4)
