@@ -185,17 +185,30 @@ def train(
     """Q-learning with self-generated rewards; returns the greedy policy and report.
 
     The perceived return per episode sums the agent's own RM rewards
-    (shaping terms excluded); the actual return replays the same states
-    through the ground-truth labelling and true RM. A value function or RM
-    state values made for another machine raise ConfigMismatchError.
+    (shaping terms excluded); the actual return sums the rewards of the
+    true RM stepped on the ground-truth labels of the same cells. A value
+    function or RM state values made for another machine raise
+    ConfigMismatchError.
 
     The hot path knows a state only by its product index p = id * n_u + u.
     An observation fixes its layout and its agent cell, so each (p, action)
     has one successor, one perceived RM step and one shaping term. A step
     cache keeps them, filled the first time (p, action) is taken: the move,
     the id of the new cell (visiting it if new), the predicted label's RM
-    step, and shaping_term over the potential_table of the episode's
-    layout. A layout's cells are scored by the label model in one call.
+    step, its reward plus shaping_term over the potential_table of the
+    episode's layout, and the true label's RM step from p's RM state where
+    it differs from the predicted one (None where it is the same). A
+    layout's cells are scored by the label model in one call.
+
+    An episode starts synced: its true RM state is its perceived one, so it
+    does no true-RM work and its actual return is its perceived return. At
+    the first step whose slot holds a true step, the true RM leaves the
+    perceived one: the actual return becomes the perceived return so far
+    plus the true reward, and from there the true RM is stepped on its own
+    for the rest of the episode. While synced both sums add the same floats
+    in the same order (and a sum from +0.0 never turns -0.0), so the
+    returns are those of stepping the true RM on every step.
+
     The report's meta counts the observations the tabular label model
     (unseen_label_obs, at the cells episodes visit) and the PVFs of composed
     shaping (unseen_pvf_obs, see potential_table: on a fixed layout, at every
@@ -226,7 +239,8 @@ def train(
     cell_of, true, pred = [], [], []
     n_u = rm.num_states
     q: list[Optional[list[float]]] = []  # Q rows by the product index p = id * n_u + u
-    # the step cache by p * N_ACTIONS + a: (p2, p2 * N_ACTIONS, id2, r, terminated, shaping term)
+    # the step cache by p * N_ACTIONS + a: (p2, p2 * N_ACTIONS, id2, r, r + shaping term, terminated,
+    # the true RM step from p's u where it differs from the perceived one, else None)
     cache: list[Optional[tuple]] = []
     unseen_label_obs = 0  # ids the tabular label model has no entry for
     predicted = masks = None  # the Layout last scored, and the label_mask predicted per cell
@@ -285,9 +299,8 @@ def train(
         i = ids[cell]
         if i < 0:
             i = visit(start, cell)
-        u_true = rm.initial  # make_rm refuses a terminal initial state
-        true_done = False
-        perceived = actual = 0.0
+        synced = True  # the true RM state is still the perceived one (make_rm refuses a terminal initial)
+        perceived = 0.0
         p = i * n_u + rm.initial
         pa = p * N_ACTIONS
         row = q[p]  # carried: the Q row of p, and its max
@@ -310,28 +323,34 @@ def train(
                 j = ids[cell2]
                 if j < 0:
                     j = visit(start, cell2)
-                u2, r, terminated = pred[j][u]
+                col, col_true = pred[j], true[j]
+                u2, r, terminated = col[u]
+                true_step = None if col_true is col or col_true[u] == col[u] else col_true[u]
                 p2 = j * n_u + u2
                 shaping = shaping_term(pot[u][cell], pot[u2][cell2], lam, mode, gamma) if shaped else 0.0
-                step = cache[pa + a] = (p2, p2 * N_ACTIONS, j, r, terminated, shaping)
-            p, pa, j, r, terminated, shaping = step
+                step = cache[pa + a] = (p2, p2 * N_ACTIONS, j, r, r + shaping, terminated, true_step)
+            p, pa, j, r, shaped_r, terminated, true_step = step
+            if synced:
+                if true_step is not None:  # the true RM leaves the perceived one: replay it from here
+                    synced = False
+                    u_true, true_r, true_done = true_step
+                    actual = perceived + true_r
+            elif not true_done:
+                u_true, true_r, true_done = true[j][u_true]
+                actual += true_r
             perceived += r
 
             nxt = q[p]  # None at a terminal RM state, whose rows are never written
             best = 0.0 if nxt is None else max(nxt)
-            target = r + shaping + gamma * best
+            target = shaped_r + gamma * best
             row[a] += alpha * (target - row[a])
             if nxt is row:  # a self-transition: the update may have moved its max
                 best = max(row)
 
-            if not true_done:
-                u_true, true_r, true_done = true[j][u_true]
-                actual += true_r
-
             if terminated:
                 break
             row = nxt
-        report.episodes.append(EpisodeRecord(perceived, actual, steps))
+        report.episodes.append(EpisodeRecord(perceived, perceived if synced else actual, steps))
     report.meta["unseen_label_obs"] = unseen_label_obs
     report.meta["unseen_pvf_obs"] = len(unseen_pvf_obs)
     keys, written = index.keys, [p for p, row in enumerate(q) if row is not None]

@@ -8,6 +8,10 @@ class InputError(ValueError):
     """A task file, dataset, model file, policy or setting the program cannot use; the CLI exits 3."""
 
 
+class EmptyDatasetError(InputError):
+    """A PVF fit or a label count was handed a dataset with no trajectories."""
+
+
 class OutOfRangeError(InputError):
     """A numeric setting outside its range: a seed, a discount, a threshold, a fraction or a weight."""
 

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InputError, check_count, check_seed
+from .errors import EmptyDatasetError, InputError, check_count, check_seed
 
 COLORS = ("red", "green", "blue")
 SHAPES = ("triangle", "circle")
@@ -584,7 +584,9 @@ def config_to_dict(cfg: GridConfig) -> dict:
 
 
 def label_frequencies(ds: GroundingDataset) -> dict[str, float]:
-    """Fraction of dataset steps at which each atom holds."""
+    """Fraction of dataset steps at which each atom holds; EmptyDatasetError on a dataset without walks."""
+    if not ds.trajectories:
+        raise EmptyDatasetError("the dataset has no trajectories to count labels on")
     ids = np.fromiter(chain.from_iterable(tr.ids for tr in ds.trajectories), np.int64)
     steps = np.bincount(ids).tolist()  # per id
     total = sum(steps)

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, OutOfRangeError, check_count, check_open_unit, check_seed
+from .errors import EmptyDatasetError, InputError, OutOfRangeError, check_count, check_open_unit, check_seed
 from .geogrid import N_ACTIONS, GroundingDataset, obs_key
 from .logic import Literal
 
@@ -35,10 +35,6 @@ class DegenerateAtomError(InputError):
     def __init__(self, name: str):
         super().__init__(f"atom {name!r} is constant across the dataset")
         self.name = name
-
-
-class EmptyDatasetError(InputError):
-    """A PVF fit was handed a dataset with no trajectories."""
 
 
 def _check_nonempty(ds: GroundingDataset) -> None:

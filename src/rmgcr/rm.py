@@ -23,6 +23,7 @@ and `RewardMachine.dnf` keeps each transition's guard in DNF the same way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -143,6 +144,8 @@ def make_rm(
             raise DanglingStateError(f"transition {t} references a missing state")
         if t.src in terminals:
             raise TransitionFromTerminalError(f"transition out of terminal state {t.src}")
+        if not math.isfinite(t.reward):
+            raise InputError(f"transition {t} has a non-finite reward")
     rm = RewardMachine(vocab, num_states, initial, terminals, transitions)
     if check:
         check_determinism(rm)
@@ -221,6 +224,8 @@ def parse_rm(text: str) -> RewardMachine:
                 reward = float(parts[-1])
             except ValueError:
                 raise RmSyntaxError(line_no, "bad state index or reward")
+            if not math.isfinite(reward):
+                raise RmSyntaxError(line_no, f"reward must be finite, not {parts[-1].strip()!r}")
             formula_text = ",".join(parts[2:-1]).strip()
             raw_edges.append((line_no, i, j, formula_text, reward))
         else:

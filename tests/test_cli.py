@@ -515,6 +515,14 @@ def test_task_file_with_no_usable_initial_state_is_validation_error(tmp_path, ca
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["oracle", "--rm"], ["eval", "--random", "--rm"]], ids=["oracle", "eval"])
+def test_task_file_with_a_non_finite_reward_is_validation_error(tmp_path, capsys, command):
+    task = tmp_path / "bad.rm"
+    task.write_text("vocab: red\nstates: 2\n(1, 0, red, nan)\n")
+    assert main([*command, str(task)]) == 3
+    assert "line 3: reward must be finite" in capsys.readouterr().err
+
+
 def test_any_input_error_exits_3_and_a_caller_bug_exits_4(monkeypatch, capsys):
     class FreshInputError(InputError):
         pass

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rmgcr import cli, geogrid
+from rmgcr import cli, geogrid, ground
 from rmgcr.files import FormatError, load_dataset, save_dataset, save_pvfs
 from rmgcr.ground import train_pvfs_fqi
-from rmgcr.errors import OutOfRangeError
+from rmgcr.errors import EmptyDatasetError, OutOfRangeError
 from rmgcr.geogrid import (
     ACTIONS,
     CHANNELS,
@@ -218,6 +218,11 @@ class TestDataset:
         freqs = label_frequencies(ds)
         for atom in VOCAB:
             assert 0.0 < freqs[atom] < 1.0
+
+    def test_label_frequencies_of_a_dataset_without_trajectories_is_a_typed_error(self):
+        assert ground.EmptyDatasetError is EmptyDatasetError
+        with pytest.raises(EmptyDatasetError, match="the dataset has no trajectories"):
+            label_frequencies(GroundingDataset.from_steps(VOCAB, []))
 
     def test_full_coverage_counts(self, desk_cfg):
         ds = full_coverage_dataset(desk_cfg)

@@ -43,6 +43,11 @@ The `generate_dataset` pins at the seed's 32-bit word boundaries
 (`GEN_DATASET_WORDS_GOLDEN`) were recorded while each walk still drew its
 start and actions from its own `np.random.default_rng((seed, i))`, before
 a dataset's walks were seeded in one batch.
+
+The pins of a label model that misleads the agent on the fixed layout
+(`MISLED_GOLDEN`) were recorded at commit 2ddfdeb, before `train` stepped
+the true RM only from the step where an episode's perceived RM state
+leaves the true one.
 """
 
 import hashlib
@@ -68,7 +73,7 @@ from rmgcr.geogrid import (
     reset,
     true_label,
 )
-from rmgcr.ground import NonConvergenceWarning, train_pvfs_fqi
+from rmgcr.ground import NonConvergenceWarning, train_label_model, train_pvfs_fqi
 from rmgcr.logic import Or, Var
 from rmgcr.rm import load_rm, reachability_rm
 
@@ -219,6 +224,46 @@ def test_fixed_seed_run_matches_recorded_digests(case, request, desk_pvfs, tmp_p
 def test_benchmark_scale_run_matches_recorded_digests(case, request, desk_pvfs, tmp_path):
     got = _run_digests(case, LONG_EPISODES, request, desk_pvfs, tmp_path)
     assert got == LONG_GOLDEN[case]
+
+
+# 300-episode runs on the fixed layout under a linear label model fit on a
+# few walks, which mislabels some cells, so that some episodes' perceived RM
+# state leaves the true one (the pins above use label models that label every
+# fixed-layout cell right). The 3-walk model misleads the agent in most
+# composed and high-level episodes on loop.rm.
+# (dataset walks, dataset seed, task, shaping) -> digests as GOLDEN's
+MISLED_GOLDEN = {
+    (4, 5, "logic.rm", "none"): ("a9a6b73a306f28a9", "1c3982f0c3d2f96a", "bab586030909b42d"),
+    (4, 5, "logic.rm", "composed"): ("abc8ad415f2dbd2c", "1c3982f0c3d2f96a", "2270322f9675c5d6"),
+    (4, 5, "logic.rm", "high-level"): ("48d0e2b3e81a7454", "1c3982f0c3d2f96a", "53440a3f14e7830a"),
+    (4, 5, "sequence.rm", "none"): ("29a43fd65589a510", "1c3982f0c3d2f96a", "c7d99351dd5a611c"),
+    (4, 5, "sequence.rm", "composed"): ("5a5fcf181908cbb2", "70c1e5257dda7ce7", "e6cf0033300d9cb3"),
+    (4, 5, "sequence.rm", "high-level"): ("663e969971e5f59a", "70c1e5257dda7ce7", "88fece607e918ffc"),
+    (4, 5, "loop.rm", "none"): ("7952765546b06db2", "1c3982f0c3d2f96a", "6b78335bc303dfb4"),
+    (4, 5, "loop.rm", "composed"): ("aa170c4eb26c8798", "86872fec54646338", "4098954ae95eb451"),
+    (4, 5, "loop.rm", "high-level"): ("f276176436540d81", "1c3982f0c3d2f96a", "3831e5a88e441d31"),
+    (3, 2, "loop.rm", "none"): ("7952765546b06db2", "1c3982f0c3d2f96a", "5b980665cf9eb3d1"),
+    (3, 2, "loop.rm", "composed"): ("95f2b971fad7dedb", "86872fec54646338", "44f045f78276c307"),
+    (3, 2, "loop.rm", "high-level"): ("30144bf5d88de7ec", "86872fec54646338", "90414838fe8d658c"),
+}
+
+
+@pytest.fixture(scope="module")
+def few_walk_label_models(desk_cfg):
+    """Linear label models fit on few walks, by (walks, seed)."""
+    return {(n, s): train_label_model(generate_dataset(desk_cfg, n, seed=s)) for n, s, _, _ in MISLED_GOLDEN}
+
+
+@pytest.mark.parametrize("case", sorted(MISLED_GOLDEN), ids=lambda c: "-".join(map(str, c)))
+def test_misled_label_model_run_matches_recorded_digests(
+    case, few_walk_label_models, desk_cfg, desk_pvfs, tmp_path
+):
+    n, seed, task, shaping = case
+    agent_cfg = AgentConfig(shaping=shaping, episodes=LONG_EPISODES, seed=7)
+    label_model = few_walk_label_models[n, seed]
+    report, got = _train_digests(desk_cfg, load_rm(TASKS_DIR / task), label_model, agent_cfg, desk_pvfs, tmp_path)
+    assert any(e.perceived_return != e.actual_return for e in report.episodes)
+    assert got == MISLED_GOLDEN[case]
 
 
 # The randomized pin above reads tabular PVFs of the fixed layout, which hold

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rmgcr import logic, rm as rm_module
+from rmgcr.errors import InputError
 from rmgcr.logic import FALSE, TRUE, And, Not, Or, Var, evaluate, to_dnf
 from rmgcr.rm import (
     MAX_EXHAUSTIVE_VOCAB,
@@ -66,6 +67,12 @@ class TestParse:
         with pytest.raises(RmSyntaxError) as e:
             parse_rm("vocab: a\nstates: 2\n(1, 0, a &, 1)\n")
         assert e.value.line_no == 3
+
+    @pytest.mark.parametrize("reward", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_reward_reports_line(self, reward):
+        with pytest.raises(RmSyntaxError, match="reward must be finite") as e:
+            parse_rm(f"vocab: red\nstates: 2\n(1, 1, !red, 0)\n(1, 0, red, {reward})\n")
+        assert e.value.line_no == 4
 
     def test_dangling_state(self):
         with pytest.raises(DanglingStateError):
@@ -168,6 +175,11 @@ class TestConstruction:
             for w in all_assignments(logic_rm.vocab):
                 firing = [e for e in logic_rm.outgoing(u) if evaluate(e.guard, w)]
                 assert len(firing) <= 1
+
+    @pytest.mark.parametrize("reward", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_reward_rejected(self, reward):
+        with pytest.raises(InputError, match="non-finite reward"):
+            make_rm(["a"], 2, [RmTransition(1, 0, Var("a"), reward)])
 
     def test_reachability_rm_shape(self):
         rm = reachability_rm(GEO, Var("red"))
